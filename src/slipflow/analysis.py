@@ -19,46 +19,34 @@ from .errors import DataError, MultivaluedStreamError
 from .linear_solvers import (BorderedSolver, FlowState, korn_constant,
                              scalar_integral_vector, scalar_mass,
                              scalar_stiffness, sobolev_constant, _splu)
-from .quadrature import interval_rule, triangle_rule
+from .quadrature import interval_rule
 
 
 # -- field extraction --------------------------------------------------------
 
-def _scalar_projection(mesh, values_at_quad, dv, N, nodes, mass_lu):
+def _scalar_projection(mesh, values_at_quad):
+    """P2 L2 projection of values at the VOLUME_DEGREE quadrature points."""
+    ctx = assembly.volume_context(mesh)
     load = np.zeros(mesh.n_p2_nodes)
-    np.add.at(load, nodes, np.einsum("tq,tq,qi->ti", dv, values_at_quad, N))
-    return mass_lu.solve(load)
-
-
-def _volume_setup(mesh):
-    pts, w = triangle_rule(assembly.VOLUME_DEGREE)
-    coords = mesh.triangle_coords()
-    grads, det = elements.physical_gradients(coords, pts, elements.p2_grad(pts))
-    dv = det * w[None, :]
-    N = elements.p2_shape(pts)
-    nodes = mesh.triangle_nodes()
-    return pts, coords, grads, dv, N, nodes
+    np.add.at(load, ctx.nodes, np.einsum("tq,tq,qi->ti", ctx.dv, values_at_quad, ctx.N))
+    return _splu(scalar_mass(mesh)).solve(load)
 
 
 def vorticity(flow):
     """P2 projection of du1/dx2 - du2/dx1 (outward-normal curl convention)."""
     mesh = flow.mesh
-    pts, coords, grads, dv, N, nodes = _volume_setup(mesh)
-    gu = assembly.velocity_gradient_at(mesh, flow.velocity, grads)
-    omega = gu[:, :, 0, 1] - gu[:, :, 1, 0]
-    mass_lu = _splu(scalar_mass(mesh))
-    return _scalar_projection(mesh, omega, dv, N, nodes, mass_lu)
+    gu = assembly.velocity_gradient_at(mesh, flow.velocity,
+                                       assembly.volume_context(mesh).grads)
+    return _scalar_projection(mesh, gu[:, :, 0, 1] - gu[:, :, 1, 0])
 
 
 def total_head(flow):
     """P2 projection of p + |u|^2/2."""
     mesh = flow.mesh
-    pts, coords, grads, dv, N, nodes = _volume_setup(mesh)
+    pts = assembly.volume_context(mesh).pts
     u = norms.velocity_values(mesh, flow.velocity, pts)
     p = norms.pressure_values(mesh, flow.pressure, pts)
-    phi = p + 0.5 * np.einsum("tqx,tqx->tq", u, u)
-    mass_lu = _splu(scalar_mass(mesh))
-    return _scalar_projection(mesh, phi, dv, N, nodes, mass_lu)
+    return _scalar_projection(mesh, p + 0.5 * np.einsum("tqx,tqx->tq", u, u))
 
 
 @dataclass
@@ -81,18 +69,18 @@ def diagnostics_fields(flow, with_stream=True):
 
 # -- Bernoulli-type boundary diagnostics --------------------------------------
 
-def _boundary_head_fe(flow, n_points=assembly.EDGE_POINTS):
-    """Per-component (head values, weights) on the mesh boundary edges."""
+def boundary_head(flow):
+    """Boundary quadrature with the total head and velocity at its points.
+
+    Returns (bq, head[nb, nq], u[nb, nq, 2]); the pressure trace on an
+    edge is linear between its two endpoint values.
+    """
     mesh = flow.mesh
-    bq = assembly.boundary_quadrature(mesh, n_points)
+    bq = assembly.boundary_quadrature(mesh)
     unod = flow.velocity.reshape(-1, 2)[bq.nodes3]
     u = np.einsum("qi,kix->kqx", bq.shape, unod)
-    # the linear pressure trace on an edge interpolates its two endpoints
-    s, _ = interval_rule(n_points)
-    pa = flow.pressure[mesh.edges[mesh.boundary_edges["edge"]]]
-    first = np.array([mesh.triangles[r["tri"]][r["local"]] for r in mesh.boundary_edges])
-    swap = mesh.edges[mesh.boundary_edges["edge"]][:, 0] != first
-    pa[swap] = pa[swap][:, ::-1]
+    s, _ = interval_rule(assembly.EDGE_POINTS)
+    pa = flow.pressure[bq.nodes3[:, :2]]
     p = pa[:, 0][:, None] * (1 - s)[None, :] + pa[:, 1][:, None] * s[None, :]
     phi = p + 0.5 * np.einsum("kqx,kqx->kq", u, u)
     return bq, phi, u
@@ -120,44 +108,28 @@ def bernoulli_audit(flow):
     Accepts a FlowState or any object with `domain`, `velocity(points)`
     and `pressure(points)` (analytic sampling path).
     """
+    pieces = []
     if isinstance(flow, FlowState):
-        mesh = flow.mesh
-        bq, phi, u = _boundary_head_fe(flow)
-        means, devs, fluxes = [], [], []
-        for comp in range(mesh.domain.n_components):
+        bq, phi, u = boundary_head(flow)
+        for comp in range(flow.mesh.domain.n_components):
             sel = bq.component == comp
-            length = bq.w_ds[sel].sum()
-            mean = float((bq.w_ds[sel] * phi[sel]).sum() / length)
-            means.append(mean)
-            devs.append(float(np.max(np.abs(phi[sel] - mean))))
-            fluxes.append(float(np.einsum("kq,kqx,kqx->", bq.w_ds[sel], u[sel],
-                                          bq.normal[sel])))
-        total = float(np.dot(means, fluxes))
-        return BernoulliReport(means, devs, fluxes, total)
-
-    domain = flow.domain
-    s, w = interval_rule(8)
-    means, devs, fluxes = [], [], []
-    for comp, curve in enumerate(domain.curves):
-        vals, weights, flux = [], [], 0.0
-        for k in range(16):
-            t = (k + s) / 16.0
+            flux = np.einsum("kq,kqx,kqx->", bq.w_ds[sel], u[sel], bq.normal[sel])
+            pieces.append((bq.w_ds[sel], phi[sel], flux))
+    else:
+        domain = flow.domain
+        for comp, curve in enumerate(domain.curves):
+            t, _, w_ds = geometry.curve_rule(curve)
             pts, n, _, _ = geometry.frames_at(domain, comp, t)
-            speed = np.hypot(*curve.derivative(t).T)
             u = np.asarray(flow.velocity(pts), float)
-            phi = np.asarray(flow.pressure(pts), float) + 0.5 * np.einsum(
-                "ma,ma->m", u, u)
-            vals.append(phi)
-            weights.append(w * speed / 16.0)
-            flux += float(np.sum(w * np.einsum("ma,ma->m", u, n) * speed) / 16.0)
-        vals = np.concatenate(vals)
-        weights = np.concatenate(weights)
-        mean = float((weights * vals).sum() / weights.sum())
+            phi = np.asarray(flow.pressure(pts), float) + 0.5 * np.einsum("ma,ma->m", u, u)
+            pieces.append((w_ds, phi, np.sum(w_ds * np.einsum("ma,ma->m", u, n))))
+    means, devs, fluxes = [], [], []
+    for w_ds, phi, flux in pieces:
+        mean = float((w_ds * phi).sum() / w_ds.sum())
         means.append(mean)
-        devs.append(float(np.max(np.abs(vals - mean))))
-        fluxes.append(flux)
-    total = float(np.dot(means, fluxes))
-    return BernoulliReport(means, devs, fluxes, total)
+        devs.append(float(np.max(np.abs(phi - mean))))
+        fluxes.append(float(flux))
+    return BernoulliReport(means, devs, fluxes, float(np.dot(means, fluxes)))
 
 
 # -- stream function -----------------------------------------------------------
@@ -172,18 +144,18 @@ def stream_function(flow, flux_rtol=1e-8):
     bq = assembly.boundary_quadrature(mesh)
     uscale = max(float(np.max(np.abs(flow.velocity))), 1e-30)
     for comp in range(mesh.domain.n_components):
-        flux = assembly.boundary_flux(mesh, flow.velocity, comp, bq)
+        flux = assembly.boundary_flux(mesh, flow.velocity, comp)
         length = bq.w_ds[bq.component == comp].sum()
         if abs(flux) > flux_rtol * uscale * length:
             raise MultivaluedStreamError(
                 f"component {comp} carries net flux {flux:.6e}; "
                 "stream function would be multivalued")
-    pts, coords, grads, dv, N, nodes = _volume_setup(mesh)
-    u = norms.velocity_values(mesh, flow.velocity, pts)
+    ctx = assembly.volume_context(mesh)
+    u = norms.velocity_values(mesh, flow.velocity, ctx.pts)
     rotated = np.stack([-u[..., 1], u[..., 0]], axis=-1)
     load = np.zeros(mesh.n_p2_nodes)
-    contrib = np.einsum("tq,tqix,tqx->ti", dv, grads, rotated, optimize=True)
-    np.add.at(load, nodes, contrib)
+    contrib = np.einsum("tq,tqix,tqx->ti", ctx.dv, ctx.grads, rotated, optimize=True)
+    np.add.at(load, ctx.nodes, contrib)
     K = scalar_stiffness(mesh)
     m = scalar_integral_vector(mesh)
     scale = float(np.mean(K.diagonal())) or 1.0
@@ -211,7 +183,8 @@ def head_pressure_residual(flow, data):
     """
     mesh = flow.mesh
     nu = flow.nu
-    pts, coords, grads, dv, N, nodes = _volume_setup(mesh)
+    ctx = assembly.volume_context(mesh)
+    pts, grads, dv, N, nodes = ctx.pts, ctx.grads, ctx.dv, ctx.N, ctx.nodes
     phi = total_head(flow)
     omega = vorticity(flow)
     gphi = np.einsum("ti,tqix->tqx", phi[nodes], grads)
@@ -224,7 +197,7 @@ def head_pressure_residual(flow, data):
     term -= np.einsum("tq,tq,tq,qi->ti", dv, om_q, om_q, N, optimize=True)
     term += np.einsum("tq,tq,tqx,tqix->ti", dv, phi_q, u, grads, optimize=True) / nu
     if data.f is not None and callable(data.f):
-        x = elements.mapped_points(coords, pts)
+        x = elements.mapped_points(ctx.coords, pts)
         fval = np.asarray(data.f(x.reshape(-1, 2)), float).reshape(x.shape)
         term += np.einsum("tq,tqx,tqx,qi->ti", dv, fval, u, N, optimize=True) / nu
     np.add.at(r, nodes, term)

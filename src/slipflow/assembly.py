@@ -69,30 +69,11 @@ class ProblemData:
         if self.component_count() != domain.n_components:
             raise DataError(
                 f"data has {self.component_count()} components, domain has {domain.n_components}")
-        total = 0.0
-        scale = 0.0
-        perimeter = 0.0
-        for comp in range(domain.n_components):
-            a = self.a_fn(comp)
-            bfun = self.beta_fn(comp)
-            curve = domain.curves[comp]
-            s, w = interval_rule(8)
-            for k in range(16):
-                t = (k + s) / 16.0
-                pts = curve.point(t)
-                speed = np.hypot(*curve.derivative(t).T)
-                avals = np.asarray(a(t, pts), float)
-                bvals = np.asarray(bfun(t, pts), float)
-                if np.any(bvals < -1e-14):
-                    raise DataError(f"negative friction coefficient on component {comp}")
-                total += np.sum(w * avals * speed) / 16.0
-                scale = max(scale, float(np.max(np.abs(avals))))
-                perimeter += np.sum(w * speed) / 16.0
-        tol = flux_rtol * max(scale, 1e-30) * perimeter
-        if abs(total) > max(tol, 1e-14 * perimeter):
-            raise CompatibilityError(
-                f"total boundary flux {total:.6e} exceeds tolerance {tol:.3e}")
-        return total
+        for comp, curve in enumerate(domain.curves):
+            t, pts, _ = geometry.curve_rule(curve)
+            if np.any(np.asarray(self.beta_fn(comp)(t, pts), float) < -1e-14):
+                raise DataError(f"negative friction coefficient on component {comp}")
+        return check_total_flux(domain, self.a_star, flux_rtol)
 
     def beta_identically_zero(self, domain, samples=65):
         for comp in range(domain.n_components):
@@ -103,20 +84,31 @@ class ProblemData:
                 return False
         return True
 
-    def component_fluxes(self, domain):
-        """Exact-curve fluxes of a_star through every component."""
-        out = []
-        for comp in range(domain.n_components):
-            a = self.a_fn(comp)
-            curve = domain.curves[comp]
-            s, w = interval_rule(8)
-            total = 0.0
-            for k in range(16):
-                t = (k + s) / 16.0
-                speed = np.hypot(*curve.derivative(t).T)
-                total += np.sum(w * np.asarray(a(t, curve.point(t)), float) * speed) / 16.0
-            out.append(float(total))
-        return out
+
+def check_total_flux(domain, a_star, flux_rtol=1e-8):
+    """Total exact-curve flux of a per-component normal datum.
+
+    Raises CompatibilityError unless the total vanishes to within
+    flux_rtol * max|a_star| * perimeter (a non-finite total fails too).
+    """
+    if len(a_star) != domain.n_components:
+        raise DataError(
+            f"normal datum has {len(a_star)} components, domain has {domain.n_components}")
+    total = 0.0
+    scale = 0.0
+    perimeter = 0.0
+    for curve, a in zip(domain.curves, a_star):
+        t, pts, w_ds = geometry.curve_rule(curve)
+        vals = np.asarray(as_boundary_scalar(a)(t, pts), float)
+        total += float(np.sum(w_ds * vals))
+        scale = max(scale, float(np.max(np.abs(vals))))
+        perimeter += float(np.sum(w_ds))
+    tol = max(flux_rtol * scale * perimeter, 1e-14 * perimeter)
+    if not abs(total) <= tol:
+        raise CompatibilityError(
+            f"total boundary flux {total:.6e} violates the zero-flux compatibility "
+            f"condition (tolerance {tol:.3e})")
+    return total
 
 
 # -- dof map ---------------------------------------------------------------
@@ -162,16 +154,64 @@ class DofMap:
         return 2 * self.boundary_nodes
 
 
-# -- element batches -------------------------------------------------------
+# -- per-mesh element context ----------------------------------------------
 
-def _volume_batch(mesh, degree=VOLUME_DEGREE):
+def _frozen(arrays):
+    for a in arrays:
+        a.flags.writeable = False
+
+
+def _cached_on_mesh(mesh, name, key, build):
+    """build() once per mesh, rebuilt when any object in key was replaced."""
+    hit = getattr(mesh, name, None)
+    if hit is not None and all(a is b for a, b in zip(hit[0], key)):
+        return hit[1]
+    value = build()
+    setattr(mesh, name, (key, value))
+    return value
+
+
+@dataclass(frozen=True)
+class VolumeContext:
+    """Element data of a mesh at one triangle rule; every array is read-only."""
+
+    pts: np.ndarray     # [nq, 2] reference quadrature points
+    w: np.ndarray       # [nq] reference weights
+    nodes: np.ndarray   # [nt, 6] P2 node ids per triangle
+    coords: np.ndarray  # [nt, 6, 2] P2 node coordinates per triangle
+    grads: np.ndarray   # [nt, nq, 6, 2] physical gradients of the P2 basis
+    dv: np.ndarray      # [nt, nq] weight times Jacobian determinant
+    N: np.ndarray       # [nq, 6] P2 shape functions
+    P: np.ndarray       # [nq, 3] P1 shape functions
+
+
+def _volume_context(mesh, degree):
     pts, w = triangle_rule(degree)
     coords = mesh.triangle_coords()
     grads, det = elements.physical_gradients(coords, pts, elements.p2_grad(pts))
     if det.min() <= 0:
         raise MeshError("nonpositive Jacobian in curved element")
-    dv = det * w[None, :]
-    return pts, w, coords, grads, dv
+    ctx = VolumeContext(pts=pts, w=w, nodes=mesh.triangle_nodes(), coords=coords,
+                        grads=grads, dv=det * w[None, :], N=elements.p2_shape(pts),
+                        P=elements.p1_shape(pts))
+    _frozen(vars(ctx).values())
+    return ctx
+
+
+def volume_context(mesh, degree=VOLUME_DEGREE):
+    """Element geometry of the mesh at the given triangle rule.
+
+    The VOLUME_DEGREE context is derived once and kept on the mesh; it is
+    derived again when the mesh's vertices, triangles, tri_edges or
+    edge_nodes are replaced by other arrays.  Other degrees (the
+    ERROR_DEGREE norms) are derived on every call and not kept.
+    Raises MeshError when an element has a nonpositive Jacobian.
+    """
+    if degree != VOLUME_DEGREE:
+        return _volume_context(mesh, degree)
+    key = (mesh.vertices, mesh.triangles, mesh.tri_edges, mesh.edge_nodes)
+    return _cached_on_mesh(mesh, "_volume_context", key,
+                           lambda: _volume_context(mesh, degree))
 
 
 def _scatter(rows, cols, vals, shape):
@@ -198,8 +238,8 @@ def _interleave(block_iajb):
 
 def assemble_viscous(mesh, dofmap, nu):
     """Matrix of (nu/2) * integral S(u):S(phi) over curved elements."""
-    pts, w, coords, g, dv = _volume_batch(mesh)
-    nodes = mesh.triangle_nodes()
+    ctx = volume_context(mesh)
+    g, dv, nodes = ctx.grads, ctx.dv, ctx.nodes
     same = np.einsum("tq,tqix,tqjx->tij", dv, g, g, optimize=True)
     cross = np.einsum("tq,tqib,tqja->tiajb", dv, g, g, optimize=True)
     block = nu * (np.einsum("tij,ab->tiajb", same, np.eye(2)) + cross)
@@ -209,10 +249,9 @@ def assemble_viscous(mesh, dofmap, nu):
 
 def assemble_vector_mass(mesh, dofmap):
     """Velocity-space L2 mass matrix."""
-    pts, w, coords, g, dv = _volume_batch(mesh)
-    N = elements.p2_shape(pts)
-    nodes = mesh.triangle_nodes()
-    m = np.einsum("tq,qi,qj->tij", dv, N, N, optimize=True)
+    ctx = volume_context(mesh)
+    nodes = ctx.nodes
+    m = np.einsum("tq,qi,qj->tij", ctx.dv, ctx.N, ctx.N, optimize=True)
     block = np.einsum("tij,ab->tiajb", m, np.eye(2))
     _, rows, cols = _vector_pattern(dofmap, nodes)
     return _scatter(rows, cols, _interleave(block), (dofmap.n_velocity, dofmap.n_velocity))
@@ -220,9 +259,9 @@ def assemble_vector_mass(mesh, dofmap):
 
 def assemble_vector_gradient(mesh, dofmap):
     """Matrix of integral grad(u):grad(phi) (componentwise H1 seminorm)."""
-    pts, w, coords, g, dv = _volume_batch(mesh)
-    nodes = mesh.triangle_nodes()
-    same = np.einsum("tq,tqix,tqjx->tij", dv, g, g, optimize=True)
+    ctx = volume_context(mesh)
+    nodes, g = ctx.nodes, ctx.grads
+    same = np.einsum("tq,tqix,tqjx->tij", ctx.dv, g, g, optimize=True)
     block = np.einsum("tij,ab->tiajb", same, np.eye(2))
     _, rows, cols = _vector_pattern(dofmap, nodes)
     return _scatter(rows, cols, _interleave(block), (dofmap.n_velocity, dofmap.n_velocity))
@@ -230,10 +269,9 @@ def assemble_vector_gradient(mesh, dofmap):
 
 def assemble_divergence(mesh, dofmap):
     """Matrix B with (B u)_q = integral q div(u); pressure rows."""
-    pts, w, coords, g, dv = _volume_batch(mesh)
-    P = elements.p1_shape(pts)
-    nodes = mesh.triangle_nodes()
-    blk = np.einsum("tq,qk,tqjb->tkjb", dv, P, g, optimize=True)  # [t, 3, 6, 2]
+    ctx = volume_context(mesh)
+    nodes = ctx.nodes
+    blk = np.einsum("tq,qk,tqjb->tkjb", ctx.dv, ctx.P, ctx.grads, optimize=True)  # [t, 3, 6, 2]
     nt = len(nodes)
     vals = blk.reshape(nt, 3, 12)
     prow = np.repeat(mesh.triangles, 12, axis=1)
@@ -246,21 +284,11 @@ def assemble_divergence(mesh, dofmap):
 
 def assemble_pressure_mean(mesh, dofmap):
     """Vector m with m_q = integral of the pressure basis function q."""
-    pts, w, coords, g, dv = _volume_batch(mesh)
-    P = elements.p1_shape(pts)
-    contrib = np.einsum("tq,qk->tk", dv, P)
+    ctx = volume_context(mesh)
+    contrib = np.einsum("tq,qk->tk", ctx.dv, ctx.P)
     m = np.zeros(dofmap.n_pressure)
     np.add.at(m, mesh.triangles, contrib)
     return m
-
-
-def velocity_at(mesh, coeffs, pts=None, batch=None):
-    """Velocity field values at volume quadrature points, [t, q, 2]."""
-    if pts is None:
-        pts, _ = triangle_rule(VOLUME_DEGREE)
-    N = elements.p2_shape(pts)
-    nodal = coeffs.reshape(-1, 2)[mesh.triangle_nodes()]
-    return np.einsum("qi,tix->tqx", N, nodal)
 
 
 def velocity_gradient_at(mesh, coeffs, grads):
@@ -271,12 +299,11 @@ def velocity_gradient_at(mesh, coeffs, grads):
 
 def assemble_convection(mesh, dofmap, w_coeffs, lam=1.0):
     """Matrix C(w) of integral ((w . grad) u) . phi, plus N(w) = C(w) w."""
-    pts, wq, coords, g, dv = _volume_batch(mesh)
-    N = elements.p2_shape(pts)
-    nodes = mesh.triangle_nodes()
-    wq_field = velocity_at(mesh, w_coeffs, pts)
-    conv = np.einsum("tqx,tqjx->tqj", wq_field, g)          # (w . grad) phi_j
-    scal = lam * np.einsum("tq,qi,tqj->tij", dv, N, conv, optimize=True)
+    ctx = volume_context(mesh)
+    nodes = ctx.nodes
+    wq_field = np.einsum("qi,tix->tqx", ctx.N, w_coeffs.reshape(-1, 2)[nodes])
+    conv = np.einsum("tqx,tqjx->tqj", wq_field, ctx.grads)  # (w . grad) phi_j
+    scal = lam * np.einsum("tq,qi,tqj->tij", ctx.dv, ctx.N, conv, optimize=True)
     block = np.einsum("tij,ab->tiajb", scal, np.eye(2))
     _, rows, cols = _vector_pattern(dofmap, nodes)
     C = _scatter(rows, cols, _interleave(block), (dofmap.n_velocity, dofmap.n_velocity))
@@ -285,11 +312,10 @@ def assemble_convection(mesh, dofmap, w_coeffs, lam=1.0):
 
 def assemble_convection_newton(mesh, dofmap, w_coeffs, lam=1.0):
     """Matrix of integral ((u . grad) w) . phi for the Newton linearization."""
-    pts, wq, coords, g, dv = _volume_batch(mesh)
-    N = elements.p2_shape(pts)
-    nodes = mesh.triangle_nodes()
-    gw = velocity_gradient_at(mesh, w_coeffs, g)            # [t, q, a, b]
-    block = lam * np.einsum("tq,qi,qj,tqab->tiajb", dv, N, N, gw, optimize=True)
+    ctx = volume_context(mesh)
+    nodes, N = ctx.nodes, ctx.N
+    gw = velocity_gradient_at(mesh, w_coeffs, ctx.grads)    # [t, q, a, b]
+    block = lam * np.einsum("tq,qi,qj,tqab->tiajb", ctx.dv, N, N, gw, optimize=True)
     _, rows, cols = _vector_pattern(dofmap, nodes)
     return _scatter(rows, cols, _interleave(block), (dofmap.n_velocity, dofmap.n_velocity))
 
@@ -299,16 +325,17 @@ def load_volume(mesh, dofmap, f):
     F = np.zeros(dofmap.n_velocity)
     if f is None:
         return F
-    pts, w, coords, g, dv = _volume_batch(mesh)
-    N = elements.p2_shape(pts)
+    ctx = volume_context(mesh)
+    N, nodes = ctx.N, ctx.nodes
     if callable(f):
-        x = elements.mapped_points(coords, pts)
+        x = elements.mapped_points(ctx.coords, ctx.pts)
         fval = np.asarray(f(x.reshape(-1, 2)), float).reshape(x.shape)
     else:
-        fnod = np.asarray(f, float).reshape(-1, 2)[mesh.triangle_nodes()]
+        fnod = np.asarray(f, float).reshape(-1, 2)[nodes]
         fval = np.einsum("qi,tix->tqx", N, fnod)
-    contrib = np.einsum("tq,qi,tqx->tix", dv, N, fval, optimize=True)
-    nodes = mesh.triangle_nodes()
+    if not np.all(np.isfinite(fval)):
+        raise DataError("volume force is not finite at a quadrature point")
+    contrib = np.einsum("tq,qi,tqx->tix", ctx.dv, N, fval, optimize=True)
     np.add.at(F, 2 * nodes, contrib[:, :, 0])
     np.add.at(F, 2 * nodes + 1, contrib[:, :, 1])
     return F
@@ -335,15 +362,27 @@ class BoundaryQuadrature:
     local: np.ndarray      # [nb] local edge in the triangle
 
 
-def boundary_quadrature(mesh, n_points=EDGE_POINTS):
-    s, w = interval_rule(n_points)
+def boundary_quadrature(mesh):
+    """EDGE_POINTS-point rule on every boundary edge, kept on the mesh.
+
+    Derived again when the mesh's vertices, triangles, tri_edges,
+    edge_nodes, boundary_edges or domain are replaced; arrays are read-only.
+    """
+    key = (mesh.vertices, mesh.triangles, mesh.tri_edges, mesh.edge_nodes,
+           mesh.boundary_edges, mesh.domain)
+    return _cached_on_mesh(mesh, "_boundary_quadrature", key,
+                           lambda: _boundary_quadrature(mesh))
+
+
+def _boundary_quadrature(mesh):
+    s, w = interval_rule(EDGE_POINTS)
     Nq = elements.edge_shape(s)
     dNq = elements.edge_shape_deriv(s)
     rows = mesh.boundary_edges
     nb = len(rows)
     nodes3 = np.zeros((nb, 3), np.int64)
     comp = np.zeros(nb, np.int64)
-    tq = np.zeros((nb, n_points))
+    tq = np.zeros((nb, EDGE_POINTS))
     tri = np.zeros(nb, np.int64)
     local = np.zeros(nb, np.int64)
     nv = mesh.n_vertices
@@ -362,21 +401,23 @@ def boundary_quadrature(mesh, n_points=EDGE_POINTS):
     dx = np.einsum("qi,kix->kqx", dNq, pts3)
     speed = np.hypot(dx[..., 0], dx[..., 1])
     w_ds = speed * w[None, :]
-    normal = np.zeros((nb, n_points, 2))
-    tangent = np.zeros((nb, n_points, 2))
-    kappa = np.zeros((nb, n_points))
+    normal = np.zeros((nb, EDGE_POINTS, 2))
+    tangent = np.zeros((nb, EDGE_POINTS, 2))
+    kappa = np.zeros((nb, EDGE_POINTS))
     for c in range(mesh.domain.n_components):
         sel = comp == c
         if not sel.any():
             continue
         _, n, tau, kap = geometry.frames_at(mesh.domain, c, tq[sel].ravel())
-        normal[sel] = n.reshape(-1, n_points, 2)
-        tangent[sel] = tau.reshape(-1, n_points, 2)
-        kappa[sel] = kap.reshape(-1, n_points)
-    return BoundaryQuadrature(
+        normal[sel] = n.reshape(-1, EDGE_POINTS, 2)
+        tangent[sel] = tau.reshape(-1, EDGE_POINTS, 2)
+        kappa[sel] = kap.reshape(-1, EDGE_POINTS)
+    bq = BoundaryQuadrature(
         nodes3=nodes3, component=comp, t=tq, x=x, w_ds=w_ds,
         normal=normal, tangent=tangent, kappa=kappa, shape=Nq, dshape=dNq,
         edge_len=w_ds.sum(axis=1), tri=tri, local=local)
+    _frozen(vars(bq).values())
+    return bq
 
 
 def _eval_per_component(bq, per_component_fns):
@@ -387,13 +428,14 @@ def _eval_per_component(bq, per_component_fns):
             vals[sel] = np.asarray(
                 fn(bq.t[sel].ravel(), bq.x[sel].reshape(-1, 2)), float
             ).reshape(-1, bq.t.shape[1])
+    if not np.all(np.isfinite(vals)):
+        raise DataError("boundary data is not finite at a boundary quadrature point")
     return vals
 
 
-def assemble_friction(mesh, dofmap, beta, bq=None):
+def assemble_friction(mesh, dofmap, beta):
     """Boundary matrix of integral beta (u . tau)(phi . tau) ds."""
-    if bq is None:
-        bq = boundary_quadrature(mesh)
+    bq = boundary_quadrature(mesh)
     fns = [as_boundary_scalar(b) for b in beta]
     bvals = _eval_per_component(bq, fns)
     if np.any(bvals < -1e-14):
@@ -413,11 +455,10 @@ def assemble_friction(mesh, dofmap, beta, bq=None):
     return _scatter(rows, cols, vals, (dofmap.n_velocity, dofmap.n_velocity))
 
 
-def load_boundary_tangential(mesh, dofmap, b_tau, bq=None):
+def load_boundary_tangential(mesh, dofmap, b_tau):
     """Load vector of integral b_tau (phi . tau) ds."""
     F = np.zeros(dofmap.n_velocity)
-    if bq is None:
-        bq = boundary_quadrature(mesh)
+    bq = boundary_quadrature(mesh)
     fns = [as_boundary_scalar(b) for b in b_tau]
     vals = _eval_per_component(bq, fns)
     contrib = np.einsum("kq,kq,qi,kqa->kia", bq.w_ds, vals, bq.shape, bq.tangent,
@@ -427,13 +468,12 @@ def load_boundary_tangential(mesh, dofmap, b_tau, bq=None):
     return F
 
 
-def circulation_functional(mesh, dofmap, component, bq=None):
+def circulation_functional(mesh, dofmap, component):
     """Row vector L with L u = contour integral of u . tau over the component.
 
     The contour is traversed in the tau = (n2, -n1) direction.
     """
-    if bq is None:
-        bq = boundary_quadrature(mesh)
+    bq = boundary_quadrature(mesh)
     L = np.zeros(dofmap.n_velocity)
     sel = bq.component == component
     contrib = np.einsum("kq,qi,kqa->kia", bq.w_ds[sel], bq.shape, bq.tangent[sel],
@@ -443,10 +483,9 @@ def circulation_functional(mesh, dofmap, component, bq=None):
     return L
 
 
-def boundary_flux(mesh, coeffs, component, bq=None):
+def boundary_flux(mesh, coeffs, component):
     """Contour integral of u . n over one component for a velocity field."""
-    if bq is None:
-        bq = boundary_quadrature(mesh)
+    bq = boundary_quadrature(mesh)
     sel = bq.component == component
     uval = np.einsum("qi,kix->kqx", bq.shape, coeffs.reshape(-1, 2)[bq.nodes3[sel]])
     return float(np.einsum("kq,kqx,kqx->", bq.w_ds[sel], uval, bq.normal[sel]))
@@ -496,24 +535,8 @@ def normal_trace_constraint(mesh, dofmap, a_star, flux_rtol=1e-8):
     interpolated on the exact curve parameters of the boundary nodes.
     Raises CompatibilityError when the total flux is out of tolerance.
     """
-    total = 0.0
-    scale = 0.0
-    perimeter = 0.0
+    check_total_flux(mesh.domain, a_star, flux_rtol)
     fns = [as_boundary_scalar(a) for a in a_star]
-    for comp, curve in enumerate(mesh.domain.curves):
-        s, w = interval_rule(8)
-        for k in range(16):
-            t = (k + s) / 16.0
-            pts = curve.point(t)
-            speed = np.hypot(*curve.derivative(t).T)
-            avals = np.asarray(fns[comp](t, pts), float)
-            total += np.sum(w * avals * speed) / 16.0
-            scale = max(scale, float(np.max(np.abs(avals))))
-            perimeter += np.sum(w * speed) / 16.0
-    if abs(total) > max(flux_rtol * scale * perimeter, 1e-14 * perimeter):
-        raise CompatibilityError(
-            f"nonzero total flux {total:.6e} violates the compatibility condition")
-
     Q = dofmap.rotation()
     fixed = dofmap.normal_dofs()
     mask = np.ones(dofmap.n_velocity, bool)

@@ -11,8 +11,8 @@ import jsonschema
 from . import analysis, assembly, expressions, geometry
 from . import linear_solvers as ls
 from . import meshing, navier_stokes as nvs, output, validation
-from .errors import (CompatibilityError, ConfigurationError, DataError,
-                     MeshImportError, NonConvergenceError, SolverError)
+from .errors import (ConfigurationError, DataError, MeshError, NonConvergenceError,
+                     SolverError)
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -421,7 +421,7 @@ def main(argv=None):
     try:
         cfg = load_config(args.config) if args.config else None
         return handlers[args.command](args, cfg)
-    except (DataError, CompatibilityError, ConfigurationError, MeshImportError) as exc:
+    except (DataError, ConfigurationError, MeshError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NonConvergenceError, SolverError) as exc:

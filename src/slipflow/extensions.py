@@ -12,22 +12,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import assembly, elements
+from . import assembly, geometry
 from .errors import DataError, SolverError
 from .linear_solvers import _splu, solve_laplace_dirichlet, solve_laplace_neumann
-from .quadrature import interval_rule, triangle_rule
 
 
 def _project_scalar_gradient(mesh, dofmap, scalar_coeffs, mass_lu=None):
     """L2-project the gradient of a P2 scalar field into the velocity space."""
-    pts, w = triangle_rule(assembly.VOLUME_DEGREE)
-    coords = mesh.triangle_coords()
-    grads, det = elements.physical_gradients(coords, pts, elements.p2_grad(pts))
-    dv = det * w[None, :]
-    N = elements.p2_shape(pts)
-    nodes = mesh.triangle_nodes()
-    gq = np.einsum("ti,tqix->tqx", scalar_coeffs[nodes], grads)
-    contrib = np.einsum("tq,qi,tqx->tix", dv, N, gq, optimize=True)
+    ctx = assembly.volume_context(mesh)
+    nodes = ctx.nodes
+    gq = np.einsum("ti,tqix->tqx", scalar_coeffs[nodes], ctx.grads)
+    contrib = np.einsum("tq,qi,tqx->tix", ctx.dv, ctx.N, gq, optimize=True)
     b = np.zeros(dofmap.n_velocity)
     np.add.at(b, 2 * nodes, contrib[:, :, 0])
     np.add.at(b, 2 * nodes + 1, contrib[:, :, 1])
@@ -70,16 +65,10 @@ class HarmonicBasis:
 
 def component_fluxes(domain, a_star):
     """Fluxes of a per-component boundary scalar through each component."""
-    fns = [assembly.as_boundary_scalar(a) for a in a_star]
-    s, w = interval_rule(8)
     out = []
-    for comp, curve in enumerate(domain.curves):
-        total = 0.0
-        for k in range(16):
-            t = (k + s) / 16.0
-            speed = np.hypot(*curve.derivative(t).T)
-            total += np.sum(w * np.asarray(fns[comp](t, curve.point(t)), float) * speed) / 16.0
-        out.append(float(total))
+    for curve, a in zip(domain.curves, a_star):
+        t, pts, w_ds = geometry.curve_rule(curve)
+        out.append(float(np.sum(w_ds * np.asarray(assembly.as_boundary_scalar(a)(t, pts), float))))
     return np.asarray(out)
 
 

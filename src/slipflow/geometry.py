@@ -293,25 +293,33 @@ def frame_at(domain, component, t):
     return BoundaryFrame(point=g[0], n=n[0], tau=tau[0], kappa=float(kappa[0]))
 
 
-def boundary_integral(domain, component, integrand, panels=16, nodes=8):
-    """Arclength integral of a scalar function of BoundaryFrame over one component.
+CURVE_PANELS = 16
+CURVE_POINTS = 8
 
-    Composite Gauss-Legendre with `nodes` points on each of `panels`
-    parameter subintervals.
+
+def curve_rule(curve):
+    """Composite Gauss-Legendre rule on the exact curve.
+
+    CURVE_POINTS nodes on each of CURVE_PANELS parameter subintervals.
+    Returns (t[m], points[m, 2], w_ds[m]): parameters, curve points and
+    quadrature weights times the arclength element, so that
+    sum(w_ds * f(t, points)) is the arclength integral of f.
     """
-    curve = domain.curves[component]
-    s, w = interval_rule(nodes)
-    total = 0.0
-    for k in range(panels):
-        t = (k + s) / panels
-        g, n, tau, kappa = frames_at(domain, component, t)
-        speed = np.hypot(*curve.derivative(t).T)
-        vals = np.array([
-            integrand(BoundaryFrame(point=g[i], n=n[i], tau=tau[i], kappa=float(kappa[i])))
-            for i in range(len(t))
-        ])
-        total += np.sum(w * vals * speed) / panels
-    return float(total)
+    s, w = interval_rule(CURVE_POINTS)
+    t = ((np.arange(CURVE_PANELS)[:, None] + s[None, :]) / CURVE_PANELS).ravel()
+    speed = np.hypot(*curve.derivative(t).T)
+    return t, curve.point(t), np.tile(w, CURVE_PANELS) * speed / CURVE_PANELS
+
+
+def boundary_integral(domain, component, integrand):
+    """Arclength integral of a scalar function of BoundaryFrame over one component."""
+    t, _, w_ds = curve_rule(domain.curves[component])
+    g, n, tau, kappa = frames_at(domain, component, t)
+    vals = np.array([
+        integrand(BoundaryFrame(point=g[i], n=n[i], tau=tau[i], kappa=float(kappa[i])))
+        for i in range(len(t))
+    ])
+    return float(np.sum(w_ds * vals))
 
 
 @dataclass

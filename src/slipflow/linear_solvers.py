@@ -9,9 +9,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import assembly, elements, geometry
-from .errors import CompatibilityError, DataError, SolverError
-from .quadrature import triangle_rule
+from . import assembly, geometry
+from .errors import DataError, SolverError
 
 RESIDUAL_TOL = 1e-10
 
@@ -57,43 +56,30 @@ def rigid_rotation_mode(mesh, center=(0.0, 0.0), b=1.0):
 
 # -- scalar P2 assembly ------------------------------------------------------
 
-def scalar_stiffness(mesh):
-    pts, w = triangle_rule(assembly.VOLUME_DEGREE)
-    coords = mesh.triangle_coords()
-    grads, det = elements.physical_gradients(coords, pts, elements.p2_grad(pts))
-    dv = det * w[None, :]
-    blk = np.einsum("tq,tqix,tqjx->tij", dv, grads, grads, optimize=True)
+def _scalar_matrix(mesh, blk):
     nodes = mesh.triangle_nodes()
     rows = np.repeat(nodes, 6, axis=1)
     cols = np.tile(nodes, (1, 6))
     n = mesh.n_p2_nodes
     return sp.csr_matrix((blk.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
+
+
+def scalar_stiffness(mesh):
+    ctx = assembly.volume_context(mesh)
+    return _scalar_matrix(
+        mesh, np.einsum("tq,tqix,tqjx->tij", ctx.dv, ctx.grads, ctx.grads, optimize=True))
 
 
 def scalar_mass(mesh):
-    pts, w = triangle_rule(assembly.VOLUME_DEGREE)
-    coords = mesh.triangle_coords()
-    _, det, _ = elements.mapped_jacobians(coords, pts)
-    dv = det * w[None, :]
-    N = elements.p2_shape(pts)
-    blk = np.einsum("tq,qi,qj->tij", dv, N, N, optimize=True)
-    nodes = mesh.triangle_nodes()
-    rows = np.repeat(nodes, 6, axis=1)
-    cols = np.tile(nodes, (1, 6))
-    n = mesh.n_p2_nodes
-    return sp.csr_matrix((blk.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
+    ctx = assembly.volume_context(mesh)
+    return _scalar_matrix(mesh, np.einsum("tq,qi,qj->tij", ctx.dv, ctx.N, ctx.N, optimize=True))
 
 
 def scalar_integral_vector(mesh):
     """Vector of integrals of each P2 basis function."""
-    pts, w = triangle_rule(assembly.VOLUME_DEGREE)
-    coords = mesh.triangle_coords()
-    _, det, _ = elements.mapped_jacobians(coords, pts)
-    dv = det * w[None, :]
-    N = elements.p2_shape(pts)
-    contrib = np.einsum("tq,qi->ti", dv, N)
+    ctx = assembly.volume_context(mesh)
     out = np.zeros(mesh.n_p2_nodes)
-    np.add.at(out, mesh.triangle_nodes(), contrib)
+    np.add.at(out, ctx.nodes, np.einsum("tq,qi->ti", ctx.dv, ctx.N))
     return out
 
 
@@ -206,30 +192,12 @@ def solve_laplace_dirichlet(mesh, values):
     return q
 
 
-def solve_laplace_neumann(mesh, a_star, bq=None):
+def solve_laplace_neumann(mesh, a_star):
     """Zero-mean P2 field with weak normal derivative a_star on the boundary."""
-    fns = [assembly.as_boundary_scalar(a) for a in a_star]
-    # compatibility on the exact curves
-    total = 0.0
-    scale = 0.0
-    perimeter = 0.0
-    for comp, curve in enumerate(mesh.domain.curves):
-        from .quadrature import interval_rule
-        s, w = interval_rule(8)
-        for k in range(16):
-            t = (k + s) / 16.0
-            speed = np.hypot(*curve.derivative(t).T)
-            vals = np.asarray(fns[comp](t, curve.point(t)), float)
-            total += np.sum(w * vals * speed) / 16.0
-            scale = max(scale, float(np.max(np.abs(vals))))
-            perimeter += np.sum(w * speed) / 16.0
-    if abs(total) > max(1e-8 * scale * perimeter, 1e-14 * perimeter):
-        raise CompatibilityError(f"Neumann data has nonzero total flux {total:.3e}")
-
-    if bq is None:
-        bq = assembly.boundary_quadrature(mesh)
+    assembly.check_total_flux(mesh.domain, a_star)
+    bq = assembly.boundary_quadrature(mesh)
     load = np.zeros(mesh.n_p2_nodes)
-    vals = assembly._eval_per_component(bq, fns)
+    vals = assembly._eval_per_component(bq, [assembly.as_boundary_scalar(a) for a in a_star])
     contrib = np.einsum("kq,kq,qi->ki", bq.w_ds, vals, bq.shape)
     np.add.at(load, bq.nodes3, contrib)
 
@@ -238,7 +206,7 @@ def solve_laplace_neumann(mesh, a_star, bq=None):
     diag_scale = float(np.mean(K.diagonal())) or 1.0
     solver = BorderedSolver(K, C=m[:, None], bumps=[(0, diag_scale)])
     q, _, relres = solver.solve(load)
-    if relres > RESIDUAL_TOL:
+    if not relres <= RESIDUAL_TOL:
         raise SolverError(f"Neumann solve residual {relres:.3e} above tolerance")
     return q - (m @ q) / m.sum()
 
@@ -329,16 +297,7 @@ def solve_saddle_rhs(cs, solver, offsets, sparse_vals=(), dense_vals=(),
     return u, p, mults, relres
 
 
-def saddle_solve(cs, vel_rows=(), vel_rhs=(), A_override=None, F_override=None,
-                 sparse_rows=(), sparse_rhs=()):
-    """One-shot constrained saddle solve; see build_saddle_solver."""
-    solver, offsets = build_saddle_solver(
-        cs, sparse_rows=sparse_rows, dense_rows=vel_rows, A_override=A_override)
-    return solve_saddle_rhs(cs, solver, offsets, sparse_vals=sparse_rhs,
-                            dense_vals=vel_rhs, F_override=F_override)
-
-
-def solve_stokes(mesh, data, options=None):
+def solve_stokes(mesh, data):
     """Weak solution of the viscous slip problem on the given mesh.
 
     When the friction coefficient vanishes identically on a circularly
@@ -346,47 +305,14 @@ def solve_stokes(mesh, data, options=None):
     must satisfy the force/traction compatibility and the returned
     solution is the unique one orthogonal to the rotation in L2.
     """
-    options = dict(options or {})
-    domain = mesh.domain
-    data.check_against(domain)
-    dofmap = assembly.DofMap(mesh)
-    bq = assembly.boundary_quadrature(mesh)
-
-    A = assembly.assemble_viscous(mesh, dofmap, data.nu)
-    A = A + assembly.assemble_friction(mesh, dofmap, data.beta, bq)
-    B = assembly.assemble_divergence(mesh, dofmap)
-    F = assembly.load_volume(mesh, dofmap, data.f)
-    F += assembly.load_boundary_tangential(mesh, dofmap, data.b_tau, bq)
-    mean = assembly.assemble_pressure_mean(mesh, dofmap)
-    system = assembly.StokesSystem(A=A, B=B, F=F, mean=mean)
-    cs = assembly.apply_normal_trace(mesh, dofmap, system, data.a_star)
-
-    vel_rows, vel_rhs = [], []
-    meta = {"problem": "stokes"}
-    sym = geometry.classify_symmetry(domain)
-    if sym.circularly_symmetric is not None and data.beta_identically_zero(domain):
-        mode = rigid_rotation_mode(mesh, sym.circularly_symmetric)
-        compat = float(F @ mode.coefficients)
-        scale = np.linalg.norm(F) * np.linalg.norm(mode.coefficients)
-        meta["symmetric_compatibility_residual"] = compat
-        if abs(compat) > max(1e-8 * scale, 1e-12):
-            raise DataError(
-                "zero-friction circularly symmetric domain needs compatible data; "
-                f"residual <f + b, rigid rotation> = {compat:.6e}")
-        M = assembly.assemble_vector_mass(mesh, dofmap)
-        vel_rows.append(M @ mode.coefficients)
-        vel_rhs.append(0.0)
-        meta["rigid_constraint"] = True
-
-    u, p, mults, resid = saddle_solve(cs, vel_rows, vel_rhs)
-    if resid > RESIDUAL_TOL:
+    from .navier_stokes import _Workspace  # navier_stokes imports this module
+    ws = _Workspace(mesh, data)
+    u, p, _, resid = ws.solve_linear(ws.A_base)
+    if not resid <= RESIDUAL_TOL:
         raise SolverError(f"saddle solve residual {resid:.3e} above tolerance")
-    # the saddle solve uses +B^T in the momentum rows; the weak form carries
-    # the pressure as +int p div(phi) on the right, so the physical p flips sign
-    p = -p
-    p = p - (mean @ p) / mean.sum()
-    meta["linear_residual"] = resid
-    return FlowState(mesh=mesh, nu=data.nu, velocity=u, pressure=p, metadata=meta)
+    meta = dict(ws.meta, problem="stokes", linear_residual=resid)
+    return FlowState(mesh=mesh, nu=data.nu, velocity=u, pressure=ws.physical_pressure(p),
+                     metadata=meta)
 
 
 # -- eigenvalue estimates ----------------------------------------------------
@@ -513,12 +439,8 @@ def sobolev_constant(mesh, dofmap, r, maxiter=600, tol=1e-10, v0=None):
     M = scalar_mass(mesh)
     W = (K + M).tocsc()
     lu = _splu(W)
-    pts, wq = triangle_rule(assembly.VOLUME_DEGREE)
-    coords = mesh.triangle_coords()
-    _, det, _ = elements.mapped_jacobians(coords, pts)
-    dv = det * wq[None, :]
-    N = elements.p2_shape(pts)
-    nodes = mesh.triangle_nodes()
+    ctx = assembly.volume_context(mesh)
+    dv, N, nodes = ctx.dv, ctx.N, ctx.nodes
 
     def ratio_and_load(v):
         vq = np.einsum("qi,ti->tq", N, v[nodes])

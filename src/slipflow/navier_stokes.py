@@ -9,7 +9,7 @@ is singular; optional circulation pins (one scalar constraint per hole)
 restore uniqueness and select the branch.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -61,26 +61,26 @@ class IterationTrace:
 class _Workspace:
     """Assembled base operators plus the slip constraint for one problem."""
 
-    def __init__(self, mesh, data, extra_sparse_rows=(), extra_sparse_vals=(),
-                 symmetric=False):
+    def __init__(self, mesh, data, symmetric=False):
         domain = mesh.domain
         data.check_against(domain)
         self.mesh = mesh
         self.data = data
         self.dofmap = assembly.DofMap(mesh)
-        self.bq = assembly.boundary_quadrature(mesh)
         self.A_base = assembly.assemble_viscous(mesh, self.dofmap, data.nu) \
-            + assembly.assemble_friction(mesh, self.dofmap, data.beta, self.bq)
+            + assembly.assemble_friction(mesh, self.dofmap, data.beta)
         self.B = assembly.assemble_divergence(mesh, self.dofmap)
         self.F = assembly.load_volume(mesh, self.dofmap, data.f) \
-            + assembly.load_boundary_tangential(mesh, self.dofmap, data.b_tau, self.bq)
+            + assembly.load_boundary_tangential(mesh, self.dofmap, data.b_tau)
         self.mean = assembly.assemble_pressure_mean(mesh, self.dofmap)
-        self.con = assembly.normal_trace_constraint(mesh, self.dofmap, data.a_star)
-        self.B_f, self.B_c = self.con.reduce_rows(self.B)
-        self.G_f = -(self.B_c @ self.con.fixed_values)
+        self.base = assembly.apply_normal_trace(
+            mesh, self.dofmap,
+            assembly.StokesSystem(A=self.A_base, B=self.B, F=self.F, mean=self.mean),
+            data.a_star)
+        self.con = self.base.constraint
 
-        self.sparse_rows = list(extra_sparse_rows)
-        self.sparse_vals = list(extra_sparse_vals)
+        self.sparse_rows = []
+        self.sparse_vals = []
         self.pressure_rows = []
         self.dense_rows = []
         self.dense_vals = []
@@ -94,7 +94,7 @@ class _Workspace:
             if abs(compat) > max(1e-8 * scale, 1e-12):
                 raise DataError(
                     "zero-friction circularly symmetric domain needs compatible "
-                    f"data; residual {compat:.6e}")
+                    f"data; residual <f + b, rigid rotation> = {compat:.6e}")
             mass = assembly.assemble_vector_mass(mesh, self.dofmap)
             self.dense_rows.append(mass @ mode.coefficients)
             self.dense_vals.append(0.0)
@@ -102,11 +102,11 @@ class _Workspace:
             self.meta["symmetric_compatibility_residual"] = compat
 
     def constrained_system(self, A):
+        if A is self.A_base:
+            return self.base
         A_ff, A_fc = self.con.reduce_matrix(A)
-        return assembly.ConstrainedSystem(
-            constraint=self.con, A_ff=A_ff, B_f=self.B_f,
-            F_f=self.con.reduce_vector(self.F) - A_fc @ self.con.fixed_values,
-            G_f=self.G_f, mean=self.mean)
+        return replace(self.base, A_ff=A_ff,
+                       F_f=self.con.reduce_vector(self.F) - A_fc @ self.con.fixed_values)
 
     def solve_linear(self, A, extra_rhs=None):
         cs = self.constrained_system(A)
@@ -118,11 +118,21 @@ class _Workspace:
         u, p, mults, relres = solve_saddle_rhs(
             cs, solver, offsets, sparse_vals=self.sparse_vals,
             dense_vals=self.dense_vals, F_override=F_f)
-        if relres > 1e-8:
+        if not relres <= 1e-8:
             raise SolverError(
                 f"linearized solve residual {relres:.3e}; the system is "
                 "singular or the constraints are degenerate")
         return u, p, mults, relres
+
+    def physical_pressure(self, p):
+        """Zero-mean physical pressure from the saddle solution.
+
+        The saddle solve uses +B^T in the momentum rows; the weak form
+        carries the pressure as +int p div(phi) on the right, so the
+        physical pressure is the negative of the saddle unknown.
+        """
+        p = -p
+        return p - (self.mean @ p) / self.mean.sum()
 
     def residual(self, u, p, mults, lam, conv_vec):
         """Reduced nonlinear residual including the multiplier forces."""
@@ -265,19 +275,8 @@ def _check_symmetric_data(domain, data, tol=1e-10):
         raise DataError(f"data is not symmetric about the x1-axis (defect {worst:.3e})")
 
 
-def _pin_rows(ws, pins):
-    rows, vals = [], []
-    for comp, target in sorted(pins.items()):
-        if comp < 1 or comp > ws.mesh.domain.n_holes:
-            raise DataError(f"circulation pin on invalid hole component {comp}")
-        rows.append(assembly.circulation_functional(ws.mesh, ws.dofmap, comp, ws.bq))
-        vals.append(float(target))
-    return rows, vals
-
-
-def solve_navier_stokes(mesh, data, config=None):
-    """Nonlinear slip-flow solve; returns (FlowState, IterationTrace)."""
-    config = config or SolverConfig()
+def _workspace(mesh, data, config):
+    """Workspace carrying the constraint rows the config asks for."""
     ws = _Workspace(mesh, data, symmetric=config.symmetric_subspace)
     pins = dict(config.pins or {})
     if config.symmetric_subspace:
@@ -298,11 +297,28 @@ def solve_navier_stokes(mesh, data, config=None):
         ws.sparse_rows.extend(rows)
         ws.sparse_vals.extend(vals)
         ws.pressure_rows.extend(_mirror_pressure_rows(mesh))
-    if pins:
-        rows, vals = _pin_rows(ws, pins)
-        ws.sparse_rows.extend(rows)
-        ws.sparse_vals.extend(vals)
-    return _iterate(ws, config)
+    for comp, target in sorted(pins.items()):
+        if comp < 1 or comp > mesh.domain.n_holes:
+            raise DataError(f"circulation pin on invalid hole component {comp}")
+        ws.sparse_rows.append(assembly.circulation_functional(mesh, ws.dofmap, comp))
+        ws.sparse_vals.append(float(target))
+    return ws
+
+
+def _stokes_lift(ws):
+    """The lambda = 0 solve (also the initial guess w = 0) and the residual scale."""
+    u, p, mults, _ = ws.solve_linear(ws.A_base)
+    # the reduced load and the inhomogeneous boundary terms set the scale
+    scale = max(np.linalg.norm(ws.con.reduce_vector(ws.F)),
+                np.linalg.norm(ws.base.G_f), 1e-30)
+    scale = max(scale, float(np.linalg.norm(ws.base.F_f)))
+    return u, p, mults, scale
+
+
+def solve_navier_stokes(mesh, data, config=None):
+    """Nonlinear slip-flow solve; returns (FlowState, IterationTrace)."""
+    config = config or SolverConfig()
+    return _iterate(_workspace(mesh, data, config), config)
 
 
 def _iterate(ws, config):
@@ -310,16 +326,10 @@ def _iterate(ws, config):
     trace = IterationTrace()
     dofmap = ws.dofmap
 
-    # lambda = 0 solve is the Stokes lift (also the initial guess w = 0)
-    u, p, mults, _ = ws.solve_linear(ws.A_base)
+    u, p, mults, scale = _stokes_lift(ws)
     lift = u.copy()
-    scale = max(np.linalg.norm(ws.con.reduce_vector(ws.F)),
-                np.linalg.norm(ws.G_f), 1e-30)
-    # account for the inhomogeneous boundary term in the scale
-    scale = max(scale, float(np.linalg.norm(ws.constrained_system(ws.A_base).F_f)))
 
     energy = 0.5 * float(u @ (ws.A_base @ u))
-    last_flow = None
     for lam in config.lambda_schedule:
         if lam == 0.0:
             C, conv = assembly.assemble_convection(mesh, dofmap, u)
@@ -343,14 +353,12 @@ def _iterate(ws, config):
     })
     if config.pins:
         meta["circulations"] = {
-            comp: float(assembly.circulation_functional(mesh, dofmap, comp, ws.bq) @ u)
+            comp: float(assembly.circulation_functional(mesh, dofmap, comp) @ u)
             for comp in config.pins}
     if config.symmetric_subspace:
         meta["symmetry_defect"] = _symmetry_defect(mesh, u)
-    # internal saddle convention carries the negative of the physical pressure
-    p_out = -p
-    p_out = p_out - (ws.mean @ p_out) / ws.mean.sum()
-    flow = FlowState(mesh=mesh, nu=data.nu, velocity=u, pressure=p_out, metadata=meta)
+    flow = FlowState(mesh=mesh, nu=data.nu, velocity=u, pressure=ws.physical_pressure(p),
+                     metadata=meta)
     return flow, trace
 
 
@@ -408,7 +416,7 @@ def _solve_at_lambda(ws, config, lam, u, p, mults, trace, scale):
         res_prev = res_try
         damping = min(1.0, alpha * 1.5)
     else:
-        if res_prev > config.tolerance:
+        if not res_prev <= config.tolerance:
             raise NonConvergenceError(
                 f"no convergence within {config.max_iterations} iterations at "
                 f"lambda={lam:g} (residual {res_prev:.3e})", trace)
@@ -426,14 +434,10 @@ def _symmetry_defect(mesh, u):
 
 def solve_symmetric(mesh, data, config=None):
     """Solve restricted to the mirror-symmetric subspace (admissible domains)."""
-    config = config or SolverConfig()
-    cfg = SolverConfig(mode=config.mode, lambda_schedule=config.lambda_schedule,
-                       tolerance=config.tolerance, max_iterations=config.max_iterations,
-                       picard_iterations=config.picard_iterations, damping=config.damping,
-                       pins=config.pins, symmetric_subspace=True)
+    cfg = replace(config or SolverConfig(), symmetric_subspace=True)
     flow, trace = solve_navier_stokes(mesh, data, cfg)
     defect = flow.metadata.get("symmetry_defect", np.inf)
-    if defect > 1e-10:
+    if not defect <= 1e-10:
         raise SolverError(f"symmetric solve left a symmetry defect {defect:.3e}")
     return flow
 
@@ -449,17 +453,11 @@ def continuation_sweep(mesh, data, lambda_grid, config=None):
     if any(lam_grid[i] > lam_grid[i + 1] for i in range(len(lam_grid) - 1)):
         raise DataError("continuation grid must be nondecreasing")
     config = config or SolverConfig()
-    ws = _Workspace(mesh, data, symmetric=config.symmetric_subspace)
-    if config.pins:
-        rows, vals = _pin_rows(ws, config.pins)
-        ws.sparse_rows.extend(rows)
-        ws.sparse_vals.extend(vals)
+    ws = _workspace(mesh, data, config)
 
     trace = IterationTrace()
-    u, p, mults, _ = ws.solve_linear(ws.A_base)
+    u, p, mults, scale = _stokes_lift(ws)
     lift = u.copy()
-    scale = max(float(np.linalg.norm(ws.constrained_system(ws.A_base).F_f)),
-                np.linalg.norm(ws.G_f), 1e-30)
     out = []
     for lam in lam_grid:
         if lam > 0:
@@ -467,13 +465,14 @@ def continuation_sweep(mesh, data, lambda_grid, config=None):
                 u, p, mults, trace = _solve_at_lambda(
                     ws, config, lam, u, p, mults, trace, scale)
             except (NonConvergenceError, BranchDegeneracyError) as exc:
-                raise type(exc)(f"continuation failed at lambda={lam:g}: {exc}")
+                # keep the type, the traceback and a NonConvergenceError's trace
+                exc.args = (f"continuation failed at lambda={lam:g}: {exc}",)
+                raise
         w = u - lift
         wnorm = float(np.sqrt(max(w @ (ws.A_base @ w), 0.0)))
-        pm = -p
-        pm = pm - (ws.mean @ pm) / ws.mean.sum()
         C, conv = assembly.assemble_convection(mesh, ws.dofmap, u)
-        flow = FlowState(mesh=mesh, nu=data.nu, velocity=u.copy(), pressure=pm,
+        flow = FlowState(mesh=mesh, nu=data.nu, velocity=u.copy(),
+                         pressure=ws.physical_pressure(p),
                          metadata={"problem": "navier-stokes", "lambda": lam,
                                    "residual": ws.residual(u, p, mults, lam, conv) / scale,
                                    "w_norm": wnorm})

@@ -3,23 +3,11 @@
 import numpy as np
 
 from . import elements
-from .quadrature import triangle_rule
-
-ERROR_DEGREE = 10
-
-
-def _batch(mesh, degree=ERROR_DEGREE):
-    pts, w = triangle_rule(degree)
-    coords = mesh.triangle_coords()
-    grads, det = elements.physical_gradients(coords, pts, elements.p2_grad(pts))
-    x = elements.mapped_points(coords, pts)
-    dv = det * w[None, :]
-    return pts, coords, grads, x, dv
+from .assembly import ERROR_DEGREE, volume_context
 
 
 def domain_area(mesh):
-    _, _, _, _, dv = _batch(mesh, degree=6)
-    return float(dv.sum())
+    return float(volume_context(mesh).dv.sum())
 
 
 def velocity_values(mesh, coeffs, pts):
@@ -38,14 +26,15 @@ def scalar_values(mesh, coeffs, pts):
 
 
 def velocity_l2(mesh, coeffs, degree=ERROR_DEGREE):
-    pts, _, _, _, dv = _batch(mesh, degree)
-    u = velocity_values(mesh, coeffs, pts)
-    return float(np.sqrt(np.einsum("tq,tqx,tqx->", dv, u, u)))
+    ctx = volume_context(mesh, degree)
+    u = velocity_values(mesh, coeffs, ctx.pts)
+    return float(np.sqrt(np.einsum("tq,tqx,tqx->", ctx.dv, u, u)))
 
 
 def velocity_error_l2(mesh, coeffs, exact_velocity, relative=True):
-    pts, _, _, x, dv = _batch(mesh)
-    u = velocity_values(mesh, coeffs, pts)
+    ctx = volume_context(mesh, ERROR_DEGREE)
+    dv, x = ctx.dv, elements.mapped_points(ctx.coords, ctx.pts)
+    u = velocity_values(mesh, coeffs, ctx.pts)
     ue = np.asarray(exact_velocity(x.reshape(-1, 2))).reshape(x.shape)
     diff = u - ue
     err = np.sqrt(np.einsum("tq,tqx,tqx->", dv, diff, diff))
@@ -57,9 +46,10 @@ def velocity_error_l2(mesh, coeffs, exact_velocity, relative=True):
 
 def velocity_error_h1(mesh, coeffs, exact_jacobian, relative=True):
     """H1-seminorm error; exact_jacobian(points) -> [n, 2, 2] du_a/dx_b."""
-    pts, coords, grads, x, dv = _batch(mesh)
-    nodal = np.asarray(coeffs).reshape(-1, 2)[mesh.triangle_nodes()]
-    gu = np.einsum("tia,tqib->tqab", nodal, grads)
+    ctx = volume_context(mesh, ERROR_DEGREE)
+    dv, x = ctx.dv, elements.mapped_points(ctx.coords, ctx.pts)
+    nodal = np.asarray(coeffs).reshape(-1, 2)[ctx.nodes]
+    gu = np.einsum("tia,tqib->tqab", nodal, ctx.grads)
     ge = np.asarray(exact_jacobian(x.reshape(-1, 2))).reshape(gu.shape)
     diff = gu - ge
     err = np.sqrt(np.einsum("tq,tqab,tqab->", dv, diff, diff))
@@ -71,8 +61,9 @@ def velocity_error_h1(mesh, coeffs, exact_jacobian, relative=True):
 
 def pressure_error_l2(mesh, p_coeffs, exact_pressure, relative=True):
     """L2 pressure error after aligning both fields to zero mean."""
-    pts, _, _, x, dv = _batch(mesh)
-    ph = pressure_values(mesh, p_coeffs, pts)
+    ctx = volume_context(mesh, ERROR_DEGREE)
+    dv, x = ctx.dv, elements.mapped_points(ctx.coords, ctx.pts)
+    ph = pressure_values(mesh, p_coeffs, ctx.pts)
     pe = np.asarray(exact_pressure(x.reshape(-1, 2))).reshape(ph.shape)
     area = dv.sum()
     ph = ph - np.einsum("tq,tq->", dv, ph) / area
@@ -86,8 +77,9 @@ def pressure_error_l2(mesh, p_coeffs, exact_pressure, relative=True):
 
 
 def scalar_error_l2(mesh, coeffs, exact, relative=True):
-    pts, _, _, x, dv = _batch(mesh)
-    q = scalar_values(mesh, coeffs, pts)
+    ctx = volume_context(mesh, ERROR_DEGREE)
+    dv, x = ctx.dv, elements.mapped_points(ctx.coords, ctx.pts)
+    q = scalar_values(mesh, coeffs, ctx.pts)
     qe = np.asarray(exact(x.reshape(-1, 2))).reshape(q.shape)
     diff = q - qe
     err = np.sqrt(np.einsum("tq,tq->", dv, diff * diff))
@@ -98,10 +90,10 @@ def scalar_error_l2(mesh, coeffs, exact, relative=True):
 
 def lq_norm(mesh, coeffs, q, vector=True):
     """L^q norm of a velocity (vector=True) or scalar P2 field."""
-    pts, _, _, _, dv = _batch(mesh)
+    ctx = volume_context(mesh, ERROR_DEGREE)
     if vector:
-        u = velocity_values(mesh, coeffs, pts)
+        u = velocity_values(mesh, coeffs, ctx.pts)
         mag = np.sqrt(np.einsum("tqx,tqx->tq", u, u))
     else:
-        mag = np.abs(scalar_values(mesh, coeffs, pts))
-    return float(np.einsum("tq,tq->", dv, mag ** q) ** (1.0 / q))
+        mag = np.abs(scalar_values(mesh, coeffs, ctx.pts))
+    return float(np.einsum("tq,tq->", ctx.dv, mag ** q) ** (1.0 / q))

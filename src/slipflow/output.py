@@ -11,7 +11,7 @@ import json
 import numpy as np
 
 from . import __version__, assembly
-from .analysis import total_head, vorticity
+from .analysis import boundary_head, total_head, vorticity
 
 FLOAT_FMT = "%.16e"
 
@@ -81,17 +81,7 @@ def _arclength_of(curve, t):
 def write_boundary_csv(flow, data, path, provenance_line=""):
     """Per-quadrature-point boundary profile along each component."""
     mesh = flow.mesh
-    bq = assembly.boundary_quadrature(mesh)
-    u = np.einsum("qi,kix->kqx", bq.shape, flow.velocity.reshape(-1, 2)[bq.nodes3])
-    # linear pressure trace
-    pa = flow.pressure[mesh.edges[mesh.boundary_edges["edge"]]]
-    first = np.array([mesh.triangles[r["tri"]][r["local"]] for r in mesh.boundary_edges])
-    swap = mesh.edges[mesh.boundary_edges["edge"]][:, 0] != first
-    pa[swap] = pa[swap][:, ::-1]
-    from .quadrature import interval_rule
-    s, _ = interval_rule(bq.shape.shape[0])
-    p = pa[:, 0][:, None] * (1 - s)[None, :] + pa[:, 1][:, None] * s[None, :]
-    phi = p + 0.5 * np.einsum("kqx,kqx->kq", u, u)
+    bq, phi, u = boundary_head(flow)
     u_n = np.einsum("kqx,kqx->kq", u, bq.normal)
     u_t = np.einsum("kqx,kqx->kq", u, bq.tangent)
     beta = assembly._eval_per_component(bq, [assembly.as_boundary_scalar(b)

@@ -230,3 +230,58 @@ class TestDeterminism:
         A1 = asm.assemble_viscous(annulus_coarse, dm, nu=1.0)
         A2 = asm.assemble_viscous(annulus_coarse, dm, nu=1.0)
         assert (A1 != A2).nnz == 0
+
+
+class TestVolumeContext:
+    @staticmethod
+    def _count_geometry(monkeypatch):
+        from slipflow import elements
+        calls = []
+        original = elements.physical_gradients
+
+        def counted(*args):
+            calls.append(len(args[1]))
+            return original(*args)
+        monkeypatch.setattr(elements, "physical_gradients", counted)
+        return calls
+
+    def test_solve_derives_geometry_once(self, monkeypatch):
+        from slipflow import navier_stokes as nvs, validation as val
+        mesh = sf.mesh_annulus(1.0, 2.0, 4, 16)
+        calls = self._count_geometry(monkeypatch)
+        nvs.solve_navier_stokes(mesh, val.hamel(1.0).data,
+                                nvs.SolverConfig(pins={1: 2 * np.pi}))
+        assert len(calls) == 1
+
+    def test_audit_derives_geometry_twice(self, monkeypatch):
+        from slipflow import analysis, validation as val
+        from slipflow.quadrature import triangle_rule
+        mesh = sf.mesh_annulus(1.0, 2.0, 4, 16)
+        calls = self._count_geometry(monkeypatch)
+        report = analysis.audit(mesh.domain, val.hamel(0.0).data, mesh=mesh)
+        assert report.theorem_small_flux["evaluable"]
+        # once at the assembly rule, once at the error-norm rule (not kept)
+        assert calls == [len(triangle_rule(asm.VOLUME_DEGREE)[0]),
+                         len(triangle_rule(asm.ERROR_DEGREE)[0])]
+
+    def test_cached_arrays_reject_writes(self):
+        import copy
+        mesh = sf.mesh_annulus(1.0, 2.0, 4, 16)
+        ctx = asm.volume_context(mesh)
+        bq = asm.boundary_quadrature(mesh)
+        assert asm.volume_context(mesh) is ctx
+        assert asm.boundary_quadrature(mesh) is bq
+        for arr in list(vars(ctx).values()) + list(vars(bq).values()):
+            with pytest.raises(ValueError):
+                arr[...] = 0
+        # replacing a geometry array derives a new context
+        moved = copy.copy(mesh)
+        moved.edge_nodes = mesh.edge_nodes.copy()
+        assert asm.volume_context(moved) is not ctx
+        assert asm.volume_context(mesh) is ctx
+
+    def test_non_finite_volume_force_rejected(self, annulus_coarse):
+        dm = asm.DofMap(annulus_coarse)
+        with pytest.raises(DataError):
+            asm.load_volume(annulus_coarse, dm,
+                            lambda x: np.column_stack([np.full(len(x), np.nan), x[:, 0]]))

@@ -104,6 +104,24 @@ class TestSubcommands:
         assert cli.main(["solve", "ns", "--config", path,
                          "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("problem", ["stokes", "ns"])
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    def test_non_finite_boundary_data_exit_code(self, tmp_path, problem):
+        path = hamel_config(tmp_path,
+                            mesh={"generator": "annulus", "n_radial": 4, "n_angular": 16},
+                            boundary={"a_star": [-1.5, 3.0], "b_tau": ["x1/0", 0.0]})
+        out = tmp_path / "out"
+        assert cli.main(["solve", problem, "--config", path, "--out", str(out)]) == 2
+        assert not (out / "solution.vtk").exists()
+        assert not (out / "solution.json").exists()
+
+    def test_invalid_mesh_exit_code(self, tmp_path):
+        # with 8 cells around, the snapped midnodes fold the thin boundary elements
+        path = hamel_config(tmp_path,
+                            mesh={"generator": "annulus", "n_radial": 4, "n_angular": 8})
+        assert cli.main(["solve", "stokes", "--config", path,
+                         "--out", str(tmp_path / "o")]) == 2
+
     def test_non_convergence_exit_code_writes_trace(self, tmp_path):
         path = hamel_config(tmp_path,
                             solver={"mode": "picard", "max_iterations": 2,

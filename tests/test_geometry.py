@@ -91,6 +91,11 @@ class TestBoundaryIntegral:
         assert outer == pytest.approx(-6 * np.pi, rel=1e-12)
         assert inner == pytest.approx(6 * np.pi, rel=1e-12)
         assert outer + inner == pytest.approx(0.0, abs=1e-10)
+        # the same fluxes straight from the exact-curve rule
+        for comp, a, expected in ((0, -1.5, -6 * np.pi), (1, 3.0, 6 * np.pi)):
+            t, pts, w_ds = geometry.curve_rule(annulus_domain.curves[comp])
+            assert len(t) == len(pts) == len(w_ds) == 128
+            assert np.sum(w_ds * a) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_integrand(self, annulus_domain):
         assert geometry.boundary_integral(annulus_domain, 0, lambda fr: 0.0) == 0.0

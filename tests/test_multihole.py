@@ -41,12 +41,11 @@ class TestHarmonicBasisTwoHoles:
         hb = ext.harmonic_basis(two_hole_mesh)
         target = [1.7, -0.9]
         h = ext.harmonic_part(hb, target)
-        bq = asm.boundary_quadrature(two_hole_mesh)
         for comp, expected in ((1, target[0]), (2, target[1])):
-            flux = asm.boundary_flux(two_hole_mesh, h, comp, bq)
+            flux = asm.boundary_flux(two_hole_mesh, h, comp)
             assert flux == pytest.approx(expected, rel=2e-2)  # O(h^2) accuracy
         # total flux through the outer boundary balances the holes
-        outer = asm.boundary_flux(two_hole_mesh, h, 0, bq)
+        outer = asm.boundary_flux(two_hole_mesh, h, 0)
         assert outer == pytest.approx(-sum(target), rel=2e-2)
 
     def test_linearity_in_flux_vector(self, two_hole_mesh):
@@ -96,10 +95,9 @@ class TestSolvesTwoHoles:
                                b_tau=(0.0, 0.0, 0.0), f=None)
         flow = ls.solve_stokes(two_hole_mesh, data)
         assert flow.metadata["linear_residual"] < 1e-10
-        bq = asm.boundary_quadrature(two_hole_mesh)
-        assert asm.boundary_flux(two_hole_mesh, flow.velocity, 1, bq) == \
+        assert asm.boundary_flux(two_hole_mesh, flow.velocity, 1) == \
             pytest.approx(a_left * 1.2 * np.pi, rel=1e-3)
-        assert asm.boundary_flux(two_hole_mesh, flow.velocity, 2, bq) == \
+        assert asm.boundary_flux(two_hole_mesh, flow.velocity, 2) == \
             pytest.approx(a_right * np.pi, rel=1e-3)
         # energy balance with a_* != 0 has no simple closed form, but the
         # pressure stays zero-mean and the solve is symmetric in the data

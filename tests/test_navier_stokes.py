@@ -165,6 +165,29 @@ class TestContinuation:
         with pytest.raises(DataError):
             nvs.continuation_sweep(annulus_coarse, data, (0.5, 0.25))
 
+    def test_symmetric_subspace_builds_mirror_rows(self, annulus_domain):
+        # the mirror pairing needs a mirror-symmetric mesh; this one is not
+        mesh = sf.mesh_disk_with_holes(annulus_domain, 0.3)
+        data = asm.ProblemData(nu=1.0, beta=(1.0, 1.0), a_star=(0.0, 0.0),
+                               b_tau=(0.0, 0.0), f=None)
+        with pytest.raises(MeshError):
+            nvs.continuation_sweep(mesh, data, (1.0,),
+                                   nvs.SolverConfig(symmetric_subspace=True))
+
+    def test_symmetric_subspace_rejects_nonzero_pin(self, annulus_coarse):
+        config = nvs.SolverConfig(symmetric_subspace=True, pins={1: 1.0})
+        with pytest.raises(DataError):
+            nvs.continuation_sweep(annulus_coarse, val.hamel(0.0).data, (1.0,), config)
+
+    def test_non_convergence_keeps_trace(self, annulus_coarse):
+        from slipflow.errors import NonConvergenceError
+        config = nvs.SolverConfig(mode="picard", max_iterations=2, tolerance=1e-14,
+                                  pins={1: 0.0})
+        with pytest.raises(NonConvergenceError) as err:
+            nvs.continuation_sweep(annulus_coarse, val.hamel(0.0).data, (1.0,), config)
+        assert "continuation failed at lambda=1" in str(err.value)
+        assert len(err.value.trace.residuals) == 2
+
 
 class TestSymmetricSolve:
     def test_matches_unrestricted_radial_solution(self, annulus_coarse):
