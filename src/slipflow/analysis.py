@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import assembly, elements, extensions, geometry, norms
-from .errors import DataError, MultivaluedStreamError
+from .errors import MultivaluedStreamError
 from .linear_solvers import (BorderedSolver, FlowState, korn_constant,
                              scalar_integral_vector, scalar_mass,
                              scalar_stiffness, sobolev_constant, _splu)
@@ -24,29 +24,39 @@ from .quadrature import interval_rule
 
 # -- field extraction --------------------------------------------------------
 
-def _scalar_projection(mesh, values_at_quad):
+def scalar_mass_factor(mesh):
+    """Factored P2 mass matrix; pass it to several projections to factor once."""
+    return _splu(scalar_mass(mesh))
+
+
+def _scalar_projection(mesh, values_at_quad, mass_lu=None):
     """P2 L2 projection of values at the VOLUME_DEGREE quadrature points."""
     ctx = assembly.volume_context(mesh)
     load = np.zeros(mesh.n_p2_nodes)
     np.add.at(load, ctx.nodes, np.einsum("tq,tq,qi->ti", ctx.dv, values_at_quad, ctx.N))
-    return _splu(scalar_mass(mesh)).solve(load)
+    if mass_lu is None:
+        mass_lu = scalar_mass_factor(mesh)
+    return mass_lu.solve(load)
 
 
-def vorticity(flow):
-    """P2 projection of du1/dx2 - du2/dx1 (outward-normal curl convention)."""
+def vorticity(flow, mass_lu=None):
+    """P2 projection of du1/dx2 - du2/dx1 (outward-normal curl convention).
+
+    mass_lu: optional scalar_mass_factor(flow.mesh) to reuse.
+    """
     mesh = flow.mesh
     gu = assembly.velocity_gradient_at(mesh, flow.velocity,
                                        assembly.volume_context(mesh).grads)
-    return _scalar_projection(mesh, gu[:, :, 0, 1] - gu[:, :, 1, 0])
+    return _scalar_projection(mesh, gu[:, :, 0, 1] - gu[:, :, 1, 0], mass_lu)
 
 
-def total_head(flow):
-    """P2 projection of p + |u|^2/2."""
+def total_head(flow, mass_lu=None):
+    """P2 projection of p + |u|^2/2; mass_lu as for vorticity."""
     mesh = flow.mesh
     pts = assembly.volume_context(mesh).pts
     u = norms.velocity_values(mesh, flow.velocity, pts)
     p = norms.pressure_values(mesh, flow.pressure, pts)
-    return _scalar_projection(mesh, p + 0.5 * np.einsum("tqx,tqx->tq", u, u))
+    return _scalar_projection(mesh, p + 0.5 * np.einsum("tqx,tqx->tq", u, u), mass_lu)
 
 
 @dataclass
@@ -63,8 +73,9 @@ def diagnostics_fields(flow, with_stream=True):
             psi = stream_function(flow)
         except MultivaluedStreamError:
             psi = None
-    return DiagnosticsFields(vorticity=vorticity(flow), total_head=total_head(flow),
-                             stream=psi)
+    mass_lu = scalar_mass_factor(flow.mesh)
+    return DiagnosticsFields(vorticity=vorticity(flow, mass_lu),
+                             total_head=total_head(flow, mass_lu), stream=psi)
 
 
 # -- Bernoulli-type boundary diagnostics --------------------------------------
@@ -185,8 +196,9 @@ def head_pressure_residual(flow, data):
     nu = flow.nu
     ctx = assembly.volume_context(mesh)
     pts, grads, dv, N, nodes = ctx.pts, ctx.grads, ctx.dv, ctx.N, ctx.nodes
-    phi = total_head(flow)
-    omega = vorticity(flow)
+    mass_lu = scalar_mass_factor(mesh)
+    phi = total_head(flow, mass_lu)
+    omega = vorticity(flow, mass_lu)
     gphi = np.einsum("ti,tqix->tqx", phi[nodes], grads)
     om_q = np.einsum("qi,ti->tq", N, omega[nodes])
     phi_q = np.einsum("qi,ti->tq", N, phi[nodes])
@@ -372,12 +384,8 @@ def audit(domain, data, mesh=None, q=4.0):
 
     # mirror symmetry of domain and data
     admissible = sym.admissible_x1
-    data_sym = True
-    try:
-        from .navier_stokes import _check_symmetric_data
-        _check_symmetric_data(domain, data)
-    except DataError:
-        data_sym = False
+    from .navier_stokes import SYMMETRY_TOL, symmetric_data_defect
+    data_sym = symmetric_data_defect(domain, data) <= SYMMETRY_TOL
     t3 = {"admissible": bool(admissible), "data_symmetric": bool(data_sym),
           "verdict": bool(admissible and data_sym)}
 

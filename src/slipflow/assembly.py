@@ -310,6 +310,20 @@ def assemble_convection(mesh, dofmap, w_coeffs, lam=1.0):
     return C, C @ w_coeffs
 
 
+def convection_vector(mesh, dofmap, w_coeffs):
+    """N(w) = integral ((w . grad) w) . phi without forming C(w).
+
+    Equals assemble_convection(mesh, dofmap, w_coeffs)[1] up to roundoff.
+    """
+    ctx = volume_context(mesh)
+    nodal = w_coeffs.reshape(-1, 2)[ctx.nodes]                  # [t, i, a]
+    wq = np.einsum("qi,tia->tqa", ctx.N, nodal)
+    adv = np.einsum("tqb,tqib,tia->tqa", wq, ctx.grads, nodal, optimize=True)
+    contrib = np.einsum("tq,qi,tqa->tia", ctx.dv, ctx.N, adv, optimize=True)
+    dofs = 2 * ctx.nodes[:, :, None] + np.arange(2)
+    return np.bincount(dofs.ravel(), weights=contrib.ravel(), minlength=dofmap.n_velocity)
+
+
 def assemble_convection_newton(mesh, dofmap, w_coeffs, lam=1.0):
     """Matrix of integral ((u . grad) w) . phi for the Newton linearization."""
     ctx = volume_context(mesh)

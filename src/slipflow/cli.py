@@ -208,10 +208,7 @@ def _write_solution(flow, trace, data, out, prov):
     meta = {k: v for k, v in flow.metadata.items() if _jsonable(v)}
     output.write_json({"metadata": meta}, os.path.join(out, "solution.json"), prov)
     if trace is not None:
-        output.write_json(
-            {"residuals": trace.residuals, "energies": trace.energies,
-             "dampings": trace.dampings, "phases": trace.phases},
-            os.path.join(out, "trace.json"), prov)
+        output.write_json(trace.as_dict(), os.path.join(out, "trace.json"), prov)
 
 
 def _jsonable(v):
@@ -263,11 +260,8 @@ def cmd_solve(args, cfg):
         flow, trace = nvs.solve_navier_stokes(mesh, data, config)
     except NonConvergenceError as exc:
         if exc.trace is not None:
-            output.write_json(
-                {"residuals": exc.trace.residuals, "energies": exc.trace.energies,
-                 "dampings": exc.trace.dampings, "phases": exc.trace.phases,
-                 "error": str(exc)},
-                os.path.join(out, "trace.json"), prov)
+            output.write_json(dict(exc.trace.as_dict(), error=str(exc)),
+                              os.path.join(out, "trace.json"), prov)
         raise
     _write_solution(flow, trace, data, out, prov)
     print(f"navier-stokes solve done (residual {flow.metadata['residual']:.3e}, "

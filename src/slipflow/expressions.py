@@ -3,20 +3,24 @@
 Expressions are strings over the variables r, theta, t, x1, x2 with the
 usual operators, a few math functions, and the constant pi.  Parsing
 goes through the ast module with a strict node whitelist, so config
-files cannot execute arbitrary code.
+files cannot execute arbitrary code.  Numeric literals are evaluated as
+floats, so no power can grow an unbounded integer, and an expression
+that cannot be evaluated to a real number (division by zero, overflow)
+raises DataError.
 """
 
 import ast
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DataError
 
 _FUNCTIONS = {
     "sin": np.sin, "cos": np.cos, "tan": np.tan,
     "exp": np.exp, "log": np.log, "sqrt": np.sqrt, "abs": np.abs,
     "atan2": np.arctan2, "min": np.minimum, "max": np.maximum,
 }
+_BINARY = ("atan2", "min", "max")
 _CONSTANTS = {"pi": np.pi, "e": np.e}
 _VARIABLES = ("r", "theta", "t", "x1", "x2")
 
@@ -43,13 +47,23 @@ def compile_expression(text):
                     f"expression {text!r} calls an unknown function")
             if node.keywords:
                 raise ConfigurationError("keyword arguments not allowed in expressions")
+            nargs = 2 if node.func.id in _BINARY else 1
+            if len(node.args) != nargs:
+                raise ConfigurationError(
+                    f"expression {text!r}: {node.func.id} takes {nargs} argument(s)")
         if isinstance(node, ast.Name):
             if node.id not in _FUNCTIONS and node.id not in _CONSTANTS \
                     and node.id not in _VARIABLES:
                 raise ConfigurationError(
                     f"expression {text!r} references unknown name {node.id!r}")
-        if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):
-            raise ConfigurationError(f"non-numeric constant in expression {text!r}")
+        if isinstance(node, ast.Constant):
+            if not isinstance(node.value, (int, float)):
+                raise ConfigurationError(f"non-numeric constant in expression {text!r}")
+            try:
+                node.value = float(node.value)
+            except OverflowError as exc:
+                raise ConfigurationError(
+                    f"constant out of range in expression {text!r}") from exc
     code = compile(tree, "<config expression>", "eval")
 
     def fn(t, points):
@@ -63,8 +77,15 @@ def compile_expression(text):
         }
         env.update(_FUNCTIONS)
         env.update(_CONSTANTS)
-        out = eval(code, {"__builtins__": {}}, env)
-        return np.broadcast_to(np.asarray(out, float), x1.shape).copy()
+        # non-finite array values are caught where the data is used
+        with np.errstate(all="ignore"):
+            try:
+                out = np.asarray(eval(code, {"__builtins__": {}}, env), float)
+            except (ArithmeticError, TypeError) as exc:
+                # TypeError: a complex power such as (-8.0)**(1/3)
+                raise DataError(
+                    f"expression {text!r} has no real value: {exc}") from exc
+        return np.broadcast_to(out, x1.shape).copy()
 
     fn.expression = text
     return fn

@@ -128,6 +128,8 @@ class BorderedSolver:
             C, R, D = Cx, Rx, Dx
         self.n, self.k = n, C.shape[1]
         self.k_true = k
+        self.bumps = (np.array([b[0] for b in bumps], np.int64),
+                      np.array([b[1] for b in bumps], float))
         self.core = core
         self.C, self.R, self.D = C, R, D
         self.lu = _splu(core)
@@ -152,17 +154,37 @@ class BorderedSolver:
             relres = max(np.linalg.norm(rb), np.linalg.norm(rd)) / scale
             if relres < rtol:
                 break
-            y = self.lu.solve(rb)
-            if self.k:
-                try:
-                    dmu = np.linalg.solve(self.H, rd - self.R.T @ y)
-                except np.linalg.LinAlgError as exc:
-                    raise SolverError(f"singular border Schur complement: {exc}") from exc
-                z += y - self.W @ dmu
-                mu += dmu
-            else:
-                z += y
+            dz, dmu = self._inverse(rb, rd)
+            z += dz
+            mu += dmu
         return z, mu[:self.k_true], float(relres)
+
+    def _inverse(self, rb, rd):
+        """One pass through the factored core and the Schur complement."""
+        y = self.lu.solve(rb)
+        if not self.k:
+            return y, np.zeros(0)
+        try:
+            dmu = np.linalg.solve(self.H, rd - self.R.T @ y)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"singular border Schur complement: {exc}") from exc
+        return y - self.W @ dmu, dmu
+
+    def apply_inverse(self, x):
+        """Exact inverse of the system as given (bumps compensated) on [b; d]."""
+        kt = self.k_true
+        d = np.concatenate([x[self.n:], np.zeros(self.k - kt)])
+        dz, dmu = self._inverse(x[:self.n], d)
+        return np.concatenate([dz, dmu[:kt]])
+
+    def matvec(self, x):
+        """Product of the system as given (bumps removed) with [z; mu]."""
+        kt = self.k_true
+        z, mu = x[:self.n], x[self.n:]
+        top = self.core @ z + self.C[:, :kt] @ mu
+        idx, alpha = self.bumps
+        np.subtract.at(top, idx, alpha * z[idx])
+        return np.concatenate([top, self.R[:, :kt].T @ z + self.D[:kt, :kt] @ mu])
 
 
 def solve_laplace_dirichlet(mesh, values):
@@ -276,12 +298,9 @@ def build_saddle_solver(cs, sparse_rows=(), dense_rows=(), pressure_rows=(),
     return solver, offsets
 
 
-def solve_saddle_rhs(cs, solver, offsets, sparse_vals=(), dense_vals=(),
-                     pressure_vals=(), F_override=None):
-    """Solve a factored saddle system for one right-hand side."""
-    con = cs.constraint
+def _saddle_rhs(cs, offsets, sparse_vals, dense_vals, pressure_vals, F_override):
+    """Right-hand side [b; d] of the bordered saddle system."""
     F_f = cs.F_f if F_override is None else F_override
-    nf, npres = offsets["nf"], offsets["npres"]
     svals = [v - off for v, off in zip(sparse_vals, offsets["sparse_offsets"])]
     pvals = list(pressure_vals) or [0.0] * offsets["kp"]
     b = np.concatenate([F_f, cs.G_f, np.asarray(svals, float),
@@ -290,11 +309,65 @@ def solve_saddle_rhs(cs, solver, offsets, sparse_vals=(), dense_vals=(),
         np.zeros(1),
         np.asarray([v - off for v, off in zip(dense_vals, offsets["dense_offsets"])], float),
     ])
+    return b, d
+
+
+def _split_saddle(cs, offsets, x):
+    """[z; mu] of the bordered system -> (u, p, multipliers).
+
+    The multipliers are ordered sparse rows, pressure rows, pressure
+    mean, dense rows; concatenate((restrict(u), p, mults)) is x again.
+    """
+    nf, npres = offsets["nf"], offsets["npres"]
+    return cs.constraint.expand(x[:nf]), x[nf:nf + npres], x[nf + npres:]
+
+
+def solve_saddle_rhs(cs, solver, offsets, sparse_vals=(), dense_vals=(),
+                     pressure_vals=(), F_override=None):
+    """Solve a factored saddle system for one right-hand side."""
+    b, d = _saddle_rhs(cs, offsets, sparse_vals, dense_vals, pressure_vals, F_override)
     z, mu, relres = solver.solve(b, d)
-    u = con.expand(z[:nf])
-    p = z[nf:nf + npres]
-    mults = np.concatenate([z[nf + npres:], mu])
+    u, p, mults = _split_saddle(cs, offsets, np.concatenate([z, mu]))
     return u, p, mults, relres
+
+
+def solve_saddle_krylov(cs, solver, offsets, delta, cycle, sparse_vals=(),
+                        dense_vals=(), F_override=None, guess=None):
+    """GMRES on a saddle system preconditioned by a nearby factored one.
+
+    `solver`/`offsets` come from build_saddle_solver on a system with the
+    same constraint rows whose velocity block differs from cs.A_ff by
+    `delta`; its exact inverse preconditions one GMRES cycle of at most
+    `cycle` iterations on the full bordered system of cs, asked for a
+    relative residual of 1e-12.  `guess` is an optional (u, p, mults)
+    start.  Returns (u, p, mults, relres, iterations) with relres the
+    true relative residual of the result.
+    """
+    nf = offsets["nf"]
+    b, d = _saddle_rhs(cs, offsets, sparse_vals, dense_vals, (), F_override)
+    rhs = np.concatenate([b, d])
+
+    def matvec(x):
+        out = solver.matvec(x)
+        out[:nf] += delta @ x[:nf]
+        return out
+
+    n = len(rhs)
+    op = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
+    pre = spla.LinearOperator((n, n), matvec=solver.apply_inverse, dtype=float)
+    x0 = None if guess is None else np.concatenate(
+        [cs.constraint.restrict(guess[0]), guess[1], guess[2]])
+    iterations = 0
+
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
+    x, _ = spla.gmres(op, rhs, x0=x0, rtol=1e-12, atol=0.0, restart=cycle, maxiter=1,
+                      M=pre, callback=count, callback_type="pr_norm")
+    relres = float(np.linalg.norm(rhs - op.matvec(x)) / max(np.linalg.norm(rhs), 1e-300))
+    u, p, mults = _split_saddle(cs, offsets, x)
+    return u, p, mults, relres, iterations
 
 
 def solve_stokes(mesh, data):
@@ -307,7 +380,8 @@ def solve_stokes(mesh, data):
     """
     from .navier_stokes import _Workspace  # navier_stokes imports this module
     ws = _Workspace(mesh, data)
-    u, p, _, resid = ws.solve_linear(ws.A_base)
+    u, p, _, step = ws.solve_linear(ws.A_base)
+    resid = step.relres
     if not resid <= RESIDUAL_TOL:
         raise SolverError(f"saddle solve residual {resid:.3e} above tolerance")
     meta = dict(ws.meta, problem="stokes", linear_residual=resid)

@@ -7,9 +7,20 @@ parameter scales the convection terms from 0 (Stokes lift, the initial
 guess) to 1.  On configurations with a solution continuum the Jacobian
 is singular; optional circulation pins (one scalar constraint per hole)
 restore uniqueness and select the branch.
+
+One nonlinear solve factors one matrix: the Stokes lift factors the
+constrained base system, every Picard step (at every continuation
+value) back-solves with that factor, and each Newton step solves its
+system by GMRES on the full bordered system preconditioned by it (an
+inexact Newton-Krylov method; Knoll & Keyes, J. Comput. Phys. 193,
+2004).  Only when one GMRES cycle of KRYLOV_CYCLE iterations does not
+meet the linear tolerance, as at low viscosity, is the Newton operator
+factored; that factor replaces the held one, so at most one
+factorization is alive.  Residuals need only the convection vector
+N(w), which is computed without assembling C(w).
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -17,7 +28,18 @@ from . import assembly, geometry
 from .errors import (BranchDegeneracyError, DataError, MeshError,
                      NonConvergenceError, SolverError)
 from .linear_solvers import (FlowState, build_saddle_solver, rigid_rotation_mode,
-                             solve_saddle_rhs)
+                             solve_saddle_krylov, solve_saddle_rhs)
+
+LINEAR_TOL = 1e-8
+SYMMETRY_TOL = 1e-10
+# One GMRES cycle of at most this many iterations before the workspace
+# factors the operator itself.  Preconditioned by the Stokes factor, a
+# Newton step takes a number of iterations growing like 1/nu: on a 10x20
+# Hamel annulus 17, 36, 82 and 161 at nu = 1, 0.3, 0.1 and 0.05 from a
+# zero start, 14, 29, 61 and 100 from the Stokes lift.  One factorization
+# costs about as much as 20 iterations on 10x20 and 50 on 20x40, so past
+# this crossover factoring the Newton operator is the cheaper way.
+KRYLOV_CYCLE = 40
 
 
 @dataclass
@@ -44,22 +66,55 @@ class SolverConfig:
             raise DataError(f"unknown solver mode {self.mode!r}")
 
 
+@dataclass(frozen=True)
+class LinearStep:
+    """How one linearized system was solved.
+
+    method: "direct" (back-solve with the held factor, or the first
+    factorization), "krylov" (GMRES preconditioned by the held factor) or
+    "refactor" (GMRES did not converge within one cycle, so the operator
+    was factored and replaced the held factor).
+    """
+
+    method: str
+    iterations: int     # GMRES iterations (of the failed cycle for "refactor")
+    relres: float       # relative residual of the returned solution
+
+
 @dataclass
 class IterationTrace:
     residuals: list = field(default_factory=list)
     energies: list = field(default_factory=list)
     dampings: list = field(default_factory=list)
     phases: list = field(default_factory=list)
+    linear: list = field(default_factory=list)
+    krylov_iterations: list = field(default_factory=list)
+    linear_relres: list = field(default_factory=list)
 
-    def record(self, residual, energy, damping, phase):
+    def record(self, residual, energy, damping, phase, step):
         self.residuals.append(float(residual))
         self.energies.append(float(energy))
         self.dampings.append(float(damping))
         self.phases.append(phase)
+        self.linear.append(step.method)
+        self.krylov_iterations.append(int(step.iterations))
+        self.linear_relres.append(float(step.relres))
+
+    def as_dict(self):
+        """Every per-iteration list by field name (the trace.json layout)."""
+        return asdict(self)
 
 
 class _Workspace:
-    """Assembled base operators plus the slip constraint for one problem."""
+    """Assembled base operators plus the slip constraint for one problem.
+
+    The workspace holds one factored bordered saddle system at a time,
+    first that of A_base (built by the Stokes lift).  A system of the held
+    operator is a back-solve; any other operator is solved by one GMRES
+    cycle preconditioned by the held factor and, if that cycle does not
+    meet LINEAR_TOL, by factoring the operator, which then replaces the
+    held factor.
+    """
 
     def __init__(self, mesh, data, symmetric=False):
         domain = mesh.domain
@@ -100,6 +155,8 @@ class _Workspace:
             self.dense_vals.append(0.0)
             self.meta["rigid_constraint"] = True
             self.meta["symmetric_compatibility_residual"] = compat
+        self._held = None       # (operator, its A_ff, solver, offsets)
+        self.factorizations = 0
 
     def constrained_system(self, A):
         if A is self.A_base:
@@ -108,21 +165,43 @@ class _Workspace:
         return replace(self.base, A_ff=A_ff,
                        F_f=self.con.reduce_vector(self.F) - A_fc @ self.con.fixed_values)
 
-    def solve_linear(self, A, extra_rhs=None):
+    def solve_linear(self, A, extra_rhs=None, guess=None):
+        """Constrained saddle solve with operator A; returns (u, p, mults, LinearStep).
+
+        guess: optional (u, p, mults) start for the GMRES cycle.
+        """
         cs = self.constrained_system(A)
         F_f = cs.F_f if extra_rhs is None else \
             cs.F_f + self.con.reduce_vector(extra_rhs)
-        solver, offsets = build_saddle_solver(
-            cs, sparse_rows=self.sparse_rows, dense_rows=self.dense_rows,
-            pressure_rows=self.pressure_rows)
+        method, iterations = "direct", 0
+        if self._held is not None and self._held[0] is not A:
+            u, p, mults, relres, iterations = self._krylov(cs, F_f, guess)
+            if relres <= LINEAR_TOL:
+                return u, p, mults, LinearStep("krylov", iterations, relres)
+            method = "refactor"
+            self._held = None           # at most one factorization is alive
+        if self._held is None:
+            solver, offsets = build_saddle_solver(
+                cs, sparse_rows=self.sparse_rows, dense_rows=self.dense_rows,
+                pressure_rows=self.pressure_rows)
+            self._held = (A, cs.A_ff, solver, offsets)
+            self.factorizations += 1
+        _, _, solver, offsets = self._held
         u, p, mults, relres = solve_saddle_rhs(
             cs, solver, offsets, sparse_vals=self.sparse_vals,
             dense_vals=self.dense_vals, F_override=F_f)
-        if not relres <= 1e-8:
+        if not relres <= LINEAR_TOL:
             raise SolverError(
                 f"linearized solve residual {relres:.3e}; the system is "
                 "singular or the constraints are degenerate")
-        return u, p, mults, relres
+        return u, p, mults, LinearStep(method, iterations, relres)
+
+    def _krylov(self, cs, F_f, guess):
+        _, A_ff, solver, offsets = self._held
+        return solve_saddle_krylov(
+            cs, solver, offsets, cs.A_ff - A_ff, KRYLOV_CYCLE,
+            sparse_vals=self.sparse_vals, dense_vals=self.dense_vals,
+            F_override=F_f, guess=guess)
 
     def physical_pressure(self, p):
         """Zero-mean physical pressure from the saddle solution.
@@ -241,8 +320,12 @@ def _mirror_pressure_rows(mesh, tol_rel=1e-9):
     return rows
 
 
-def _check_symmetric_data(domain, data, tol=1e-10):
-    """Reject data that is not mirror-symmetric about the x1-axis."""
+def symmetric_data_defect(domain, data):
+    """Mirror defect of the data about the x1-axis relative to its size.
+
+    Symmetric data has a defect below SYMMETRY_TOL; non-finite data gives
+    NaN.  Errors evaluating the data propagate.
+    """
     scale = 0.0
     worst = 0.0
     t = (np.arange(48) + 0.17) / 48.0
@@ -271,8 +354,7 @@ def _check_symmetric_data(domain, data, tol=1e-10):
         worst = max(worst, float(np.max(np.abs(fv[:n, 0] - fv[n:, 0]))),
                     float(np.max(np.abs(fv[:n, 1] + fv[n:, 1]))))
         scale = max(scale, float(np.max(np.abs(fv))))
-    if worst > tol * scale:
-        raise DataError(f"data is not symmetric about the x1-axis (defect {worst:.3e})")
+    return float(worst) / float(scale)
 
 
 def _workspace(mesh, data, config):
@@ -283,7 +365,10 @@ def _workspace(mesh, data, config):
         sym = geometry.classify_symmetry(mesh.domain)
         if not sym.admissible_x1:
             raise DataError("domain is not admissible (mirror symmetry about x1 required)")
-        _check_symmetric_data(mesh.domain, data)
+        defect = symmetric_data_defect(mesh.domain, data)
+        if not defect <= SYMMETRY_TOL:
+            raise DataError(
+                f"data is not symmetric about the x1-axis (relative defect {defect:.3e})")
         # mirror symmetry already forces zero circulation around every hole,
         # so zero pins are redundant and nonzero pins are contradictory
         for comp, target in list(pins.items()):
@@ -306,13 +391,16 @@ def _workspace(mesh, data, config):
 
 
 def _stokes_lift(ws):
-    """The lambda = 0 solve (also the initial guess w = 0) and the residual scale."""
-    u, p, mults, _ = ws.solve_linear(ws.A_base)
+    """The lambda = 0 solve (also the initial guess w = 0) and the residual scale.
+
+    Returns (u, p, mults, scale, LinearStep); the solve factors A_base.
+    """
+    u, p, mults, step = ws.solve_linear(ws.A_base)
     # the reduced load and the inhomogeneous boundary terms set the scale
     scale = max(np.linalg.norm(ws.con.reduce_vector(ws.F)),
                 np.linalg.norm(ws.base.G_f), 1e-30)
     scale = max(scale, float(np.linalg.norm(ws.base.F_f)))
-    return u, p, mults, scale
+    return u, p, mults, scale, step
 
 
 def solve_navier_stokes(mesh, data, config=None):
@@ -326,18 +414,18 @@ def _iterate(ws, config):
     trace = IterationTrace()
     dofmap = ws.dofmap
 
-    u, p, mults, scale = _stokes_lift(ws)
+    u, p, mults, scale, lift_step = _stokes_lift(ws)
     lift = u.copy()
 
     energy = 0.5 * float(u @ (ws.A_base @ u))
     for lam in config.lambda_schedule:
         if lam == 0.0:
-            C, conv = assembly.assemble_convection(mesh, dofmap, u)
+            conv = assembly.convection_vector(mesh, dofmap, u)
             res = ws.residual(u, p, mults, 0.0, conv) / scale
-            trace.record(res, energy, 1.0, "stokes")
+            trace.record(res, energy, 1.0, "stokes", lift_step)
             continue
         u, p, mults, trace = _solve_at_lambda(ws, config, lam, u, p, mults, trace, scale)
-    C, conv = assembly.assemble_convection(mesh, dofmap, u)
+    conv = assembly.convection_vector(mesh, dofmap, u)
     final_res = ws.residual(u, p, mults, config.lambda_schedule[-1], conv) / scale
     meta = dict(ws.meta)
     meta.update({
@@ -347,6 +435,7 @@ def _iterate(ws, config):
             u, p, config.lambda_schedule[-1], conv,
             mults[len(ws.sparse_rows) + len(ws.pressure_rows)]) / scale,
         "iterations": len(trace.residuals),
+        "factorizations": ws.factorizations,
         "lambda": config.lambda_schedule[-1],
         "pins": dict(config.pins or {}),
         "stokes_lift_energy": 0.5 * float(lift @ (ws.A_base @ lift)),
@@ -365,7 +454,7 @@ def _iterate(ws, config):
 def _solve_at_lambda(ws, config, lam, u, p, mults, trace, scale):
     mesh, dofmap = ws.mesh, ws.dofmap
     damping = config.damping
-    C, conv = assembly.assemble_convection(mesh, dofmap, u)
+    conv = assembly.convection_vector(mesh, dofmap, u)
     res_prev = ws.residual(u, p, mults, lam, conv) / scale
     growth_streak = 0
     newton_allowed = config.mode in ("newton", "picard-then-newton")
@@ -381,13 +470,14 @@ def _solve_at_lambda(ws, config, lam, u, p, mults, trace, scale):
             phase = "picard"
         try:
             if phase == "picard":
-                u_new, p_new, mults_new, _ = ws.solve_linear(
+                u_new, p_new, mults_new, step = ws.solve_linear(
                     ws.A_base, extra_rhs=-lam * conv)
             else:
+                C, _ = assembly.assemble_convection(mesh, dofmap, u)
                 D = assembly.assemble_convection_newton(mesh, dofmap, u, lam)
                 A_op = ws.A_base + lam * C + D
-                u_new, p_new, mults_new, _ = ws.solve_linear(
-                    A_op, extra_rhs=(D @ u))
+                u_new, p_new, mults_new, step = ws.solve_linear(
+                    A_op, extra_rhs=(D @ u), guess=(u, p, mults))
         except SolverError as exc:
             raise BranchDegeneracyError(
                 f"singular linearized system at lambda={lam:g}; a circulation pin "
@@ -400,15 +490,15 @@ def _solve_at_lambda(ws, config, lam, u, p, mults, trace, scale):
             p_try = p + alpha * (p_new - p)
             m_try = mults + alpha * (np.asarray(mults_new) - np.asarray(mults)) \
                 if len(mults) else mults_new
-            C_try, conv_try = assembly.assemble_convection(mesh, dofmap, u_try)
+            conv_try = assembly.convection_vector(mesh, dofmap, u_try)
             res_try = ws.residual(u_try, p_try, m_try, lam, conv_try) / scale
             if res_try <= res_prev or alpha < 0.05:
                 break
             alpha *= 0.5
         u, p, mults = u_try, p_try, np.asarray(m_try)
-        C, conv = C_try, conv_try
+        conv = conv_try
         energy = 0.5 * float(u @ (ws.A_base @ u))
-        trace.record(res_try, energy, alpha, f"{phase}@{lam:g}")
+        trace.record(res_try, energy, alpha, f"{phase}@{lam:g}", step)
         growth_streak = growth_streak + 1 if res_try > res_prev else 0
         if growth_streak >= 5:
             raise NonConvergenceError(
@@ -456,7 +546,7 @@ def continuation_sweep(mesh, data, lambda_grid, config=None):
     ws = _workspace(mesh, data, config)
 
     trace = IterationTrace()
-    u, p, mults, scale = _stokes_lift(ws)
+    u, p, mults, scale, _ = _stokes_lift(ws)
     lift = u.copy()
     out = []
     for lam in lam_grid:
@@ -470,7 +560,7 @@ def continuation_sweep(mesh, data, lambda_grid, config=None):
                 raise
         w = u - lift
         wnorm = float(np.sqrt(max(w @ (ws.A_base @ w), 0.0)))
-        C, conv = assembly.assemble_convection(mesh, ws.dofmap, u)
+        conv = assembly.convection_vector(mesh, ws.dofmap, u)
         flow = FlowState(mesh=mesh, nu=data.nu, velocity=u.copy(),
                          pressure=ws.physical_pressure(p),
                          metadata={"problem": "navier-stokes", "lambda": lam,

@@ -11,7 +11,7 @@ import json
 import numpy as np
 
 from . import __version__, assembly
-from .analysis import boundary_head, total_head, vorticity
+from .analysis import boundary_head, scalar_mass_factor, total_head, vorticity
 
 FLOAT_FMT = "%.16e"
 
@@ -45,8 +45,9 @@ def write_vtk(flow, path, provenance_line=""):
     p_vertex = flow.pressure
     edge_p = 0.5 * (p_vertex[mesh.edges[:, 0]] + p_vertex[mesh.edges[:, 1]])
     p_all = np.concatenate([p_vertex, edge_p])
-    omega = vorticity(flow)
-    phi = total_head(flow)
+    mass_lu = scalar_mass_factor(mesh)
+    omega = vorticity(flow, mass_lu)
+    phi = total_head(flow, mass_lu)
 
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")

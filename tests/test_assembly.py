@@ -152,6 +152,13 @@ class TestConvection:
         assert defects[1] <= hs[1] ** 2
         assert defects[1] < defects[0] / 4.0
 
+    def test_matrix_free_vector_matches_assembled(self, annulus_coarse):
+        dm = asm.DofMap(annulus_coarse)
+        w = np.random.default_rng(7).standard_normal(dm.n_velocity)
+        _, N = asm.assemble_convection(annulus_coarse, dm, w)
+        assert np.linalg.norm(asm.convection_vector(annulus_coarse, dm, w) - N) \
+            <= 1e-14 * np.linalg.norm(N)
+
     def test_newton_term_consistency(self, annulus_coarse):
         # directional derivative of N(w) matches C(w) d + D(w) d
         mesh = annulus_coarse

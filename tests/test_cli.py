@@ -105,7 +105,6 @@ class TestSubcommands:
                          "--out", str(tmp_path / "o")]) == 2
 
     @pytest.mark.parametrize("problem", ["stokes", "ns"])
-    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
     def test_non_finite_boundary_data_exit_code(self, tmp_path, problem):
         path = hamel_config(tmp_path,
                             mesh={"generator": "annulus", "n_radial": 4, "n_angular": 16},
@@ -114,6 +113,19 @@ class TestSubcommands:
         assert cli.main(["solve", problem, "--config", path, "--out", str(out)]) == 2
         assert not (out / "solution.vtk").exists()
         assert not (out / "solution.json").exists()
+
+    @pytest.mark.parametrize("command", [["audit"], ["solve", "stokes"]])
+    @pytest.mark.parametrize("expression", ["1/0", "10**400"])
+    def test_unevaluable_expression_exit_code(self, tmp_path, capsys, command, expression):
+        # 10**400 is an exact Python int; as the float it is evaluated as, it overflows
+        path = hamel_config(tmp_path,
+                            mesh={"generator": "annulus", "n_radial": 4, "n_angular": 16},
+                            boundary={"a_star": [-1.5, 3.0], "b_tau": [expression, 0.0]})
+        out = tmp_path / "out"
+        assert cli.main([*command, "--config", path, "--out", str(out)]) == 2
+        assert "has no real value" in capsys.readouterr().err
+        assert not (out / "solution.vtk").exists()
+        assert not (out / "audit.json").exists()
 
     def test_invalid_mesh_exit_code(self, tmp_path):
         # with 8 cells around, the snapped midnodes fold the thin boundary elements
@@ -130,6 +142,10 @@ class TestSubcommands:
         assert cli.main(["solve", "ns", "--config", path, "--out", str(out)]) == 3
         trace = json.load(open(out / "trace.json"))
         assert len(trace["residuals"]) == 2
+        assert trace["linear"] == ["direct", "direct"]
+        assert trace["krylov_iterations"] == [0, 0]
+        assert all(r <= 1e-8 for r in trace["linear_relres"])
+        assert "no convergence" in trace["error"]
 
     def test_pin_flag_overrides(self, tmp_path):
         path = hamel_config(tmp_path, solver={"tolerance": 1e-10})
@@ -139,6 +155,11 @@ class TestSubcommands:
         assert code == 0
         meta = json.load(open(out / "solution.json"))["metadata"]
         assert meta["circulations"]["1"] == pytest.approx(2 * np.pi)
+        # one factorization: the Picard steps back-solve, the Newton steps use GMRES
+        assert meta["factorizations"] == 1
+        trace = json.load(open(out / "trace.json"))
+        assert trace["linear"] == ["direct"] * 8 + ["krylov"] * 2
+        assert all(0 < k <= 40 for k in trace["krylov_iterations"][8:])
 
     def test_korn_constants(self, tmp_path):
         path = hamel_config(tmp_path)

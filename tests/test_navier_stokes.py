@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,92 @@ class TestIterationMechanics:
         assert n >= 1
         assert len(trace.energies) == n == len(trace.dampings) == len(trace.phases)
         assert trace.residuals[-1] <= 1e-10
+
+
+class TestOneFactorization:
+    @pytest.fixture
+    def factors(self, monkeypatch):
+        """Counts SuperLU factorizations and the most that were alive at once."""
+        real = ls.spla.splu
+        count = {"calls": 0, "alive": 0, "peak": 0}
+
+        class Tracked:
+            def __init__(self, lu):
+                self.lu = lu
+                count["alive"] += 1
+                count["peak"] = max(count["peak"], count["alive"])
+
+            def solve(self, rhs):
+                return self.lu.solve(rhs)
+
+            def __del__(self):
+                count["alive"] -= 1
+
+        def splu(matrix, *args, **kwargs):
+            count["calls"] += 1
+            return Tracked(real(matrix, *args, **kwargs))
+
+        monkeypatch.setattr(ls.spla, "splu", splu)
+        return count
+
+    def test_one_factorization_per_solve(self, annulus_coarse, factors):
+        flow, trace = nvs.solve_navier_stokes(annulus_coarse, val.hamel(1.0).data,
+                                              nvs.SolverConfig(pins={1: 2 * np.pi}))
+        assert factors["calls"] == 1
+        assert flow.metadata["factorizations"] == 1
+        assert flow.metadata["residual"] <= 1e-10
+        assert trace.linear == ["direct"] * 8 + ["krylov"] * 2
+        assert trace.krylov_iterations[:8] == [0] * 8
+        assert all(0 < k <= nvs.KRYLOV_CYCLE for k in trace.krylov_iterations[8:])
+        assert all(r <= nvs.LINEAR_TOL for r in trace.linear_relres)
+
+    def test_one_factorization_per_sweep(self, annulus_coarse, factors):
+        sweep = nvs.continuation_sweep(annulus_coarse, val.hamel(1.0).data,
+                                       (0.0, 0.25, 0.5, 0.75, 1.0),
+                                       nvs.SolverConfig(pins={1: 2 * np.pi}))
+        assert factors["calls"] == 1
+        assert all(flow.metadata["residual"] <= 1e-10 for _, flow, _ in sweep)
+
+    def test_krylov_newton_step_matches_direct_factorization(self, annulus_coarse):
+        mesh = annulus_coarse
+        ws = nvs._workspace(mesh, val.hamel(1.0).data, nvs.SolverConfig(pins={1: 2 * np.pi}))
+        u, _, _, _, _ = nvs._stokes_lift(ws)
+        C, _ = asm.assemble_convection(mesh, ws.dofmap, u)
+        D = asm.assemble_convection_newton(mesh, ws.dofmap, u)
+        A_op = ws.A_base + C + D
+        u_k, p_k, m_k, step = ws.solve_linear(A_op, extra_rhs=D @ u)
+        assert step.method == "krylov" and ws.factorizations == 1
+        cs = ws.constrained_system(A_op)
+        solver, offsets = ls.build_saddle_solver(cs, sparse_rows=ws.sparse_rows)
+        u_d, p_d, m_d, _ = ls.solve_saddle_rhs(
+            cs, solver, offsets, sparse_vals=ws.sparse_vals,
+            F_override=cs.F_f + ws.con.reduce_vector(D @ u))
+        assert np.linalg.norm(u_k - u_d) <= 1e-10 * np.linalg.norm(u_d)
+        assert np.linalg.norm(p_k - p_d) <= 1e-10 * np.linalg.norm(p_d)
+        # the multipliers are small against the solution; compare them in its scale
+        x_k, x_d = np.concatenate([u_k, p_k, m_k]), np.concatenate([u_d, p_d, m_d])
+        assert np.linalg.norm(x_k - x_d) <= 1e-10 * np.linalg.norm(x_d)
+
+    def test_stall_rule_refactors_at_low_viscosity(self, factors):
+        mesh = sf.mesh_annulus(1.0, 2.0, 10, 20)
+        data = replace(val.hamel(1.0).data, nu=0.05)
+        flow, trace = nvs.solve_navier_stokes(
+            mesh, data, nvs.SolverConfig(mode="newton", pins={1: 2 * np.pi}))
+        assert len(trace.residuals) == 3
+        assert flow.metadata["residual"] <= 1e-10
+        # the first cycle stalls; the factored Newton operator then
+        # preconditions the later steps
+        assert trace.linear == ["refactor", "krylov", "krylov"]
+        assert trace.krylov_iterations[0] == nvs.KRYLOV_CYCLE
+        assert factors["calls"] == flow.metadata["factorizations"] == 2
+        assert factors["peak"] == 1
+
+    def test_picard_divergence_still_reported(self):
+        from slipflow.errors import NonConvergenceError
+        mesh = sf.mesh_annulus(1.0, 2.0, 10, 20)
+        data = replace(val.hamel(1.0).data, nu=0.3)
+        with pytest.raises(NonConvergenceError, match="grew for 5 consecutive"):
+            nvs.solve_navier_stokes(mesh, data, nvs.SolverConfig(pins={1: 2 * np.pi}))
 
 
 class TestContinuation:
