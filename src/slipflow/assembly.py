@@ -6,7 +6,7 @@ and eliminates the normal dof, which is the discrete counterpart of
 working in the space of fields with prescribed normal trace.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -123,10 +123,6 @@ class DofMap:
         self.n_pressure = mesh.n_vertices
         self.boundary_nodes = np.nonzero(mesh.node_is_boundary)[0]
 
-    def velocity_dofs(self, nodes):
-        nodes = np.asarray(nodes)
-        return np.stack([2 * nodes, 2 * nodes + 1], axis=-1)
-
     def rotation(self):
         """Orthogonal map taking Cartesian dofs to (n, tau) dofs at boundary nodes."""
         mesh = self.mesh
@@ -233,7 +229,7 @@ def _vector_pattern(dofmap, nodes):
 def _interleave(block_iajb):
     """[t, i, a, j, b] element blocks -> [t, 12, 12] interleaved dofs."""
     nt = block_iajb.shape[0]
-    return block_iajb.transpose(0, 1, 2, 3, 4).reshape(nt, 12, 12)
+    return block_iajb.reshape(nt, 12, 12)
 
 
 def assemble_viscous(mesh, dofmap, nu):

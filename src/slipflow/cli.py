@@ -1,9 +1,11 @@
 """Command-line pipeline: mesh, audit, solve, diagnose, korn, validate."""
 
 import argparse
+import functools
 import json
 import os
 import sys
+from importlib import resources
 
 import numpy as np
 import jsonschema
@@ -14,108 +16,17 @@ from . import meshing, navier_stokes as nvs, output, validation
 from .errors import (ConfigurationError, DataError, MeshError, NonConvergenceError,
                      SolverError)
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["domain", "physics", "boundary"],
-    "properties": {
-        "domain": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["curves"],
-            "properties": {
-                "curves": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {
-                        "type": "object",
-                        "additionalProperties": False,
-                        "required": ["kind"],
-                        "properties": {
-                            "kind": {"enum": ["circle", "spline"]},
-                            "center": {"type": "array", "items": {"type": "number"},
-                                       "minItems": 2, "maxItems": 2},
-                            "radius": {"type": "number", "exclusiveMinimum": 0},
-                            "points": {"type": "array",
-                                       "items": {"type": "array",
-                                                 "items": {"type": "number"},
-                                                 "minItems": 2, "maxItems": 2}},
-                            "label": {"type": "string"},
-                        },
-                    },
-                },
-            },
-        },
-        "mesh": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "generator": {"enum": ["annulus", "disk", "import"]},
-                "n_radial": {"type": "integer", "minimum": 2},
-                "n_angular": {"type": "integer", "minimum": 8},
-                "target_h": {"type": "number", "exclusiveMinimum": 0},
-                "node_file": {"type": "string"},
-                "ele_file": {"type": "string"},
-            },
-        },
-        "physics": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["nu", "beta"],
-            "properties": {
-                "nu": {"type": "number", "exclusiveMinimum": 0},
-                "beta": {"type": "array",
-                         "items": {"type": ["number", "string"]}},
-                "f": {"type": ["array", "null"],
-                      "items": {"type": ["number", "string"]},
-                      "minItems": 2, "maxItems": 2},
-            },
-        },
-        "boundary": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["a_star"],
-            "properties": {
-                "a_star": {"type": "array", "items": {"type": ["number", "string"]}},
-                "b_tau": {"type": "array", "items": {"type": ["number", "string"]}},
-            },
-        },
-        "solver": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "mode": {"enum": ["picard", "newton", "picard-then-newton"]},
-                "tolerance": {"type": "number", "exclusiveMinimum": 0},
-                "max_iterations": {"type": "integer", "minimum": 1},
-                "picard_iterations": {"type": "integer", "minimum": 0},
-                "damping": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-                "lambda_schedule": {"type": "array", "items": {"type": "number"}},
-                "pins": {"type": "object",
-                         "patternProperties": {"^[0-9]+$": {"type": "number"}},
-                         "additionalProperties": False},
-                "symmetric_subspace": {"type": "boolean"},
-            },
-        },
-        "audit": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"q": {"type": "number", "exclusiveMinimum": 2}},
-        },
-        "output": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"directory": {"type": "string"}},
-        },
-        "seed": {"type": "integer"},
-    },
-}
+@functools.cache
+def config_schema():
+    """The JSON schema of run configurations (package data, read on first use)."""
+    return json.loads(resources.files(__package__).joinpath("config_schema.json").read_text())
 
 
 def load_config(path):
     with open(path) as fh:
         cfg = json.load(fh)
     try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
+        jsonschema.validate(cfg, config_schema())
     except jsonschema.ValidationError as exc:
         raise ConfigurationError(f"config validation failed: {exc.message}") from exc
     return cfg

@@ -8,9 +8,6 @@ geometry map, so triangles with a snapped boundary midnode are curved.
 
 import numpy as np
 
-# local edge k runs from vertex k to vertex (k+1) % 3, midnode 3+k
-EDGE_VERTICES = ((0, 1), (1, 2), (2, 0))
-
 
 def p2_shape(pts):
     """Quadratic shape functions at reference points pts[n, 2] -> [n, 6]."""
@@ -52,15 +49,6 @@ def p1_shape(pts):
     return np.column_stack([1.0 - xi - eta, xi, eta])
 
 
-def p1_grad(pts):
-    """Reference gradients of the linear basis, shape [n, 3, 2]."""
-    g = np.empty((len(pts), 3, 2))
-    g[:, 0] = (-1.0, -1.0)
-    g[:, 1] = (1.0, 0.0)
-    g[:, 2] = (0.0, 1.0)
-    return g
-
-
 def edge_shape(s):
     """Quadratic shape functions on a 3-node edge at s in [0, 1] -> [n, 3].
 
@@ -82,14 +70,6 @@ def edge_shape_deriv(s):
         4.0 * s - 1.0,
         4.0 - 8.0 * s,
     ], axis=-1)
-
-
-def reference_nodes():
-    """The six P2 node locations on the reference triangle."""
-    return np.array([
-        [0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
-        [0.5, 0.0], [0.5, 0.5], [0.0, 0.5],
-    ])
 
 
 def mapped_points(coords, pts):

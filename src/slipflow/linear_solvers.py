@@ -27,16 +27,6 @@ class FlowState:
     pressure: np.ndarray       # vertex coefficients, zero mean
     metadata: dict = field(default_factory=dict)
 
-    def velocity_nodal(self):
-        return self.velocity.reshape(-1, 2)
-
-    def copy_with(self, velocity=None, pressure=None, **meta):
-        md = dict(self.metadata)
-        md.update(meta)
-        return FlowState(self.mesh, self.nu,
-                         self.velocity if velocity is None else velocity,
-                         self.pressure if pressure is None else pressure, md)
-
 
 @dataclass
 class RigidMode:
@@ -128,8 +118,6 @@ class BorderedSolver:
             C, R, D = Cx, Rx, Dx
         self.n, self.k = n, C.shape[1]
         self.k_true = k
-        self.bumps = (np.array([b[0] for b in bumps], np.int64),
-                      np.array([b[1] for b in bumps], float))
         self.core = core
         self.C, self.R, self.D = C, R, D
         self.lu = _splu(core)
@@ -177,15 +165,6 @@ class BorderedSolver:
         dz, dmu = self._inverse(x[:self.n], d)
         return np.concatenate([dz, dmu[:kt]])
 
-    def matvec(self, x):
-        """Product of the system as given (bumps removed) with [z; mu]."""
-        kt = self.k_true
-        z, mu = x[:self.n], x[self.n:]
-        top = self.core @ z + self.C[:, :kt] @ mu
-        idx, alpha = self.bumps
-        np.subtract.at(top, idx, alpha * z[idx])
-        return np.concatenate([top, self.R[:, :kt].T @ z + self.D[:kt, :kt] @ mu])
-
 
 def solve_laplace_dirichlet(mesh, values):
     """Harmonic P2 field with per-component Dirichlet data.
@@ -223,6 +202,15 @@ def solve_laplace_neumann(mesh, a_star):
     contrib = np.einsum("kq,kq,qi->ki", bq.w_ds, vals, bq.shape)
     np.add.at(load, bq.nodes3, contrib)
 
+    return zero_mean_neumann_solve(mesh, load)
+
+
+def zero_mean_neumann_solve(mesh, load):
+    """Zero-mean P2 solution of the pure Neumann system K q = load.
+
+    The constants are removed by a bordered mean constraint; a residual
+    above RESIDUAL_TOL (non-finite loads included) raises SolverError.
+    """
     K = scalar_stiffness(mesh)
     m = scalar_integral_vector(mesh)
     diag_scale = float(np.mean(K.diagonal())) or 1.0
@@ -235,139 +223,124 @@ def solve_laplace_neumann(mesh, a_star):
 
 # -- saddle solves -----------------------------------------------------------
 
-def _reduce_row(con, vec):
-    """Rotate a Cartesian velocity functional; returns (free part, fixed offset)."""
-    rotated = con.Q @ np.asarray(vec, float)
-    return rotated[con.free], float(rotated[con.fixed] @ con.fixed_values)
+class SaddleLayout:
+    """The constrained Stokes blocks with their extra rows: the one owner of
+    the multiplier order.
 
+    The bordered system in x = [z; mu] = [u_f; p; mu_v; mu_p | mu_mean; mu_d]
+    reads
 
-def build_saddle_solver(cs, sparse_rows=(), dense_rows=(), pressure_rows=(),
-                        A_override=None):
-    """Factor the constrained saddle system with pressure-mean multiplier.
+        [A_ff  B_f^T  V^T  .    | .     D^T]        [F_f          ]
+        [B_f   .      .    P^T  | mean  .  ]        [G_f          ]
+        [V     .      .    .    | .     .  ]  x  =  [v_vals - v_off]
+        [.     P      .    .    | .     .  ]        [0            ]
+        [.     mean^T .    .    | .     .  ]        [0            ]
+        [D     .      .    .    | .     .  ]        [-d_off       ]
 
-    sparse_rows: velocity functionals with local support (circulation
-    pins, mirror pairings); they join the sparse core.  pressure_rows:
-    local functionals on the pressure dofs (mirror pairings of the
-    pressure).  dense_rows: globally supported velocity functionals
-    (rigid-mode orthogonality); they are eliminated as borders together
-    with the dense pressure-mean row.  Velocity functionals are given as
-    full Cartesian vectors.
-    Returns (solver, shape info) for use with solve_saddle_rhs.
+    V holds the velocity rows with local support (circulation pins, mirror
+    pairings) and P the pressure rows (mirror pairings); both stay in the
+    sparse core left of the bar, a fixed 4x4 block grid.  D holds the
+    globally supported velocity rows with zero targets (rigid-mode
+    orthogonality); they are eliminated as borders together with the dense
+    pressure-mean row, since inside the core they would cause catastrophic
+    fill.  Velocity rows are given in Cartesian form and reduced once by
+    the slip rotation into a free part and the offset of the prescribed
+    normal values.
     """
-    con = cs.constraint
-    A_ff = cs.A_ff if A_override is None else A_override
-    nf = A_ff.shape[0]
-    npres = cs.B_f.shape[0]
-    ks = len(sparse_rows)
-    kp = len(pressure_rows)
-    kd = len(dense_rows)
-    srows = [_reduce_row(con, v) for v in sparse_rows]
-    drows = [_reduce_row(con, v) for v in dense_rows]
 
-    nblock = 2 + ks + kp
-    grid = [[None] * nblock for _ in range(nblock)]
-    grid[0][0] = A_ff
-    grid[0][1] = cs.B_f.T
-    grid[1][0] = cs.B_f
-    for i, (vf, _) in enumerate(srows):
-        col = sp.csc_matrix(vf[:, None])
-        grid[0][2 + i] = col
-        grid[2 + i][0] = col.T
-    for j, pr in enumerate(pressure_rows):
-        col = sp.csc_matrix(np.asarray(pr, float)[:, None])
-        grid[1][2 + ks + j] = col
-        grid[2 + ks + j][1] = col.T
-    core = sp.bmat(grid, format="csc")
-    n = core.shape[0]
+    def __init__(self, cs, velocity_rows, velocity_vals, pressure_rows=None, dense_rows=()):
+        con = cs.constraint
+        self.con, self.B_f, self.G_f, self.mean = con, cs.B_f, cs.G_f, cs.mean
+        self.npres, self.nf = cs.B_f.shape
+        VQ = (sp.csr_matrix(velocity_rows) @ con.Q.T).tocsc()
+        self.V = VQ[:, con.free].tocsr()
+        self.v_rhs = np.asarray(velocity_vals, float) - VQ[:, con.fixed] @ con.fixed_values
+        self.P = sp.csr_matrix((0, self.npres) if pressure_rows is None else pressure_rows)
+        DQ = np.asarray(dense_rows, float).reshape(-1, con.Q.shape[0]) @ con.Q.T
+        self.D = DQ[:, con.free]
+        self.d_rhs = np.zeros(len(DQ)) - DQ[:, con.fixed] @ con.fixed_values  # zero targets
+        self.n_flow = self.nf + self.npres
+        self.n_core = self.n_flow + self.V.shape[0] + self.P.shape[0]
+        # where x splits into u_f, p, mu_v, mu_p, mu_mean, mu_d
+        self._cuts = [self.nf, self.n_flow, self.n_flow + self.V.shape[0], self.n_core,
+                      self.n_core + 1]
 
-    # dense borders: pressure mean plus any dense velocity rows
-    C = np.zeros((n, 1 + kd))
-    C[nf:nf + npres, 0] = cs.mean
-    for i, (vf, _) in enumerate(drows):
-        C[:nf, 1 + i] = vf
-    diag_scale = float(np.mean(np.abs(A_ff.diagonal()))) or 1.0
-    bumps = [(nf, diag_scale)]
-    for i, (vf, _) in enumerate(drows):
-        bumps.append((int(np.argmax(np.abs(vf))), diag_scale))
-    solver = BorderedSolver(core, C=C, bumps=bumps)
-    offsets = {
-        "nf": nf, "npres": npres, "ks": ks, "kp": kp,
-        "sparse_offsets": [s[1] for s in srows],
-        "dense_offsets": [d[1] for d in drows],
-    }
-    return solver, offsets
+    def core(self, A_ff):
+        """Sparse core of the system with velocity block A_ff."""
+        return sp.bmat([[A_ff, self.B_f.T, self.V.T, None],
+                        [self.B_f, None, None, self.P.T],
+                        [self.V, None, None, None],
+                        [None, self.P, None, None]], format="csc")
 
+    def borders(self):
+        """Dense border columns: the pressure mean, then the rows of D."""
+        C = np.zeros((self.n_core, 1 + len(self.D)))
+        C[self.nf:self.n_flow, 0] = self.mean
+        C[:self.nf, 1:] = self.D.T
+        return C
 
-def _saddle_rhs(cs, offsets, sparse_vals, dense_vals, pressure_vals, F_override):
-    """Right-hand side [b; d] of the bordered saddle system."""
-    F_f = cs.F_f if F_override is None else F_override
-    svals = [v - off for v, off in zip(sparse_vals, offsets["sparse_offsets"])]
-    pvals = list(pressure_vals) or [0.0] * offsets["kp"]
-    b = np.concatenate([F_f, cs.G_f, np.asarray(svals, float),
-                        np.asarray(pvals, float)])
-    d = np.concatenate([
-        np.zeros(1),
-        np.asarray([v - off for v, off in zip(dense_vals, offsets["dense_offsets"])], float),
-    ])
-    return b, d
+    def rhs(self, F_f):
+        """Right-hand side [b; d] for the momentum load F_f."""
+        b = np.concatenate([F_f, self.G_f, self.v_rhs, np.zeros(self.P.shape[0])])
+        return b, np.concatenate([np.zeros(1), self.d_rhs])
 
+    def product(self, A_ff, x):
+        """The bordered system with velocity block A_ff applied to x."""
+        u, p, mv, mp, mm, md = np.split(x, self._cuts)
+        return np.concatenate([
+            A_ff @ u + self.B_f.T @ p + self.V.T @ mv + self.D.T @ md,
+            self.B_f @ u + self.P.T @ mp + self.mean * mm,
+            self.V @ u, self.P @ p, [self.mean @ p], self.D @ u])
 
-def _split_saddle(cs, offsets, x):
-    """[z; mu] of the bordered system -> (u, p, multipliers).
+    def split(self, x):
+        """x -> (Cartesian velocity, saddle pressure)."""
+        return self.con.expand(x[:self.nf]), x[self.nf:self.n_flow]
 
-    The multipliers are ordered sparse rows, pressure rows, pressure
-    mean, dense rows; concatenate((restrict(u), p, mults)) is x again.
-    """
-    nf, npres = offsets["nf"], offsets["npres"]
-    return cs.constraint.expand(x[:nf]), x[nf:nf + npres], x[nf + npres:]
-
-
-def solve_saddle_rhs(cs, solver, offsets, sparse_vals=(), dense_vals=(),
-                     pressure_vals=(), F_override=None):
-    """Solve a factored saddle system for one right-hand side."""
-    b, d = _saddle_rhs(cs, offsets, sparse_vals, dense_vals, pressure_vals, F_override)
-    z, mu, relres = solver.solve(b, d)
-    u, p, mults = _split_saddle(cs, offsets, np.concatenate([z, mu]))
-    return u, p, mults, relres
-
-
-def solve_saddle_krylov(cs, solver, offsets, delta, cycle, sparse_vals=(),
-                        dense_vals=(), F_override=None, guess=None):
-    """GMRES on a saddle system preconditioned by a nearby factored one.
-
-    `solver`/`offsets` come from build_saddle_solver on a system with the
-    same constraint rows whose velocity block differs from cs.A_ff by
-    `delta`; its exact inverse preconditions one GMRES cycle of at most
-    `cycle` iterations on the full bordered system of cs, asked for a
-    relative residual of 1e-12.  `guess` is an optional (u, p, mults)
-    start.  Returns (u, p, mults, relres, iterations) with relres the
-    true relative residual of the result.
-    """
-    nf = offsets["nf"]
-    b, d = _saddle_rhs(cs, offsets, sparse_vals, dense_vals, (), F_override)
-    rhs = np.concatenate([b, d])
-
-    def matvec(x):
-        out = solver.matvec(x)
-        out[:nf] += delta @ x[:nf]
+    def unpinned(self, x):
+        """x with the multipliers of V, P and D zeroed (the pressure mean's kept)."""
+        out = np.zeros_like(x)
+        out[:self.n_flow] = x[:self.n_flow]
+        out[self.n_core] = x[self.n_core]
         return out
 
+
+def build_saddle_solver(layout, A_ff):
+    """Factor the bordered saddle system of `layout` with velocity block A_ff."""
+    diag_scale = float(np.mean(np.abs(A_ff.diagonal()))) or 1.0
+    bumps = [(layout.nf, diag_scale)]
+    bumps += [(int(i), diag_scale) for i in np.argmax(np.abs(layout.D), axis=1)]
+    return BorderedSolver(layout.core(A_ff), C=layout.borders(), bumps=bumps)
+
+
+def solve_saddle_rhs(layout, solver, F_f):
+    """Solve a factored saddle system for the momentum load F_f; returns (x, relres)."""
+    z, mu, relres = solver.solve(*layout.rhs(F_f))
+    return np.concatenate([z, mu]), relres
+
+
+def solve_saddle_krylov(layout, solver, A_ff, F_f, cycle, guess=None):
+    """GMRES on a saddle system preconditioned by a nearby factored one.
+
+    `solver` factors the system of `layout` with another velocity block;
+    its exact inverse preconditions one GMRES cycle of at most `cycle`
+    iterations on the system with block A_ff, asked for a relative
+    residual of 1e-12 from the start x `guess`.  Returns (x, relres,
+    iterations) with relres the true relative residual of x.
+    """
+    rhs = np.concatenate(layout.rhs(F_f))
     n = len(rhs)
-    op = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
+    op = spla.LinearOperator((n, n), matvec=lambda x: layout.product(A_ff, x), dtype=float)
     pre = spla.LinearOperator((n, n), matvec=solver.apply_inverse, dtype=float)
-    x0 = None if guess is None else np.concatenate(
-        [cs.constraint.restrict(guess[0]), guess[1], guess[2]])
     iterations = 0
 
     def count(_):
         nonlocal iterations
         iterations += 1
 
-    x, _ = spla.gmres(op, rhs, x0=x0, rtol=1e-12, atol=0.0, restart=cycle, maxiter=1,
+    x, _ = spla.gmres(op, rhs, x0=guess, rtol=1e-12, atol=0.0, restart=cycle, maxiter=1,
                       M=pre, callback=count, callback_type="pr_norm")
     relres = float(np.linalg.norm(rhs - op.matvec(x)) / max(np.linalg.norm(rhs), 1e-300))
-    u, p, mults = _split_saddle(cs, offsets, x)
-    return u, p, mults, relres, iterations
+    return x, relres, iterations
 
 
 def solve_stokes(mesh, data):
@@ -380,7 +353,8 @@ def solve_stokes(mesh, data):
     """
     from .navier_stokes import _Workspace  # navier_stokes imports this module
     ws = _Workspace(mesh, data)
-    u, p, _, step = ws.solve_linear(ws.A_base)
+    x, step = ws.solve_linear(ws.A_base)
+    u, p = ws.rows.split(x)
     resid = step.relres
     if not resid <= RESIDUAL_TOL:
         raise SolverError(f"saddle solve residual {resid:.3e} above tolerance")
@@ -442,7 +416,7 @@ class KornEstimate:
     rigor: str = "lower bound on the continuum constant (discrete subspace)"
 
 
-def korn_constant(mesh, dofmap, weight, project_rotation=None):
+def korn_constant(mesh, dofmap, weight, project_rotation=False):
     """Best discrete constant of the symmetric-gradient/friction inequality.
 
     weight is the per-component boundary factor multiplying |u_tau|^2
@@ -450,17 +424,12 @@ def korn_constant(mesh, dofmap, weight, project_rotation=None):
     K = 1/lambda_min is a lower bound for the continuum constant.
     """
     fns = [assembly.as_boundary_scalar(wc) for wc in weight]
-    weight_zero = True
     for comp, curve in enumerate(mesh.domain.curves):
         t = np.linspace(0.0, 1.0, 65)
         vals = np.asarray(fns[comp](t, curve.point(t)), float)
         if np.any(vals < -1e-14):
             raise DataError("Korn boundary weight must be nonnegative")
-        if np.max(np.abs(vals)) > 0:
-            weight_zero = False
     sym = geometry.classify_symmetry(mesh.domain)
-    if project_rotation is None:
-        project_rotation = False
     kform = assembly.assemble_viscous(mesh, dofmap, 2.0)  # integral S(u):S(v)
     kform = kform + assembly.assemble_friction(mesh, dofmap, weight)
     mass = assembly.assemble_vector_mass(mesh, dofmap)

@@ -18,17 +18,27 @@ meet the linear tolerance, as at low viscosity, is the Newton operator
 factored; that factor replaces the held one, so at most one
 factorization is alive.  Residuals need only the convection vector
 N(w), which is computed without assembling C(w).
+
+The constraint rows live in one SaddleLayout per workspace: circulation
+pins and mirror pairings of the velocity as one sparse Cartesian block,
+mirror pairings of the pressure as another, both inside the sparse
+core; the rigid-rotation row (zero friction on a circularly symmetric
+domain) as a dense border next to the pressure mean.  The iteration
+carries the solution x of the bordered system; the layout splits it
+into velocity and pressure, and its block product gives both the GMRES
+operator and the nonlinear residual.
 """
 
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import assembly, geometry
 from .errors import (BranchDegeneracyError, DataError, MeshError,
                      NonConvergenceError, SolverError)
-from .linear_solvers import (FlowState, build_saddle_solver, rigid_rotation_mode,
-                             solve_saddle_krylov, solve_saddle_rhs)
+from .linear_solvers import (FlowState, SaddleLayout, build_saddle_solver,
+                             rigid_rotation_mode, solve_saddle_krylov, solve_saddle_rhs)
 
 LINEAR_TOL = 1e-8
 SYMMETRY_TOL = 1e-10
@@ -106,17 +116,21 @@ class IterationTrace:
 
 
 class _Workspace:
-    """Assembled base operators plus the slip constraint for one problem.
+    """Assembled base operators, the slip constraint and the extra saddle rows.
 
-    The workspace holds one factored bordered saddle system at a time,
-    first that of A_base (built by the Stokes lift).  A system of the held
-    operator is a back-solve; any other operator is solved by one GMRES
-    cycle preconditioned by the held factor and, if that cycle does not
-    meet LINEAR_TOL, by factoring the operator, which then replaces the
-    held factor.
+    `rows` is the SaddleLayout of the problem: the circulation pins and
+    mirror rows the config asks for and, on a zero-friction circularly
+    symmetric domain, the rigid-rotation row.  The workspace holds one
+    factored bordered saddle system at a time, first that of A_base
+    (built by the Stokes lift).  A system of the held operator is a
+    back-solve; any other operator is solved by one GMRES cycle
+    preconditioned by the held factor and, if that cycle does not meet
+    LINEAR_TOL, by factoring the operator, which then replaces the held
+    factor.
     """
 
-    def __init__(self, mesh, data, symmetric=False):
+    def __init__(self, mesh, data, config=None):
+        config = config or SolverConfig()
         domain = mesh.domain
         data.check_against(domain)
         self.mesh = mesh
@@ -134,15 +148,31 @@ class _Workspace:
             data.a_star)
         self.con = self.base.constraint
 
-        self.sparse_rows = []
-        self.sparse_vals = []
-        self.pressure_rows = []
-        self.dense_rows = []
-        self.dense_vals = []
+        velocity = [sp.csr_matrix((0, self.dofmap.n_velocity))]
+        pressure = None
+        dense = []
         self.meta = {}
+        pins = dict(config.pins or {})
         sym = geometry.classify_symmetry(domain)
-        if sym.circularly_symmetric is not None and not symmetric \
-                and data.beta_identically_zero(domain):
+        if config.symmetric_subspace:
+            if not sym.admissible_x1:
+                raise DataError("domain is not admissible (mirror symmetry about x1 required)")
+            defect = symmetric_data_defect(domain, data)
+            if not defect <= SYMMETRY_TOL:
+                raise DataError(
+                    f"data is not symmetric about the x1-axis (relative defect {defect:.3e})")
+            # mirror symmetry already forces zero circulation around every hole,
+            # so zero pins are redundant and nonzero pins are contradictory
+            for comp, target in list(pins.items()):
+                if abs(target) > 1e-12:
+                    raise DataError(
+                        f"circulation pin {target:g} on component {comp} is "
+                        "incompatible with mirror symmetry (symmetric fields have "
+                        "zero circulation)")
+                del pins[comp]
+            velocity.append(_mirror_pair_rows(mesh))
+            pressure = _mirror_pressure_rows(mesh)
+        elif sym.circularly_symmetric is not None and data.beta_identically_zero(domain):
             mode = rigid_rotation_mode(mesh, sym.circularly_symmetric)
             compat = float(self.F @ mode.coefficients)
             scale = np.linalg.norm(self.F) * np.linalg.norm(mode.coefficients)
@@ -151,11 +181,18 @@ class _Workspace:
                     "zero-friction circularly symmetric domain needs compatible "
                     f"data; residual <f + b, rigid rotation> = {compat:.6e}")
             mass = assembly.assemble_vector_mass(mesh, self.dofmap)
-            self.dense_rows.append(mass @ mode.coefficients)
-            self.dense_vals.append(0.0)
+            dense.append(mass @ mode.coefficients)
             self.meta["rigid_constraint"] = True
             self.meta["symmetric_compatibility_residual"] = compat
-        self._held = None       # (operator, its A_ff, solver, offsets)
+        targets = [0.0] * sum(block.shape[0] for block in velocity)
+        for comp, target in sorted(pins.items()):
+            if comp < 1 or comp > domain.n_holes:
+                raise DataError(f"circulation pin on invalid hole component {comp}")
+            velocity.append(sp.csr_matrix(
+                assembly.circulation_functional(mesh, self.dofmap, comp)))
+            targets.append(float(target))
+        self.rows = SaddleLayout(self.base, sp.vstack(velocity), targets, pressure, dense)
+        self._held = None       # (operator, its factored saddle system)
         self.factorizations = 0
 
     def constrained_system(self, A):
@@ -166,42 +203,31 @@ class _Workspace:
                        F_f=self.con.reduce_vector(self.F) - A_fc @ self.con.fixed_values)
 
     def solve_linear(self, A, extra_rhs=None, guess=None):
-        """Constrained saddle solve with operator A; returns (u, p, mults, LinearStep).
+        """Constrained saddle solve with operator A; returns (x, LinearStep).
 
-        guess: optional (u, p, mults) start for the GMRES cycle.
+        x is the solution of the bordered system (`rows.split` gives the
+        velocity and pressure); guess: optional start x for the GMRES cycle.
         """
         cs = self.constrained_system(A)
         F_f = cs.F_f if extra_rhs is None else \
             cs.F_f + self.con.reduce_vector(extra_rhs)
         method, iterations = "direct", 0
         if self._held is not None and self._held[0] is not A:
-            u, p, mults, relres, iterations = self._krylov(cs, F_f, guess)
+            x, relres, iterations = solve_saddle_krylov(
+                self.rows, self._held[1], cs.A_ff, F_f, KRYLOV_CYCLE, guess)
             if relres <= LINEAR_TOL:
-                return u, p, mults, LinearStep("krylov", iterations, relres)
+                return x, LinearStep("krylov", iterations, relres)
             method = "refactor"
             self._held = None           # at most one factorization is alive
         if self._held is None:
-            solver, offsets = build_saddle_solver(
-                cs, sparse_rows=self.sparse_rows, dense_rows=self.dense_rows,
-                pressure_rows=self.pressure_rows)
-            self._held = (A, cs.A_ff, solver, offsets)
+            self._held = (A, build_saddle_solver(self.rows, cs.A_ff))
             self.factorizations += 1
-        _, _, solver, offsets = self._held
-        u, p, mults, relres = solve_saddle_rhs(
-            cs, solver, offsets, sparse_vals=self.sparse_vals,
-            dense_vals=self.dense_vals, F_override=F_f)
+        x, relres = solve_saddle_rhs(self.rows, self._held[1], F_f)
         if not relres <= LINEAR_TOL:
             raise SolverError(
                 f"linearized solve residual {relres:.3e}; the system is "
                 "singular or the constraints are degenerate")
-        return u, p, mults, LinearStep(method, iterations, relres)
-
-    def _krylov(self, cs, F_f, guess):
-        _, A_ff, solver, offsets = self._held
-        return solve_saddle_krylov(
-            cs, solver, offsets, cs.A_ff - A_ff, KRYLOV_CYCLE,
-            sparse_vals=self.sparse_vals, dense_vals=self.dense_vals,
-            F_override=F_f, guess=guess)
+        return x, LinearStep(method, iterations, relres)
 
     def physical_pressure(self, p):
         """Zero-mean physical pressure from the saddle solution.
@@ -213,40 +239,11 @@ class _Workspace:
         p = -p
         return p - (self.mean @ p) / self.mean.sum()
 
-    def residual(self, u, p, mults, lam, conv_vec):
-        """Reduced nonlinear residual including the multiplier forces."""
-        con = self.con
-        r_cart = self.A_base @ u + lam * conv_vec + self.B.T @ p - self.F
-        r_m = (con.Q @ r_cart)[con.free]
-        k = 0
-        for vec in self.sparse_rows:
-            r_m += mults[k] * (con.Q @ vec)[con.free]
-            k += 1
-        r_c = self.B @ u
-        for pr in self.pressure_rows:
-            r_c = r_c + mults[k] * np.asarray(pr)
-            k += 1
-        mu_mean = mults[k]
-        k += 1
-        for vec in self.dense_rows:
-            r_m += mults[k] * (con.Q @ vec)[con.free]
-            k += 1
-        r_c = r_c + self.mean * mu_mean
-        r_mean = np.array([self.mean @ p])
-        r_rows = [np.einsum("i,i->", np.asarray(v), u) - val
-                  for v, val in zip(self.sparse_rows, self.sparse_vals)]
-        r_rows += [float(np.asarray(pr) @ p) for pr in self.pressure_rows]
-        r_rows += [np.einsum("i,i->", np.asarray(v), u) - val
-                   for v, val in zip(self.dense_rows, self.dense_vals)]
-        pieces = [r_m, r_c, r_mean, np.asarray(r_rows, float)]
-        return np.sqrt(sum(float(x @ x) for x in pieces))
-
-    def unpinned_weak_residual(self, u, p, lam, conv_vec, mu_mean=0.0):
-        con = self.con
-        r_cart = self.A_base @ u + lam * conv_vec + self.B.T @ p - self.F
-        r_m = (con.Q @ r_cart)[con.free]
-        r_c = self.B @ u + self.mean * mu_mean
-        return np.sqrt(float(r_m @ r_m) + float(r_c @ r_c))
+    def residual(self, x, lam, conv_vec):
+        """Residual vector of the bordered system of A_base at x, with the
+        convection load lam * N(u) on the right-hand side."""
+        b, d = self.rows.rhs(self.base.F_f - lam * self.con.reduce_vector(conv_vec))
+        return np.concatenate([b, d]) - self.rows.product(self.base.A_ff, x)
 
 
 def _mirror_lookup(mesh, tol_rel=1e-9):
@@ -262,62 +259,52 @@ def _mirror_lookup(mesh, tol_rel=1e-9):
 
 
 def _mirror_pair_rows(mesh, tol_rel=1e-9):
-    """Sparse symmetry rows pairing mirror nodes about the x1-axis."""
-    coords, mirror, tol = _mirror_lookup(mesh, tol_rel)
-    n_vel = 2 * len(coords)
-    rows, vals = [], []
-    for m, (x, y) in enumerate(coords):
-        if y < -tol:
-            continue
-        s = int(mirror[m])
-        on_axis = abs(y) <= tol
-        if mesh.node_is_boundary[m]:
-            tau_m = mesh.node_tangent[m]
-            if on_axis:
-                row = np.zeros(n_vel)
-                row[2 * m:2 * m + 2] = tau_m
-                rows.append(row)
-                vals.append(0.0)
-            elif s != m:
-                tau_s = mesh.node_tangent[s]
-                row = np.zeros(n_vel)
-                row[2 * m:2 * m + 2] = tau_m
-                row[2 * s:2 * s + 2] = tau_s
-                rows.append(row)
-                vals.append(0.0)
-        else:
-            if on_axis:
-                row = np.zeros(n_vel)
-                row[2 * m + 1] = 1.0
-                rows.append(row)
-                vals.append(0.0)
-            elif s != m:
-                r1 = np.zeros(n_vel)
-                r1[2 * s] = 1.0
-                r1[2 * m] = -1.0
-                r2 = np.zeros(n_vel)
-                r2[2 * s + 1] = 1.0
-                r2[2 * m + 1] = 1.0
-                rows.extend([r1, r2])
-                vals.extend([0.0, 0.0])
-    return rows, vals
+    """Sparse Cartesian velocity rows pairing mirror nodes about the x1-axis.
+
+    Node m on or above the axis with mirror s gives, in node order: on
+    the boundary the row tau_m . u_m + tau_s . u_s (tau_m . u_m on the
+    axis); inside the rows u1_s - u1_m and u2_s + u2_m (u2_m on the axis).
+    """
+    coords, s, tol = _mirror_lookup(mesh, tol_rel)
+    m = np.arange(len(coords))
+    on_axis = np.abs(coords[:, 1]) <= tol
+    keep = ~(coords[:, 1] < -tol) & (on_axis | (s != m))
+    bnd = mesh.node_is_boundary
+    count = np.where(keep, np.where(bnd | on_axis, 1, 2), 0)
+    first = np.cumsum(count) - count
+    tau = mesh.node_tangent
+    entries = []        # (row, column, value) arrays
+
+    def add(sel, row_shift, col, val):
+        entries.append((first[sel] + row_shift, col[sel],
+                        np.broadcast_to(val, m.shape)[sel]))
+
+    b, b_pair = keep & bnd, keep & bnd & ~on_axis
+    add(b, 0, 2 * m, tau[:, 0])
+    add(b, 0, 2 * m + 1, tau[:, 1])
+    add(b_pair, 0, 2 * s, tau[s, 0])
+    add(b_pair, 0, 2 * s + 1, tau[s, 1])
+    add(keep & ~bnd & on_axis, 0, 2 * m + 1, 1.0)
+    i_pair = keep & ~bnd & ~on_axis
+    add(i_pair, 0, 2 * s, 1.0)
+    add(i_pair, 0, 2 * m, -1.0)
+    add(i_pair, 1, 2 * s + 1, 1.0)
+    add(i_pair, 1, 2 * m + 1, 1.0)
+    rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(int(count.sum()), 2 * len(coords)))
 
 
 def _mirror_pressure_rows(mesh, tol_rel=1e-9):
-    """Evenness constraints pairing mirror vertices of the pressure space."""
+    """Sparse evenness rows p_s - p_m pairing mirror vertices above the axis."""
     coords, mirror, tol = _mirror_lookup(mesh, tol_rel)
     nv = mesh.n_vertices
-    rows = []
-    for m in range(nv):
-        s = int(mirror[m])
-        if s >= nv:
-            raise MeshError("vertex mirrors onto a midside node")
-        if coords[m, 1] > tol and s != m:
-            row = np.zeros(nv)
-            row[s] = 1.0
-            row[m] = -1.0
-            rows.append(row)
-    return rows
+    s = mirror[:nv]
+    if np.any(s >= nv):
+        raise MeshError("vertex mirrors onto a midside node")
+    m = np.nonzero((coords[:nv, 1] > tol) & (s != np.arange(nv)))[0]
+    k = np.arange(len(m))
+    return sp.csr_matrix((np.repeat([1.0, -1.0], len(m)), (np.tile(k, 2),
+                          np.concatenate([s[m], m]))), shape=(len(m), nv))
 
 
 def symmetric_data_defect(domain, data):
@@ -357,56 +344,23 @@ def symmetric_data_defect(domain, data):
     return float(worst) / float(scale)
 
 
-def _workspace(mesh, data, config):
-    """Workspace carrying the constraint rows the config asks for."""
-    ws = _Workspace(mesh, data, symmetric=config.symmetric_subspace)
-    pins = dict(config.pins or {})
-    if config.symmetric_subspace:
-        sym = geometry.classify_symmetry(mesh.domain)
-        if not sym.admissible_x1:
-            raise DataError("domain is not admissible (mirror symmetry about x1 required)")
-        defect = symmetric_data_defect(mesh.domain, data)
-        if not defect <= SYMMETRY_TOL:
-            raise DataError(
-                f"data is not symmetric about the x1-axis (relative defect {defect:.3e})")
-        # mirror symmetry already forces zero circulation around every hole,
-        # so zero pins are redundant and nonzero pins are contradictory
-        for comp, target in list(pins.items()):
-            if abs(target) > 1e-12:
-                raise DataError(
-                    f"circulation pin {target:g} on component {comp} is "
-                    "incompatible with mirror symmetry (symmetric fields have "
-                    "zero circulation)")
-            del pins[comp]
-        rows, vals = _mirror_pair_rows(mesh)
-        ws.sparse_rows.extend(rows)
-        ws.sparse_vals.extend(vals)
-        ws.pressure_rows.extend(_mirror_pressure_rows(mesh))
-    for comp, target in sorted(pins.items()):
-        if comp < 1 or comp > mesh.domain.n_holes:
-            raise DataError(f"circulation pin on invalid hole component {comp}")
-        ws.sparse_rows.append(assembly.circulation_functional(mesh, ws.dofmap, comp))
-        ws.sparse_vals.append(float(target))
-    return ws
-
-
 def _stokes_lift(ws):
     """The lambda = 0 solve (also the initial guess w = 0) and the residual scale.
 
-    Returns (u, p, mults, scale, LinearStep); the solve factors A_base.
+    Returns (x, scale, LinearStep); the solve factors A_base.
     """
-    u, p, mults, step = ws.solve_linear(ws.A_base)
+    x, step = ws.solve_linear(ws.A_base)
     # the reduced load and the inhomogeneous boundary terms set the scale
     scale = max(np.linalg.norm(ws.con.reduce_vector(ws.F)),
                 np.linalg.norm(ws.base.G_f), 1e-30)
     scale = max(scale, float(np.linalg.norm(ws.base.F_f)))
-    return u, p, mults, scale, step
+    return x, scale, step
 
 
 def solve_navier_stokes(mesh, data, config=None):
     """Nonlinear slip-flow solve; returns (FlowState, IterationTrace)."""
     config = config or SolverConfig()
-    return _iterate(_workspace(mesh, data, config), config)
+    return _iterate(_Workspace(mesh, data, config), config)
 
 
 def _iterate(ws, config):
@@ -414,31 +368,31 @@ def _iterate(ws, config):
     trace = IterationTrace()
     dofmap = ws.dofmap
 
-    u, p, mults, scale, lift_step = _stokes_lift(ws)
-    lift = u.copy()
+    x, scale, lift_step = _stokes_lift(ws)
+    lift, _ = ws.rows.split(x)
 
-    energy = 0.5 * float(u @ (ws.A_base @ u))
+    lift_energy = 0.5 * float(lift @ (ws.A_base @ lift))
     for lam in config.lambda_schedule:
         if lam == 0.0:
-            conv = assembly.convection_vector(mesh, dofmap, u)
-            res = ws.residual(u, p, mults, 0.0, conv) / scale
-            trace.record(res, energy, 1.0, "stokes", lift_step)
+            conv = assembly.convection_vector(mesh, dofmap, ws.rows.split(x)[0])
+            res = np.linalg.norm(ws.residual(x, 0.0, conv)) / scale
+            trace.record(res, lift_energy, 1.0, "stokes", lift_step)
             continue
-        u, p, mults, trace = _solve_at_lambda(ws, config, lam, u, p, mults, trace, scale)
+        x, trace = _solve_at_lambda(ws, config, lam, x, trace, scale)
+    lam = config.lambda_schedule[-1]
+    u, p = ws.rows.split(x)
     conv = assembly.convection_vector(mesh, dofmap, u)
-    final_res = ws.residual(u, p, mults, config.lambda_schedule[-1], conv) / scale
+    weak = ws.residual(ws.rows.unpinned(x), lam, conv)[:ws.rows.n_flow]
     meta = dict(ws.meta)
     meta.update({
         "problem": "navier-stokes",
-        "residual": final_res,
-        "weak_residual_unpinned": ws.unpinned_weak_residual(
-            u, p, config.lambda_schedule[-1], conv,
-            mults[len(ws.sparse_rows) + len(ws.pressure_rows)]) / scale,
+        "residual": np.linalg.norm(ws.residual(x, lam, conv)) / scale,
+        "weak_residual_unpinned": np.linalg.norm(weak) / scale,
         "iterations": len(trace.residuals),
         "factorizations": ws.factorizations,
-        "lambda": config.lambda_schedule[-1],
+        "lambda": lam,
         "pins": dict(config.pins or {}),
-        "stokes_lift_energy": 0.5 * float(lift @ (ws.A_base @ lift)),
+        "stokes_lift_energy": lift_energy,
     })
     if config.pins:
         meta["circulations"] = {
@@ -451,11 +405,12 @@ def _iterate(ws, config):
     return flow, trace
 
 
-def _solve_at_lambda(ws, config, lam, u, p, mults, trace, scale):
+def _solve_at_lambda(ws, config, lam, x, trace, scale):
     mesh, dofmap = ws.mesh, ws.dofmap
     damping = config.damping
+    u = ws.rows.split(x)[0]
     conv = assembly.convection_vector(mesh, dofmap, u)
-    res_prev = ws.residual(u, p, mults, lam, conv) / scale
+    res_prev = np.linalg.norm(ws.residual(x, lam, conv)) / scale
     growth_streak = 0
     newton_allowed = config.mode in ("newton", "picard-then-newton")
     picard_budget = {"picard": config.max_iterations,
@@ -470,14 +425,12 @@ def _solve_at_lambda(ws, config, lam, u, p, mults, trace, scale):
             phase = "picard"
         try:
             if phase == "picard":
-                u_new, p_new, mults_new, step = ws.solve_linear(
-                    ws.A_base, extra_rhs=-lam * conv)
+                x_new, step = ws.solve_linear(ws.A_base, extra_rhs=-lam * conv)
             else:
                 C, _ = assembly.assemble_convection(mesh, dofmap, u)
                 D = assembly.assemble_convection_newton(mesh, dofmap, u, lam)
-                A_op = ws.A_base + lam * C + D
-                u_new, p_new, mults_new, step = ws.solve_linear(
-                    A_op, extra_rhs=(D @ u), guess=(u, p, mults))
+                x_new, step = ws.solve_linear(
+                    ws.A_base + lam * C + D, extra_rhs=(D @ u), guess=x)
         except SolverError as exc:
             raise BranchDegeneracyError(
                 f"singular linearized system at lambda={lam:g}; a circulation pin "
@@ -486,17 +439,14 @@ def _solve_at_lambda(ws, config, lam, u, p, mults, trace, scale):
         # damped update, halving on residual growth
         alpha = damping
         for _ in range(6):
-            u_try = u + alpha * (u_new - u)
-            p_try = p + alpha * (p_new - p)
-            m_try = mults + alpha * (np.asarray(mults_new) - np.asarray(mults)) \
-                if len(mults) else mults_new
+            x_try = x + alpha * (x_new - x)
+            u_try = ws.rows.split(x_try)[0]
             conv_try = assembly.convection_vector(mesh, dofmap, u_try)
-            res_try = ws.residual(u_try, p_try, m_try, lam, conv_try) / scale
+            res_try = np.linalg.norm(ws.residual(x_try, lam, conv_try)) / scale
             if res_try <= res_prev or alpha < 0.05:
                 break
             alpha *= 0.5
-        u, p, mults = u_try, p_try, np.asarray(m_try)
-        conv = conv_try
+        x, u, conv = x_try, u_try, conv_try
         energy = 0.5 * float(u @ (ws.A_base @ u))
         trace.record(res_try, energy, alpha, f"{phase}@{lam:g}", step)
         growth_streak = growth_streak + 1 if res_try > res_prev else 0
@@ -510,7 +460,7 @@ def _solve_at_lambda(ws, config, lam, u, p, mults, trace, scale):
             raise NonConvergenceError(
                 f"no convergence within {config.max_iterations} iterations at "
                 f"lambda={lam:g} (residual {res_prev:.3e})", trace)
-    return u, p, mults, trace
+    return x, trace
 
 
 def _symmetry_defect(mesh, u):
@@ -543,28 +493,28 @@ def continuation_sweep(mesh, data, lambda_grid, config=None):
     if any(lam_grid[i] > lam_grid[i + 1] for i in range(len(lam_grid) - 1)):
         raise DataError("continuation grid must be nondecreasing")
     config = config or SolverConfig()
-    ws = _workspace(mesh, data, config)
+    ws = _Workspace(mesh, data, config)
 
     trace = IterationTrace()
-    u, p, mults, scale, _ = _stokes_lift(ws)
-    lift = u.copy()
+    x, scale, _ = _stokes_lift(ws)
+    lift, _ = ws.rows.split(x)
     out = []
     for lam in lam_grid:
         if lam > 0:
             try:
-                u, p, mults, trace = _solve_at_lambda(
-                    ws, config, lam, u, p, mults, trace, scale)
+                x, trace = _solve_at_lambda(ws, config, lam, x, trace, scale)
             except (NonConvergenceError, BranchDegeneracyError) as exc:
                 # keep the type, the traceback and a NonConvergenceError's trace
                 exc.args = (f"continuation failed at lambda={lam:g}: {exc}",)
                 raise
+        u, p = ws.rows.split(x)
         w = u - lift
         wnorm = float(np.sqrt(max(w @ (ws.A_base @ w), 0.0)))
         conv = assembly.convection_vector(mesh, ws.dofmap, u)
-        flow = FlowState(mesh=mesh, nu=data.nu, velocity=u.copy(),
+        res = np.linalg.norm(ws.residual(x, lam, conv)) / scale
+        flow = FlowState(mesh=mesh, nu=data.nu, velocity=u,
                          pressure=ws.physical_pressure(p),
                          metadata={"problem": "navier-stokes", "lambda": lam,
-                                   "residual": ws.residual(u, p, mults, lam, conv) / scale,
-                                   "w_norm": wnorm})
+                                   "residual": res, "w_norm": wnorm})
         out.append((lam, flow, wnorm))
     return out

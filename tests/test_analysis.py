@@ -8,7 +8,7 @@ from slipflow import analysis as an
 from slipflow import assembly as asm
 from slipflow import linear_solvers as ls
 from slipflow import norms, validation as val
-from slipflow.errors import MultivaluedStreamError
+from slipflow.errors import MultivaluedStreamError, SolverError
 from slipflow.linear_solvers import FlowState
 
 
@@ -177,6 +177,13 @@ class TestStreamFunction:
         flow = interpolated_flow(annulus_coarse, lambda x: np.zeros_like(x))
         psi = an.stream_function(flow)
         assert np.max(np.abs(psi)) < 1e-12
+
+    def test_non_finite_velocity_fails_the_residual_gate(self, annulus_coarse):
+        flow = interpolated_flow(annulus_coarse,
+                                 lambda x: np.stack([-x[:, 1], x[:, 0]], axis=1))
+        flow.velocity[7] = np.nan
+        with pytest.raises(SolverError, match="Neumann solve residual"):
+            an.stream_function(flow)
 
     def test_net_flux_rejected(self, hamel_family):
         flow = hamel_family["flows"][0.0][0]["flow"]

@@ -27,10 +27,16 @@ def hamel_config(tmp_path, **overrides):
 
 
 class TestConfig:
-    def test_shipped_schema_in_sync(self):
-        shipped = json.load(open(os.path.join(os.path.dirname(__file__), "..",
-                                              "docs", "config_schema.json")))
-        assert shipped == json.loads(json.dumps(cli.CONFIG_SCHEMA))
+    def test_packaged_schema_is_the_enforced_one(self, monkeypatch):
+        from importlib import resources
+        packaged = json.loads(
+            resources.files("slipflow").joinpath("config_schema.json").read_text())
+        assert packaged["required"] == ["domain", "physics", "boundary"]
+        seen = []
+        monkeypatch.setattr(cli.jsonschema, "validate",
+                            lambda cfg, schema: seen.append(schema))
+        cli.load_config(os.path.join(CONFIG_DIR, "hamel.json"))
+        assert seen == [packaged]
 
     def test_shipped_golden_configs_validate(self):
         for name in ("hamel", "couette", "theorem1_pass", "symmetric_domain"):

@@ -83,16 +83,17 @@ class TestIterationMechanics:
         mesh = annulus_coarse
         data = val.hamel(0.0).data
         ws = nvs._Workspace(mesh, data)
-        u0, p0, _, _ = ws.solve_linear(ws.A_base)         # the Stokes lift
-        C, conv = asm.assemble_convection(mesh, ws.dofmap, u0)
-        u1, p1, _, _ = ws.solve_linear(ws.A_base, extra_rhs=-conv)
+        x0, _ = ws.solve_linear(ws.A_base)                # the Stokes lift
+        C, conv = asm.assemble_convection(mesh, ws.dofmap, ws.rows.split(x0)[0])
+        x1, _ = ws.solve_linear(ws.A_base, extra_rhs=-conv)
+        u1, p1 = ws.rows.split(x1)
         # reference: a fresh saddle solve of the same viscous operator whose
         # right-hand side carries the frozen convection of the lift
         cs = ws.constrained_system(ws.A_base)
-        solver, offsets = ls.build_saddle_solver(cs)
-        u_ref, p_ref, _, _ = ls.solve_saddle_rhs(
-            cs, solver, offsets,
-            F_override=cs.F_f - ws.con.reduce_vector(conv))
+        solver = ls.build_saddle_solver(ws.rows, cs.A_ff)
+        x_ref, _ = ls.solve_saddle_rhs(ws.rows, solver,
+                                       cs.F_f - ws.con.reduce_vector(conv))
+        u_ref, p_ref = ws.rows.split(x_ref)
         assert np.allclose(u1, u_ref, atol=1e-12 * max(1.0, np.max(np.abs(u_ref))))
         assert np.allclose(p1, p_ref, atol=1e-10 * max(1.0, np.max(np.abs(p_ref))))
 
@@ -183,22 +184,21 @@ class TestOneFactorization:
 
     def test_krylov_newton_step_matches_direct_factorization(self, annulus_coarse):
         mesh = annulus_coarse
-        ws = nvs._workspace(mesh, val.hamel(1.0).data, nvs.SolverConfig(pins={1: 2 * np.pi}))
-        u, _, _, _, _ = nvs._stokes_lift(ws)
+        ws = nvs._Workspace(mesh, val.hamel(1.0).data, nvs.SolverConfig(pins={1: 2 * np.pi}))
+        x, _, _ = nvs._stokes_lift(ws)
+        u, _ = ws.rows.split(x)
         C, _ = asm.assemble_convection(mesh, ws.dofmap, u)
         D = asm.assemble_convection_newton(mesh, ws.dofmap, u)
         A_op = ws.A_base + C + D
-        u_k, p_k, m_k, step = ws.solve_linear(A_op, extra_rhs=D @ u)
+        x_k, step = ws.solve_linear(A_op, extra_rhs=D @ u)
         assert step.method == "krylov" and ws.factorizations == 1
         cs = ws.constrained_system(A_op)
-        solver, offsets = ls.build_saddle_solver(cs, sparse_rows=ws.sparse_rows)
-        u_d, p_d, m_d, _ = ls.solve_saddle_rhs(
-            cs, solver, offsets, sparse_vals=ws.sparse_vals,
-            F_override=cs.F_f + ws.con.reduce_vector(D @ u))
+        solver = ls.build_saddle_solver(ws.rows, cs.A_ff)
+        x_d, _ = ls.solve_saddle_rhs(ws.rows, solver, cs.F_f + ws.con.reduce_vector(D @ u))
+        (u_k, p_k), (u_d, p_d) = ws.rows.split(x_k), ws.rows.split(x_d)
         assert np.linalg.norm(u_k - u_d) <= 1e-10 * np.linalg.norm(u_d)
         assert np.linalg.norm(p_k - p_d) <= 1e-10 * np.linalg.norm(p_d)
         # the multipliers are small against the solution; compare them in its scale
-        x_k, x_d = np.concatenate([u_k, p_k, m_k]), np.concatenate([u_d, p_d, m_d])
         assert np.linalg.norm(x_k - x_d) <= 1e-10 * np.linalg.norm(x_d)
 
     def test_stall_rule_refactors_at_low_viscosity(self, factors):
@@ -215,12 +215,162 @@ class TestOneFactorization:
         assert factors["calls"] == flow.metadata["factorizations"] == 2
         assert factors["peak"] == 1
 
+    def test_one_factorization_per_symmetric_solve(self, annulus_coarse, factors):
+        flow = nvs.solve_symmetric(annulus_coarse, val.hamel(0.0).data,
+                                   nvs.SolverConfig(pins={1: 0.0}))
+        assert factors["calls"] == flow.metadata["factorizations"] == 1
+
     def test_picard_divergence_still_reported(self):
         from slipflow.errors import NonConvergenceError
         mesh = sf.mesh_annulus(1.0, 2.0, 10, 20)
         data = replace(val.hamel(1.0).data, nu=0.3)
         with pytest.raises(NonConvergenceError, match="grew for 5 consecutive"):
             nvs.solve_navier_stokes(mesh, data, nvs.SolverConfig(pins={1: 2 * np.pi}))
+
+
+def _loop_mirror_rows(mesh):
+    """Reference per-node construction of the dense mirror rows:
+    (velocity rows, pressure rows)."""
+    coords, mirror, tol = nvs._mirror_lookup(mesh)
+    n_vel = 2 * len(coords)
+    rows = []
+    for m, (x, y) in enumerate(coords):
+        if y < -tol:
+            continue
+        s = int(mirror[m])
+        on_axis = abs(y) <= tol
+        if mesh.node_is_boundary[m]:
+            if on_axis or s != m:
+                row = np.zeros(n_vel)
+                row[2 * m:2 * m + 2] = mesh.node_tangent[m]
+                if not on_axis:
+                    row[2 * s:2 * s + 2] = mesh.node_tangent[s]
+                rows.append(row)
+        elif on_axis:
+            row = np.zeros(n_vel)
+            row[2 * m + 1] = 1.0
+            rows.append(row)
+        elif s != m:
+            r1, r2 = np.zeros(n_vel), np.zeros(n_vel)
+            r1[2 * s], r1[2 * m] = 1.0, -1.0
+            r2[2 * s + 1], r2[2 * m + 1] = 1.0, 1.0
+            rows.extend([r1, r2])
+    nv = mesh.n_vertices
+    prows = []
+    for m in range(nv):
+        s = int(mirror[m])
+        if coords[m, 1] > tol and s != m:
+            row = np.zeros(nv)
+            row[s], row[m] = 1.0, -1.0
+            prows.append(row)
+    return np.array(rows), np.array(prows)
+
+
+def _cartesian_residual(ws, cart_rows, x, lam, unpinned=False):
+    """Reference residual: Cartesian momentum rotated afterwards, every
+    extra row applied one at a time, multipliers ordered velocity rows,
+    pressure rows, pressure mean, dense rows.  unpinned: only the momentum
+    and continuity parts, without the forces of the extra rows."""
+    velocity, vals, pressure, dense = cart_rows
+    con, nf, npres = ws.con, ws.rows.nf, ws.rows.npres
+    u, p = ws.rows.split(x)
+    mults = iter(x[nf + npres:])
+    conv = asm.convection_vector(ws.mesh, ws.dofmap, u)
+    r_m = (con.Q @ (ws.F - ws.A_base @ u - lam * conv - ws.B.T @ p))[con.free]
+    r_c = -(ws.B @ u)
+    keep = 0.0 if unpinned else 1.0
+    for row in velocity:
+        r_m -= keep * next(mults) * (con.Q @ row)[con.free]
+    for row in pressure:
+        r_c -= keep * next(mults) * row
+    r_c -= next(mults) * ws.mean
+    for row in dense:
+        r_m -= keep * next(mults) * (con.Q @ row)[con.free]
+    if unpinned:
+        return np.concatenate([r_m, r_c])
+    r_rows = [val - row @ u for row, val in zip(velocity, vals)]
+    r_rows += [-(row @ p) for row in pressure] + [-(ws.mean @ p)]
+    r_rows += [-(row @ u) for row in dense]
+    return np.concatenate([r_m, r_c, r_rows])
+
+
+class TestSaddleLayout:
+    def test_mirror_blocks_equal_the_per_node_rows(self, annulus_coarse):
+        ref_v, ref_p = _loop_mirror_rows(annulus_coarse)
+        assert np.array_equal(nvs._mirror_pair_rows(annulus_coarse).toarray(), ref_v)
+        assert np.array_equal(nvs._mirror_pressure_rows(annulus_coarse).toarray(), ref_p)
+        # the one S Q^T reduction gives the rows and offsets of a per-row one
+        ws = nvs._Workspace(annulus_coarse, val.hamel(0.0).data,
+                            nvs.SolverConfig(symmetric_subspace=True))
+        con = ws.con
+        rotated = np.array([con.Q @ row for row in ref_v])
+        assert np.array_equal(ws.rows.V.toarray(), rotated[:, con.free])
+        assert np.array_equal(ws.rows.v_rhs, -rotated[:, con.fixed] @ con.fixed_values)
+
+    def test_rows_reduce_like_a_per_row_rotation(self, annulus_coarse):
+        import scipy.sparse as sp
+        ws = nvs._Workspace(annulus_coarse, val.hamel(0.0).data)
+        con = ws.con
+        # a radial field: its normal parts meet the normal data without cancelling
+        radial = annulus_coarse.p2_coords().ravel()
+        row = asm.assemble_vector_mass(annulus_coarse, ws.dofmap) @ radial
+        rotated = con.Q @ row
+        offset = rotated[con.fixed] @ con.fixed_values
+        assert abs(offset) > 1e-3
+        layout = ls.SaddleLayout(ws.base, sp.csr_matrix(row), [0.5], dense_rows=[row])
+        assert np.array_equal(layout.V.toarray()[0], rotated[con.free])
+        assert np.array_equal(layout.D[0], rotated[con.free])
+        assert layout.v_rhs[0] == pytest.approx(0.5 - offset, rel=1e-14)
+        assert layout.d_rhs[0] == pytest.approx(-offset, rel=1e-14)
+
+    @pytest.mark.parametrize("case", ["pins", "symmetric", "rigid"])
+    def test_residual_matches_cartesian_reference(self, annulus_coarse, case):
+        mesh = annulus_coarse
+        data = val.hamel(1.0).data
+        dm = asm.DofMap(mesh)
+        cart_rows = ([], [], [], [])
+        if case == "pins":
+            config = nvs.SolverConfig(pins={1: 2 * np.pi})
+            cart_rows = ([asm.circulation_functional(mesh, dm, 1)], [2 * np.pi], [], [])
+        elif case == "symmetric":
+            data = val.hamel(0.0).data
+            config = nvs.SolverConfig(symmetric_subspace=True)
+            ref_v, ref_p = _loop_mirror_rows(mesh)
+            cart_rows = (ref_v, [0.0] * len(ref_v), ref_p, [])
+        else:
+            data = asm.ProblemData(nu=1.0, beta=(0.0, 0.0), a_star=(-1.5, 3.0),
+                                   b_tau=(0.0, 0.0), f=None)
+            config = nvs.SolverConfig()
+            mode = ls.rigid_rotation_mode(mesh)
+            cart_rows = ([], [], [], [asm.assemble_vector_mass(mesh, dm) @ mode.coefficients])
+        ws = nvs._Workspace(mesh, data, config)
+        x, _, _ = nvs._stokes_lift(ws)
+        # away from the solution, with every multiplier nonzero
+        x = x + 0.1 * np.sin(np.arange(len(x))) * np.max(np.abs(x))
+        conv = asm.convection_vector(mesh, ws.dofmap, ws.rows.split(x)[0])
+        r = ws.residual(x, 1.0, conv)
+        r_ref = _cartesian_residual(ws, cart_rows, x, 1.0)
+        assert len(r) == len(r_ref)
+        assert np.linalg.norm(r - r_ref) <= 1e-14 * np.linalg.norm(r_ref)
+        # the unpinned weak residual of the run report
+        weak = ws.residual(ws.rows.unpinned(x), 1.0, conv)[:ws.rows.n_flow]
+        weak_ref = _cartesian_residual(ws, cart_rows, x, 1.0, unpinned=True)
+        assert np.linalg.norm(weak - weak_ref) <= 1e-14 * np.linalg.norm(weak_ref)
+
+    def test_core_grid_does_not_grow_with_rows(self, annulus_coarse, monkeypatch):
+        grids = []
+        real = ls.sp.bmat
+
+        def bmat(blocks, *args, **kwargs):
+            grids.append((len(blocks), {len(row) for row in blocks}))
+            return real(blocks, *args, **kwargs)
+
+        monkeypatch.setattr(ls.sp, "bmat", bmat)
+        for config in (nvs.SolverConfig(), nvs.SolverConfig(symmetric_subspace=True)):
+            ws = nvs._Workspace(annulus_coarse, val.hamel(0.0).data, config)
+            ws.solve_linear(ws.A_base)
+        assert ws.rows.V.shape[0] > 100
+        assert grids == [(4, {4}), (4, {4})]
 
 
 class TestContinuation:
