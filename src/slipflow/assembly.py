@@ -390,23 +390,11 @@ def _boundary_quadrature(mesh):
     dNq = elements.edge_shape_deriv(s)
     rows = mesh.boundary_edges
     nb = len(rows)
-    nodes3 = np.zeros((nb, 3), np.int64)
-    comp = np.zeros(nb, np.int64)
-    tq = np.zeros((nb, EDGE_POINTS))
-    tri = np.zeros(nb, np.int64)
-    local = np.zeros(nb, np.int64)
-    nv = mesh.n_vertices
-    coords = mesh.p2_coords()
-    for k, row in enumerate(rows):
-        e = row["edge"]
-        a = mesh.triangles[row["tri"]][row["local"]]
-        b = mesh.triangles[row["tri"]][(row["local"] + 1) % 3]
-        nodes3[k] = (a, b, nv + e)
-        comp[k] = row["component"]
-        tq[k] = row["t0"] + s * (row["t1"] - row["t0"])
-        tri[k] = row["tri"]
-        local[k] = row["local"]
-    pts3 = coords[nodes3]                                   # [nb, 3, 2]
+    tri, local, comp = rows["tri"].copy(), rows["local"].copy(), rows["component"].copy()
+    nodes3 = np.column_stack([mesh.triangles[tri, local], mesh.triangles[tri, (local + 1) % 3],
+                              mesh.n_vertices + rows["edge"]])
+    tq = rows["t0"][:, None] + s * (rows["t1"] - rows["t0"])[:, None]
+    pts3 = mesh.p2_coords()[nodes3]                         # [nb, 3, 2]
     x = np.einsum("qi,kix->kqx", Nq, pts3)
     dx = np.einsum("qi,kix->kqx", dNq, pts3)
     speed = np.hypot(dx[..., 0], dx[..., 1])

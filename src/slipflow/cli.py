@@ -22,13 +22,21 @@ def config_schema():
     return json.loads(resources.files(__package__).joinpath("config_schema.json").read_text())
 
 
+@functools.cache
+def config_validator():
+    """The validator of config_schema(); the schema itself is checked once."""
+    schema = config_schema()
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def load_config(path):
     with open(path) as fh:
         cfg = json.load(fh)
-    try:
-        jsonschema.validate(cfg, config_schema())
-    except jsonschema.ValidationError as exc:
-        raise ConfigurationError(f"config validation failed: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(config_validator().iter_errors(cfg))
+    if error is not None:
+        raise ConfigurationError(f"config validation failed: {error.message}") from error
     return cfg
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import assembly, geometry
 from .errors import DataError, SolverError
-from .linear_solvers import _splu, solve_laplace_dirichlet, solve_laplace_neumann
+from .linear_solvers import _splu, dirichlet_solver, solve_laplace_neumann
 
 
 def _project_scalar_gradient(mesh, dofmap, scalar_coeffs, mass_lu=None):
@@ -92,10 +92,10 @@ def harmonic_basis(mesh, domain=None):
                              psi=np.zeros((0, dofmap.n_velocity)),
                              alpha=np.zeros((0, 0)), mass=mass)
     mass_lu = _splu(mass)
+    solve = dirichlet_solver(mesh)
     grads = []
     for k in range(1, N + 1):
-        values = [1.0 if j == k else 0.0 for j in range(domain.n_components)]
-        qk = solve_laplace_dirichlet(mesh, values)
+        qk = solve([1.0 if j == k else 0.0 for j in range(domain.n_components)])
         grads.append(_project_scalar_gradient(mesh, dofmap, qk, mass_lu))
     G = np.array([[gi @ (mass @ gj) for gj in grads] for gi in grads])
     try:

@@ -171,26 +171,36 @@ def solve_laplace_dirichlet(mesh, values):
 
     values: sequence of constants or callables(t, points), one per component.
     """
+    return dirichlet_solver(mesh)(values)
+
+
+def dirichlet_solver(mesh):
+    """solve(values) as solve_laplace_dirichlet, factoring the interior stiffness once."""
     K = scalar_stiffness(mesh)
     n = mesh.n_p2_nodes
-    fns = [assembly.as_boundary_scalar(v) for v in values]
     bnodes = np.nonzero(mesh.node_is_boundary)[0]
-    g = np.zeros(n)
     coords = mesh.p2_coords()
-    for comp in range(mesh.domain.n_components):
-        sel = bnodes[mesh.node_component[bnodes] == comp]
-        if len(sel):
-            g[sel] = np.asarray(fns[comp](mesh.node_param[sel], coords[sel]), float)
     free = np.ones(n, bool)
     free[bnodes] = False
     fidx = np.nonzero(free)[0]
-    rhs = -(K[fidx][:, bnodes] @ g[bnodes])
-    q = g.copy()
-    q[fidx] = _splu(K[fidx][:, fidx]).solve(rhs)
-    lo, hi = g[bnodes].min(), g[bnodes].max()
-    if q.min() < lo - 1e-8 or q.max() > hi + 1e-8:
-        raise SolverError("discrete maximum principle violated beyond tolerance")
-    return q
+    K_fb = K[fidx][:, bnodes]
+    lu = _splu(K[fidx][:, fidx])
+
+    def solve(values):
+        fns = [assembly.as_boundary_scalar(v) for v in values]
+        g = np.zeros(n)
+        for comp in range(mesh.domain.n_components):
+            sel = bnodes[mesh.node_component[bnodes] == comp]
+            if len(sel):
+                g[sel] = np.asarray(fns[comp](mesh.node_param[sel], coords[sel]), float)
+        q = g.copy()
+        q[fidx] = lu.solve(-(K_fb @ g[bnodes]))
+        lo, hi = g[bnodes].min(), g[bnodes].max()
+        if q.min() < lo - 1e-8 or q.max() > hi + 1e-8:
+            raise SolverError("discrete maximum principle violated beyond tolerance")
+        return q
+
+    return solve
 
 
 def solve_laplace_neumann(mesh, a_star):

@@ -9,6 +9,8 @@ run 0..nv-1 for vertices and nv..nv+ne-1 for edge nodes.
 import io
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Delaunay
 
 from . import geometry
@@ -51,27 +53,49 @@ class Mesh:
         d1 = v[t[:, 1]] - v[t[:, 0]]
         d2 = v[t[:, 2]] - v[t[:, 0]]
         area2 = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        if (area2 <= 0).any():
+        if not np.all(area2 > 0):  # NaN areas fail too
             raise MeshError("degenerate triangle with nonpositive area")
 
     def _build_edges(self):
         t = self.triangles
+        nt = len(t)
+        # pair p is local edge p // nt of triangle p % nt, in its ccw order
         pairs = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
         key = np.sort(pairs, axis=1)
         uniq, inverse, counts = np.unique(
             key, axis=0, return_inverse=True, return_counts=True)
         if counts.max() > 2:
             raise MeshError("non-conforming mesh: an edge is shared by more than 2 triangles")
+        inverse = inverse.reshape(-1)
         self.edges = uniq
-        nt = len(t)
         self.tri_edges = inverse.reshape(3, nt).T
         self._edge_count = counts
+        # the topological boundary: edges of one triangle, in edge-id order
+        own = np.nonzero(counts[inverse] == 1)[0]
+        own = own[np.argsort(inverse[own])]
+        table = np.zeros(len(own), dtype=[
+            ("edge", np.int64), ("tri", np.int64), ("local", np.int64),
+            ("a", np.int64), ("b", np.int64)])
+        table["edge"], table["tri"], table["local"] = inverse[own], own % nt, own // nt
+        table["a"], table["b"] = pairs[own, 0], pairs[own, 1]
+        self.topo_boundary = table
 
-    def _attach_boundary(self, bedge_list):
-        """bedge_list: rows (edge_id, tri, local, component, t0, t1)."""
+    def _attach_boundary(self, order, component, t0, t1):
+        """Tag the topological boundary rows `order` as boundary_edges.
+
+        Row k lies on curve component[k]; t0[k], t1[k] are the curve
+        parameters of its ends in the owning triangle's ccw order.
+        """
         nv, ne = len(self.vertices), len(self.edges)
-        midpoints = 0.5 * (self.vertices[self.edges[:, 0]] + self.vertices[self.edges[:, 1]])
-        self.edge_nodes = midpoints
+        rows = self.topo_boundary[order]
+        record = np.zeros(len(rows), dtype=[
+            ("edge", np.int64), ("tri", np.int64), ("local", np.int64),
+            ("component", np.int64), ("t0", float), ("t1", float)])
+        for name in ("edge", "tri", "local"):
+            record[name] = rows[name]
+        record["component"], record["t0"], record["t1"] = component, t0, t1
+        self.boundary_edges = record
+
         n_nodes = nv + ne
         self.node_is_boundary = np.zeros(n_nodes, bool)
         self.node_component = np.full(n_nodes, -1, np.int64)
@@ -79,38 +103,25 @@ class Mesh:
         self.node_normal = np.zeros((n_nodes, 2))
         self.node_tangent = np.zeros((n_nodes, 2))
         self.node_kappa = np.zeros(n_nodes)
+        # a node shared by two edges keeps the values of the later edge
+        tm = 0.5 * (record["t0"] + record["t1"])
+        nodes = np.column_stack([rows["a"], rows["b"], nv + rows["edge"]]).ravel()
+        self.node_is_boundary[nodes] = True
+        self.node_component[nodes] = np.repeat(record["component"], 3)
+        self.node_param[nodes] = np.column_stack([record["t0"], record["t1"], tm]).ravel() % 1.0
 
-        record = np.zeros(len(bedge_list), dtype=[
-            ("edge", np.int64), ("tri", np.int64), ("local", np.int64),
-            ("component", np.int64), ("t0", float), ("t1", float)])
-        for i, (e, tri, loc, comp, t0, t1) in enumerate(bedge_list):
-            record[i] = (e, tri, loc, comp, t0, t1)
-        self.boundary_edges = record
-
-        for e, tri, loc, comp, t0, t1 in bedge_list:
-            # params (t0, t1) belong to the local edge direction in `tri`
-            a, b = self.triangles[tri][loc], self.triangles[tri][(loc + 1) % 3]
-            self._set_node(a, comp, t0)
-            self._set_node(b, comp, t1)
-            self._set_node(nv + e, comp, 0.5 * (t0 + t1))
-            if self.snapped:
-                self.edge_nodes[e] = self.domain.curves[comp].point(
-                    np.array([0.5 * (t0 + t1)]))[0]
-
-        bnodes = np.nonzero(self.node_is_boundary)[0]
-        for comp in range(self.domain.n_components):
-            sel = bnodes[self.node_component[bnodes] == comp]
+        self.edge_nodes = 0.5 * (self.vertices[self.edges[:, 0]] + self.vertices[self.edges[:, 1]])
+        for comp, curve in enumerate(self.domain.curves):
+            sel = record["component"] == comp
+            if self.snapped and sel.any():
+                self.edge_nodes[rows["edge"][sel]] = curve.point(tm[sel])
+            sel = np.nonzero(self.node_component == comp)[0]
             if len(sel) == 0:
                 continue
             _, n, tau, kappa = geometry.frames_at(self.domain, comp, self.node_param[sel])
             self.node_normal[sel] = n
             self.node_tangent[sel] = tau
             self.node_kappa[sel] = kappa
-
-    def _set_node(self, node, comp, t):
-        self.node_is_boundary[node] = True
-        self.node_component[node] = comp
-        self.node_param[node] = t % 1.0
 
     # -- queries ----------------------------------------------------------
 
@@ -152,31 +163,15 @@ class Mesh:
 
     def boundary_loops_ok(self):
         """Boundary edges must form one closed loop per component."""
+        nv = len(self.vertices)
         for comp in range(self.domain.n_components):
-            rows = self.boundary_edges[self.boundary_edges["component"] == comp]
-            if len(rows) == 0:
+            ends = self.edges[self.boundary_edges["edge"][self.boundary_edges["component"] == comp]]
+            degree = np.bincount(ends.ravel(), minlength=nv)
+            if len(ends) == 0 or np.any((degree != 0) & (degree != 2)):
                 return False
-            degree = {}
-            for e in rows["edge"]:
-                for vtx in self.edges[e]:
-                    degree[vtx] = degree.get(vtx, 0) + 1
-            if any(d != 2 for d in degree.values()):
-                return False
-            # connectivity: walk the loop
-            adj = {}
-            for e in rows["edge"]:
-                va, vb = self.edges[e]
-                adj.setdefault(va, []).append(vb)
-                adj.setdefault(vb, []).append(va)
-            start = next(iter(adj))
-            seen = {start}
-            stack = [start]
-            while stack:
-                for nxt in adj[stack.pop()]:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-            if len(seen) != len(degree):
+            graph = sparse.coo_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(nv, nv))
+            _, label = connected_components(graph, directed=False)
+            if np.unique(label[degree > 0]).size != 1:
                 return False
         return True
 
@@ -201,15 +196,6 @@ class Mesh:
         return self
 
 
-def _unwrap(t0, t1):
-    """Choose the branch of t1 closest to t0 (curve params are periodic)."""
-    while t1 - t0 > 0.5:
-        t1 -= 1.0
-    while t1 - t0 < -0.5:
-        t1 += 1.0
-    return t0, t1
-
-
 def mesh_annulus(r_in, r_out, n_radial, n_angular):
     """Structured triangulation of the annulus r_in < |x| < r_out.
 
@@ -231,81 +217,76 @@ def mesh_annulus(r_in, r_out, n_radial, n_angular):
     rr, tt = np.meshgrid(radii, theta, indexing="ij")
     vertices = np.column_stack([(rr * np.cos(tt)).ravel(), (rr * np.sin(tt)).ravel()])
 
-    def vid(i, j):
-        return i * n_angular + (j % n_angular)
+    # vertex (ring i, angle j) is i * n_angular + j; quad (i, j) is a b c d
+    i, j = np.meshgrid(np.arange(n_radial), np.arange(n_angular), indexing="ij")
+    a = i * n_angular + j
+    d = i * n_angular + (j + 1) % n_angular
+    b, c = a + n_angular, d + n_angular
+    # alternate the quad diagonal across the x1-axis so the
+    # triangulation is mirror-symmetric (needed for symmetric solves)
+    lower = (j < n_angular // 2)[..., None]
+    tris = np.stack([np.where(lower, np.stack([a, b, c], -1), np.stack([a, b, d], -1)),
+                     np.where(lower, np.stack([a, c, d], -1), np.stack([b, c, d], -1))], axis=2)
+    mesh = Mesh(domain, vertices, tris.reshape(-1, 3), snapped=True)
 
-    tris = []
-    for i in range(n_radial):
-        for j in range(n_angular):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            # alternate the quad diagonal across the x1-axis so the
-            # triangulation is mirror-symmetric (needed for symmetric solves)
-            if j < n_angular // 2:
-                tris.append((a, b, c))
-                tris.append((a, c, d))
-            else:
-                tris.append((a, b, d))
-                tris.append((b, c, d))
-    mesh = Mesh(domain, vertices, np.array(tris), snapped=True)
-
-    # tag boundary edges by walking each ring
-    edge_lookup = {tuple(e): k for k, e in enumerate(np.sort(mesh.edges, axis=1).tolist())}
-    tri_of_edge = _edge_to_triangles(mesh)
-    bedges = []
-    for comp, ring_i, radius in ((0, n_radial, r_out), (1, 0, r_in)):
-        for j in range(n_angular):
-            va, vb = vid(ring_i, j), vid(ring_i, j + 1)
-            e = edge_lookup[tuple(sorted((va, vb)))]
-            (tri, loc), = tri_of_edge[e]
-            a = mesh.triangles[tri][loc]
-            t_a = (j if a == va else j + 1) / n_angular
-            t_b = (j + 1 if a == va else j) / n_angular
-            t_a, t_b = _unwrap(t_a, t_b)
-            bedges.append((e, tri, loc, comp, t_a, t_b))
-    mesh._attach_boundary(bedges)
+    # ring edge j joins angles j and j + 1; its ends sit at parameters j/n, (j+1)/n
+    top = mesh.topo_boundary
+    ring, ja = np.divmod(top["a"], n_angular)
+    jb = top["b"] % n_angular
+    walk = np.where((ja + 1) % n_angular == jb, ja, jb)
+    component = np.where(ring == n_radial, 0, 1)
+    order = np.lexsort((walk, component))
+    t0 = (walk + (ja != walk)) / n_angular
+    t1 = (walk + (jb != walk)) / n_angular
+    mesh._attach_boundary(order, component[order], t0[order], t1[order])
     return mesh.validate()
 
 
-def _edge_to_triangles(mesh):
-    """Map edge id -> list of (triangle, local edge index)."""
-    out = [[] for _ in range(len(mesh.edges))]
-    for tri in range(len(mesh.triangles)):
-        for loc in range(3):
-            out[mesh.tri_edges[tri, loc]].append((tri, loc))
-    return out
-
-
 def _tag_boundary_by_projection(mesh, max_rel_dist=0.1, snap_vertices=False):
-    """Match topological boundary edges to the nearest domain curve."""
-    tri_of_edge = _edge_to_triangles(mesh)
-    boundary = [e for e in range(len(mesh.edges)) if len(tri_of_edge[e]) == 1]
-    bedges = []
-    for e in boundary:
-        va, vb = mesh.edges[e]
-        (tri, loc), = tri_of_edge[e]
-        a = mesh.triangles[tri][loc]
-        b = mesh.triangles[tri][(loc + 1) % 3]
-        pa, pb = mesh.vertices[a], mesh.vertices[b]
-        elen = np.hypot(*(pb - pa))
-        best = None
-        for comp, curve in enumerate(mesh.domain.curves):
-            (ta, tb), dist = curve.project(np.array([pa, pb]))
-            worst = dist.max()
-            if best is None or worst < best[0]:
-                best = (worst, comp, ta, tb)
-        worst, comp, ta, tb = best
-        if worst > max_rel_dist * elen:
-            raise MeshImportError(
-                f"boundary edge ({va}, {vb}) lies {worst:.3e} from every domain curve")
-        ta, tb = _unwrap(ta, tb)
-        bedges.append((e, tri, loc, comp, ta, tb))
-        if snap_vertices:
-            curve = mesh.domain.curves[comp]
-            mesh.vertices[a] = curve.point(np.array([ta]))[0]
-            mesh.vertices[b] = curve.point(np.array([tb]))[0]
-    mesh._attach_boundary(bedges)
+    """Match topological boundary edges to the nearest domain curve.
+
+    With snap_vertices each edge, in edge-id order, moves its two ends onto
+    its curve; a vertex met again is projected from where it was left.
+    """
+    top = mesh.topo_boundary
+    ends = np.column_stack([top["a"], top["b"]])
+    pts = mesh.vertices[ends]
+    elen = np.hypot(*(pts[:, 1] - pts[:, 0]).T)
+    params, worst = [], []
+    for curve in mesh.domain.curves:
+        t, dist = curve.project(pts.reshape(-1, 2))
+        params.append(t.reshape(-1, 2))
+        worst.append(dist.reshape(-1, 2).max(axis=1))
+    comp = np.argmin(worst, axis=0)  # ties go to the first curve
+    rows = np.arange(len(top))
+    worst = np.asarray(worst)[comp, rows]
+    far = np.nonzero(worst > max_rel_dist * elen)[0]
+    if len(far):
+        va, vb = mesh.edges[top["edge"][far[0]]]
+        raise MeshImportError(
+            f"boundary edge ({va}, {vb}) lies {worst[far[0]]:.3e} from every domain curve")
+    t = np.asarray(params)[comp, rows]
+    if snap_vertices:
+        flat, curve_of = ends.ravel(), np.repeat(comp, 2)
+        by_vertex = np.argsort(flat, kind="stable")
+        rank = np.empty_like(flat)  # how many earlier edges end at the same vertex
+        rank[by_vertex] = np.arange(flat.size) - np.searchsorted(flat[by_vertex], flat[by_vertex])
+        for r in range(rank.max() + 1):
+            for k, curve in enumerate(mesh.domain.curves):
+                on = np.nonzero((rank == r) & (curve_of == k))[0]
+                if r:
+                    t.flat[on] = curve.project(mesh.vertices[flat[on]])[0]
+                mesh.vertices[flat[on]] = curve.point(_near_branch(t).flat[on])
+    mesh._attach_boundary(rows, comp, *_near_branch(t).T)
     return mesh
+
+
+def _near_branch(t):
+    """Edge end parameters [n, 2], the second moved by a period to lie
+    within half a period of the first (curve parameters are periodic)."""
+    ta, tb = t.T
+    return np.column_stack([ta, np.where(tb - ta > 0.5, tb - 1.0,
+                                         np.where(tb - ta < -0.5, tb + 1.0, tb))])
 
 
 def mesh_disk_with_holes(domain, target_h, smooth_rounds=6):
@@ -352,16 +333,7 @@ def mesh_disk_with_holes(domain, target_h, smooth_rounds=6):
     points = np.vstack(boundary_pts + [interior])
     for _ in range(smooth_rounds):
         tri = Delaunay(points)
-        simplices = _inside_triangles(tri.simplices, points, domain)
-        # Laplacian smoothing of interior points only
-        neighbor_sum = np.zeros_like(points)
-        neighbor_cnt = np.zeros(len(points))
-        for a, b in _tri_edge_pairs(simplices):
-            neighbor_sum[a] += points[b]
-            neighbor_cnt[a] += 1
-        movable = np.arange(len(points)) >= n_boundary
-        ok = movable & (neighbor_cnt > 0)
-        points[ok] = neighbor_sum[ok] / neighbor_cnt[ok, None]
+        points = _smooth(points, _inside_triangles(tri.simplices, points, domain), n_boundary)
 
     tri = Delaunay(points)
     simplices = _inside_triangles(tri.simplices, points, domain)
@@ -376,6 +348,19 @@ def mesh_disk_with_holes(domain, target_h, smooth_rounds=6):
     return mesh
 
 
+def _smooth(points, simplices, n_fixed):
+    """One Laplacian smoothing round: points past the first n_fixed move to
+    the mean of their edge neighbours (counted once per triangle)."""
+    pairs = _tri_edge_pairs(simplices)
+    neighbor_sum = np.zeros_like(points)
+    np.add.at(neighbor_sum, pairs[:, 0], points[pairs[:, 1]])
+    neighbor_cnt = np.bincount(pairs[:, 0], minlength=len(points))
+    ok = (np.arange(len(points)) >= n_fixed) & (neighbor_cnt > 0)
+    points = points.copy()
+    points[ok] = neighbor_sum[ok] / neighbor_cnt[ok, None]
+    return points
+
+
 def _tri_edge_pairs(simplices):
     pairs = np.concatenate([simplices[:, [0, 1]], simplices[:, [1, 2]], simplices[:, [2, 0]]])
     return np.vstack([pairs, pairs[:, ::-1]])
@@ -384,6 +369,10 @@ def _tri_edge_pairs(simplices):
 def _inside_triangles(simplices, points, domain):
     centroid = points[simplices].mean(axis=1)
     return simplices[domain.contains(centroid)]
+
+
+# reference coordinates of the P2 nodes v0 v1 v2 m01 m12 m20
+_P2_REFERENCE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.0], [0.5, 0.5], [0.0, 0.5]])
 
 
 def refine_nested(mesh):
@@ -398,87 +387,47 @@ def refine_nested(mesh):
     nv = mesh.n_vertices
     new_vertices = mesh.p2_coords()  # old vertices + old edge nodes
     old_tri_nodes = mesh.triangle_nodes()
-    children = []
-    child_parent = []
-    for tn in old_tri_nodes:
-        v0, v1, v2, m01, m12, m20 = tn
-        children.extend([
-            (v0, m01, m20), (v1, m12, m01), (v2, m20, m12), (m01, m12, m20)])
-    for p in range(len(old_tri_nodes)):
-        child_parent.extend([p] * 4)
-    new_mesh = Mesh(mesh.domain, new_vertices, np.array(children), snapped=False)
+    children = old_tri_nodes[:, [[0, 3, 5], [1, 4, 3], [2, 5, 4], [3, 4, 5]]].reshape(-1, 3)
+    new_mesh = Mesh(mesh.domain, new_vertices, children, snapped=False)
 
-    # place new edge nodes via the parent quadratic maps
-    coords = mesh.triangle_coords()
-    ref = {
-        (0, 1): (0.5, 0.0), (1, 2): (0.5, 0.5), (2, 0): (0.0, 0.5),
-        (0, 3): (0.25, 0.0), (3, 1): (0.75, 0.0),
-        (1, 4): (0.75, 0.25), (4, 2): (0.25, 0.75),
-        (2, 5): (0.0, 0.75), (5, 0): (0.0, 0.25),
-        (3, 4): (0.5, 0.25), (4, 5): (0.25, 0.5), (5, 3): (0.25, 0.25),
-    }
-    local_of = {}
-    for key, mid in ref.items():
-        local_of[key] = mid
-        local_of[key[::-1]] = mid
-
-    edge_nodes = 0.5 * (new_vertices[new_mesh.edges[:, 0]] + new_vertices[new_mesh.edges[:, 1]])
-    placed = np.zeros(len(new_mesh.edges), bool)
+    # each new edge node is placed by the parent quadratic map of the first
+    # child that reaches it, at the mean of its ends' parent reference points
+    first = np.unique(new_mesh.tri_edges.ravel(), return_index=True)[1]
+    child, loc = np.divmod(first, 3)
+    parent = child // 4
+    ends = new_mesh.triangles[child[:, None], np.column_stack([loc, (loc + 1) % 3])]
+    parent_nodes = old_tri_nodes[parent]
+    local = np.argmax(parent_nodes[:, None, :] == ends[:, :, None], axis=2)
+    shape = p2_shape(0.5 * _P2_REFERENCE[local].sum(axis=1))
+    edge_nodes = np.matmul(shape[:, None, :], mesh.triangle_coords()[parent])[:, 0]
     n_old = mesh.n_p2_nodes
     n_new = new_mesh.n_p2_nodes
-    prol_rows, prol_cols, prol_vals = [], [], []
-    for node in range(n_old):  # old vertices and edge nodes keep their values
-        prol_rows.append(node)
-        prol_cols.append(node)
-        prol_vals.append(1.0)
-    for child_idx, tri in enumerate(new_mesh.triangles):
-        parent = child_parent[child_idx]
-        parent_nodes = list(old_tri_nodes[parent])
-        lookup = {g: l for l, g in enumerate(parent_nodes)}
-        for loc in range(3):
-            e = new_mesh.tri_edges[child_idx, loc]
-            if placed[e]:
-                continue
-            ga, gb = tri[loc], tri[(loc + 1) % 3]
-            la, lb = lookup[ga], lookup[gb]
-            midref = np.array([local_of[(la, lb)]])
-            shape = p2_shape(midref)[0]
-            edge_nodes[e] = shape @ coords[parent]
-            fine_node = len(new_vertices) + e
-            for l in range(6):
-                prol_rows.append(fine_node)
-                prol_cols.append(parent_nodes[l])
-                prol_vals.append(shape[l])
-            placed[e] = True
+    # old vertices and edge nodes keep their values
+    prol_rows = np.concatenate([np.arange(n_old),
+                                np.repeat(len(new_vertices) + np.arange(len(first)), 6)])
+    prol_cols = np.concatenate([np.arange(n_old), parent_nodes.ravel()])
+    prol_vals = np.concatenate([np.ones(n_old), shape.ravel()])
 
-    # boundary tagging: split parent boundary edges at the midpoint parameter
-    old_bedges = mesh.boundary_edges
-    edge_lookup = {tuple(e): k for k, e in enumerate(np.sort(new_mesh.edges, axis=1).tolist())}
-    tri_of_edge = _edge_to_triangles(new_mesh)
-    bedges = []
-    for row in old_bedges:
-        e_old = row["edge"]
-        va, vb = mesh.edges[e_old]
-        mid = nv + e_old  # old midside node is now a vertex
-        tri_old = row["tri"]
-        loc = row["local"]
-        a_old = mesh.triangles[tri_old][loc]
-        t_first, t_second = row["t0"], row["t1"]
-        if a_old != va:
-            va, vb = vb, va
-        tm = 0.5 * (t_first + t_second)
-        for (x, y, ta, tb) in ((va, mid, t_first, tm), (mid, vb, tm, t_second)):
-            e_new = edge_lookup[tuple(sorted((int(x), int(y))))]
-            (tri_new, loc_new), = tri_of_edge[e_new]
-            a_new = new_mesh.triangles[tri_new][loc_new]
-            if a_new == x:
-                bedges.append((e_new, tri_new, loc_new, int(row["component"]), ta, tb))
-            else:
-                bedges.append((e_new, tri_new, loc_new, int(row["component"]), tb, ta))
-    new_mesh._attach_boundary(bedges)
+    # boundary tagging: a parent boundary row k splits at its midpoint
+    # parameter into rows 2k (first end to midside) and 2k + 1
+    old = mesh.boundary_edges
+    top = new_mesh.topo_boundary
+    mid = np.maximum(top["a"], top["b"])  # the old midside node, now a vertex
+    row_of = np.zeros(len(mesh.edges), np.int64)
+    row_of[old["edge"]] = np.arange(len(old))
+    k = row_of[mid - nv]
+    row = old[k]
+    second = np.minimum(top["a"], top["b"]) != mesh.triangles[row["tri"], row["local"]]
+    tm = 0.5 * (row["t0"] + row["t1"])
+    t_first = np.where(second, tm, row["t0"])
+    t_last = np.where(second, row["t1"], tm)
+    reverse = (top["a"] == mid) != second
+    t0 = np.where(reverse, t_last, t_first)
+    t1 = np.where(reverse, t_first, t_last)
+    order = np.argsort(2 * k + second)
+    new_mesh._attach_boundary(order, row["component"][order], t0[order], t1[order])
     new_mesh.edge_nodes = edge_nodes  # keep parent-map geometry, no snapping
-    from scipy.sparse import csr_matrix
-    new_mesh.prolongation = csr_matrix(
+    new_mesh.prolongation = sparse.csr_matrix(
         (prol_vals, (prol_rows, prol_cols)), shape=(n_new, n_old))
     return new_mesh
 
@@ -504,16 +453,14 @@ def write_mesh(mesh, basename, header=None):
         if header:
             print(f"# {header}", file=fh)
         print(f"{len(mesh.triangles)} 3 0", file=fh)
-        for i, (a, b, c) in enumerate(mesh.triangles):
-            print(f"{i} {a} {b} {c}", file=fh)
+        np.savetxt(fh, np.column_stack([np.arange(len(mesh.triangles)), mesh.triangles]), "%d")
 
     with open(f"{basename}.bnd", "w") as fh:
         if header:
             print(f"# {header}", file=fh)
         print(f"{len(mesh.boundary_edges)}", file=fh)
-        for row in mesh.boundary_edges:
-            va, vb = mesh.edges[row["edge"]]
-            print(f"{va} {vb} {row['component']}", file=fh)
+        np.savetxt(fh, np.column_stack([mesh.edges[mesh.boundary_edges["edge"]],
+                                        mesh.boundary_edges["component"]]), "%d")
 
 
 def import_mesh(node_file, ele_file, domain):
@@ -530,45 +477,67 @@ def import_mesh(node_file, ele_file, domain):
 
 
 def _read_node(path):
-    rows = _data_rows(path)
-    header = rows[0]
-    n = int(header[0])
-    if len(rows) - 1 != n:
-        raise MeshImportError(f"{path}: expected {n} node rows, found {len(rows) - 1}")
-    ids = [int(r[0]) for r in rows[1:]]
-    base = min(ids)
-    if sorted(ids) != list(range(base, base + n)):
+    header, rows = _data_rows(path)
+    n = _columns(path, [header], (int,))[0][0]
+    if len(rows) != n:
+        raise MeshImportError(f"{path}: expected {n} node rows, found {len(rows)}")
+    if n == 0:
+        raise MeshImportError(f"{path}: no nodes")
+    ids, x, y = _columns(path, rows, (int, float, float))
+    base = ids.min()
+    if not np.array_equal(np.sort(ids), np.arange(base, base + n)):
         raise MeshImportError(f"{path}: node ids must be consecutive")
+    bad = ~(np.isfinite(x) & np.isfinite(y))
+    if bad.any():
+        raise MeshImportError(f"{path}, line {rows[np.argmax(bad)][0]}: coordinate is not finite")
     verts = np.zeros((n, 2))
-    for r in rows[1:]:
-        verts[int(r[0]) - base] = (float(r[1]), float(r[2]))
+    verts[ids - base] = np.column_stack([x, y])
     return verts, base
 
 
 def _read_ele(path, base, nv):
-    rows = _data_rows(path)
-    header = rows[0]
-    n = int(header[0])
-    per = int(header[1])
+    header, rows = _data_rows(path)
+    n, per = (col[0] for col in _columns(path, [header], (int, int)))
     if per != 3:
         raise MeshImportError(f"{path}: only 3-node triangles supported, got {per}")
-    if len(rows) - 1 != n:
-        raise MeshImportError(f"{path}: expected {n} element rows, found {len(rows) - 1}")
+    if len(rows) != n:
+        raise MeshImportError(f"{path}: expected {n} element rows, found {len(rows)}")
+    if n == 0:
+        raise MeshImportError(f"{path}: no elements")
+    ids, *corners = _columns(path, rows, (int, int, int, int))
+    if not np.array_equal(np.sort(ids), np.arange(base, base + n)):
+        raise MeshImportError(f"{path}: element ids must be consecutive from {base}")
     tris = np.zeros((n, 3), np.int64)
-    for r in rows[1:]:
-        tris[int(r[0]) - base] = [int(r[1]) - base, int(r[2]) - base, int(r[3]) - base]
+    tris[ids - base] = np.column_stack(corners) - base
     if tris.min() < 0 or tris.max() >= nv:
         raise MeshImportError(f"{path}: vertex index out of range")
     return tris
 
 
 def _data_rows(path):
+    """(line number, fields) of the header and of each data row."""
     rows = []
     with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                rows.append(line.split())
+        for number, line in enumerate(fh, 1):
+            fields = line.split("#", 1)[0].split()
+            if fields:
+                rows.append((number, fields))
     if not rows:
         raise MeshImportError(f"{path}: empty file")
-    return rows
+    return rows[0], rows[1:]
+
+
+def _columns(path, rows, kinds):
+    """The leading fields of `rows` parsed by `kinds`, one array per kind."""
+    cols = [np.empty(len(rows), kind) for kind in kinds]
+    for i, (number, fields) in enumerate(rows):
+        if len(fields) < len(kinds):
+            raise MeshImportError(
+                f"{path}, line {number}: expected {len(kinds)} fields, found {len(fields)}")
+        for col, kind, field in zip(cols, kinds, fields):
+            try:
+                col[i] = kind(field)
+            except (ValueError, OverflowError):
+                raise MeshImportError(
+                    f"{path}, line {number}: cannot read {field!r} as {kind.__name__}") from None
+    return cols

@@ -27,16 +27,19 @@ def hamel_config(tmp_path, **overrides):
 
 
 class TestConfig:
-    def test_packaged_schema_is_the_enforced_one(self, monkeypatch):
+    def test_packaged_schema_is_the_enforced_one(self, tmp_path, monkeypatch):
         from importlib import resources
         packaged = json.loads(
             resources.files("slipflow").joinpath("config_schema.json").read_text())
         assert packaged["required"] == ["domain", "physics", "boundary"]
-        seen = []
-        monkeypatch.setattr(cli.jsonschema, "validate",
-                            lambda cfg, schema: seen.append(schema))
-        cli.load_config(os.path.join(CONFIG_DIR, "hamel.json"))
-        assert seen == [packaged]
+        assert cli.config_validator().schema == packaged
+        # an output key that nothing but the packaged schema forbids
+        path = hamel_config(tmp_path, output={"directory": str(tmp_path), "note": "x"})
+        argv = ["mesh", "--config", path, "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        permissive = type(cli.config_validator())({})
+        monkeypatch.setattr(cli, "config_validator", lambda: permissive)
+        assert cli.main(argv) == 0
 
     def test_shipped_golden_configs_validate(self):
         for name in ("hamel", "couette", "theorem1_pass", "symmetric_domain"):
@@ -61,6 +64,32 @@ class TestConfig:
             boundary={"a_star": ["__import__('os').system('true')", "0.0"],
                       "b_tau": [0.0, 0.0]})
         assert cli.main(["audit", "--config", path, "--out", str(tmp_path)]) == 2
+
+
+class TestMeshImport:
+    @pytest.mark.parametrize("suffix, pick, edit", [
+        ("node", lambda fields: True, lambda fields: fields[:2]),   # no y coordinate
+        ("ele", lambda fields: True, lambda fields: fields[:1] + ["1.5"] + fields[2:]),
+        ("node", lambda fields: fields[-1] == "0",                  # an interior vertex
+         lambda fields: fields[:1] + ["nan"] + fields[2:]),
+    ], ids=["short-node-row", "non-integer-ele-field", "nan-interior-coordinate"])
+    def test_malformed_mesh_file_exit_code(self, tmp_path, capsys, suffix, pick, edit):
+        path = hamel_config(tmp_path, mesh={"generator": "annulus", "n_radial": 4,
+                                            "n_angular": 16})
+        written = tmp_path / "written"
+        assert cli.main(["mesh", "--config", path, "--out", str(written)]) == 0
+        target = written / f"mesh.{suffix}"
+        lines = target.read_text().splitlines()
+        data = [i for i, line in enumerate(lines) if line and not line.startswith("#")][1:]
+        row = next(i for i in data if pick(lines[i].split()))
+        lines[row] = " ".join(edit(lines[row].split()))
+        target.write_text("\n".join(lines) + "\n")
+        path = hamel_config(tmp_path, mesh={"generator": "import",
+                                            "node_file": str(written / "mesh.node"),
+                                            "ele_file": str(written / "mesh.ele")})
+        capsys.readouterr()
+        assert cli.main(["mesh", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert f"mesh.{suffix}, line {row + 1}:" in capsys.readouterr().err
 
 
 class TestSubcommands:

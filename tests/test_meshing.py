@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 import slipflow as sf
 from slipflow import elements, geometry, meshing
@@ -148,3 +149,210 @@ class TestNestedRefinement:
         ff = fine.prolongation @ f
         fc = fine.p2_coords()
         assert np.allclose(ff, 1.0 + 2 * fc[:, 0] - fc[:, 1], atol=1e-12)
+
+
+# -- reference walks: the per-edge loops the Mesh boundary table replaced ----
+
+def _edge_to_triangles(mesh):
+    out = [[] for _ in range(len(mesh.edges))]
+    for tri in range(len(mesh.triangles)):
+        for loc in range(3):
+            out[mesh.tri_edges[tri, loc]].append((tri, loc))
+    return out
+
+
+def _unwrap(t0, t1):
+    while t1 - t0 > 0.5:
+        t1 -= 1.0
+    while t1 - t0 < -0.5:
+        t1 += 1.0
+    return t0, t1
+
+
+def _ring_walk(mesh, n_radial, n_angular):
+    """Boundary rows (edge, tri, local, component, t0, t1), ring by ring."""
+    def vid(i, j):
+        return i * n_angular + (j % n_angular)
+    edge_lookup = {tuple(e): k for k, e in enumerate(np.sort(mesh.edges, axis=1).tolist())}
+    tri_of_edge = _edge_to_triangles(mesh)
+    rows = []
+    for comp, ring in ((0, n_radial), (1, 0)):
+        for j in range(n_angular):
+            va, vb = vid(ring, j), vid(ring, j + 1)
+            e = edge_lookup[tuple(sorted((va, vb)))]
+            (tri, loc), = tri_of_edge[e]
+            a = mesh.triangles[tri][loc]
+            t_a = (j if a == va else j + 1) / n_angular
+            t_b = (j + 1 if a == va else j) / n_angular
+            rows.append((e, tri, loc, comp, *_unwrap(t_a, t_b)))
+    return rows
+
+
+def _projection_walk(mesh):
+    """Boundary rows by projecting each boundary edge on every curve."""
+    tri_of_edge = _edge_to_triangles(mesh)
+    rows = []
+    for e in range(len(mesh.edges)):
+        if len(tri_of_edge[e]) != 1:
+            continue
+        (tri, loc), = tri_of_edge[e]
+        a, b = mesh.triangles[tri][loc], mesh.triangles[tri][(loc + 1) % 3]
+        best = None
+        for comp, curve in enumerate(mesh.domain.curves):
+            (ta, tb), dist = curve.project(np.array([mesh.vertices[a], mesh.vertices[b]]))
+            if best is None or dist.max() < best[0]:
+                best = (dist.max(), comp, ta, tb)
+        _, comp, ta, tb = best
+        rows.append((e, tri, loc, comp, *_unwrap(ta, tb)))
+    return rows
+
+
+def _attached(mesh, rows, snapped=True):
+    """boundary_edges, node_* and edge_nodes as the per-edge loop set them."""
+    nv, n = mesh.n_vertices, mesh.n_p2_nodes
+    out = {"boundary_edges": np.array(rows, dtype=[
+               ("edge", np.int64), ("tri", np.int64), ("local", np.int64),
+               ("component", np.int64), ("t0", float), ("t1", float)]),
+           "node_is_boundary": np.zeros(n, bool),
+           "node_component": np.full(n, -1, np.int64),
+           "node_param": np.zeros(n),
+           "edge_nodes": 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])}
+    for e, tri, loc, comp, t0, t1 in rows:
+        a, b = mesh.triangles[tri][loc], mesh.triangles[tri][(loc + 1) % 3]
+        for node, t in ((a, t0), (b, t1), (nv + e, 0.5 * (t0 + t1))):
+            out["node_is_boundary"][node] = True
+            out["node_component"][node] = comp
+            out["node_param"][node] = t % 1.0
+        if snapped:
+            out["edge_nodes"][e] = mesh.domain.curves[comp].point(np.array([0.5 * (t0 + t1)]))[0]
+    out["node_normal"], out["node_tangent"], out["node_kappa"] = (
+        np.zeros((n, 2)), np.zeros((n, 2)), np.zeros(n))
+    for comp in range(mesh.domain.n_components):
+        sel = np.nonzero(out["node_is_boundary"] & (out["node_component"] == comp))[0]
+        _, nrm, tau, kappa = geometry.frames_at(mesh.domain, comp, out["node_param"][sel])
+        out["node_normal"][sel], out["node_tangent"][sel], out["node_kappa"][sel] = nrm, tau, kappa
+    return out
+
+
+def _smoothed(points, simplices, n_fixed):
+    neighbor_sum = np.zeros_like(points)
+    neighbor_cnt = np.zeros(len(points))
+    for a, b in meshing._tri_edge_pairs(simplices):
+        neighbor_sum[a] += points[b]
+        neighbor_cnt[a] += 1
+    ok = (np.arange(len(points)) >= n_fixed) & (neighbor_cnt > 0)
+    out = points.copy()
+    out[ok] = neighbor_sum[ok] / neighbor_cnt[ok, None]
+    return out
+
+
+_CHILD_EDGE_MID = {
+    (0, 3): (0.25, 0.0), (3, 1): (0.75, 0.0), (1, 4): (0.75, 0.25), (4, 2): (0.25, 0.75),
+    (2, 5): (0.0, 0.75), (5, 0): (0.0, 0.25),
+    (3, 4): (0.5, 0.25), (4, 5): (0.25, 0.5), (5, 3): (0.25, 0.25)}
+
+
+def _refined(mesh):
+    """Arrays and prolongation of refine_nested, child by child."""
+    nv = mesh.n_vertices
+    old_tri_nodes = mesh.triangle_nodes()
+    children = []
+    for v0, v1, v2, m01, m12, m20 in old_tri_nodes:
+        children.extend([(v0, m01, m20), (v1, m12, m01), (v2, m20, m12), (m01, m12, m20)])
+    fine = meshing.Mesh(mesh.domain, mesh.p2_coords(), np.array(children), snapped=False)
+    coords = mesh.triangle_coords()
+    edge_nodes = np.zeros((len(fine.edges), 2))
+    placed = np.zeros(len(fine.edges), bool)
+    prol = [(node, node, 1.0) for node in range(mesh.n_p2_nodes)]
+    for child, tri in enumerate(fine.triangles):
+        parent_nodes = list(old_tri_nodes[child // 4])
+        for loc in range(3):
+            e = fine.tri_edges[child, loc]
+            if placed[e]:
+                continue
+            la, lb = parent_nodes.index(tri[loc]), parent_nodes.index(tri[(loc + 1) % 3])
+            mid = _CHILD_EDGE_MID.get((la, lb)) or _CHILD_EDGE_MID[(lb, la)]
+            shape = elements.p2_shape(np.array([mid]))[0]
+            edge_nodes[e] = shape @ coords[child // 4]
+            prol += [(fine.n_vertices + e, parent_nodes[l], shape[l]) for l in range(6)]
+            placed[e] = True
+    edge_lookup = {tuple(e): k for k, e in enumerate(np.sort(fine.edges, axis=1).tolist())}
+    tri_of_edge = _edge_to_triangles(fine)
+    rows = []
+    for e_old, tri_old, loc, comp, t0, t1 in mesh.boundary_edges.tolist():
+        a, b = mesh.triangles[tri_old][loc], mesh.triangles[tri_old][(loc + 1) % 3]
+        tm = 0.5 * (t0 + t1)
+        for x, y, ta, tb in ((a, nv + e_old, t0, tm), (nv + e_old, b, tm, t1)):
+            e = edge_lookup[tuple(sorted((int(x), int(y))))]
+            (tri, loc_new), = tri_of_edge[e]
+            flip = fine.triangles[tri][loc_new] != x
+            rows.append((e, tri, loc_new, comp, *((tb, ta) if flip else (ta, tb))))
+    expected = _attached(fine, rows, snapped=False)
+    expected["edge_nodes"] = edge_nodes
+    expected["triangles"] = fine.triangles
+    r, c, v = zip(*prol)
+    return expected, csr_matrix((v, (r, c)), shape=(fine.n_p2_nodes, mesh.n_p2_nodes))
+
+
+def _assert_bitwise(mesh, expected):
+    for name, value in expected.items():
+        got = getattr(mesh, name)
+        assert got.dtype == value.dtype and got.shape == value.shape, name
+        assert got.tobytes() == value.tobytes(), name
+
+
+def _two_hole_domain():
+    return geometry.DomainSpec([geometry.Circle((0, 0), 3.0), geometry.Circle((-1.2, 0), 0.6),
+                                geometry.Circle((1.3, 0), 0.5)])
+
+
+class TestBoundaryTable:
+    def test_annulus_matches_ring_walk(self):
+        mesh = sf.mesh_annulus(1, 2, 4, 16)
+        ref = meshing.Mesh(mesh.domain, mesh.vertices, mesh.triangles.copy())
+        _assert_bitwise(mesh, _attached(ref, _ring_walk(ref, 4, 16)))
+
+    def test_disk_matches_projection_walk(self):
+        mesh = sf.mesh_disk_with_holes(_two_hole_domain(), 0.15)
+        ref = meshing.Mesh(mesh.domain, mesh.vertices, mesh.triangles.copy())
+        _assert_bitwise(mesh, _attached(ref, _projection_walk(ref)))
+
+    def test_smoothing_matches_pair_loop(self):
+        mesh = sf.mesh_disk_with_holes(_two_hole_domain(), 0.15)
+        rng = np.random.default_rng(0)
+        points = mesh.vertices + 0.01 * rng.standard_normal(mesh.vertices.shape)
+        got = meshing._smooth(points, mesh.triangles, 100)
+        assert got.tobytes() == _smoothed(points, mesh.triangles, 100).tobytes()
+
+    def test_two_refinements_match_child_loop(self):
+        mesh = sf.mesh_annulus(1, 2, 4, 16)
+        for _ in range(2):
+            expected, prolongation = _refined(mesh)
+            mesh = sf.refine_nested(mesh)
+            _assert_bitwise(mesh, expected)
+            for name in ("indptr", "indices", "data"):
+                assert (getattr(mesh.prolongation, name).tobytes()
+                        == getattr(prolongation, name).tobytes()), name
+
+    def test_untagged_boundary_edge_rejected(self):
+        ann = sf.mesh_annulus(1, 2, 4, 16)
+        disk = geometry.DomainSpec([ann.domain.curves[0]])
+        mesh = meshing.Mesh(disk, ann.vertices, ann.triangles.copy())
+        outer = ann.boundary_edges[ann.boundary_edges["component"] == 0]
+        order = np.searchsorted(mesh.topo_boundary["edge"], outer["edge"])
+        mesh._attach_boundary(order, outer["component"], outer["t0"], outer["t1"])
+        assert mesh.boundary_loops_ok()
+        with pytest.raises(MeshError, match="interior edge"):
+            mesh.validate()
+
+    def test_component_with_two_loops_rejected(self):
+        # both rings of an annulus tagged as the single component of a disk
+        ann = sf.mesh_annulus(1, 2, 4, 16)
+        disk = geometry.DomainSpec([ann.domain.curves[0]])
+        mesh = meshing.Mesh(disk, ann.vertices, ann.triangles.copy(), snapped=False)
+        rows = ann.boundary_edges
+        order = np.searchsorted(mesh.topo_boundary["edge"], rows["edge"])
+        mesh._attach_boundary(order, np.zeros(len(rows), np.int64), rows["t0"], rows["t1"])
+        assert not mesh.boundary_loops_ok()
+        with pytest.raises(MeshError, match="one closed loop"):
+            mesh.validate()
