@@ -57,25 +57,6 @@ def total_head(flow, mass_lu=None):
     return _scalar_projection(mesh, p + 0.5 * np.einsum("tqx,tqx->tq", u, u), mass_lu)
 
 
-@dataclass
-class DiagnosticsFields:
-    vorticity: np.ndarray
-    total_head: np.ndarray
-    stream: np.ndarray | None
-
-
-def diagnostics_fields(flow, with_stream=True):
-    psi = None
-    if with_stream:
-        try:
-            psi = stream_function(flow)
-        except MultivaluedStreamError:
-            psi = None
-    mass_lu = scalar_mass_factor(flow.mesh)
-    return DiagnosticsFields(vorticity=vorticity(flow, mass_lu),
-                             total_head=total_head(flow, mass_lu), stream=psi)
-
-
 # -- Bernoulli-type boundary diagnostics --------------------------------------
 
 def boundary_head(flow):

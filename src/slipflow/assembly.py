@@ -232,6 +232,20 @@ def _interleave(block_iajb):
     return block_iajb.reshape(nt, 12, 12)
 
 
+def _componentwise(dofmap, nodes, blk):
+    """blk (x) I_2 in interleaved dofs from scalar [t, 6, 6] element blocks.
+
+    The zero x-y blocks are scattered with the rest and then dropped:
+    scattering the diagonal blocks alone would change the order in which
+    the duplicates are summed, and with it the last bits of the values.
+    """
+    block = np.einsum("tij,ab->tiajb", blk, np.eye(2))
+    _, rows, cols = _vector_pattern(dofmap, nodes)
+    out = _scatter(rows, cols, _interleave(block), (dofmap.n_velocity, dofmap.n_velocity))
+    out.eliminate_zeros()
+    return out
+
+
 def assemble_viscous(mesh, dofmap, nu):
     """Matrix of (nu/2) * integral S(u):S(phi) over curved elements."""
     ctx = volume_context(mesh)
@@ -248,9 +262,7 @@ def assemble_vector_mass(mesh, dofmap):
     ctx = volume_context(mesh)
     nodes = ctx.nodes
     m = np.einsum("tq,qi,qj->tij", ctx.dv, ctx.N, ctx.N, optimize=True)
-    block = np.einsum("tij,ab->tiajb", m, np.eye(2))
-    _, rows, cols = _vector_pattern(dofmap, nodes)
-    return _scatter(rows, cols, _interleave(block), (dofmap.n_velocity, dofmap.n_velocity))
+    return _componentwise(dofmap, nodes, m)
 
 
 def assemble_vector_gradient(mesh, dofmap):
@@ -258,9 +270,7 @@ def assemble_vector_gradient(mesh, dofmap):
     ctx = volume_context(mesh)
     nodes, g = ctx.nodes, ctx.grads
     same = np.einsum("tq,tqix,tqjx->tij", ctx.dv, g, g, optimize=True)
-    block = np.einsum("tij,ab->tiajb", same, np.eye(2))
-    _, rows, cols = _vector_pattern(dofmap, nodes)
-    return _scatter(rows, cols, _interleave(block), (dofmap.n_velocity, dofmap.n_velocity))
+    return _componentwise(dofmap, nodes, same)
 
 
 def assemble_divergence(mesh, dofmap):

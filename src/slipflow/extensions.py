@@ -14,21 +14,24 @@ import numpy as np
 
 from . import assembly, geometry
 from .errors import DataError, SolverError
-from .linear_solvers import _splu, dirichlet_solver, solve_laplace_neumann
+from .linear_solvers import _splu, dirichlet_solver, scalar_mass, solve_laplace_neumann
 
 
-def _project_scalar_gradient(mesh, dofmap, scalar_coeffs, mass_lu=None):
-    """L2-project the gradient of a P2 scalar field into the velocity space."""
+def _project_scalar_gradient(mesh, scalar_coeffs, mass_lu=None):
+    """L2-project the gradient of a P2 scalar field into the velocity space.
+
+    The vector mass is the scalar P2 mass on each component, so both
+    components are solved with mass_lu, a factored scalar_mass(mesh).
+    """
     ctx = assembly.volume_context(mesh)
     nodes = ctx.nodes
     gq = np.einsum("ti,tqix->tqx", scalar_coeffs[nodes], ctx.grads)
     contrib = np.einsum("tq,qi,tqx->tix", ctx.dv, ctx.N, gq, optimize=True)
-    b = np.zeros(dofmap.n_velocity)
-    np.add.at(b, 2 * nodes, contrib[:, :, 0])
-    np.add.at(b, 2 * nodes + 1, contrib[:, :, 1])
+    b = np.zeros((mesh.n_p2_nodes, 2))
+    np.add.at(b, nodes, contrib)
     if mass_lu is None:
-        mass_lu = _splu(assembly.assemble_vector_mass(mesh, dofmap))
-    return mass_lu.solve(b)
+        mass_lu = _splu(scalar_mass(mesh))
+    return mass_lu.solve(b).ravel()
 
 
 @dataclass
@@ -74,9 +77,8 @@ def component_fluxes(domain, a_star):
 
 def solenoidal_extension(mesh, a_star):
     """Gradient-of-harmonic extension with normal trace a_star."""
-    dofmap = assembly.DofMap(mesh)
     q = solve_laplace_neumann(mesh, a_star)
-    coeffs = _project_scalar_gradient(mesh, dofmap, q)
+    coeffs = _project_scalar_gradient(mesh, q)
     fluxes = component_fluxes(mesh.domain, a_star)[1:]
     return ExtensionField(coefficients=coeffs, fluxes=fluxes, method="neumann-gradient")
 
@@ -91,12 +93,12 @@ def harmonic_basis(mesh, domain=None):
         return HarmonicBasis(mesh=mesh, gradients=np.zeros((0, dofmap.n_velocity)),
                              psi=np.zeros((0, dofmap.n_velocity)),
                              alpha=np.zeros((0, 0)), mass=mass)
-    mass_lu = _splu(mass)
+    mass_lu = _splu(scalar_mass(mesh))
     solve = dirichlet_solver(mesh)
     grads = []
     for k in range(1, N + 1):
         qk = solve([1.0 if j == k else 0.0 for j in range(domain.n_components)])
-        grads.append(_project_scalar_gradient(mesh, dofmap, qk, mass_lu))
+        grads.append(_project_scalar_gradient(mesh, qk, mass_lu))
     G = np.array([[gi @ (mass @ gj) for gj in grads] for gi in grads])
     try:
         L = np.linalg.cholesky(G)

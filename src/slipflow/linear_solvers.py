@@ -375,17 +375,26 @@ def solve_stokes(mesh, data):
 
 # -- eigenvalue estimates ----------------------------------------------------
 
+def _pencil_scale(K, M):
+    """trace(K) / trace(M): the eigenvalue scale of the pencil K x = lambda M x."""
+    return max(K.diagonal().sum() / max(M.diagonal().sum(), 1e-300), 1e-30)
+
+
 def _pencil_smallest(K, M, constraints=(), v0=None, maxiter=300, tol=1e-11):
     """Smallest eigenvalue of K x = lambda M x subject to c . x = 0 rows.
 
-    Inverse iteration with a fixed shift just below zero, run through the
-    bordered solver; since the pencil is positive semidefinite on the
-    constrained space, the eigenvalue nearest the shift is the smallest.
-    Deterministic for a fixed start vector.
+    Shift-invert Lanczos (ARPACK through eigsh) with a fixed shift just
+    below zero.  The shifted inverse is applied by the bordered solver,
+    whose every output satisfies the constraint rows, so the Krylov space
+    stays in the constrained space; the pencil is positive semidefinite
+    there, and the eigenvalue nearest the shift is the smallest.  Returns
+    (lambda, x) with x M-normalized; deterministic for a fixed start
+    vector (projected onto the constraints).  tol is ARPACK's relative
+    Ritz-value tolerance and maxiter its restart limit; SolverError when
+    ARPACK fails or does not converge within them.
     """
     n = K.shape[0]
-    scale = (K.diagonal().sum() / max(M.diagonal().sum(), 1e-300))
-    sigma = -1e-9 * max(scale, 1e-30)
+    sigma = -1e-9 * _pencil_scale(K, M)
     C = np.column_stack(constraints) if constraints else None
     solver = BorderedSolver(K - sigma * M, C=C)
 
@@ -394,27 +403,16 @@ def _pencil_smallest(K, M, constraints=(), v0=None, maxiter=300, tol=1e-11):
         cc = float(c @ c)
         if cc > 0:
             x -= (c @ x) / cc * c
-    xn = np.sqrt(x @ (M @ x))
-    if xn == 0:
-        raise SolverError("eigen iteration started in the constraint space")
-    x /= xn
-    lam_old = None
-    lam = np.nan
-    change = np.inf
-    for _ in range(maxiter):
-        y, _, _ = solver.solve(M @ x, refine=1)
-        yn = np.sqrt(y @ (M @ y))
-        if not np.isfinite(yn) or yn == 0:
-            raise SolverError("eigen iteration broke down")
-        x = y / yn
-        lam = float(x @ (K @ x))
-        if lam_old is not None:
-            change = abs(lam - lam_old)
-            # absolute floor: below assembly roundoff the eigenvalue is zero
-            if change <= max(tol * abs(lam), 1e-13 * scale):
-                return lam, x
-        lam_old = lam
-    raise SolverError(f"eigen iteration did not converge (last change {change:.3e})")
+    if not np.any(x):
+        raise SolverError("Lanczos start vector vanishes after the constraint projection")
+    shifted_inverse = spla.LinearOperator(
+        (n, n), matvec=lambda b: solver.solve(b, refine=1)[0], dtype=float)
+    try:
+        lam, vec = spla.eigsh(K, k=1, M=M, sigma=sigma, which="LM",
+                              OPinv=shifted_inverse, v0=x, maxiter=maxiter, tol=tol)
+    except spla.ArpackError as exc:
+        raise SolverError(f"shift-invert Lanczos failed: {exc}") from exc
+    return float(lam[0]), vec[:, 0]
 
 
 @dataclass
@@ -430,8 +428,13 @@ def korn_constant(mesh, dofmap, weight, project_rotation=False):
     """Best discrete constant of the symmetric-gradient/friction inequality.
 
     weight is the per-component boundary factor multiplying |u_tau|^2
-    (the solvability audits call this with 2*beta/nu).  The reported
-    K = 1/lambda_min is a lower bound for the continuum constant.
+    (the solvability audits call this with 2*beta/nu).  lambda_min is the
+    smallest eigenvalue of the reduced pencil by shift-invert Lanczos
+    (_pencil_smallest); the reported K = 1/lambda_min is a lower bound
+    for the continuum constant.  At or below the roundoff floor
+    1e-13 trace(K)/trace(W), where the sign of lambda_min means nothing,
+    K is inf and lambda_min is kept as computed; a non-finite lambda_min
+    raises SolverError.
     """
     fns = [assembly.as_boundary_scalar(wc) for wc in weight]
     for comp, curve in enumerate(mesh.domain.curves):
@@ -457,8 +460,11 @@ def korn_constant(mesh, dofmap, weight, project_rotation=False):
         constraints.append((con.Q @ c)[con.free])
     v0 = _deterministic_start(len(con.free))
     lam, x = _pencil_smallest(K_ff, W_ff, constraints, v0=v0)
+    if not np.isfinite(lam):
+        raise SolverError(f"Korn eigenvalue is not finite ({lam})")
     mode_full = con.expand(x)
-    K = float(1.0 / lam) if lam > 0 else np.inf
+    # below assembly roundoff the eigenvalue is zero, whatever its sign
+    K = float(1.0 / lam) if lam > 1e-13 * _pencil_scale(K_ff, W_ff) else np.inf
     return KornEstimate(lambda_min=float(lam), K=K, mode=mode_full,
                         rotation_projected=bool(project_rotation))
 

@@ -96,10 +96,8 @@ def write_boundary_csv(flow, data, path, provenance_line=""):
         ts = bq.t[sel].ravel()
         arc = _arclength_of(curve, ts)
         order = np.argsort(arc, kind="stable")
-        flat = lambda arr: arr[sel].ravel()[order]
-        for k in range(len(order)):
-            rows.append((comp, arc[order][k], flat(u_n)[k], flat(u_t)[k],
-                         flat(phi)[k], flat(bq.kappa)[k], flat(margin)[k]))
+        cols = [arr[sel].ravel()[order] for arr in (u_n, u_t, phi, bq.kappa, margin)]
+        rows.extend((comp, *vals) for vals in zip(arc[order], *cols))
     with open(path, "w") as fh:
         if provenance_line:
             fh.write(f"# {provenance_line}\n")

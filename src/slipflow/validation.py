@@ -409,13 +409,6 @@ class ConvergenceRow:
 class ConvergenceTable:
     rows: list
 
-    def observed_orders(self):
-        return {
-            "L2_u": [r.order_u for r in self.rows[1:]],
-            "H1_u": [r.order_h1 for r in self.rows[1:]],
-            "L2_p": [r.order_p for r in self.rows[1:]],
-        }
-
     def to_csv(self, path=None, header_lines=()):
         buf = io.StringIO()
         for line in header_lines:

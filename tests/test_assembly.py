@@ -175,6 +175,47 @@ class TestConvection:
         assert np.allclose(fd, C @ d + D @ d, atol=1e-7 * np.linalg.norm(fd))
 
 
+class TestComponentwiseForms:
+    FORMS = {
+        "mass": (asm.assemble_vector_mass, lambda ctx: np.einsum(
+            "tq,qi,qj->tij", ctx.dv, ctx.N, ctx.N, optimize=True)),
+        "gradient": (asm.assemble_vector_gradient, lambda ctx: np.einsum(
+            "tq,tqix,tqjx->tij", ctx.dv, ctx.grads, ctx.grads, optimize=True)),
+    }
+
+    @staticmethod
+    def _full_scatter(mesh, blk):
+        """blk (x) I_2 scattered as full 12x12 [t, i, a, j, b] element blocks."""
+        nodes = asm.volume_context(mesh).nodes
+        nt, n = len(nodes), 2 * mesh.n_p2_nodes
+        dofs = (2 * nodes[:, :, None] + np.arange(2)).reshape(nt, 12)
+        block = np.einsum("tij,ab->tiajb", blk, np.eye(2)).reshape(nt, 144)
+        rows, cols = np.repeat(dofs, 12, axis=1), np.tile(dofs, (1, 12))
+        return sp.csr_matrix((block.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
+
+    @staticmethod
+    def _nonzeros(A):
+        A = sp.csr_matrix(A)
+        A.sort_indices()
+        rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+        keep = A.data != 0
+        return rows[keep], A.indices[keep], A.data[keep]
+
+    @pytest.mark.parametrize("form", ["mass", "gradient"])
+    @pytest.mark.parametrize("which", ["annulus", "two-hole"])
+    def test_no_stored_zeros_and_bitwise_values(self, annulus_coarse, form, which):
+        from slipflow.geometry import Circle, DomainSpec
+        mesh = annulus_coarse if which == "annulus" else sf.mesh_disk_with_holes(
+            DomainSpec([Circle((0.0, 0.0), 3.0), Circle((-1.2, 0.0), 0.6),
+                        Circle((1.3, 0.0), 0.5)]), 0.3)
+        assemble, element_blocks = self.FORMS[form]
+        A = assemble(mesh, asm.DofMap(mesh))
+        assert A.nnz == np.count_nonzero(A.data)
+        ref = self._full_scatter(mesh, element_blocks(asm.volume_context(mesh)))
+        for got, want in zip(self._nonzeros(A), self._nonzeros(ref)):
+            assert np.array_equal(got, want)
+
+
 class TestNormalTrace:
     def test_hamel_data_accepted(self, annulus_coarse):
         con = asm.normal_trace_constraint(annulus_coarse, asm.DofMap(annulus_coarse),

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 
 import slipflow as sf
 from slipflow import assembly as asm
 from slipflow import linear_solvers as ls
 from slipflow import norms, validation as val
-from slipflow.errors import CompatibilityError, DataError
+from slipflow.errors import CompatibilityError, DataError, SolverError
 
 
 def potential_velocity(x):
@@ -159,6 +161,52 @@ class TestKorn:
         dm = asm.DofMap(annulus_coarse)
         with pytest.raises(DataError):
             ls.korn_constant(annulus_coarse, dm, weight=(-1.0, 0.0))
+
+    @staticmethod
+    def _dense_lambda_min(mesh, weight, project_rotation):
+        """Smallest eigenvalue of the reduced Korn pencil by dense eigh, with
+        the rotation projected out through a null-space basis."""
+        dm = asm.DofMap(mesh)
+        mass = asm.assemble_vector_mass(mesh, dm)
+        kform = asm.assemble_viscous(mesh, dm, 2.0) + asm.assemble_friction(mesh, dm, weight)
+        wform = mass + asm.assemble_vector_gradient(mesh, dm)
+        con = asm.normal_trace_constraint(mesh, dm, [0.0] * mesh.domain.n_components)
+        K = con.reduce_matrix(kform)[0].toarray()
+        W = con.reduce_matrix(wform)[0].toarray()
+        if project_rotation:
+            c = (con.Q @ (mass @ ls.rigid_rotation_mode(mesh).coefficients))[con.free]
+            Z = sla.null_space(c[None, :])
+            K, W = Z.T @ K @ Z, Z.T @ W @ Z
+        return sla.eigh(K, W, eigvals_only=True, subset_by_index=[0, 0])[0]
+
+    @pytest.mark.parametrize("weight, project", [((0.0, 0.0), True), ((2.0, 2.0), False)],
+                             ids=["projected", "weighted"])
+    def test_lambda_min_matches_dense_pencil(self, annulus_coarse, weight, project):
+        est = ls.korn_constant(annulus_coarse, asm.DofMap(annulus_coarse), weight,
+                               project_rotation=project)
+        ref = self._dense_lambda_min(annulus_coarse, weight, project)
+        assert est.lambda_min == pytest.approx(ref, rel=1e-10)
+
+    def test_roundoff_floor_gives_infinite_K(self, annulus_levels):
+        # the rigid rotation is exactly representable, so lambda_min is zero
+        # up to roundoff, of either sign; K is infinite, lambda_min kept
+        for mesh in annulus_levels:
+            est = ls.korn_constant(mesh, asm.DofMap(mesh), weight=(0.0, 0.0))
+            assert np.isfinite(est.lambda_min) and abs(est.lambda_min) < 1e-12
+            assert est.K == np.inf
+
+    def test_non_finite_eigenvalue_rejected(self, annulus_coarse, monkeypatch):
+        monkeypatch.setattr(ls, "_pencil_smallest",
+                            lambda K, M, constraints, v0: (np.nan, np.zeros(K.shape[0])))
+        with pytest.raises(SolverError):
+            ls.korn_constant(annulus_coarse, asm.DofMap(annulus_coarse), weight=(1.0, 1.0))
+
+    def test_arpack_failure_is_solver_error(self, annulus_coarse, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise spla.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+        monkeypatch.setattr(ls.spla, "eigsh", no_convergence)
+        with pytest.raises(SolverError):
+            ls.korn_constant(annulus_coarse, asm.DofMap(annulus_coarse), weight=(1.0, 1.0))
 
 
 class TestSobolev:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import slipflow as sf
 from slipflow import analysis as an
@@ -37,6 +38,24 @@ class TestHarmonicBasisTwoHoles:
         # alpha is lower triangular by construction
         assert hb.alpha[0, 1] == 0.0
 
+    def test_gradients_match_vector_mass_projection(self, two_hole_mesh):
+        # each component is projected with the scalar mass; reference: one
+        # solve with the interleaved vector mass
+        hb = ext.harmonic_basis(two_hole_mesh)
+        dm = asm.DofMap(two_hole_mesh)
+        mass_lu = spla.splu(asm.assemble_vector_mass(two_hole_mesh, dm).tocsc())
+        ctx = asm.volume_context(two_hole_mesh)
+        solve = ls.dirichlet_solver(two_hole_mesh)
+        for k, grad in enumerate(hb.gradients, start=1):
+            q = solve([float(j == k) for j in range(3)])
+            gq = np.einsum("ti,tqix->tqx", q[ctx.nodes], ctx.grads)
+            contrib = np.einsum("tq,qi,tqx->tix", ctx.dv, ctx.N, gq)
+            b = np.zeros(dm.n_velocity)
+            np.add.at(b, 2 * ctx.nodes, contrib[:, :, 0])
+            np.add.at(b, 2 * ctx.nodes + 1, contrib[:, :, 1])
+            ref = mass_lu.solve(b)
+            assert np.linalg.norm(grad - ref) <= 1e-13 * np.linalg.norm(ref)
+
     def test_harmonic_part_reproduces_fluxes(self, two_hole_mesh):
         hb = ext.harmonic_basis(two_hole_mesh)
         target = [1.7, -0.9]
@@ -54,6 +73,30 @@ class TestHarmonicBasisTwoHoles:
         h01 = ext.harmonic_part(hb, [0.0, 1.0])
         h = ext.harmonic_part(hb, [2.0, -3.0])
         assert np.allclose(h, 2 * h10 - 3 * h01, atol=1e-12 * np.max(np.abs(h)))
+
+
+class TestKornTwoHoles:
+    WEIGHT = (2.0, 2.0, 2.0)
+
+    def test_one_factorization_and_few_solves(self, two_hole_mesh, monkeypatch):
+        factors, solves = [], []
+        splu, solve = ls._splu, ls.BorderedSolver.solve
+        monkeypatch.setattr(ls, "_splu", lambda m: factors.append(m.shape) or splu(m))
+
+        def counted(self, *args, **kwargs):
+            solves.append(args)
+            return solve(self, *args, **kwargs)
+
+        monkeypatch.setattr(ls.BorderedSolver, "solve", counted)
+        ls.korn_constant(two_hole_mesh, asm.DofMap(two_hole_mesh), self.WEIGHT)
+        assert len(factors) == 1
+        assert len(solves) <= 40
+
+    def test_repeatable_bitwise(self, two_hole_mesh):
+        dm = asm.DofMap(two_hole_mesh)
+        a, b = (ls.korn_constant(two_hole_mesh, dm, self.WEIGHT) for _ in range(2))
+        assert a.lambda_min == b.lambda_min
+        assert np.array_equal(a.mode, b.mode)
 
 
 class TestAuditTwoHoles:
