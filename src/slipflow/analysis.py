@@ -14,24 +14,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import assembly, elements, extensions, geometry, norms
+from .assembly import scalar_mass, scalar_stiffness, scatter_vector
 from .errors import MultivaluedStreamError
-from .linear_solvers import (FlowState, korn_constant, scalar_mass, scalar_stiffness,
-                             sobolev_constant, zero_mean_neumann_solve, _splu)
+from .linear_solvers import (FlowState, korn_constant, scalar_mass_factor, sobolev_constant,
+                             zero_mean_neumann_solve, _splu)
 from .quadrature import interval_rule
 
 
 # -- field extraction --------------------------------------------------------
 
-def scalar_mass_factor(mesh):
-    """Factored P2 mass matrix; pass it to several projections to factor once."""
-    return _splu(scalar_mass(mesh))
-
-
 def _scalar_projection(mesh, values_at_quad, mass_lu=None):
     """P2 L2 projection of values at the VOLUME_DEGREE quadrature points."""
     ctx = assembly.volume_context(mesh)
-    load = np.zeros(mesh.n_p2_nodes)
-    np.add.at(load, ctx.nodes, np.einsum("tq,tq,qi->ti", ctx.dv, values_at_quad, ctx.N))
+    load = scatter_vector(ctx.nodes, np.einsum("tq,tq,qi->ti", ctx.dv, values_at_quad, ctx.N),
+                          mesh.n_p2_nodes)
     if mass_lu is None:
         mass_lu = scalar_mass_factor(mesh)
     return mass_lu.solve(load)
@@ -143,10 +139,8 @@ def stream_function(flow, flux_rtol=1e-8):
     ctx = assembly.volume_context(mesh)
     u = norms.velocity_values(mesh, flow.velocity, ctx.pts)
     rotated = np.stack([-u[..., 1], u[..., 0]], axis=-1)
-    load = np.zeros(mesh.n_p2_nodes)
     contrib = np.einsum("tq,tqix,tqx->ti", ctx.dv, ctx.grads, rotated, optimize=True)
-    np.add.at(load, ctx.nodes, contrib)
-    return zero_mean_neumann_solve(mesh, load)
+    return zero_mean_neumann_solve(mesh, scatter_vector(ctx.nodes, contrib, mesh.n_p2_nodes))
 
 
 # -- interior identity residuals ------------------------------------------------
@@ -178,7 +172,6 @@ def head_pressure_residual(flow, data):
     phi_q = np.einsum("qi,ti->tq", N, phi[nodes])
     u = norms.velocity_values(mesh, flow.velocity, pts)
 
-    r = np.zeros(mesh.n_p2_nodes)
     term = -np.einsum("tq,tqx,tqix->ti", dv, gphi, grads, optimize=True)
     term -= np.einsum("tq,tq,tq,qi->ti", dv, om_q, om_q, N, optimize=True)
     term += np.einsum("tq,tq,tqx,tqix->ti", dv, phi_q, u, grads, optimize=True) / nu
@@ -186,7 +179,7 @@ def head_pressure_residual(flow, data):
         x = elements.mapped_points(ctx.coords, pts)
         fval = np.asarray(data.f(x.reshape(-1, 2)), float).reshape(x.shape)
         term += np.einsum("tq,tqx,tqx,qi->ti", dv, fval, u, N, optimize=True) / nu
-    np.add.at(r, nodes, term)
+    r = scatter_vector(nodes, term, mesh.n_p2_nodes)
     interior = np.nonzero(~mesh.node_is_boundary)[0]
     return _interior_dual_norm(mesh, r, interior)
 
@@ -314,6 +307,12 @@ def _boundary_min(domain, fn_per_component, extra_per_component=None, samples=25
     return worst, per_comp
 
 
+def korn_weight(domain, data):
+    """Per-component boundary weight 2 beta / nu of the Korn pencil."""
+    return [lambda t, x, bfn=data.beta_fn(comp): 2.0 * np.asarray(bfn(t, x), float) / data.nu
+            for comp in range(domain.n_components)]
+
+
 def audit(domain, data, mesh=None, q=4.0):
     """Evaluate every applicability condition; always returns a report."""
     notes = []
@@ -369,11 +368,7 @@ def audit(domain, data, mesh=None, q=4.0):
         basis = extensions.harmonic_basis(mesh)
         h = extensions.harmonic_part(basis, fluxes[1:])
         hnorm = norms.lq_norm(mesh, h, q=q, vector=True)
-        weight = []
-        for comp in range(domain.n_components):
-            bfn = data.beta_fn(comp)
-            weight.append(lambda t, x, bfn=bfn: 2.0 * np.asarray(bfn(t, x), float) / data.nu)
-        korn = korn_constant(mesh, dofmap, weight)
+        korn = korn_constant(mesh, dofmap, korn_weight(domain, data))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             sob = sobolev_constant(mesh, dofmap, r=2 * q / (q - 2))

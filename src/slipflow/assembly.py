@@ -210,41 +210,60 @@ def volume_context(mesh, degree=VOLUME_DEGREE):
                            lambda: _volume_context(mesh, degree))
 
 
-def _scatter(rows, cols, vals, shape):
-    return sp.csr_matrix(
-        (vals.ravel(), (rows.ravel(), cols.ravel())), shape=shape)
+# -- element to global ------------------------------------------------------
+
+def velocity_dofs(nodes):
+    """Interleaved velocity dof ids 2*node + a of a [..., k] node array, [..., 2k]."""
+    return (2 * nodes[..., None] + np.arange(2)).reshape(*nodes.shape[:-1], -1)
 
 
-def _vector_pattern(dofmap, nodes):
-    """Row/col index grids for interleaved 12x12 element blocks."""
-    nt = nodes.shape[0]
-    dofs = np.empty((nt, 12), np.int64)
-    dofs[:, 0::2] = 2 * nodes
-    dofs[:, 1::2] = 2 * nodes + 1
-    rows = np.repeat(dofs, 12, axis=1)
-    cols = np.tile(dofs, (1, 12))
-    return dofs, rows, cols
+def scatter_matrix(row_dofs, col_dofs, blocks, shape):
+    """Sum element blocks [e, r, c] into a csr matrix at (row_dofs[e, r], col_dofs[e, c])."""
+    rows = np.repeat(row_dofs, col_dofs.shape[1], axis=1)
+    cols = np.tile(col_dofs, (1, row_dofs.shape[1]))
+    return sp.csr_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())), shape=shape)
 
 
-def _interleave(block_iajb):
-    """[t, i, a, j, b] element blocks -> [t, 12, 12] interleaved dofs."""
-    nt = block_iajb.shape[0]
-    return block_iajb.reshape(nt, 12, 12)
+def scatter_vector(dofs, contrib, n):
+    """Sum element contributions into a length-n vector at dofs, in element order."""
+    return np.bincount(dofs.ravel(), weights=contrib.ravel(), minlength=n)
 
 
-def _componentwise(dofmap, nodes, blk):
-    """blk (x) I_2 in interleaved dofs from scalar [t, 6, 6] element blocks.
+def _scalar_form(mesh, nodes, blk):
+    """Scalar P2 matrix from [t, 6, 6] element blocks."""
+    return scatter_matrix(nodes, nodes, blk, (mesh.n_p2_nodes, mesh.n_p2_nodes))
 
-    The zero x-y blocks are scattered with the rest and then dropped:
-    scattering the diagonal blocks alone would change the order in which
-    the duplicates are summed, and with it the last bits of the values.
-    """
-    block = np.einsum("tij,ab->tiajb", blk, np.eye(2))
-    _, rows, cols = _vector_pattern(dofmap, nodes)
-    out = _scatter(rows, cols, _interleave(block), (dofmap.n_velocity, dofmap.n_velocity))
+
+def _componentwise(scalar):
+    """scalar (x) I_2 in interleaved velocity dofs, with no stored zeros."""
+    out = sp.kron(scalar, sp.eye(2), format="csr")
     out.eliminate_zeros()
     return out
 
+
+# -- scalar P2 forms -------------------------------------------------------
+
+def scalar_stiffness(mesh):
+    """Matrix of integral grad(u) . grad(v) on the scalar P2 space."""
+    ctx = volume_context(mesh)
+    return _scalar_form(mesh, ctx.nodes, np.einsum(
+        "tq,tqix,tqjx->tij", ctx.dv, ctx.grads, ctx.grads, optimize=True))
+
+
+def scalar_mass(mesh):
+    """Scalar P2 L2 mass matrix."""
+    ctx = volume_context(mesh)
+    return _scalar_form(mesh, ctx.nodes, np.einsum(
+        "tq,qi,qj->tij", ctx.dv, ctx.N, ctx.N, optimize=True))
+
+
+def scalar_integral_vector(mesh):
+    """Vector of integrals of each P2 basis function."""
+    ctx = volume_context(mesh)
+    return scatter_vector(ctx.nodes, np.einsum("tq,qi->ti", ctx.dv, ctx.N), mesh.n_p2_nodes)
+
+
+# -- velocity and pressure forms ---------------------------------------------
 
 def assemble_viscous(mesh, dofmap, nu):
     """Matrix of (nu/2) * integral S(u):S(phi) over curved elements."""
@@ -253,48 +272,35 @@ def assemble_viscous(mesh, dofmap, nu):
     same = np.einsum("tq,tqix,tqjx->tij", dv, g, g, optimize=True)
     cross = np.einsum("tq,tqib,tqja->tiajb", dv, g, g, optimize=True)
     block = nu * (np.einsum("tij,ab->tiajb", same, np.eye(2)) + cross)
-    _, rows, cols = _vector_pattern(dofmap, nodes)
-    return _scatter(rows, cols, _interleave(block), (dofmap.n_velocity, dofmap.n_velocity))
+    dofs = velocity_dofs(nodes)
+    return scatter_matrix(dofs, dofs, block.reshape(len(nodes), 12, 12),
+                          (dofmap.n_velocity, dofmap.n_velocity))
 
 
 def assemble_vector_mass(mesh, dofmap):
-    """Velocity-space L2 mass matrix."""
-    ctx = volume_context(mesh)
-    nodes = ctx.nodes
-    m = np.einsum("tq,qi,qj->tij", ctx.dv, ctx.N, ctx.N, optimize=True)
-    return _componentwise(dofmap, nodes, m)
+    """Velocity-space L2 mass matrix: the scalar mass on each component."""
+    return _componentwise(scalar_mass(mesh))
 
 
 def assemble_vector_gradient(mesh, dofmap):
     """Matrix of integral grad(u):grad(phi) (componentwise H1 seminorm)."""
-    ctx = volume_context(mesh)
-    nodes, g = ctx.nodes, ctx.grads
-    same = np.einsum("tq,tqix,tqjx->tij", ctx.dv, g, g, optimize=True)
-    return _componentwise(dofmap, nodes, same)
+    return _componentwise(scalar_stiffness(mesh))
 
 
 def assemble_divergence(mesh, dofmap):
     """Matrix B with (B u)_q = integral q div(u); pressure rows."""
     ctx = volume_context(mesh)
-    nodes = ctx.nodes
     blk = np.einsum("tq,qk,tqjb->tkjb", ctx.dv, ctx.P, ctx.grads, optimize=True)  # [t, 3, 6, 2]
-    nt = len(nodes)
-    vals = blk.reshape(nt, 3, 12)
-    prow = np.repeat(mesh.triangles, 12, axis=1)
-    dofs = np.empty((nt, 12), np.int64)
-    dofs[:, 0::2] = 2 * nodes
-    dofs[:, 1::2] = 2 * nodes + 1
-    pcol = np.tile(dofs, (1, 3))
-    return _scatter(prow, pcol, vals, (dofmap.n_pressure, dofmap.n_velocity))
+    return scatter_matrix(mesh.triangles, velocity_dofs(ctx.nodes),
+                          blk.reshape(len(ctx.nodes), 3, 12),
+                          (dofmap.n_pressure, dofmap.n_velocity))
 
 
 def assemble_pressure_mean(mesh, dofmap):
     """Vector m with m_q = integral of the pressure basis function q."""
     ctx = volume_context(mesh)
     contrib = np.einsum("tq,qk->tk", ctx.dv, ctx.P)
-    m = np.zeros(dofmap.n_pressure)
-    np.add.at(m, mesh.triangles, contrib)
-    return m
+    return scatter_vector(mesh.triangles, contrib, dofmap.n_pressure)
 
 
 def velocity_gradient_at(mesh, coeffs, grads):
@@ -310,9 +316,7 @@ def assemble_convection(mesh, dofmap, w_coeffs, lam=1.0):
     wq_field = np.einsum("qi,tix->tqx", ctx.N, w_coeffs.reshape(-1, 2)[nodes])
     conv = np.einsum("tqx,tqjx->tqj", wq_field, ctx.grads)  # (w . grad) phi_j
     scal = lam * np.einsum("tq,qi,tqj->tij", ctx.dv, ctx.N, conv, optimize=True)
-    block = np.einsum("tij,ab->tiajb", scal, np.eye(2))
-    _, rows, cols = _vector_pattern(dofmap, nodes)
-    C = _scatter(rows, cols, _interleave(block), (dofmap.n_velocity, dofmap.n_velocity))
+    C = _componentwise(_scalar_form(mesh, nodes, scal))
     return C, C @ w_coeffs
 
 
@@ -326,8 +330,7 @@ def convection_vector(mesh, dofmap, w_coeffs):
     wq = np.einsum("qi,tia->tqa", ctx.N, nodal)
     adv = np.einsum("tqb,tqib,tia->tqa", wq, ctx.grads, nodal, optimize=True)
     contrib = np.einsum("tq,qi,tqa->tia", ctx.dv, ctx.N, adv, optimize=True)
-    dofs = 2 * ctx.nodes[:, :, None] + np.arange(2)
-    return np.bincount(dofs.ravel(), weights=contrib.ravel(), minlength=dofmap.n_velocity)
+    return scatter_vector(velocity_dofs(ctx.nodes), contrib, dofmap.n_velocity)
 
 
 def assemble_convection_newton(mesh, dofmap, w_coeffs, lam=1.0):
@@ -336,15 +339,15 @@ def assemble_convection_newton(mesh, dofmap, w_coeffs, lam=1.0):
     nodes, N = ctx.nodes, ctx.N
     gw = velocity_gradient_at(mesh, w_coeffs, ctx.grads)    # [t, q, a, b]
     block = lam * np.einsum("tq,qi,qj,tqab->tiajb", ctx.dv, N, N, gw, optimize=True)
-    _, rows, cols = _vector_pattern(dofmap, nodes)
-    return _scatter(rows, cols, _interleave(block), (dofmap.n_velocity, dofmap.n_velocity))
+    dofs = velocity_dofs(nodes)
+    return scatter_matrix(dofs, dofs, block.reshape(len(nodes), 12, 12),
+                          (dofmap.n_velocity, dofmap.n_velocity))
 
 
 def load_volume(mesh, dofmap, f):
     """Load vector of <f, phi> for f callable, per-node array, or None."""
-    F = np.zeros(dofmap.n_velocity)
     if f is None:
-        return F
+        return np.zeros(dofmap.n_velocity)
     ctx = volume_context(mesh)
     N, nodes = ctx.N, ctx.nodes
     if callable(f):
@@ -356,9 +359,7 @@ def load_volume(mesh, dofmap, f):
     if not np.all(np.isfinite(fval)):
         raise DataError("volume force is not finite at a quadrature point")
     contrib = np.einsum("tq,qi,tqx->tix", ctx.dv, N, fval, optimize=True)
-    np.add.at(F, 2 * nodes, contrib[:, :, 0])
-    np.add.at(F, 2 * nodes + 1, contrib[:, :, 1])
-    return F
+    return scatter_vector(velocity_dofs(nodes), contrib, dofmap.n_velocity)
 
 
 # -- boundary quadrature ---------------------------------------------------
@@ -453,27 +454,19 @@ def assemble_friction(mesh, dofmap, beta):
     blk = np.einsum("kq,kq,qi,qj,kqa,kqb->kiajb",
                     bq.w_ds, bvals, bq.shape, bq.shape, bq.tangent, bq.tangent,
                     optimize=True)
-    nb = len(bq.nodes3)
-    dofs = np.empty((nb, 6), np.int64)
-    dofs[:, 0::2] = 2 * bq.nodes3
-    dofs[:, 1::2] = 2 * bq.nodes3 + 1
-    rows = np.repeat(dofs, 6, axis=1)
-    cols = np.tile(dofs, (1, 6))
-    vals = blk.reshape(nb, 6, 6)
-    return _scatter(rows, cols, vals, (dofmap.n_velocity, dofmap.n_velocity))
+    dofs = velocity_dofs(bq.nodes3)
+    return scatter_matrix(dofs, dofs, blk.reshape(len(dofs), 6, 6),
+                          (dofmap.n_velocity, dofmap.n_velocity))
 
 
 def load_boundary_tangential(mesh, dofmap, b_tau):
     """Load vector of integral b_tau (phi . tau) ds."""
-    F = np.zeros(dofmap.n_velocity)
     bq = boundary_quadrature(mesh)
     fns = [as_boundary_scalar(b) for b in b_tau]
     vals = _eval_per_component(bq, fns)
     contrib = np.einsum("kq,kq,qi,kqa->kia", bq.w_ds, vals, bq.shape, bq.tangent,
                         optimize=True)
-    np.add.at(F, 2 * bq.nodes3, contrib[:, :, 0])
-    np.add.at(F, 2 * bq.nodes3 + 1, contrib[:, :, 1])
-    return F
+    return scatter_vector(velocity_dofs(bq.nodes3), contrib, dofmap.n_velocity)
 
 
 def circulation_functional(mesh, dofmap, component):
@@ -482,13 +475,10 @@ def circulation_functional(mesh, dofmap, component):
     The contour is traversed in the tau = (n2, -n1) direction.
     """
     bq = boundary_quadrature(mesh)
-    L = np.zeros(dofmap.n_velocity)
     sel = bq.component == component
     contrib = np.einsum("kq,qi,kqa->kia", bq.w_ds[sel], bq.shape, bq.tangent[sel],
                         optimize=True)
-    np.add.at(L, 2 * bq.nodes3[sel], contrib[:, :, 0])
-    np.add.at(L, 2 * bq.nodes3[sel] + 1, contrib[:, :, 1])
-    return L
+    return scatter_vector(velocity_dofs(bq.nodes3[sel]), contrib, dofmap.n_velocity)
 
 
 def boundary_flux(mesh, coeffs, component):

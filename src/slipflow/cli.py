@@ -215,13 +215,9 @@ def cmd_korn(args, cfg):
     mesh = build_mesh(cfg, domain)
     dofmap = assembly.DofMap(mesh)
     q = cfg.get("audit", {}).get("q", 4.0)
-    weight = []
-    for comp in range(domain.n_components):
-        bfn = data.beta_fn(comp)
-        weight.append(lambda t, x, bfn=bfn: 2.0 * np.asarray(bfn(t, x), float) / data.nu)
     beta_zero = data.beta_identically_zero(domain)
     circ = geometry.classify_symmetry(domain).circularly_symmetric is not None
-    est = ls.korn_constant(mesh, dofmap, weight,
+    est = ls.korn_constant(mesh, dofmap, analysis.korn_weight(domain, data),
                            project_rotation=(beta_zero and circ))
     sob = ls.sobolev_constant(mesh, dofmap, r=2 * q / (q - 2))
     payload = {

@@ -13,25 +13,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import assembly, geometry
+from .assembly import scatter_vector, velocity_dofs
 from .errors import DataError, SolverError
-from .linear_solvers import _splu, dirichlet_solver, scalar_mass, solve_laplace_neumann
+from .linear_solvers import dirichlet_solver, scalar_mass_factor, solve_laplace_neumann
 
 
 def _project_scalar_gradient(mesh, scalar_coeffs, mass_lu=None):
     """L2-project the gradient of a P2 scalar field into the velocity space.
 
     The vector mass is the scalar P2 mass on each component, so both
-    components are solved with mass_lu, a factored scalar_mass(mesh).
+    components are solved with mass_lu, a scalar_mass_factor(mesh).
     """
     ctx = assembly.volume_context(mesh)
     nodes = ctx.nodes
     gq = np.einsum("ti,tqix->tqx", scalar_coeffs[nodes], ctx.grads)
     contrib = np.einsum("tq,qi,tqx->tix", ctx.dv, ctx.N, gq, optimize=True)
-    b = np.zeros((mesh.n_p2_nodes, 2))
-    np.add.at(b, nodes, contrib)
+    b = scatter_vector(velocity_dofs(nodes), contrib, 2 * mesh.n_p2_nodes)
     if mass_lu is None:
-        mass_lu = _splu(scalar_mass(mesh))
-    return mass_lu.solve(b).ravel()
+        mass_lu = scalar_mass_factor(mesh)
+    return mass_lu.solve(b.reshape(-1, 2)).ravel()
 
 
 @dataclass
@@ -93,7 +93,7 @@ def harmonic_basis(mesh, domain=None):
         return HarmonicBasis(mesh=mesh, gradients=np.zeros((0, dofmap.n_velocity)),
                              psi=np.zeros((0, dofmap.n_velocity)),
                              alpha=np.zeros((0, 0)), mass=mass)
-    mass_lu = _splu(scalar_mass(mesh))
+    mass_lu = scalar_mass_factor(mesh)
     solve = dirichlet_solver(mesh)
     grads = []
     for k in range(1, N + 1):

@@ -10,6 +10,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import assembly, geometry
+from .assembly import scalar_integral_vector, scalar_mass, scalar_stiffness, scatter_vector
 from .errors import DataError, SolverError
 
 RESIDUAL_TOL = 1e-10
@@ -44,40 +45,16 @@ def rigid_rotation_mode(mesh, center=(0.0, 0.0), b=1.0):
     return RigidMode(coefficients=vals.ravel(), center=tuple(center), b=b)
 
 
-# -- scalar P2 assembly ------------------------------------------------------
-
-def _scalar_matrix(mesh, blk):
-    nodes = mesh.triangle_nodes()
-    rows = np.repeat(nodes, 6, axis=1)
-    cols = np.tile(nodes, (1, 6))
-    n = mesh.n_p2_nodes
-    return sp.csr_matrix((blk.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
-
-
-def scalar_stiffness(mesh):
-    ctx = assembly.volume_context(mesh)
-    return _scalar_matrix(
-        mesh, np.einsum("tq,tqix,tqjx->tij", ctx.dv, ctx.grads, ctx.grads, optimize=True))
-
-
-def scalar_mass(mesh):
-    ctx = assembly.volume_context(mesh)
-    return _scalar_matrix(mesh, np.einsum("tq,qi,qj->tij", ctx.dv, ctx.N, ctx.N, optimize=True))
-
-
-def scalar_integral_vector(mesh):
-    """Vector of integrals of each P2 basis function."""
-    ctx = assembly.volume_context(mesh)
-    out = np.zeros(mesh.n_p2_nodes)
-    np.add.at(out, ctx.nodes, np.einsum("tq,qi->ti", ctx.dv, ctx.N))
-    return out
-
-
 def _splu(matrix):
     try:
         return spla.splu(sp.csc_matrix(matrix))
     except RuntimeError as exc:
         raise SolverError(f"sparse factorization failed: {exc}") from exc
+
+
+def scalar_mass_factor(mesh):
+    """Factored P2 mass matrix; pass it to several projections to factor once."""
+    return _splu(scalar_mass(mesh))
 
 
 class BorderedSolver:
@@ -207,12 +184,9 @@ def solve_laplace_neumann(mesh, a_star):
     """Zero-mean P2 field with weak normal derivative a_star on the boundary."""
     assembly.check_total_flux(mesh.domain, a_star)
     bq = assembly.boundary_quadrature(mesh)
-    load = np.zeros(mesh.n_p2_nodes)
     vals = assembly._eval_per_component(bq, [assembly.as_boundary_scalar(a) for a in a_star])
     contrib = np.einsum("kq,kq,qi->ki", bq.w_ds, vals, bq.shape)
-    np.add.at(load, bq.nodes3, contrib)
-
-    return zero_mean_neumann_solve(mesh, load)
+    return zero_mean_neumann_solve(mesh, scatter_vector(bq.nodes3, contrib, mesh.n_p2_nodes))
 
 
 def zero_mean_neumann_solve(mesh, load):
@@ -505,10 +479,8 @@ def sobolev_constant(mesh, dofmap, r, maxiter=600, tol=1e-10, v0=None):
         vq = np.einsum("qi,ti->tq", N, v[nodes])
         lr = np.einsum("tq,tq->", dv, np.abs(vq) ** r) ** (1.0 / r)
         wnorm = np.sqrt(v @ (W @ v))
-        load = np.zeros(len(v))
         contrib = np.einsum("tq,tq,qi->ti", dv, np.abs(vq) ** (r - 2.0) * vq, N)
-        np.add.at(load, nodes, contrib)
-        return lr / wnorm, load
+        return lr / wnorm, scatter_vector(nodes, contrib, len(v))
 
     if v0 is None:
         x0 = mesh.domain.curves[0].point(np.array([0.0]))[0]

@@ -6,10 +6,6 @@ from . import elements
 from .assembly import ERROR_DEGREE, volume_context
 
 
-def domain_area(mesh):
-    return float(volume_context(mesh).dv.sum())
-
-
 def velocity_values(mesh, coeffs, pts):
     nodal = np.asarray(coeffs).reshape(-1, 2)[mesh.triangle_nodes()]
     return np.einsum("qi,tix->tqx", elements.p2_shape(pts), nodal)

@@ -11,7 +11,8 @@ import json
 import numpy as np
 
 from . import __version__, assembly
-from .analysis import boundary_head, scalar_mass_factor, total_head, vorticity
+from .analysis import boundary_head, total_head, vorticity
+from .linear_solvers import scalar_mass_factor
 
 FLOAT_FMT = "%.16e"
 
@@ -25,8 +26,9 @@ def provenance(config_dict):
     return {"config_sha256_16": config_hash(config_dict), "version": __version__}
 
 
-def _fmt(x):
-    return FLOAT_FMT % float(x)
+def _write_rows(fh, table, fmt):
+    """Write each row of a 2D table through one printf-style row format."""
+    fh.write((fmt + "\n") * len(table) % tuple(table.ravel().tolist()))
 
 
 def write_vtk(flow, path, provenance_line=""):
@@ -37,10 +39,8 @@ def write_vtk(flow, path, provenance_line=""):
     """
     mesh = flow.mesh
     pts = mesh.p2_coords()
-    tn = mesh.triangle_nodes()
-    cells = []
-    for v0, v1, v2, m01, m12, m20 in tn:
-        cells.extend([(v0, m01, m20), (v1, m12, m01), (v2, m20, m12), (m01, m12, m20)])
+    # (v0, v1, v2, m01, m12, m20) -> (v0 m01 m20), (v1 m12 m01), (v2 m20 m12), (m01 m12 m20)
+    cells = mesh.triangle_nodes()[:, [0, 3, 5, 1, 4, 3, 2, 5, 4, 3, 4, 5]].reshape(-1, 3)
     u = flow.velocity.reshape(-1, 2)
     p_vertex = flow.pressure
     edge_p = 0.5 * (p_vertex[mesh.edges[:, 0]] + p_vertex[mesh.edges[:, 1]])
@@ -48,27 +48,25 @@ def write_vtk(flow, path, provenance_line=""):
     mass_lu = scalar_mass_factor(mesh)
     omega = vorticity(flow, mass_lu)
     phi = total_head(flow, mass_lu)
+    zero = np.zeros((len(pts), 1))
+    xyz = " ".join([FLOAT_FMT] * 3)
 
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write(f"slipflow {provenance_line}\n")
         fh.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {len(pts)} double\n")
-        for x, y in pts:
-            fh.write(f"{_fmt(x)} {_fmt(y)} {_fmt(0)}\n")
+        _write_rows(fh, np.hstack([pts, zero]), xyz)
         fh.write(f"CELLS {len(cells)} {4 * len(cells)}\n")
-        for a, b, c in cells:
-            fh.write(f"3 {a} {b} {c}\n")
+        _write_rows(fh, cells, "3 %d %d %d")
         fh.write(f"CELL_TYPES {len(cells)}\n")
         fh.write("5\n" * len(cells))
         fh.write(f"POINT_DATA {len(pts)}\n")
         fh.write("VECTORS velocity double\n")
-        for ux, uy in u:
-            fh.write(f"{_fmt(ux)} {_fmt(uy)} {_fmt(0)}\n")
+        _write_rows(fh, np.hstack([u, zero]), xyz)
         for name, vals in (("pressure", p_all), ("vorticity", omega), ("total_head", phi)):
             fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            for v in vals:
-                fh.write(_fmt(v) + "\n")
+            _write_rows(fh, vals[:, None], FLOAT_FMT)
 
 
 def _arclength_of(curve, t):
@@ -89,7 +87,7 @@ def write_boundary_csv(flow, data, path, provenance_line=""):
                                              for b in data.beta])
     margin = beta / data.nu + 2.0 * bq.kappa
 
-    rows = []
+    blocks = []
     for comp in range(mesh.domain.n_components):
         curve = mesh.domain.curves[comp]
         sel = np.nonzero(bq.component == comp)[0]
@@ -97,14 +95,12 @@ def write_boundary_csv(flow, data, path, provenance_line=""):
         arc = _arclength_of(curve, ts)
         order = np.argsort(arc, kind="stable")
         cols = [arr[sel].ravel()[order] for arr in (u_n, u_t, phi, bq.kappa, margin)]
-        rows.extend((comp, *vals) for vals in zip(arc[order], *cols))
+        blocks.append(np.column_stack([np.full(len(ts), comp), arc[order], *cols]))
     with open(path, "w") as fh:
         if provenance_line:
             fh.write(f"# {provenance_line}\n")
         fh.write("component,arclength,u_n,u_tau,total_head,kappa,friction_margin\n")
-        for comp, arc, un, ut, ph, kap, mg in rows:
-            fh.write(f"{comp},{_fmt(arc)},{_fmt(un)},{_fmt(ut)},{_fmt(ph)},"
-                     f"{_fmt(kap)},{_fmt(mg)}\n")
+        _write_rows(fh, np.vstack(blocks), ",".join(["%d"] + [FLOAT_FMT] * 6))
 
 
 def write_json(payload, path, provenance_dict=None):

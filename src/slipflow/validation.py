@@ -425,19 +425,6 @@ class ConvergenceTable:
         return text
 
 
-def interpolation_solver(exact):
-    """A 'solver' that just interpolates the exact fields on the mesh."""
-    from .linear_solvers import FlowState
-
-    def solve(mesh, data):
-        coords = mesh.p2_coords()
-        u = np.asarray(exact.velocity(coords), float).ravel()
-        p = np.asarray(exact.pressure(mesh.vertices), float)
-        return FlowState(mesh=mesh, nu=data.nu, velocity=u, pressure=p,
-                         metadata={"problem": "interpolation"})
-    return solve
-
-
 def convergence_study(exact, solver, meshes):
     """Errors and observed orders of `solver` against an exact solution.
 

@@ -14,8 +14,7 @@ def rigid_rotation_coeffs(mesh, b=1.0):
 
 
 def domain_area(mesh):
-    from slipflow.norms import domain_area
-    return domain_area(mesh)
+    return float(asm.volume_context(mesh).dv.sum())
 
 
 class TestViscous:
@@ -176,12 +175,23 @@ class TestConvection:
 
 
 class TestComponentwiseForms:
-    FORMS = {
-        "mass": (asm.assemble_vector_mass, lambda ctx: np.einsum(
-            "tq,qi,qj->tij", ctx.dv, ctx.N, ctx.N, optimize=True)),
-        "gradient": (asm.assemble_vector_gradient, lambda ctx: np.einsum(
-            "tq,tqix,tqjx->tij", ctx.dv, ctx.grads, ctx.grads, optimize=True)),
-    }
+    W_SEED = 11
+
+    @classmethod
+    def _forms(cls, form, mesh):
+        """(assembled matrix, scalar [t, 6, 6] element blocks) of one componentwise form."""
+        dm, ctx = asm.DofMap(mesh), asm.volume_context(mesh)
+        if form == "mass":
+            return asm.assemble_vector_mass(mesh, dm), np.einsum(
+                "tq,qi,qj->tij", ctx.dv, ctx.N, ctx.N, optimize=True)
+        if form == "gradient":
+            return asm.assemble_vector_gradient(mesh, dm), np.einsum(
+                "tq,tqix,tqjx->tij", ctx.dv, ctx.grads, ctx.grads, optimize=True)
+        w = np.random.default_rng(cls.W_SEED).standard_normal(dm.n_velocity)
+        wq = np.einsum("qi,tix->tqx", ctx.N, w.reshape(-1, 2)[ctx.nodes])
+        conv = np.einsum("tqx,tqjx->tqj", wq, ctx.grads)
+        return asm.assemble_convection(mesh, dm, w)[0], np.einsum(
+            "tq,qi,tqj->tij", ctx.dv, ctx.N, conv, optimize=True)
 
     @staticmethod
     def _full_scatter(mesh, blk):
@@ -201,19 +211,170 @@ class TestComponentwiseForms:
         keep = A.data != 0
         return rows[keep], A.indices[keep], A.data[keep]
 
-    @pytest.mark.parametrize("form", ["mass", "gradient"])
+    @pytest.mark.parametrize("form", ["mass", "gradient", "convection"])
     @pytest.mark.parametrize("which", ["annulus", "two-hole"])
     def test_no_stored_zeros_and_bitwise_values(self, annulus_coarse, form, which):
+        """The kron(scalar form, I_2) assembly against the full 12x12 scatter:
+        the same nonzero pattern exactly, values to summation-order roundoff."""
         from slipflow.geometry import Circle, DomainSpec
         mesh = annulus_coarse if which == "annulus" else sf.mesh_disk_with_holes(
             DomainSpec([Circle((0.0, 0.0), 3.0), Circle((-1.2, 0.0), 0.6),
                         Circle((1.3, 0.0), 0.5)]), 0.3)
-        assemble, element_blocks = self.FORMS[form]
-        A = assemble(mesh, asm.DofMap(mesh))
+        A, blk = self._forms(form, mesh)
         assert A.nnz == np.count_nonzero(A.data)
-        ref = self._full_scatter(mesh, element_blocks(asm.volume_context(mesh)))
-        for got, want in zip(self._nonzeros(A), self._nonzeros(ref)):
-            assert np.array_equal(got, want)
+        rows, cols, vals = self._nonzeros(A)
+        ref_rows, ref_cols, ref_vals = self._nonzeros(self._full_scatter(mesh, blk))
+        assert np.array_equal(rows, ref_rows) and np.array_equal(cols, ref_cols)
+        assert np.max(np.abs(vals - ref_vals)) <= 1e-15 * np.max(np.abs(ref_vals))
+
+
+class TestScatterBitwise:
+    """scatter_vector / scatter_matrix sites against the per-site np.add.at and
+    hand-built index grids they replaced, bit for bit."""
+
+    @pytest.fixture(scope="class", params=["annulus", "two-hole"])
+    def mesh(self, request, annulus_coarse):
+        from slipflow.geometry import Circle, DomainSpec
+        if request.param == "annulus":
+            return annulus_coarse
+        return sf.mesh_disk_with_holes(
+            DomainSpec([Circle((0.0, 0.0), 3.0), Circle((-1.2, 0.0), 0.6),
+                        Circle((1.3, 0.0), 0.5)]), 0.3)
+
+    @staticmethod
+    def _velocity_add_at(n, nodes, contrib):
+        out = np.zeros(n)
+        np.add.at(out, 2 * nodes, contrib[..., 0])
+        np.add.at(out, 2 * nodes + 1, contrib[..., 1])
+        return out
+
+    @staticmethod
+    def _interleaved(nodes):
+        dofs = np.empty((len(nodes), 2 * nodes.shape[1]), np.int64)
+        dofs[:, 0::2] = 2 * nodes
+        dofs[:, 1::2] = 2 * nodes + 1
+        return dofs
+
+    @staticmethod
+    def _grid_scatter(rows, cols, vals, shape):
+        return sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=shape)
+
+    @staticmethod
+    def _same_csr(A, B):
+        return (A.shape == B.shape and np.array_equal(A.indptr, B.indptr)
+                and np.array_equal(A.indices, B.indices) and np.array_equal(A.data, B.data))
+
+    def test_volume_vectors(self, mesh):
+        dm, ctx = asm.DofMap(mesh), asm.volume_context(mesh)
+        rng = np.random.default_rng(3)
+        f_nodal = rng.standard_normal(dm.n_velocity)
+        fq = np.einsum("qi,tix->tqx", ctx.N, f_nodal.reshape(-1, 2)[ctx.nodes])
+        contrib = np.einsum("tq,qi,tqx->tix", ctx.dv, ctx.N, fq, optimize=True)
+        assert np.array_equal(asm.load_volume(mesh, dm, f_nodal),
+                              self._velocity_add_at(dm.n_velocity, ctx.nodes, contrib))
+        mean = np.zeros(dm.n_pressure)
+        np.add.at(mean, mesh.triangles, np.einsum("tq,qk->tk", ctx.dv, ctx.P))
+        assert np.array_equal(asm.assemble_pressure_mean(mesh, dm), mean)
+        integral = np.zeros(mesh.n_p2_nodes)
+        np.add.at(integral, ctx.nodes, np.einsum("tq,qi->ti", ctx.dv, ctx.N))
+        assert np.array_equal(asm.scalar_integral_vector(mesh), integral)
+        w = rng.standard_normal(dm.n_velocity)
+        nodal = w.reshape(-1, 2)[ctx.nodes]
+        wq = np.einsum("qi,tia->tqa", ctx.N, nodal)
+        adv = np.einsum("tqb,tqib,tia->tqa", wq, ctx.grads, nodal, optimize=True)
+        contrib = np.einsum("tq,qi,tqa->tia", ctx.dv, ctx.N, adv, optimize=True)
+        assert np.array_equal(asm.convection_vector(mesh, dm, w),
+                              self._velocity_add_at(dm.n_velocity, ctx.nodes, contrib))
+
+    def test_boundary_vectors(self, mesh, monkeypatch):
+        from slipflow import linear_solvers as ls
+        dm, bq = asm.DofMap(mesh), asm.boundary_quadrature(mesh)
+        ncomp = mesh.domain.n_components
+        b_tau = [lambda t, x, c=c: np.cos(2 * np.pi * t) + c for c in range(ncomp)]
+        vals = asm._eval_per_component(bq, b_tau)
+        contrib = np.einsum("kq,kq,qi,kqa->kia", bq.w_ds, vals, bq.shape, bq.tangent,
+                            optimize=True)
+        assert np.array_equal(asm.load_boundary_tangential(mesh, dm, b_tau),
+                              self._velocity_add_at(dm.n_velocity, bq.nodes3, contrib))
+        for comp in range(ncomp):
+            sel = bq.component == comp
+            contrib = np.einsum("kq,qi,kqa->kia", bq.w_ds[sel], bq.shape, bq.tangent[sel],
+                                optimize=True)
+            assert np.array_equal(asm.circulation_functional(mesh, dm, comp),
+                                  self._velocity_add_at(dm.n_velocity, bq.nodes3[sel], contrib))
+        a_star = [lambda t, x: np.sin(2 * np.pi * t)] * ncomp
+        loads = []
+        monkeypatch.setattr(ls, "zero_mean_neumann_solve", lambda m, load: loads.append(load))
+        ls.solve_laplace_neumann(mesh, a_star)
+        ref = np.zeros(mesh.n_p2_nodes)
+        np.add.at(ref, bq.nodes3, np.einsum(
+            "kq,kq,qi->ki", bq.w_ds, asm._eval_per_component(bq, a_star), bq.shape))
+        assert np.array_equal(loads[0], ref)
+
+    def test_scalar_projections(self, mesh):
+        from slipflow import analysis, extensions
+
+        class Captured:
+            def __init__(self):
+                self.loads = []
+
+            def solve(self, b):
+                self.loads.append(b)
+                return np.zeros_like(b)
+
+        ctx = asm.volume_context(mesh)
+        rng = np.random.default_rng(4)
+        values = rng.standard_normal(ctx.dv.shape)
+        lu = Captured()
+        analysis._scalar_projection(mesh, values, lu)
+        ref = np.zeros(mesh.n_p2_nodes)
+        np.add.at(ref, ctx.nodes, np.einsum("tq,tq,qi->ti", ctx.dv, values, ctx.N))
+        assert np.array_equal(lu.loads[0], ref)
+        q = rng.standard_normal(mesh.n_p2_nodes)
+        extensions._project_scalar_gradient(mesh, q, lu)
+        gq = np.einsum("ti,tqix->tqx", q[ctx.nodes], ctx.grads)
+        ref = np.zeros((mesh.n_p2_nodes, 2))
+        np.add.at(ref, ctx.nodes, np.einsum("tq,qi,tqx->tix", ctx.dv, ctx.N, gq, optimize=True))
+        assert np.array_equal(lu.loads[1], ref)
+
+    def test_matrix_forms(self, mesh):
+        dm, ctx = asm.DofMap(mesh), asm.volume_context(mesh)
+        g, dv, N, nodes = ctx.grads, ctx.dv, ctx.N, ctx.nodes
+        nt, nv, n = len(nodes), dm.n_velocity, mesh.n_p2_nodes
+        dofs = self._interleaved(nodes)
+        rows, cols = np.repeat(dofs, 12, axis=1), np.tile(dofs, (1, 12))
+        same = np.einsum("tq,tqix,tqjx->tij", dv, g, g, optimize=True)
+        cross = np.einsum("tq,tqib,tqja->tiajb", dv, g, g, optimize=True)
+        block = 0.7 * (np.einsum("tij,ab->tiajb", same, np.eye(2)) + cross)
+        assert self._same_csr(asm.assemble_viscous(mesh, dm, 0.7), self._grid_scatter(
+            rows, cols, block.reshape(nt, 12, 12), (nv, nv)))
+        w = np.random.default_rng(5).standard_normal(nv)
+        gw = asm.velocity_gradient_at(mesh, w, g)
+        block = np.einsum("tq,qi,qj,tqab->tiajb", dv, N, N, gw, optimize=True)
+        assert self._same_csr(asm.assemble_convection_newton(mesh, dm, w), self._grid_scatter(
+            rows, cols, block.reshape(nt, 12, 12), (nv, nv)))
+        blk = np.einsum("tq,qk,tqjb->tkjb", dv, ctx.P, g, optimize=True)
+        assert self._same_csr(asm.assemble_divergence(mesh, dm), self._grid_scatter(
+            np.repeat(mesh.triangles, 12, axis=1), np.tile(dofs, (1, 3)),
+            blk.reshape(nt, 3, 12), (dm.n_pressure, nv)))
+        srows, scols = np.repeat(nodes, 6, axis=1), np.tile(nodes, (1, 6))
+        assert self._same_csr(asm.scalar_stiffness(mesh),
+                              self._grid_scatter(srows, scols, same, (n, n)))
+        mass = np.einsum("tq,qi,qj->tij", dv, N, N, optimize=True)
+        assert self._same_csr(asm.scalar_mass(mesh),
+                              self._grid_scatter(srows, scols, mass, (n, n)))
+
+    def test_friction(self, mesh):
+        dm, bq = asm.DofMap(mesh), asm.boundary_quadrature(mesh)
+        beta = [lambda t, x, c=c: 1.0 + 0.5 * c + np.sin(2 * np.pi * t) ** 2
+                for c in range(mesh.domain.n_components)]
+        bvals = asm._eval_per_component(bq, beta)
+        blk = np.einsum("kq,kq,qi,qj,kqa,kqb->kiajb", bq.w_ds, bvals, bq.shape, bq.shape,
+                        bq.tangent, bq.tangent, optimize=True)
+        dofs = self._interleaved(bq.nodes3)
+        ref = self._grid_scatter(np.repeat(dofs, 6, axis=1), np.tile(dofs, (1, 6)),
+                                 blk.reshape(len(dofs), 6, 6), (dm.n_velocity, dm.n_velocity))
+        assert self._same_csr(asm.assemble_friction(mesh, dm, beta), ref)
 
 
 class TestNormalTrace:
