@@ -18,6 +18,7 @@ from .assembly import scalar_mass, scalar_stiffness, scatter_vector
 from .errors import MultivaluedStreamError
 from .linear_solvers import (FlowState, korn_constant, scalar_mass_factor, sobolev_constant,
                              zero_mean_neumann_solve, _splu)
+from .navier_stokes import SYMMETRY_TOL, symmetric_data_defect
 from .quadrature import interval_rule
 
 
@@ -351,7 +352,6 @@ def audit(domain, data, mesh=None, q=4.0):
 
     # mirror symmetry of domain and data
     admissible = sym.admissible_x1
-    from .navier_stokes import SYMMETRY_TOL, symmetric_data_defect
     data_sym = symmetric_data_defect(domain, data) <= SYMMETRY_TOL
     t3 = {"admissible": bool(admissible), "data_symmetric": bool(data_sym)}
 
@@ -364,14 +364,13 @@ def audit(domain, data, mesh=None, q=4.0):
         notes.append("small-flux audit not evaluable: zero friction on a circularly "
                      "symmetric domain (no Korn bound; hypothesis excludes this case)")
     else:
-        dofmap = assembly.DofMap(mesh)
         basis = extensions.harmonic_basis(mesh)
         h = extensions.harmonic_part(basis, fluxes[1:])
         hnorm = norms.lq_norm(mesh, h, q=q, vector=True)
-        korn = korn_constant(mesh, dofmap, korn_weight(domain, data))
+        korn = korn_constant(mesh, korn_weight(domain, data))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            sob = sobolev_constant(mesh, dofmap, r=2 * q / (q - 2))
+            sob = sobolev_constant(mesh, r=2 * q / (q - 2))
         lhs = float(np.sqrt(2.0) * sob.C_r * hnorm)
         rhs = float(0.5 * data.nu / korn.K)
         t4.update({

@@ -3,7 +3,9 @@
 All matrices are assembled in Cartesian velocity components; the slip
 constraint rotates each boundary node's dof pair into its (n, tau) frame
 and eliminates the normal dof, which is the discrete counterpart of
-working in the space of fields with prescribed normal trace.
+working in the space of fields with prescribed normal trace.  The mesh
+fixes both spaces: velocity dofs are 2*node + a over its quadratic nodes,
+pressure dofs are its vertices.
 """
 
 from dataclasses import dataclass
@@ -111,45 +113,6 @@ def check_total_flux(domain, a_star, flux_rtol=1e-8):
     return total
 
 
-# -- dof map ---------------------------------------------------------------
-
-class DofMap:
-    """Velocity (2 dofs per quadratic node) and vertex pressure dofs."""
-
-    def __init__(self, mesh):
-        self.mesh = mesh
-        self.n_nodes = mesh.n_p2_nodes
-        self.n_velocity = 2 * self.n_nodes
-        self.n_pressure = mesh.n_vertices
-        self.boundary_nodes = np.nonzero(mesh.node_is_boundary)[0]
-
-    def rotation(self):
-        """Orthogonal map taking Cartesian dofs to (n, tau) dofs at boundary nodes."""
-        mesh = self.mesh
-        rows, cols, vals = [], [], []
-        interior = np.ones(self.n_nodes, bool)
-        interior[self.boundary_nodes] = False
-        idx = np.nonzero(interior)[0]
-        for k in (0, 1):
-            rows.append(2 * idx + k)
-            cols.append(2 * idx + k)
-            vals.append(np.ones(len(idx)))
-        b = self.boundary_nodes
-        n = mesh.node_normal[b]
-        tau = mesh.node_tangent[b]
-        rows.extend([2 * b, 2 * b, 2 * b + 1, 2 * b + 1])
-        cols.extend([2 * b, 2 * b + 1, 2 * b, 2 * b + 1])
-        vals.extend([n[:, 0], n[:, 1], tau[:, 0], tau[:, 1]])
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        vals = np.concatenate(vals)
-        return sp.csr_matrix((vals, (rows, cols)), shape=(self.n_velocity, self.n_velocity))
-
-    def normal_dofs(self):
-        """Rotated dof ids carrying the normal component at boundary nodes."""
-        return 2 * self.boundary_nodes
-
-
 # -- per-mesh element context ----------------------------------------------
 
 def _frozen(arrays):
@@ -234,6 +197,13 @@ def _scalar_form(mesh, nodes, blk):
     return scatter_matrix(nodes, nodes, blk, (mesh.n_p2_nodes, mesh.n_p2_nodes))
 
 
+def _velocity_form(mesh, nodes, blk):
+    """Velocity matrix from [e, k, 2, k, 2] element blocks on the [e, k] node array."""
+    dofs = velocity_dofs(nodes)
+    n = 2 * mesh.n_p2_nodes
+    return scatter_matrix(dofs, dofs, blk.reshape(len(dofs), dofs.shape[1], -1), (n, n))
+
+
 def _componentwise(scalar):
     """scalar (x) I_2 in interleaved velocity dofs, with no stored zeros."""
     out = sp.kron(scalar, sp.eye(2), format="csr")
@@ -265,42 +235,39 @@ def scalar_integral_vector(mesh):
 
 # -- velocity and pressure forms ---------------------------------------------
 
-def assemble_viscous(mesh, dofmap, nu):
+def assemble_viscous(mesh, nu):
     """Matrix of (nu/2) * integral S(u):S(phi) over curved elements."""
     ctx = volume_context(mesh)
     g, dv, nodes = ctx.grads, ctx.dv, ctx.nodes
     same = np.einsum("tq,tqix,tqjx->tij", dv, g, g, optimize=True)
     cross = np.einsum("tq,tqib,tqja->tiajb", dv, g, g, optimize=True)
-    block = nu * (np.einsum("tij,ab->tiajb", same, np.eye(2)) + cross)
-    dofs = velocity_dofs(nodes)
-    return scatter_matrix(dofs, dofs, block.reshape(len(nodes), 12, 12),
-                          (dofmap.n_velocity, dofmap.n_velocity))
+    return _velocity_form(mesh, nodes, nu * (np.einsum("tij,ab->tiajb", same, np.eye(2)) + cross))
 
 
-def assemble_vector_mass(mesh, dofmap):
+def assemble_vector_mass(mesh):
     """Velocity-space L2 mass matrix: the scalar mass on each component."""
     return _componentwise(scalar_mass(mesh))
 
 
-def assemble_vector_gradient(mesh, dofmap):
+def assemble_vector_gradient(mesh):
     """Matrix of integral grad(u):grad(phi) (componentwise H1 seminorm)."""
     return _componentwise(scalar_stiffness(mesh))
 
 
-def assemble_divergence(mesh, dofmap):
+def assemble_divergence(mesh):
     """Matrix B with (B u)_q = integral q div(u); pressure rows."""
     ctx = volume_context(mesh)
     blk = np.einsum("tq,qk,tqjb->tkjb", ctx.dv, ctx.P, ctx.grads, optimize=True)  # [t, 3, 6, 2]
     return scatter_matrix(mesh.triangles, velocity_dofs(ctx.nodes),
                           blk.reshape(len(ctx.nodes), 3, 12),
-                          (dofmap.n_pressure, dofmap.n_velocity))
+                          (mesh.n_vertices, 2 * mesh.n_p2_nodes))
 
 
-def assemble_pressure_mean(mesh, dofmap):
+def assemble_pressure_mean(mesh):
     """Vector m with m_q = integral of the pressure basis function q."""
     ctx = volume_context(mesh)
     contrib = np.einsum("tq,qk->tk", ctx.dv, ctx.P)
-    return scatter_vector(mesh.triangles, contrib, dofmap.n_pressure)
+    return scatter_vector(mesh.triangles, contrib, mesh.n_vertices)
 
 
 def velocity_gradient_at(mesh, coeffs, grads):
@@ -309,7 +276,7 @@ def velocity_gradient_at(mesh, coeffs, grads):
     return np.einsum("tia,tqib->tqab", nodal, grads)
 
 
-def assemble_convection(mesh, dofmap, w_coeffs, lam=1.0):
+def assemble_convection(mesh, w_coeffs, lam=1.0):
     """Matrix C(w) of integral ((w . grad) u) . phi, plus N(w) = C(w) w."""
     ctx = volume_context(mesh)
     nodes = ctx.nodes
@@ -320,34 +287,32 @@ def assemble_convection(mesh, dofmap, w_coeffs, lam=1.0):
     return C, C @ w_coeffs
 
 
-def convection_vector(mesh, dofmap, w_coeffs):
+def convection_vector(mesh, w_coeffs):
     """N(w) = integral ((w . grad) w) . phi without forming C(w).
 
-    Equals assemble_convection(mesh, dofmap, w_coeffs)[1] up to roundoff.
+    Equals assemble_convection(mesh, w_coeffs)[1] up to roundoff.
     """
     ctx = volume_context(mesh)
     nodal = w_coeffs.reshape(-1, 2)[ctx.nodes]                  # [t, i, a]
     wq = np.einsum("qi,tia->tqa", ctx.N, nodal)
     adv = np.einsum("tqb,tqib,tia->tqa", wq, ctx.grads, nodal, optimize=True)
     contrib = np.einsum("tq,qi,tqa->tia", ctx.dv, ctx.N, adv, optimize=True)
-    return scatter_vector(velocity_dofs(ctx.nodes), contrib, dofmap.n_velocity)
+    return scatter_vector(velocity_dofs(ctx.nodes), contrib, 2 * mesh.n_p2_nodes)
 
 
-def assemble_convection_newton(mesh, dofmap, w_coeffs, lam=1.0):
+def assemble_convection_newton(mesh, w_coeffs, lam=1.0):
     """Matrix of integral ((u . grad) w) . phi for the Newton linearization."""
     ctx = volume_context(mesh)
     nodes, N = ctx.nodes, ctx.N
     gw = velocity_gradient_at(mesh, w_coeffs, ctx.grads)    # [t, q, a, b]
-    block = lam * np.einsum("tq,qi,qj,tqab->tiajb", ctx.dv, N, N, gw, optimize=True)
-    dofs = velocity_dofs(nodes)
-    return scatter_matrix(dofs, dofs, block.reshape(len(nodes), 12, 12),
-                          (dofmap.n_velocity, dofmap.n_velocity))
+    return _velocity_form(mesh, nodes, lam * np.einsum(
+        "tq,qi,qj,tqab->tiajb", ctx.dv, N, N, gw, optimize=True))
 
 
-def load_volume(mesh, dofmap, f):
+def load_volume(mesh, f):
     """Load vector of <f, phi> for f callable, per-node array, or None."""
     if f is None:
-        return np.zeros(dofmap.n_velocity)
+        return np.zeros(2 * mesh.n_p2_nodes)
     ctx = volume_context(mesh)
     N, nodes = ctx.N, ctx.nodes
     if callable(f):
@@ -359,7 +324,7 @@ def load_volume(mesh, dofmap, f):
     if not np.all(np.isfinite(fval)):
         raise DataError("volume force is not finite at a quadrature point")
     contrib = np.einsum("tq,qi,tqx->tix", ctx.dv, N, fval, optimize=True)
-    return scatter_vector(velocity_dofs(nodes), contrib, dofmap.n_velocity)
+    return scatter_vector(velocity_dofs(nodes), contrib, 2 * mesh.n_p2_nodes)
 
 
 # -- boundary quadrature ---------------------------------------------------
@@ -442,7 +407,7 @@ def _eval_per_component(bq, per_component_fns):
     return vals
 
 
-def assemble_friction(mesh, dofmap, beta):
+def assemble_friction(mesh, beta):
     """Boundary matrix of integral beta (u . tau)(phi . tau) ds."""
     bq = boundary_quadrature(mesh)
     fns = [as_boundary_scalar(b) for b in beta]
@@ -454,22 +419,20 @@ def assemble_friction(mesh, dofmap, beta):
     blk = np.einsum("kq,kq,qi,qj,kqa,kqb->kiajb",
                     bq.w_ds, bvals, bq.shape, bq.shape, bq.tangent, bq.tangent,
                     optimize=True)
-    dofs = velocity_dofs(bq.nodes3)
-    return scatter_matrix(dofs, dofs, blk.reshape(len(dofs), 6, 6),
-                          (dofmap.n_velocity, dofmap.n_velocity))
+    return _velocity_form(mesh, bq.nodes3, blk)
 
 
-def load_boundary_tangential(mesh, dofmap, b_tau):
+def load_boundary_tangential(mesh, b_tau):
     """Load vector of integral b_tau (phi . tau) ds."""
     bq = boundary_quadrature(mesh)
     fns = [as_boundary_scalar(b) for b in b_tau]
     vals = _eval_per_component(bq, fns)
     contrib = np.einsum("kq,kq,qi,kqa->kia", bq.w_ds, vals, bq.shape, bq.tangent,
                         optimize=True)
-    return scatter_vector(velocity_dofs(bq.nodes3), contrib, dofmap.n_velocity)
+    return scatter_vector(velocity_dofs(bq.nodes3), contrib, 2 * mesh.n_p2_nodes)
 
 
-def circulation_functional(mesh, dofmap, component):
+def circulation_functional(mesh, component):
     """Row vector L with L u = contour integral of u . tau over the component.
 
     The contour is traversed in the tau = (n2, -n1) direction.
@@ -478,7 +441,7 @@ def circulation_functional(mesh, dofmap, component):
     sel = bq.component == component
     contrib = np.einsum("kq,qi,kqa->kia", bq.w_ds[sel], bq.shape, bq.tangent[sel],
                         optimize=True)
-    return scatter_vector(velocity_dofs(bq.nodes3[sel]), contrib, dofmap.n_velocity)
+    return scatter_vector(velocity_dofs(bq.nodes3[sel]), contrib, 2 * mesh.n_p2_nodes)
 
 
 def boundary_flux(mesh, coeffs, component):
@@ -491,11 +454,29 @@ def boundary_flux(mesh, coeffs, component):
 
 # -- slip constraint -------------------------------------------------------
 
+def boundary_node_values(mesh, per_component):
+    """Boundary node ids and a per-component datum at them, on the exact curve
+    parameters of the nodes; DataError when a value is not finite."""
+    if len(per_component) != mesh.domain.n_components:
+        raise DataError(f"boundary datum has {len(per_component)} components, "
+                        f"domain has {mesh.domain.n_components}")
+    b = np.nonzero(mesh.node_is_boundary)[0]
+    values = np.zeros(len(b))
+    coords = mesh.p2_coords()
+    for comp, value in enumerate(per_component):
+        sel = mesh.node_component[b] == comp
+        if sel.any():
+            values[sel] = np.asarray(
+                as_boundary_scalar(value)(mesh.node_param[b[sel]], coords[b[sel]]), float)
+    if not np.all(np.isfinite(values)):
+        raise DataError("boundary data is not finite at a boundary node")
+    return b, values
+
+
 @dataclass
 class SlipConstraint:
     """Rotated basis plus elimination data for u . n = a_star at boundary nodes."""
 
-    dofmap: DofMap
     Q: sp.csr_matrix
     free: np.ndarray
     fixed: np.ndarray
@@ -516,7 +497,7 @@ class SlipConstraint:
 
     def expand(self, u_free):
         """Rotated free dofs -> full Cartesian velocity coefficients."""
-        uhat = np.zeros(self.dofmap.n_velocity)
+        uhat = np.zeros(self.Q.shape[0])
         uhat[self.free] = u_free
         uhat[self.fixed] = self.fixed_values
         return self.Q.T @ uhat
@@ -526,40 +507,30 @@ class SlipConstraint:
         return (self.Q @ u_full)[self.free]
 
 
-def normal_trace_constraint(mesh, dofmap, a_star, flux_rtol=1e-8):
+def normal_trace_constraint(mesh, a_star, flux_rtol=1e-8):
     """Build the slip constraint for prescribed normal trace a_star.
 
     a_star is a per-component sequence.  The nodal values are
     interpolated on the exact curve parameters of the boundary nodes.
-    Raises CompatibilityError when the total flux is out of tolerance.
+    Q is orthogonal: it takes the Cartesian dofs of each boundary node to
+    its (n, tau) dofs and is the identity elsewhere; the rotated normal
+    dofs 2*node are fixed.  Raises CompatibilityError when the total flux
+    is out of tolerance and DataError when a nodal value is not finite.
     """
     check_total_flux(mesh.domain, a_star, flux_rtol)
-    fns = [as_boundary_scalar(a) for a in a_star]
-    Q = dofmap.rotation()
-    fixed = dofmap.normal_dofs()
-    mask = np.ones(dofmap.n_velocity, bool)
+    b, values = boundary_node_values(mesh, a_star)
+    n_velocity = 2 * mesh.n_p2_nodes
+    idx = np.nonzero(~mesh.node_is_boundary)[0]
+    n, tau = mesh.node_normal[b], mesh.node_tangent[b]
+    rows = np.concatenate([2 * idx, 2 * idx + 1, 2 * b, 2 * b, 2 * b + 1, 2 * b + 1])
+    cols = np.concatenate([2 * idx, 2 * idx + 1, 2 * b, 2 * b + 1, 2 * b, 2 * b + 1])
+    vals = np.concatenate([np.ones(2 * len(idx)), n[:, 0], n[:, 1], tau[:, 0], tau[:, 1]])
+    Q = sp.csr_matrix((vals, (rows, cols)), shape=(n_velocity, n_velocity))
+    fixed = 2 * b
+    mask = np.ones(n_velocity, bool)
     mask[fixed] = False
     free = np.nonzero(mask)[0]
-    b = dofmap.boundary_nodes
-    values = np.zeros(len(fixed))
-    coords = mesh.p2_coords()
-    for comp in range(mesh.domain.n_components):
-        sel = mesh.node_component[b] == comp
-        if sel.any():
-            values[sel] = np.asarray(
-                fns[comp](mesh.node_param[b[sel]], coords[b[sel]]), float)
-    return SlipConstraint(dofmap=dofmap, Q=Q, free=free, fixed=fixed,
-                          fixed_values=values)
-
-
-@dataclass
-class StokesSystem:
-    """Unconstrained assembled blocks of the viscous slip problem."""
-
-    A: sp.csr_matrix
-    B: sp.csr_matrix
-    F: np.ndarray
-    mean: np.ndarray
+    return SlipConstraint(Q=Q, free=free, fixed=fixed, fixed_values=values)
 
 
 @dataclass
@@ -574,12 +545,13 @@ class ConstrainedSystem:
     mean: np.ndarray
 
 
-def apply_normal_trace(mesh, dofmap, system, a_star):
-    """Constrain a StokesSystem to prescribed normal trace a_star."""
-    con = normal_trace_constraint(mesh, dofmap, a_star)
-    A_ff, A_fc = con.reduce_matrix(system.A)
-    B_f, B_c = con.reduce_rows(system.B)
-    F_f = con.reduce_vector(system.F) - A_fc @ con.fixed_values
+def apply_normal_trace(mesh, A, B, F, mean, a_star):
+    """Constrain the Stokes blocks (viscous A, divergence B, load F, pressure
+    mean) to prescribed normal trace a_star."""
+    con = normal_trace_constraint(mesh, a_star)
+    A_ff, A_fc = con.reduce_matrix(A)
+    B_f, B_c = con.reduce_rows(B)
+    F_f = con.reduce_vector(F) - A_fc @ con.fixed_values
     G_f = -(B_c @ con.fixed_values)
     return ConstrainedSystem(constraint=con, A_ff=A_ff, B_f=B_f,
-                             F_f=F_f, G_f=G_f, mean=system.mean)
+                             F_f=F_f, G_f=G_f, mean=mean)

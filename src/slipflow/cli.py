@@ -170,7 +170,7 @@ def cmd_solve(args, cfg):
     prov = output.provenance(cfg)
     pins = _parse_pins(args.pin)
     if args.problem == "stokes":
-        flow = ls.solve_stokes(mesh, data)
+        flow = nvs.solve_stokes(mesh, data)
         _write_solution(flow, None, data, out, prov)
         print(f"stokes solve done (linear residual {flow.metadata['linear_residual']:.3e})")
         return 0
@@ -213,13 +213,12 @@ def cmd_korn(args, cfg):
     domain = build_domain(cfg)
     data = build_data(cfg, domain)
     mesh = build_mesh(cfg, domain)
-    dofmap = assembly.DofMap(mesh)
     q = cfg.get("audit", {}).get("q", 4.0)
     beta_zero = data.beta_identically_zero(domain)
     circ = geometry.classify_symmetry(domain).circularly_symmetric is not None
-    est = ls.korn_constant(mesh, dofmap, analysis.korn_weight(domain, data),
+    est = ls.korn_constant(mesh, analysis.korn_weight(domain, data),
                            project_rotation=(beta_zero and circ))
-    sob = ls.sobolev_constant(mesh, dofmap, r=2 * q / (q - 2))
+    sob = ls.sobolev_constant(mesh, r=2 * q / (q - 2))
     payload = {
         "korn": {"K": est.K, "lambda_min": est.lambda_min,
                  "rotation_projected": est.rotation_projected, "rigor": est.rigor},
@@ -257,7 +256,7 @@ def cmd_validate(args, cfg):
             mesh, data, nvs.SolverConfig(pins={1: 0.0}))[0]
     elif args.case == "couette":
         exact = validation.slip_couette()
-        solver = lambda mesh, data: ls.solve_stokes(mesh, data)
+        solver = nvs.solve_stokes
     else:  # mms: divergence-free rotated gradient of sin(x1) sin(x2)
         domain = meshes[0].domain
         amp = 0.15

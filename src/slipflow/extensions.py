@@ -86,12 +86,11 @@ def solenoidal_extension(mesh, a_star):
 def harmonic_basis(mesh, domain=None):
     """Dirichlet solves plus L2 Gram-Schmidt; empty basis when there are no holes."""
     domain = mesh.domain if domain is None else domain
-    dofmap = assembly.DofMap(mesh)
     N = domain.n_holes
-    mass = assembly.assemble_vector_mass(mesh, dofmap)
+    mass = assembly.assemble_vector_mass(mesh)
     if N == 0:
-        return HarmonicBasis(mesh=mesh, gradients=np.zeros((0, dofmap.n_velocity)),
-                             psi=np.zeros((0, dofmap.n_velocity)),
+        return HarmonicBasis(mesh=mesh, gradients=np.zeros((0, 2 * mesh.n_p2_nodes)),
+                             psi=np.zeros((0, 2 * mesh.n_p2_nodes)),
                              alpha=np.zeros((0, 0)), mass=mass)
     mass_lu = scalar_mass_factor(mesh)
     solve = dirichlet_solver(mesh)

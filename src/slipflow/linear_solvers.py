@@ -1,6 +1,6 @@
-"""Direct solves: scalar Laplace problems, the Stokes saddle system with
-slip constraints and nullspace handling, and the generalized eigenvalue
-estimates for the Korn and Sobolev constants."""
+"""Direct solves: scalar Laplace problems, the bordered saddle systems
+with slip constraints and nullspace handling, and the generalized
+eigenvalue estimates for the Korn and Sobolev constants."""
 
 import warnings
 from dataclasses import dataclass, field
@@ -146,7 +146,8 @@ class BorderedSolver:
 def solve_laplace_dirichlet(mesh, values):
     """Harmonic P2 field with per-component Dirichlet data.
 
-    values: sequence of constants or callables(t, points), one per component.
+    values: sequence of constants or callables(t, points), one per component;
+    DataError when a value at a boundary node is not finite.
     """
     return dirichlet_solver(mesh)(values)
 
@@ -154,26 +155,17 @@ def solve_laplace_dirichlet(mesh, values):
 def dirichlet_solver(mesh):
     """solve(values) as solve_laplace_dirichlet, factoring the interior stiffness once."""
     K = scalar_stiffness(mesh)
-    n = mesh.n_p2_nodes
     bnodes = np.nonzero(mesh.node_is_boundary)[0]
-    coords = mesh.p2_coords()
-    free = np.ones(n, bool)
-    free[bnodes] = False
-    fidx = np.nonzero(free)[0]
+    fidx = np.nonzero(~mesh.node_is_boundary)[0]
     K_fb = K[fidx][:, bnodes]
     lu = _splu(K[fidx][:, fidx])
 
     def solve(values):
-        fns = [assembly.as_boundary_scalar(v) for v in values]
-        g = np.zeros(n)
-        for comp in range(mesh.domain.n_components):
-            sel = bnodes[mesh.node_component[bnodes] == comp]
-            if len(sel):
-                g[sel] = np.asarray(fns[comp](mesh.node_param[sel], coords[sel]), float)
-        q = g.copy()
-        q[fidx] = lu.solve(-(K_fb @ g[bnodes]))
-        lo, hi = g[bnodes].min(), g[bnodes].max()
-        if q.min() < lo - 1e-8 or q.max() > hi + 1e-8:
+        _, g = assembly.boundary_node_values(mesh, values)
+        q = np.zeros(mesh.n_p2_nodes)
+        q[bnodes] = g
+        q[fidx] = lu.solve(-(K_fb @ g))
+        if q.min() < g.min() - 1e-8 or q.max() > g.max() + 1e-8:
             raise SolverError("discrete maximum principle violated beyond tolerance")
         return q
 
@@ -327,26 +319,6 @@ def solve_saddle_krylov(layout, solver, A_ff, F_f, cycle, guess=None):
     return x, relres, iterations
 
 
-def solve_stokes(mesh, data):
-    """Weak solution of the viscous slip problem on the given mesh.
-
-    When the friction coefficient vanishes identically on a circularly
-    symmetric domain, the rigid rotation is a zero-energy mode: the data
-    must satisfy the force/traction compatibility and the returned
-    solution is the unique one orthogonal to the rotation in L2.
-    """
-    from .navier_stokes import _Workspace  # navier_stokes imports this module
-    ws = _Workspace(mesh, data)
-    x, step = ws.solve_linear(ws.A_base)
-    u, p = ws.rows.split(x)
-    resid = step.relres
-    if not resid <= RESIDUAL_TOL:
-        raise SolverError(f"saddle solve residual {resid:.3e} above tolerance")
-    meta = dict(ws.meta, problem="stokes", linear_residual=resid)
-    return FlowState(mesh=mesh, nu=data.nu, velocity=u, pressure=ws.physical_pressure(p),
-                     metadata=meta)
-
-
 # -- eigenvalue estimates ----------------------------------------------------
 
 def _pencil_scale(K, M):
@@ -398,7 +370,7 @@ class KornEstimate:
     rigor: str = "lower bound on the continuum constant (discrete subspace)"
 
 
-def korn_constant(mesh, dofmap, weight, project_rotation=False):
+def korn_constant(mesh, weight, project_rotation=False):
     """Best discrete constant of the symmetric-gradient/friction inequality.
 
     weight is the per-component boundary factor multiplying |u_tau|^2
@@ -417,12 +389,12 @@ def korn_constant(mesh, dofmap, weight, project_rotation=False):
         if np.any(vals < -1e-14):
             raise DataError("Korn boundary weight must be nonnegative")
     sym = geometry.classify_symmetry(mesh.domain)
-    kform = assembly.assemble_viscous(mesh, dofmap, 2.0)  # integral S(u):S(v)
-    kform = kform + assembly.assemble_friction(mesh, dofmap, weight)
-    mass = assembly.assemble_vector_mass(mesh, dofmap)
-    wform = mass + assembly.assemble_vector_gradient(mesh, dofmap)
+    kform = assembly.assemble_viscous(mesh, 2.0)  # integral S(u):S(v)
+    kform = kform + assembly.assemble_friction(mesh, weight)
+    mass = assembly.assemble_vector_mass(mesh)
+    wform = mass + assembly.assemble_vector_gradient(mesh)
 
-    con = assembly.normal_trace_constraint(mesh, dofmap, [0.0] * mesh.domain.n_components)
+    con = assembly.normal_trace_constraint(mesh, [0.0] * mesh.domain.n_components)
     K_ff, _ = con.reduce_matrix(kform)
     W_ff, _ = con.reduce_matrix(wform)
     constraints = []
@@ -457,7 +429,7 @@ class SobolevEstimate:
     rigor: str = "lower bound by discrete-space ascent (non-rigorous)"
 
 
-def sobolev_constant(mesh, dofmap, r, maxiter=600, tol=1e-10, v0=None):
+def sobolev_constant(mesh, r, maxiter=600, tol=1e-10, v0=None):
     """Ascent estimate of the L^r/W^{1,2} embedding constant.
 
     The quotient is maximized over the scalar quadratic space by the

@@ -14,6 +14,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Delaunay
 
 from . import geometry
+from .elements import p2_shape
 from .errors import ConfigurationError, MeshError, MeshImportError
 
 FORMAT_VERSION = "slipflow-mesh-1"
@@ -382,8 +383,6 @@ def refine_nested(mesh):
     parent quadratic map, so the refined finite element spaces nest
     inside the parent spaces.  Boundary nodes are not re-snapped.
     """
-    from .elements import p2_shape
-
     nv = mesh.n_vertices
     new_vertices = mesh.p2_coords()  # old vertices + old edge nodes
     old_tri_nodes = mesh.triangle_nodes()

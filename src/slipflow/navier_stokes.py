@@ -1,4 +1,4 @@
-"""Stationary Navier-Stokes slip solver.
+"""Stationary Stokes and Navier-Stokes slip solvers.
 
 The nonlinear problem is attacked as a fixed point of the viscous slip
 operator: damped Picard steps (all convection explicit, each step being
@@ -26,19 +26,22 @@ core; the rigid-rotation row (zero friction on a circularly symmetric
 domain) as a dense border next to the pressure mean.  The iteration
 carries the solution x of the bordered system; the layout splits it
 into velocity and pressure, and its block product gives both the GMRES
-operator and the nonlinear residual.
+operator and the nonlinear residual.  The Stokes problem is the
+workspace's base solve alone (solve_stokes).
 """
 
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.spatial import cKDTree
 
 from . import assembly, geometry
 from .errors import (BranchDegeneracyError, DataError, MeshError,
                      NonConvergenceError, SolverError)
-from .linear_solvers import (FlowState, SaddleLayout, build_saddle_solver,
+from .linear_solvers import (RESIDUAL_TOL, FlowState, SaddleLayout, build_saddle_solver,
                              rigid_rotation_mode, solve_saddle_krylov, solve_saddle_rhs)
+from .validation import sample_interior_points
 
 LINEAR_TOL = 1e-8
 SYMMETRY_TOL = 1e-10
@@ -135,20 +138,17 @@ class _Workspace:
         data.check_against(domain)
         self.mesh = mesh
         self.data = data
-        self.dofmap = assembly.DofMap(mesh)
-        self.A_base = assembly.assemble_viscous(mesh, self.dofmap, data.nu) \
-            + assembly.assemble_friction(mesh, self.dofmap, data.beta)
-        self.B = assembly.assemble_divergence(mesh, self.dofmap)
-        self.F = assembly.load_volume(mesh, self.dofmap, data.f) \
-            + assembly.load_boundary_tangential(mesh, self.dofmap, data.b_tau)
-        self.mean = assembly.assemble_pressure_mean(mesh, self.dofmap)
-        self.base = assembly.apply_normal_trace(
-            mesh, self.dofmap,
-            assembly.StokesSystem(A=self.A_base, B=self.B, F=self.F, mean=self.mean),
-            data.a_star)
+        self.A_base = assembly.assemble_viscous(mesh, data.nu) \
+            + assembly.assemble_friction(mesh, data.beta)
+        self.B = assembly.assemble_divergence(mesh)
+        self.F = assembly.load_volume(mesh, data.f) \
+            + assembly.load_boundary_tangential(mesh, data.b_tau)
+        self.mean = assembly.assemble_pressure_mean(mesh)
+        self.base = assembly.apply_normal_trace(mesh, self.A_base, self.B, self.F, self.mean,
+                                                data.a_star)
         self.con = self.base.constraint
 
-        velocity = [sp.csr_matrix((0, self.dofmap.n_velocity))]
+        velocity = [sp.csr_matrix((0, 2 * mesh.n_p2_nodes))]
         pressure = None
         dense = []
         self.meta = {}
@@ -180,7 +180,7 @@ class _Workspace:
                 raise DataError(
                     "zero-friction circularly symmetric domain needs compatible "
                     f"data; residual <f + b, rigid rotation> = {compat:.6e}")
-            mass = assembly.assemble_vector_mass(mesh, self.dofmap)
+            mass = assembly.assemble_vector_mass(mesh)
             dense.append(mass @ mode.coefficients)
             self.meta["rigid_constraint"] = True
             self.meta["symmetric_compatibility_residual"] = compat
@@ -189,7 +189,7 @@ class _Workspace:
             if comp < 1 or comp > domain.n_holes:
                 raise DataError(f"circulation pin on invalid hole component {comp}")
             velocity.append(sp.csr_matrix(
-                assembly.circulation_functional(mesh, self.dofmap, comp)))
+                assembly.circulation_functional(mesh, comp)))
             targets.append(float(target))
         self.rows = SaddleLayout(self.base, sp.vstack(velocity), targets, pressure, dense)
         self._held = None       # (operator, its factored saddle system)
@@ -248,7 +248,6 @@ class _Workspace:
 
 def _mirror_lookup(mesh, tol_rel=1e-9):
     """Index of the mirror partner of every quadratic node (or error)."""
-    from scipy.spatial import cKDTree
     coords = mesh.p2_coords()
     tol = tol_rel * mesh.domain.diameter
     tree = cKDTree(coords)
@@ -333,7 +332,6 @@ def symmetric_data_defect(domain, data):
                     float(np.max(np.abs(c1 - c2))))
     if data.f is not None and callable(data.f):
         rng = np.random.default_rng(3)
-        from .validation import sample_interior_points
         pts = sample_interior_points(domain, 32, rng)
         pts = np.vstack([pts, pts * np.array([1.0, -1.0])])
         fv = np.asarray(data.f(pts), float)
@@ -357,6 +355,25 @@ def _stokes_lift(ws):
     return x, scale, step
 
 
+def solve_stokes(mesh, data):
+    """Weak solution of the viscous slip problem on the given mesh.
+
+    When the friction coefficient vanishes identically on a circularly
+    symmetric domain, the rigid rotation is a zero-energy mode: the data
+    must satisfy the force/traction compatibility and the returned
+    solution is the unique one orthogonal to the rotation in L2.
+    """
+    ws = _Workspace(mesh, data)
+    x, step = ws.solve_linear(ws.A_base)
+    u, p = ws.rows.split(x)
+    resid = step.relres
+    if not resid <= RESIDUAL_TOL:
+        raise SolverError(f"saddle solve residual {resid:.3e} above tolerance")
+    meta = dict(ws.meta, problem="stokes", linear_residual=resid)
+    return FlowState(mesh=mesh, nu=data.nu, velocity=u, pressure=ws.physical_pressure(p),
+                     metadata=meta)
+
+
 def solve_navier_stokes(mesh, data, config=None):
     """Nonlinear slip-flow solve; returns (FlowState, IterationTrace)."""
     config = config or SolverConfig()
@@ -366,7 +383,6 @@ def solve_navier_stokes(mesh, data, config=None):
 def _iterate(ws, config):
     mesh, data = ws.mesh, ws.data
     trace = IterationTrace()
-    dofmap = ws.dofmap
 
     x, scale, lift_step = _stokes_lift(ws)
     lift, _ = ws.rows.split(x)
@@ -374,14 +390,14 @@ def _iterate(ws, config):
     lift_energy = 0.5 * float(lift @ (ws.A_base @ lift))
     for lam in config.lambda_schedule:
         if lam == 0.0:
-            conv = assembly.convection_vector(mesh, dofmap, ws.rows.split(x)[0])
+            conv = assembly.convection_vector(mesh, ws.rows.split(x)[0])
             res = np.linalg.norm(ws.residual(x, 0.0, conv)) / scale
             trace.record(res, lift_energy, 1.0, "stokes", lift_step)
             continue
         x, trace = _solve_at_lambda(ws, config, lam, x, trace, scale)
     lam = config.lambda_schedule[-1]
     u, p = ws.rows.split(x)
-    conv = assembly.convection_vector(mesh, dofmap, u)
+    conv = assembly.convection_vector(mesh, u)
     weak = ws.residual(ws.rows.unpinned(x), lam, conv)[:ws.rows.n_flow]
     meta = dict(ws.meta)
     meta.update({
@@ -396,7 +412,7 @@ def _iterate(ws, config):
     })
     if config.pins:
         meta["circulations"] = {
-            comp: float(assembly.circulation_functional(mesh, dofmap, comp) @ u)
+            comp: float(assembly.circulation_functional(mesh, comp) @ u)
             for comp in config.pins}
     if config.symmetric_subspace:
         meta["symmetry_defect"] = _symmetry_defect(mesh, u)
@@ -406,10 +422,10 @@ def _iterate(ws, config):
 
 
 def _solve_at_lambda(ws, config, lam, x, trace, scale):
-    mesh, dofmap = ws.mesh, ws.dofmap
+    mesh = ws.mesh
     damping = config.damping
     u = ws.rows.split(x)[0]
-    conv = assembly.convection_vector(mesh, dofmap, u)
+    conv = assembly.convection_vector(mesh, u)
     res_prev = np.linalg.norm(ws.residual(x, lam, conv)) / scale
     growth_streak = 0
     newton_allowed = config.mode in ("newton", "picard-then-newton")
@@ -427,8 +443,8 @@ def _solve_at_lambda(ws, config, lam, x, trace, scale):
             if phase == "picard":
                 x_new, step = ws.solve_linear(ws.A_base, extra_rhs=-lam * conv)
             else:
-                C, _ = assembly.assemble_convection(mesh, dofmap, u)
-                D = assembly.assemble_convection_newton(mesh, dofmap, u, lam)
+                C, _ = assembly.assemble_convection(mesh, u)
+                D = assembly.assemble_convection_newton(mesh, u, lam)
                 x_new, step = ws.solve_linear(
                     ws.A_base + lam * C + D, extra_rhs=(D @ u), guess=x)
         except SolverError as exc:
@@ -441,7 +457,7 @@ def _solve_at_lambda(ws, config, lam, x, trace, scale):
         for _ in range(6):
             x_try = x + alpha * (x_new - x)
             u_try = ws.rows.split(x_try)[0]
-            conv_try = assembly.convection_vector(mesh, dofmap, u_try)
+            conv_try = assembly.convection_vector(mesh, u_try)
             res_try = np.linalg.norm(ws.residual(x_try, lam, conv_try)) / scale
             if res_try <= res_prev or alpha < 0.05:
                 break
@@ -510,7 +526,7 @@ def continuation_sweep(mesh, data, lambda_grid, config=None):
         u, p = ws.rows.split(x)
         w = u - lift
         wnorm = float(np.sqrt(max(w @ (ws.A_base @ w), 0.0)))
-        conv = assembly.convection_vector(mesh, ws.dofmap, u)
+        conv = assembly.convection_vector(mesh, u)
         res = np.linalg.norm(ws.residual(x, lam, conv)) / scale
         flow = FlowState(mesh=mesh, nu=data.nu, velocity=u,
                          pressure=ws.physical_pressure(p),

@@ -19,15 +19,13 @@ def domain_area(mesh):
 
 class TestViscous:
     def test_annihilates_rigid_rotation(self, annulus_coarse):
-        dm = asm.DofMap(annulus_coarse)
-        A = asm.assemble_viscous(annulus_coarse, dm, nu=1.0)
+        A = asm.assemble_viscous(annulus_coarse, nu=1.0)
         u0 = rigid_rotation_coeffs(annulus_coarse)
         bound = 1e-10 * spla.norm(A) * np.linalg.norm(u0)
         assert np.linalg.norm(A @ u0) <= bound
 
     def test_annihilates_constants(self, annulus_coarse):
-        dm = asm.DofMap(annulus_coarse)
-        A = asm.assemble_viscous(annulus_coarse, dm, nu=1.0)
+        A = asm.assemble_viscous(annulus_coarse, nu=1.0)
         coords = annulus_coarse.p2_coords()
         const = np.column_stack([np.ones(len(coords)), np.zeros(len(coords))]).ravel()
         assert np.linalg.norm(A @ const) <= 1e-10 * spla.norm(A) * np.linalg.norm(const)
@@ -35,8 +33,7 @@ class TestViscous:
     @pytest.mark.parametrize("nu", [1.0, 0.37])
     def test_linear_field_energy(self, annulus_coarse, nu):
         # u = (x1, -x2): S = diag(2, -2), S:S = 8, energy = 4 nu |Omega|
-        dm = asm.DofMap(annulus_coarse)
-        A = asm.assemble_viscous(annulus_coarse, dm, nu=nu)
+        A = asm.assemble_viscous(annulus_coarse, nu=nu)
         coords = annulus_coarse.p2_coords()
         u = np.column_stack([coords[:, 0], -coords[:, 1]]).ravel()
         area = domain_area(annulus_coarse)
@@ -44,13 +41,12 @@ class TestViscous:
 
     def test_psd_and_pd_with_friction(self):
         mesh = sf.mesh_annulus(1, 2, 2, 8)
-        dm = asm.DofMap(mesh)
-        A = asm.assemble_viscous(mesh, dm, nu=1.0)
-        con = asm.normal_trace_constraint(mesh, dm, [0.0, 0.0])
+        A = asm.assemble_viscous(mesh, nu=1.0)
+        con = asm.normal_trace_constraint(mesh, [0.0, 0.0])
         A_ff, _ = con.reduce_matrix(A)
         eigs = np.linalg.eigvalsh(A_ff.toarray())
         assert eigs.min() > -1e-12 * abs(eigs).max()   # PSD, rigid mode at zero
-        Af = A + asm.assemble_friction(mesh, dm, (1.0, 1.0))
+        Af = A + asm.assemble_friction(mesh, (1.0, 1.0))
         A_ff, _ = con.reduce_matrix(Af)
         eigs = np.linalg.eigvalsh(A_ff.toarray())
         assert eigs.min() > 0                          # PD once friction acts
@@ -58,14 +54,12 @@ class TestViscous:
 
 class TestFriction:
     def test_zero_beta_zero_matrix(self, annulus_coarse):
-        dm = asm.DofMap(annulus_coarse)
-        M = asm.assemble_friction(annulus_coarse, dm, (0.0, 0.0))
+        M = asm.assemble_friction(annulus_coarse, (0.0, 0.0))
         assert abs(M).sum() == 0.0
 
     def test_unit_circle_tangential_energy(self, annulus_coarse):
         # beta = 1 on the unit inner circle; tangential unit field -> 2 pi
-        dm = asm.DofMap(annulus_coarse)
-        M = asm.assemble_friction(annulus_coarse, dm, (0.0, 1.0))
+        M = asm.assemble_friction(annulus_coarse, (0.0, 1.0))
         ut = rigid_rotation_coeffs(annulus_coarse)  # unit tangential speed at r=1
         assert ut @ (M @ ut) == pytest.approx(2 * np.pi, rel=1e-4)
 
@@ -75,55 +69,48 @@ class TestFriction:
         vals = []
         for n in (8, 16):
             mesh = sf.mesh_annulus(1, 2, n, 2 * n)
-            dm = asm.DofMap(mesh)
-            M = asm.assemble_friction(mesh, dm, (1.0, 1.0))
+            M = asm.assemble_friction(mesh, (1.0, 1.0))
             ur = mesh.p2_coords().ravel()  # radial on circles
             vals.append(ur @ (M @ ur))
         assert vals[1] < 2e-7
         assert vals[0] / vals[1] > 30
 
     def test_negative_beta_rejected(self, annulus_coarse):
-        dm = asm.DofMap(annulus_coarse)
         with pytest.raises(DataError):
-            asm.assemble_friction(annulus_coarse, dm, (-1.0, 0.0))
+            asm.assemble_friction(annulus_coarse, (-1.0, 0.0))
 
 
 class TestDivergence:
     def test_rigid_rotation_divergence_free(self, annulus_coarse):
-        dm = asm.DofMap(annulus_coarse)
-        B = asm.assemble_divergence(annulus_coarse, dm)
+        B = asm.assemble_divergence(annulus_coarse)
         u0 = rigid_rotation_coeffs(annulus_coarse)
         assert np.linalg.norm(B @ u0) < 1e-10
 
     def test_constant_divergence_free(self, annulus_coarse):
-        dm = asm.DofMap(annulus_coarse)
-        B = asm.assemble_divergence(annulus_coarse, dm)
+        B = asm.assemble_divergence(annulus_coarse)
         coords = annulus_coarse.p2_coords()
         const = np.column_stack([np.ones(len(coords)), 2 * np.ones(len(coords))]).ravel()
         assert np.linalg.norm(B @ const) < 1e-12
 
     def test_dilation_row_sum(self, annulus_coarse):
         # q = 1 rows sum to integral of div(x) = 2 |Omega|
-        dm = asm.DofMap(annulus_coarse)
-        B = asm.assemble_divergence(annulus_coarse, dm)
+        B = asm.assemble_divergence(annulus_coarse)
         u = annulus_coarse.p2_coords().ravel()
         assert np.sum(B @ u) == pytest.approx(2 * domain_area(annulus_coarse), rel=1e-12)
 
 
 class TestConvection:
     def test_zero_field(self, annulus_coarse):
-        dm = asm.DofMap(annulus_coarse)
-        C, N = asm.assemble_convection(annulus_coarse, dm, np.zeros(dm.n_velocity))
+        C, N = asm.assemble_convection(annulus_coarse, np.zeros(2 * annulus_coarse.n_p2_nodes))
         assert abs(C).sum() == 0.0 and np.linalg.norm(N) == 0.0
 
     def test_centripetal_direction(self, annulus_coarse):
         # (w . grad) w = -b^2 x for the rigid rotation
         mesh = annulus_coarse
-        dm = asm.DofMap(mesh)
         b = 0.7
         w = rigid_rotation_coeffs(mesh, b)
-        C, N = asm.assemble_convection(mesh, dm, w)
-        Mv = asm.assemble_vector_mass(mesh, dm)
+        C, N = asm.assemble_convection(mesh, w)
+        Mv = asm.assemble_vector_mass(mesh)
         centripetal = -b * b * mesh.p2_coords().ravel()
         assert np.allclose(N, Mv @ centripetal, atol=2e-3 * np.linalg.norm(N))
 
@@ -132,7 +119,7 @@ class TestConvection:
         # only in the continuum limit; on unstructured meshes the defect is
         # well below O(h^2) ||w||^3 and dies out under refinement.
         # (Mirror-symmetric structured meshes cancel it to roundoff outright.)
-        from slipflow import geometry, linear_solvers as ls
+        from slipflow import geometry, navier_stokes as nvs
         dom = geometry.DomainSpec([geometry.Circle((0, 0), 2.0),
                                    geometry.Circle((0, 0), 1.0)])
         defects, hs = [], []
@@ -140,10 +127,9 @@ class TestConvection:
             mesh = sf.mesh_disk_with_holes(dom, h)
             data = asm.ProblemData(nu=1.0, beta=(1.0, 1.0), a_star=(0.0, 0.0),
                                    b_tau=(1.0, 2.0), f=None)
-            flow = ls.solve_stokes(mesh, data)
-            dm = asm.DofMap(mesh)
-            C, N = asm.assemble_convection(mesh, dm, flow.velocity)
-            wnorm = np.sqrt(flow.velocity @ (asm.assemble_vector_mass(mesh, dm)
+            flow = nvs.solve_stokes(mesh, data)
+            C, N = asm.assemble_convection(mesh, flow.velocity)
+            wnorm = np.sqrt(flow.velocity @ (asm.assemble_vector_mass(mesh)
                                              @ flow.velocity))
             defects.append(abs(flow.velocity @ N) / wnorm ** 3)
             hs.append(mesh.max_diameter())
@@ -152,24 +138,22 @@ class TestConvection:
         assert defects[1] < defects[0] / 4.0
 
     def test_matrix_free_vector_matches_assembled(self, annulus_coarse):
-        dm = asm.DofMap(annulus_coarse)
-        w = np.random.default_rng(7).standard_normal(dm.n_velocity)
-        _, N = asm.assemble_convection(annulus_coarse, dm, w)
-        assert np.linalg.norm(asm.convection_vector(annulus_coarse, dm, w) - N) \
+        w = np.random.default_rng(7).standard_normal(2 * annulus_coarse.n_p2_nodes)
+        _, N = asm.assemble_convection(annulus_coarse, w)
+        assert np.linalg.norm(asm.convection_vector(annulus_coarse, w) - N) \
             <= 1e-14 * np.linalg.norm(N)
 
     def test_newton_term_consistency(self, annulus_coarse):
         # directional derivative of N(w) matches C(w) d + D(w) d
         mesh = annulus_coarse
-        dm = asm.DofMap(mesh)
         rng = np.random.default_rng(5)
-        w = rng.standard_normal(dm.n_velocity)
-        d = rng.standard_normal(dm.n_velocity)
-        C, Nw = asm.assemble_convection(mesh, dm, w)
-        D = asm.assemble_convection_newton(mesh, dm, w)
+        w = rng.standard_normal(2 * mesh.n_p2_nodes)
+        d = rng.standard_normal(2 * mesh.n_p2_nodes)
+        C, Nw = asm.assemble_convection(mesh, w)
+        D = asm.assemble_convection_newton(mesh, w)
         eps = 1e-6
-        _, Np = asm.assemble_convection(mesh, dm, w + eps * d)
-        _, Nm = asm.assemble_convection(mesh, dm, w - eps * d)
+        _, Np = asm.assemble_convection(mesh, w + eps * d)
+        _, Nm = asm.assemble_convection(mesh, w - eps * d)
         fd = (Np - Nm) / (2 * eps)
         assert np.allclose(fd, C @ d + D @ d, atol=1e-7 * np.linalg.norm(fd))
 
@@ -180,17 +164,17 @@ class TestComponentwiseForms:
     @classmethod
     def _forms(cls, form, mesh):
         """(assembled matrix, scalar [t, 6, 6] element blocks) of one componentwise form."""
-        dm, ctx = asm.DofMap(mesh), asm.volume_context(mesh)
+        ctx = asm.volume_context(mesh)
         if form == "mass":
-            return asm.assemble_vector_mass(mesh, dm), np.einsum(
+            return asm.assemble_vector_mass(mesh), np.einsum(
                 "tq,qi,qj->tij", ctx.dv, ctx.N, ctx.N, optimize=True)
         if form == "gradient":
-            return asm.assemble_vector_gradient(mesh, dm), np.einsum(
+            return asm.assemble_vector_gradient(mesh), np.einsum(
                 "tq,tqix,tqjx->tij", ctx.dv, ctx.grads, ctx.grads, optimize=True)
-        w = np.random.default_rng(cls.W_SEED).standard_normal(dm.n_velocity)
+        w = np.random.default_rng(cls.W_SEED).standard_normal(2 * mesh.n_p2_nodes)
         wq = np.einsum("qi,tix->tqx", ctx.N, w.reshape(-1, 2)[ctx.nodes])
         conv = np.einsum("tqx,tqjx->tqj", wq, ctx.grads)
-        return asm.assemble_convection(mesh, dm, w)[0], np.einsum(
+        return asm.assemble_convection(mesh, w)[0], np.einsum(
             "tq,qi,tqj->tij", ctx.dv, ctx.N, conv, optimize=True)
 
     @staticmethod
@@ -265,43 +249,44 @@ class TestScatterBitwise:
                 and np.array_equal(A.indices, B.indices) and np.array_equal(A.data, B.data))
 
     def test_volume_vectors(self, mesh):
-        dm, ctx = asm.DofMap(mesh), asm.volume_context(mesh)
+        ctx = asm.volume_context(mesh)
         rng = np.random.default_rng(3)
-        f_nodal = rng.standard_normal(dm.n_velocity)
+        nv = 2 * mesh.n_p2_nodes
+        f_nodal = rng.standard_normal(nv)
         fq = np.einsum("qi,tix->tqx", ctx.N, f_nodal.reshape(-1, 2)[ctx.nodes])
         contrib = np.einsum("tq,qi,tqx->tix", ctx.dv, ctx.N, fq, optimize=True)
-        assert np.array_equal(asm.load_volume(mesh, dm, f_nodal),
-                              self._velocity_add_at(dm.n_velocity, ctx.nodes, contrib))
-        mean = np.zeros(dm.n_pressure)
+        assert np.array_equal(asm.load_volume(mesh, f_nodal),
+                              self._velocity_add_at(nv, ctx.nodes, contrib))
+        mean = np.zeros(mesh.n_vertices)
         np.add.at(mean, mesh.triangles, np.einsum("tq,qk->tk", ctx.dv, ctx.P))
-        assert np.array_equal(asm.assemble_pressure_mean(mesh, dm), mean)
+        assert np.array_equal(asm.assemble_pressure_mean(mesh), mean)
         integral = np.zeros(mesh.n_p2_nodes)
         np.add.at(integral, ctx.nodes, np.einsum("tq,qi->ti", ctx.dv, ctx.N))
         assert np.array_equal(asm.scalar_integral_vector(mesh), integral)
-        w = rng.standard_normal(dm.n_velocity)
+        w = rng.standard_normal(nv)
         nodal = w.reshape(-1, 2)[ctx.nodes]
         wq = np.einsum("qi,tia->tqa", ctx.N, nodal)
         adv = np.einsum("tqb,tqib,tia->tqa", wq, ctx.grads, nodal, optimize=True)
         contrib = np.einsum("tq,qi,tqa->tia", ctx.dv, ctx.N, adv, optimize=True)
-        assert np.array_equal(asm.convection_vector(mesh, dm, w),
-                              self._velocity_add_at(dm.n_velocity, ctx.nodes, contrib))
+        assert np.array_equal(asm.convection_vector(mesh, w),
+                              self._velocity_add_at(nv, ctx.nodes, contrib))
 
     def test_boundary_vectors(self, mesh, monkeypatch):
         from slipflow import linear_solvers as ls
-        dm, bq = asm.DofMap(mesh), asm.boundary_quadrature(mesh)
+        bq, nv = asm.boundary_quadrature(mesh), 2 * mesh.n_p2_nodes
         ncomp = mesh.domain.n_components
         b_tau = [lambda t, x, c=c: np.cos(2 * np.pi * t) + c for c in range(ncomp)]
         vals = asm._eval_per_component(bq, b_tau)
         contrib = np.einsum("kq,kq,qi,kqa->kia", bq.w_ds, vals, bq.shape, bq.tangent,
                             optimize=True)
-        assert np.array_equal(asm.load_boundary_tangential(mesh, dm, b_tau),
-                              self._velocity_add_at(dm.n_velocity, bq.nodes3, contrib))
+        assert np.array_equal(asm.load_boundary_tangential(mesh, b_tau),
+                              self._velocity_add_at(nv, bq.nodes3, contrib))
         for comp in range(ncomp):
             sel = bq.component == comp
             contrib = np.einsum("kq,qi,kqa->kia", bq.w_ds[sel], bq.shape, bq.tangent[sel],
                                 optimize=True)
-            assert np.array_equal(asm.circulation_functional(mesh, dm, comp),
-                                  self._velocity_add_at(dm.n_velocity, bq.nodes3[sel], contrib))
+            assert np.array_equal(asm.circulation_functional(mesh, comp),
+                                  self._velocity_add_at(nv, bq.nodes3[sel], contrib))
         a_star = [lambda t, x: np.sin(2 * np.pi * t)] * ncomp
         loads = []
         monkeypatch.setattr(ls, "zero_mean_neumann_solve", lambda m, load: loads.append(load))
@@ -338,25 +323,25 @@ class TestScatterBitwise:
         assert np.array_equal(lu.loads[1], ref)
 
     def test_matrix_forms(self, mesh):
-        dm, ctx = asm.DofMap(mesh), asm.volume_context(mesh)
+        ctx = asm.volume_context(mesh)
         g, dv, N, nodes = ctx.grads, ctx.dv, ctx.N, ctx.nodes
-        nt, nv, n = len(nodes), dm.n_velocity, mesh.n_p2_nodes
+        nt, nv, n = len(nodes), 2 * mesh.n_p2_nodes, mesh.n_p2_nodes
         dofs = self._interleaved(nodes)
         rows, cols = np.repeat(dofs, 12, axis=1), np.tile(dofs, (1, 12))
         same = np.einsum("tq,tqix,tqjx->tij", dv, g, g, optimize=True)
         cross = np.einsum("tq,tqib,tqja->tiajb", dv, g, g, optimize=True)
         block = 0.7 * (np.einsum("tij,ab->tiajb", same, np.eye(2)) + cross)
-        assert self._same_csr(asm.assemble_viscous(mesh, dm, 0.7), self._grid_scatter(
+        assert self._same_csr(asm.assemble_viscous(mesh, 0.7), self._grid_scatter(
             rows, cols, block.reshape(nt, 12, 12), (nv, nv)))
         w = np.random.default_rng(5).standard_normal(nv)
         gw = asm.velocity_gradient_at(mesh, w, g)
         block = np.einsum("tq,qi,qj,tqab->tiajb", dv, N, N, gw, optimize=True)
-        assert self._same_csr(asm.assemble_convection_newton(mesh, dm, w), self._grid_scatter(
+        assert self._same_csr(asm.assemble_convection_newton(mesh, w), self._grid_scatter(
             rows, cols, block.reshape(nt, 12, 12), (nv, nv)))
         blk = np.einsum("tq,qk,tqjb->tkjb", dv, ctx.P, g, optimize=True)
-        assert self._same_csr(asm.assemble_divergence(mesh, dm), self._grid_scatter(
+        assert self._same_csr(asm.assemble_divergence(mesh), self._grid_scatter(
             np.repeat(mesh.triangles, 12, axis=1), np.tile(dofs, (1, 3)),
-            blk.reshape(nt, 3, 12), (dm.n_pressure, nv)))
+            blk.reshape(nt, 3, 12), (mesh.n_vertices, nv)))
         srows, scols = np.repeat(nodes, 6, axis=1), np.tile(nodes, (1, 6))
         assert self._same_csr(asm.scalar_stiffness(mesh),
                               self._grid_scatter(srows, scols, same, (n, n)))
@@ -365,7 +350,7 @@ class TestScatterBitwise:
                               self._grid_scatter(srows, scols, mass, (n, n)))
 
     def test_friction(self, mesh):
-        dm, bq = asm.DofMap(mesh), asm.boundary_quadrature(mesh)
+        bq = asm.boundary_quadrature(mesh)
         beta = [lambda t, x, c=c: 1.0 + 0.5 * c + np.sin(2 * np.pi * t) ** 2
                 for c in range(mesh.domain.n_components)]
         bvals = asm._eval_per_component(bq, beta)
@@ -373,48 +358,43 @@ class TestScatterBitwise:
                         bq.tangent, bq.tangent, optimize=True)
         dofs = self._interleaved(bq.nodes3)
         ref = self._grid_scatter(np.repeat(dofs, 6, axis=1), np.tile(dofs, (1, 6)),
-                                 blk.reshape(len(dofs), 6, 6), (dm.n_velocity, dm.n_velocity))
-        assert self._same_csr(asm.assemble_friction(mesh, dm, beta), ref)
+                                 blk.reshape(len(dofs), 6, 6), (2 * mesh.n_p2_nodes,) * 2)
+        assert self._same_csr(asm.assemble_friction(mesh, beta), ref)
 
 
 class TestNormalTrace:
     def test_hamel_data_accepted(self, annulus_coarse):
-        con = asm.normal_trace_constraint(annulus_coarse, asm.DofMap(annulus_coarse),
-                                          [-1.5, 3.0])
+        con = asm.normal_trace_constraint(annulus_coarse, [-1.5, 3.0])
         b = annulus_coarse.n_vertices  # spot-check nodal values on each circle
         outer = np.nonzero(annulus_coarse.node_is_boundary
                            & (annulus_coarse.node_component == 0))[0]
-        idx = np.searchsorted(con.dofmap.boundary_nodes, outer)
+        idx = np.searchsorted(con.fixed // 2, outer)
         assert np.allclose(con.fixed_values[idx], -1.5)
 
     def test_nonzero_total_flux_rejected(self, annulus_coarse):
         with pytest.raises(CompatibilityError):
-            asm.normal_trace_constraint(annulus_coarse, asm.DofMap(annulus_coarse),
-                                        [1.0, 1.0])
+            asm.normal_trace_constraint(annulus_coarse, [1.0, 1.0])
 
     def test_homogeneous_constraint(self, annulus_coarse):
-        dm = asm.DofMap(annulus_coarse)
-        con = asm.normal_trace_constraint(annulus_coarse, dm, [0.0, 0.0])
+        con = asm.normal_trace_constraint(annulus_coarse, [0.0, 0.0])
         assert np.all(con.fixed_values == 0.0)
-        assert len(con.fixed) + len(con.free) == dm.n_velocity
+        assert len(con.fixed) + len(con.free) == 2 * annulus_coarse.n_p2_nodes
         assert len(np.intersect1d(con.fixed, con.free)) == 0
 
     def test_rotation_round_trip(self, annulus_coarse):
-        dm = asm.DofMap(annulus_coarse)
-        Q = dm.rotation()
+        Q = asm.normal_trace_constraint(annulus_coarse, [0.0, 0.0]).Q
         rng = np.random.default_rng(1)
-        u = rng.standard_normal(dm.n_velocity)
+        u = rng.standard_normal(Q.shape[0])
         assert np.allclose(Q.T @ (Q @ u), u, atol=1e-14 * np.linalg.norm(u))
-        I = (Q @ Q.T) - sp.eye(dm.n_velocity)
+        I = (Q @ Q.T) - sp.eye(Q.shape[0])
         assert spla.norm(I) < 1e-13
 
     def test_normal_trace_exact_at_nodes(self, annulus_coarse):
         mesh = annulus_coarse
-        dm = asm.DofMap(mesh)
-        con = asm.normal_trace_constraint(mesh, dm, [-1.5, 3.0])
+        con = asm.normal_trace_constraint(mesh, [-1.5, 3.0])
         u = con.expand(np.zeros(len(con.free)))
         vals = u.reshape(-1, 2)
-        for node in dm.boundary_nodes:
+        for node in con.fixed // 2:
             un = vals[node] @ mesh.node_normal[node]
             expected = -1.5 if mesh.node_component[node] == 0 else 3.0
             assert un == pytest.approx(expected, abs=1e-13)
@@ -423,21 +403,19 @@ class TestNormalTrace:
 class TestDeterminism:
     def test_triangle_order_invariance(self, annulus_coarse):
         mesh = annulus_coarse
-        dm = asm.DofMap(mesh)
-        A1 = asm.assemble_viscous(mesh, dm, nu=1.0)
+        A1 = asm.assemble_viscous(mesh, nu=1.0)
         perm = np.random.default_rng(2).permutation(len(mesh.triangles))
         import copy
         shuffled = copy.copy(mesh)
         shuffled.triangles = mesh.triangles[perm]
         shuffled.tri_edges = mesh.tri_edges[perm]
-        A2 = asm.assemble_viscous(shuffled, dm, nu=1.0)
+        A2 = asm.assemble_viscous(shuffled, nu=1.0)
         diff = spla.norm(A1 - A2) / spla.norm(A1)
         assert diff < 1e-13
 
     def test_repeat_assembly_bitwise(self, annulus_coarse):
-        dm = asm.DofMap(annulus_coarse)
-        A1 = asm.assemble_viscous(annulus_coarse, dm, nu=1.0)
-        A2 = asm.assemble_viscous(annulus_coarse, dm, nu=1.0)
+        A1 = asm.assemble_viscous(annulus_coarse, nu=1.0)
+        A2 = asm.assemble_viscous(annulus_coarse, nu=1.0)
         assert (A1 != A2).nnz == 0
 
 
@@ -490,7 +468,6 @@ class TestVolumeContext:
         assert asm.volume_context(mesh) is ctx
 
     def test_non_finite_volume_force_rejected(self, annulus_coarse):
-        dm = asm.DofMap(annulus_coarse)
         with pytest.raises(DataError):
-            asm.load_volume(annulus_coarse, dm,
+            asm.load_volume(annulus_coarse,
                             lambda x: np.column_stack([np.full(len(x), np.nan), x[:, 0]]))

@@ -149,6 +149,19 @@ class TestSubcommands:
         assert not (out / "solution.vtk").exists()
         assert not (out / "solution.json").exists()
 
+    @pytest.mark.parametrize("problem", ["stokes", "ns"])
+    def test_non_finite_nodal_normal_datum_exit_code(self, tmp_path, capsys, problem):
+        # finite at every flux and friction quadrature point, inf at the
+        # outer boundary node t = 0.5
+        path = hamel_config(tmp_path,
+                            mesh={"generator": "annulus", "n_radial": 4, "n_angular": 16},
+                            physics={"nu": 1.0, "beta": [1.0, 1.0], "f": None},
+                            boundary={"a_star": ["1/(t-0.5)", 0.0], "b_tau": [0.0, 0.0]})
+        out = tmp_path / "out"
+        assert cli.main(["solve", problem, "--config", path, "--out", str(out)]) == 2
+        assert "not finite at a boundary node" in capsys.readouterr().err
+        assert not (out / "solution.vtk").exists()
+
     @pytest.mark.parametrize("command", [["audit"], ["solve", "stokes"]])
     @pytest.mark.parametrize("expression", ["1/0", "10**400"])
     def test_unevaluable_expression_exit_code(self, tmp_path, capsys, command, expression):

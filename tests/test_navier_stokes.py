@@ -48,8 +48,7 @@ class TestHamelBranches:
         data = val.slip_couette().data
         free_flow, _ = nvs.solve_navier_stokes(annulus_coarse, data,
                                                nvs.SolverConfig())
-        dm = asm.DofMap(annulus_coarse)
-        circ = float(asm.circulation_functional(annulus_coarse, dm, 1)
+        circ = float(asm.circulation_functional(annulus_coarse, 1)
                      @ free_flow.velocity)
         pinned_flow, _ = nvs.solve_navier_stokes(
             annulus_coarse, data, nvs.SolverConfig(pins={1: circ}))
@@ -84,7 +83,7 @@ class TestIterationMechanics:
         data = val.hamel(0.0).data
         ws = nvs._Workspace(mesh, data)
         x0, _ = ws.solve_linear(ws.A_base)                # the Stokes lift
-        C, conv = asm.assemble_convection(mesh, ws.dofmap, ws.rows.split(x0)[0])
+        C, conv = asm.assemble_convection(mesh, ws.rows.split(x0)[0])
         x1, _ = ws.solve_linear(ws.A_base, extra_rhs=-conv)
         u1, p1 = ws.rows.split(x1)
         # reference: a fresh saddle solve of the same viscous operator whose
@@ -103,13 +102,12 @@ class TestIterationMechanics:
         exact = val.slip_couette()
         flow, _ = nvs.solve_navier_stokes(annulus_medium, exact.data,
                                           nvs.SolverConfig())
-        dm = asm.DofMap(annulus_medium)
-        A = asm.assemble_viscous(annulus_medium, dm, exact.data.nu)
-        Mf = asm.assemble_friction(annulus_medium, dm, exact.data.beta)
+        A = asm.assemble_viscous(annulus_medium, exact.data.nu)
+        Mf = asm.assemble_friction(annulus_medium, exact.data.beta)
         u = flow.velocity
-        _, conv = asm.assemble_convection(annulus_medium, dm, u)
+        _, conv = asm.assemble_convection(annulus_medium, u)
         lhs = u @ (A @ u) + u @ (Mf @ u) + u @ conv
-        F = asm.load_boundary_tangential(annulus_medium, dm, exact.data.b_tau)
+        F = asm.load_boundary_tangential(annulus_medium, exact.data.b_tau)
         rhs = F @ u
         assert lhs == pytest.approx(rhs, rel=1e-8)
 
@@ -117,8 +115,7 @@ class TestIterationMechanics:
         exact = val.slip_couette()
         flow, _ = nvs.solve_navier_stokes(annulus_medium, exact.data,
                                           nvs.SolverConfig())
-        dm = asm.DofMap(annulus_medium)
-        _, conv = asm.assemble_convection(annulus_medium, dm, flow.velocity)
+        _, conv = asm.assemble_convection(annulus_medium, flow.velocity)
         unorm = norms.velocity_l2(annulus_medium, flow.velocity)
         assert abs(flow.velocity @ conv) < 1e-3 * unorm ** 3
 
@@ -187,8 +184,8 @@ class TestOneFactorization:
         ws = nvs._Workspace(mesh, val.hamel(1.0).data, nvs.SolverConfig(pins={1: 2 * np.pi}))
         x, _, _ = nvs._stokes_lift(ws)
         u, _ = ws.rows.split(x)
-        C, _ = asm.assemble_convection(mesh, ws.dofmap, u)
-        D = asm.assemble_convection_newton(mesh, ws.dofmap, u)
+        C, _ = asm.assemble_convection(mesh, u)
+        D = asm.assemble_convection_newton(mesh, u)
         A_op = ws.A_base + C + D
         x_k, step = ws.solve_linear(A_op, extra_rhs=D @ u)
         assert step.method == "krylov" and ws.factorizations == 1
@@ -275,7 +272,7 @@ def _cartesian_residual(ws, cart_rows, x, lam, unpinned=False):
     con, nf, npres = ws.con, ws.rows.nf, ws.rows.npres
     u, p = ws.rows.split(x)
     mults = iter(x[nf + npres:])
-    conv = asm.convection_vector(ws.mesh, ws.dofmap, u)
+    conv = asm.convection_vector(ws.mesh, u)
     r_m = (con.Q @ (ws.F - ws.A_base @ u - lam * conv - ws.B.T @ p))[con.free]
     r_c = -(ws.B @ u)
     keep = 0.0 if unpinned else 1.0
@@ -313,7 +310,7 @@ class TestSaddleLayout:
         con = ws.con
         # a radial field: its normal parts meet the normal data without cancelling
         radial = annulus_coarse.p2_coords().ravel()
-        row = asm.assemble_vector_mass(annulus_coarse, ws.dofmap) @ radial
+        row = asm.assemble_vector_mass(annulus_coarse) @ radial
         rotated = con.Q @ row
         offset = rotated[con.fixed] @ con.fixed_values
         assert abs(offset) > 1e-3
@@ -327,11 +324,10 @@ class TestSaddleLayout:
     def test_residual_matches_cartesian_reference(self, annulus_coarse, case):
         mesh = annulus_coarse
         data = val.hamel(1.0).data
-        dm = asm.DofMap(mesh)
         cart_rows = ([], [], [], [])
         if case == "pins":
             config = nvs.SolverConfig(pins={1: 2 * np.pi})
-            cart_rows = ([asm.circulation_functional(mesh, dm, 1)], [2 * np.pi], [], [])
+            cart_rows = ([asm.circulation_functional(mesh, 1)], [2 * np.pi], [], [])
         elif case == "symmetric":
             data = val.hamel(0.0).data
             config = nvs.SolverConfig(symmetric_subspace=True)
@@ -342,12 +338,12 @@ class TestSaddleLayout:
                                    b_tau=(0.0, 0.0), f=None)
             config = nvs.SolverConfig()
             mode = ls.rigid_rotation_mode(mesh)
-            cart_rows = ([], [], [], [asm.assemble_vector_mass(mesh, dm) @ mode.coefficients])
+            cart_rows = ([], [], [], [asm.assemble_vector_mass(mesh) @ mode.coefficients])
         ws = nvs._Workspace(mesh, data, config)
         x, _, _ = nvs._stokes_lift(ws)
         # away from the solution, with every multiplier nonzero
         x = x + 0.1 * np.sin(np.arange(len(x))) * np.max(np.abs(x))
-        conv = asm.convection_vector(mesh, ws.dofmap, ws.rows.split(x)[0])
+        conv = asm.convection_vector(mesh, ws.rows.split(x)[0])
         r = ws.residual(x, 1.0, conv)
         r_ref = _cartesian_residual(ws, cart_rows, x, 1.0)
         assert len(r) == len(r_ref)

@@ -1,0 +1,20 @@
+"""Structure of the package source."""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "slipflow"
+
+
+def test_no_function_level_relative_imports():
+    # an import deferred into a function body is how an import cycle between
+    # package modules hides; every intra-package import is made at module level
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    found = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                found.update(f"{path.name}:{inner.lineno}" for inner in ast.walk(node)
+                             if isinstance(inner, ast.ImportFrom) and inner.level > 0)
+    assert not found, sorted(found)

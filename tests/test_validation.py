@@ -3,6 +3,7 @@ import pytest
 
 import slipflow as sf
 from slipflow import linear_solvers as ls
+from slipflow import navier_stokes as nvs
 from slipflow import validation as val
 from slipflow.errors import DataError
 
@@ -182,7 +183,7 @@ class TestConvergenceStudy:
         exact = val.slip_couette()
         meshes = [sf.mesh_annulus(1, 2, n, 2 * n) for n in (8, 16)]
         table = val.convergence_study(
-            exact, lambda mesh, data: ls.solve_stokes(mesh, data), meshes)
+            exact, nvs.solve_stokes, meshes)
         csv = table.to_csv()
         header = csv.splitlines()[0]
         assert header == "level,h,eL2_u,order,eH1_u,order,eL2_p,order"
@@ -193,7 +194,7 @@ class TestConvergenceStudy:
         exact = val.slip_couette()
         meshes = [sf.mesh_annulus(1, 2, n, 2 * n) for n in (8, 16)]
         solve_table = val.convergence_study(
-            exact, lambda mesh, data: ls.solve_stokes(mesh, data), meshes)
+            exact, nvs.solve_stokes, meshes)
         interp_table = val.convergence_study(
             exact, interpolation_solver(exact), meshes)
         for rs, ri in zip(solve_table.rows, interp_table.rows):
