@@ -204,7 +204,7 @@ def _velocity_form(mesh, nodes, blk):
     return scatter_matrix(dofs, dofs, blk.reshape(len(dofs), dofs.shape[1], -1), (n, n))
 
 
-def _componentwise(scalar):
+def componentwise(scalar):
     """scalar (x) I_2 in interleaved velocity dofs, with no stored zeros."""
     out = sp.kron(scalar, sp.eye(2), format="csr")
     out.eliminate_zeros()
@@ -213,18 +213,30 @@ def _componentwise(scalar):
 
 # -- scalar P2 forms -------------------------------------------------------
 
+def _stiffness_blocks(ctx):
+    return np.einsum("tq,tqix,tqjx->tij", ctx.dv, ctx.grads, ctx.grads, optimize=True)
+
+
+def _mass_blocks(ctx):
+    return np.einsum("tq,qi,qj->tij", ctx.dv, ctx.N, ctx.N, optimize=True)
+
+
 def scalar_stiffness(mesh):
     """Matrix of integral grad(u) . grad(v) on the scalar P2 space."""
     ctx = volume_context(mesh)
-    return _scalar_form(mesh, ctx.nodes, np.einsum(
-        "tq,tqix,tqjx->tij", ctx.dv, ctx.grads, ctx.grads, optimize=True))
+    return _scalar_form(mesh, ctx.nodes, _stiffness_blocks(ctx))
 
 
 def scalar_mass(mesh):
     """Scalar P2 L2 mass matrix."""
     ctx = volume_context(mesh)
-    return _scalar_form(mesh, ctx.nodes, np.einsum(
-        "tq,qi,qj->tij", ctx.dv, ctx.N, ctx.N, optimize=True))
+    return _scalar_form(mesh, ctx.nodes, _mass_blocks(ctx))
+
+
+def scalar_h1_gram(mesh):
+    """Matrix of integral grad(u) . grad(v) + u v, the scalar P2 H1 Gram matrix."""
+    ctx = volume_context(mesh)
+    return _scalar_form(mesh, ctx.nodes, _stiffness_blocks(ctx) + _mass_blocks(ctx))
 
 
 def scalar_integral_vector(mesh):
@@ -246,12 +258,12 @@ def assemble_viscous(mesh, nu):
 
 def assemble_vector_mass(mesh):
     """Velocity-space L2 mass matrix: the scalar mass on each component."""
-    return _componentwise(scalar_mass(mesh))
+    return componentwise(scalar_mass(mesh))
 
 
 def assemble_vector_gradient(mesh):
     """Matrix of integral grad(u):grad(phi) (componentwise H1 seminorm)."""
-    return _componentwise(scalar_stiffness(mesh))
+    return componentwise(scalar_stiffness(mesh))
 
 
 def assemble_divergence(mesh):
@@ -283,7 +295,7 @@ def assemble_convection(mesh, w_coeffs, lam=1.0):
     wq_field = np.einsum("qi,tix->tqx", ctx.N, w_coeffs.reshape(-1, 2)[nodes])
     conv = np.einsum("tqx,tqjx->tqj", wq_field, ctx.grads)  # (w . grad) phi_j
     scal = lam * np.einsum("tq,qi,tqj->tij", ctx.dv, ctx.N, conv, optimize=True)
-    C = _componentwise(_scalar_form(mesh, nodes, scal))
+    C = componentwise(_scalar_form(mesh, nodes, scal))
     return C, C @ w_coeffs
 
 
@@ -293,11 +305,17 @@ def convection_vector(mesh, w_coeffs):
     Equals assemble_convection(mesh, w_coeffs)[1] up to roundoff.
     """
     ctx = volume_context(mesh)
+    return scatter_vector(velocity_dofs(ctx.nodes), _convection_contrib(ctx, w_coeffs),
+                          2 * mesh.n_p2_nodes)
+
+
+def _convection_contrib(ctx, w_coeffs):
+    """Element contributions [t, i, a] of convection_vector, by batched matmul."""
     nodal = w_coeffs.reshape(-1, 2)[ctx.nodes]                  # [t, i, a]
-    wq = np.einsum("qi,tia->tqa", ctx.N, nodal)
-    adv = np.einsum("tqb,tqib,tia->tqa", wq, ctx.grads, nodal, optimize=True)
-    contrib = np.einsum("tq,qi,tqa->tia", ctx.dv, ctx.N, adv, optimize=True)
-    return scatter_vector(velocity_dofs(ctx.nodes), contrib, 2 * mesh.n_p2_nodes)
+    wq = ctx.N @ nodal                                          # [t, q, a]
+    gradT = np.swapaxes(ctx.grads, -1, -2) @ nodal[:, None]     # [t, q, b, a] = d w_a / d x_b
+    adv = np.einsum("tqb,tqba->tqa", wq, gradT)                # (w . grad) w
+    return ctx.N.T @ (adv * ctx.dv[..., None])
 
 
 def assemble_convection_newton(mesh, w_coeffs, lam=1.0):

@@ -87,12 +87,13 @@ def harmonic_basis(mesh, domain=None):
     """Dirichlet solves plus L2 Gram-Schmidt; empty basis when there are no holes."""
     domain = mesh.domain if domain is None else domain
     N = domain.n_holes
-    mass = assembly.assemble_vector_mass(mesh)
+    scalar_mass = assembly.scalar_mass(mesh)
+    mass = assembly.componentwise(scalar_mass)
     if N == 0:
         return HarmonicBasis(mesh=mesh, gradients=np.zeros((0, 2 * mesh.n_p2_nodes)),
                              psi=np.zeros((0, 2 * mesh.n_p2_nodes)),
                              alpha=np.zeros((0, 0)), mass=mass)
-    mass_lu = scalar_mass_factor(mesh)
+    mass_lu = scalar_mass_factor(mesh, scalar_mass)
     solve = dirichlet_solver(mesh)
     grads = []
     for k in range(1, N + 1):

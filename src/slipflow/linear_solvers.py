@@ -46,15 +46,37 @@ def rigid_rotation_mode(mesh, center=(0.0, 0.0), b=1.0):
 
 
 def _splu(matrix):
+    """SuperLU factorization of a matrix with a symmetric sparsity pattern.
+
+    Every matrix factored here has one (up to entries a sparse product drops
+    where it cancels to exactly zero): the scalar and vector forms, the
+    bordered Neumann and Korn pencils, the saddle cores with both B_f and
+    B_f^T, and the Newton blocks A + C + D; diagonal bumps keep it.  So the
+    columns are ordered by minimum degree on A^T + A and the pivots stay on
+    the diagonal unless a diagonal entry is below 1e-3 of its column's
+    largest, which about halves the LU fill of COLAMD with partial pivoting.
+    The callers' residual checks (BorderedSolver's refinement, the
+    RESIDUAL_TOL gates) guard the accuracy.
+    """
     try:
-        return spla.splu(sp.csc_matrix(matrix))
+        return spla.splu(sp.csc_matrix(matrix), permc_spec="MMD_AT_PLUS_A",
+                         diag_pivot_thresh=1e-3, options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SolverError(f"sparse factorization failed: {exc}") from exc
 
 
-def scalar_mass_factor(mesh):
-    """Factored P2 mass matrix; pass it to several projections to factor once."""
-    return _splu(scalar_mass(mesh))
+def scalar_mass_factor(mesh, mass=None):
+    """Factored P2 mass matrix; pass it to several projections to factor once.
+
+    mass: the scalar_mass(mesh) matrix when the caller has assembled it.
+    """
+    return _splu(scalar_mass(mesh) if mass is None else mass)
+
+
+def interior_h1_factor(mesh):
+    """Factored H1 Gram matrix on the interior P2 nodes (the H^1_0 Riesz map)."""
+    interior = ~mesh.node_is_boundary
+    return _splu(assembly.scalar_h1_gram(mesh)[interior][:, interior])
 
 
 class BorderedSolver:
@@ -112,12 +134,12 @@ class BorderedSolver:
         z = np.zeros(self.n)
         mu = np.zeros(self.k)
         scale = max(np.linalg.norm(b), np.linalg.norm(d), 1e-300)
-        relres = np.inf
-        for _ in range(refine + 1):
+        # at most refine + 1 corrections; relres is always that of the returned z
+        for step in range(refine + 2):
             rb = b - (self.core @ z + self.C @ mu)
             rd = d - (self.R.T @ z + self.D @ mu)
             relres = max(np.linalg.norm(rb), np.linalg.norm(rd)) / scale
-            if relres < rtol:
+            if relres < rtol or step == refine + 1:
                 break
             dz, dmu = self._inverse(rb, rd)
             z += dz
@@ -391,8 +413,7 @@ def korn_constant(mesh, weight, project_rotation=False):
     sym = geometry.classify_symmetry(mesh.domain)
     kform = assembly.assemble_viscous(mesh, 2.0)  # integral S(u):S(v)
     kform = kform + assembly.assemble_friction(mesh, weight)
-    mass = assembly.assemble_vector_mass(mesh)
-    wform = mass + assembly.assemble_vector_gradient(mesh)
+    wform = assembly.componentwise(assembly.scalar_h1_gram(mesh))
 
     con = assembly.normal_trace_constraint(mesh, [0.0] * mesh.domain.n_components)
     K_ff, _ = con.reduce_matrix(kform)
@@ -402,7 +423,7 @@ def korn_constant(mesh, weight, project_rotation=False):
         if sym.circularly_symmetric is None:
             raise DataError("rotation projection requested on a non-symmetric domain")
         mode = rigid_rotation_mode(mesh, sym.circularly_symmetric)
-        c = mass @ mode.coefficients
+        c = assembly.assemble_vector_mass(mesh) @ mode.coefficients
         constraints.append((con.Q @ c)[con.free])
     v0 = _deterministic_start(len(con.free))
     lam, x = _pencil_smallest(K_ff, W_ff, constraints, v0=v0)
@@ -440,9 +461,7 @@ def sobolev_constant(mesh, r, maxiter=600, tol=1e-10, v0=None):
     """
     if not (2 < r < np.inf):
         raise DataError(f"exponent must satisfy 2 < r < inf, got {r}")
-    K = scalar_stiffness(mesh)
-    M = scalar_mass(mesh)
-    W = (K + M).tocsc()
+    W = assembly.scalar_h1_gram(mesh)
     lu = _splu(W)
     ctx = assembly.volume_context(mesh)
     dv, N, nodes = ctx.dv, ctx.N, ctx.nodes

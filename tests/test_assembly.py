@@ -17,6 +17,14 @@ def domain_area(mesh):
     return float(asm.volume_context(mesh).dv.sum())
 
 
+@pytest.fixture(scope="module")
+def two_hole_coarse():
+    from slipflow.geometry import Circle, DomainSpec
+    return sf.mesh_disk_with_holes(
+        DomainSpec([Circle((0.0, 0.0), 3.0), Circle((-1.2, 0.0), 0.6),
+                    Circle((1.3, 0.0), 0.5)]), 0.3)
+
+
 class TestViscous:
     def test_annihilates_rigid_rotation(self, annulus_coarse):
         A = asm.assemble_viscous(annulus_coarse, nu=1.0)
@@ -137,11 +145,12 @@ class TestConvection:
         assert defects[1] <= hs[1] ** 2
         assert defects[1] < defects[0] / 4.0
 
-    def test_matrix_free_vector_matches_assembled(self, annulus_coarse):
-        w = np.random.default_rng(7).standard_normal(2 * annulus_coarse.n_p2_nodes)
-        _, N = asm.assemble_convection(annulus_coarse, w)
-        assert np.linalg.norm(asm.convection_vector(annulus_coarse, w) - N) \
-            <= 1e-14 * np.linalg.norm(N)
+    def test_matrix_free_vector_matches_assembled(self, annulus_coarse, two_hole_coarse):
+        for mesh in (annulus_coarse, two_hole_coarse):
+            w = np.random.default_rng(7).standard_normal(2 * mesh.n_p2_nodes)
+            _, N = asm.assemble_convection(mesh, w)
+            assert np.linalg.norm(asm.convection_vector(mesh, w) - N) \
+                <= 1e-14 * np.linalg.norm(N)
 
     def test_newton_term_consistency(self, annulus_coarse):
         # directional derivative of N(w) matches C(w) d + D(w) d
@@ -217,13 +226,8 @@ class TestScatterBitwise:
     hand-built index grids they replaced, bit for bit."""
 
     @pytest.fixture(scope="class", params=["annulus", "two-hole"])
-    def mesh(self, request, annulus_coarse):
-        from slipflow.geometry import Circle, DomainSpec
-        if request.param == "annulus":
-            return annulus_coarse
-        return sf.mesh_disk_with_holes(
-            DomainSpec([Circle((0.0, 0.0), 3.0), Circle((-1.2, 0.0), 0.6),
-                        Circle((1.3, 0.0), 0.5)]), 0.3)
+    def mesh(self, request, annulus_coarse, two_hole_coarse):
+        return annulus_coarse if request.param == "annulus" else two_hole_coarse
 
     @staticmethod
     def _velocity_add_at(n, nodes, contrib):
@@ -263,13 +267,21 @@ class TestScatterBitwise:
         integral = np.zeros(mesh.n_p2_nodes)
         np.add.at(integral, ctx.nodes, np.einsum("tq,qi->ti", ctx.dv, ctx.N))
         assert np.array_equal(asm.scalar_integral_vector(mesh), integral)
+        # the scatter of convection_vector, fed its own element contributions
         w = rng.standard_normal(nv)
+        assert np.array_equal(asm.convection_vector(mesh, w), self._velocity_add_at(
+            nv, ctx.nodes, asm._convection_contrib(ctx, w)))
+
+    def test_convection_contrib_matches_einsum(self, mesh):
+        # the batched-matmul kernel against the chained einsum it replaced
+        ctx = asm.volume_context(mesh)
+        w = np.random.default_rng(3).standard_normal(2 * mesh.n_p2_nodes)
         nodal = w.reshape(-1, 2)[ctx.nodes]
         wq = np.einsum("qi,tia->tqa", ctx.N, nodal)
         adv = np.einsum("tqb,tqib,tia->tqa", wq, ctx.grads, nodal, optimize=True)
-        contrib = np.einsum("tq,qi,tqa->tia", ctx.dv, ctx.N, adv, optimize=True)
-        assert np.array_equal(asm.convection_vector(mesh, w),
-                              self._velocity_add_at(nv, ctx.nodes, contrib))
+        ref = np.einsum("tq,qi,tqa->tia", ctx.dv, ctx.N, adv, optimize=True)
+        assert np.max(np.abs(asm._convection_contrib(ctx, w) - ref)) \
+            <= 1e-15 * np.max(np.abs(ref))
 
     def test_boundary_vectors(self, mesh, monkeypatch):
         from slipflow import linear_solvers as ls

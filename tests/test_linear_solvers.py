@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import slipflow as sf
@@ -66,6 +69,57 @@ class TestLaplaceNeumann:
     def test_incompatible_flux_rejected(self, annulus_coarse):
         with pytest.raises(CompatibilityError):
             ls.solve_laplace_neumann(annulus_coarse, [1.0, 1.0])
+
+
+class TestBorderedSolver:
+    def test_relres_is_that_of_the_returned_iterate(self, annulus_coarse, monkeypatch):
+        # when refinement runs out, relres is that of the returned iterate, so
+        # a NaN last correction shows in relres and cannot pass a gate
+        K = asm.scalar_stiffness(annulus_coarse)
+        m = asm.scalar_integral_vector(annulus_coarse)
+        solver = ls.BorderedSolver(K, C=m[:, None], bumps=[(0, float(np.mean(K.diagonal())))])
+        inverse, calls = solver._inverse, []
+
+        def nan_on_last(rb, rd):
+            calls.append(None)
+            dz, dmu = inverse(rb, rd)
+            return (dz * np.nan, dmu * np.nan) if len(calls) == 4 else (dz, dmu)
+
+        monkeypatch.setattr(solver, "_inverse", nan_on_last)
+        load = np.random.default_rng(0).standard_normal(annulus_coarse.n_p2_nodes)
+        z, _, relres = solver.solve(load - m * (load.sum() / m.sum()), refine=3, rtol=0.0)
+        assert len(calls) == 4 and not np.all(np.isfinite(z))
+        assert not np.isfinite(relres)
+        assert not relres <= ls.RESIDUAL_TOL
+
+
+class TestFactorization:
+    """The symmetric-pattern SuperLU setting on the pinned Hamel saddle systems."""
+
+    @pytest.mark.parametrize("newton", [False, True], ids=["stokes", "newton-nu0.05"])
+    def test_saddle_fill_below_default_and_accurate(self, annulus_coarse, newton):
+        mesh = annulus_coarse
+        data = val.hamel(1.0).data
+        if newton:
+            data = replace(data, nu=0.05)
+        ws = nvs._Workspace(mesh, data, nvs.SolverConfig(pins={1: 2 * np.pi}))
+        A = ws.A_base
+        if newton:
+            u, _ = ws.rows.split(nvs._stokes_lift(ws)[0])
+            A = A + asm.assemble_convection(mesh, u)[0] + asm.assemble_convection_newton(mesh, u)
+        cs = ws.constrained_system(A)
+        asymmetry = spla.norm(cs.A_ff - cs.A_ff.T) / spla.norm(cs.A_ff)
+        assert asymmetry > 1e-3 if newton else asymmetry < 1e-14
+        solver = ls.build_saddle_solver(ws.rows, cs.A_ff)
+        # the premise of the setting: the factored core has a symmetric pattern,
+        # up to the few entries a sparse product drops where it cancels to zero
+        pattern = sp.csc_matrix(solver.core, copy=True)
+        pattern.data[:] = 1.0
+        assert abs(pattern - pattern.T).sum() <= 1e-3 * pattern.nnz
+        default = spla.splu(sp.csc_matrix(solver.core))
+        assert solver.lu.L.nnz + solver.lu.U.nnz < default.L.nnz + default.U.nnz
+        _, relres = ls.solve_saddle_rhs(ws.rows, solver, cs.F_f)
+        assert relres <= 1e-12
 
 
 class TestStokes:

@@ -106,6 +106,25 @@ class TestAuditTwoHoles:
         assert rep.theorem_outflow_convex_hole["applicable"] is False
         assert rep.theorem_outflow_convex_hole["verdict"] is False
 
+    def test_scalar_forms_assembled_once_per_audit(self, two_hole_domain, two_hole_mesh,
+                                                   monkeypatch):
+        # the harmonic basis takes its vector mass and mass factor from one
+        # scalar mass; Korn and Sobolev each build one H1 Gram matrix
+        calls = []
+        for name in ("scalar_mass", "scalar_stiffness", "scalar_h1_gram"):
+            def counted(mesh, original=getattr(asm, name), name=name):
+                calls.append(name)
+                return original(mesh)
+            for module in (asm, ls):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
+        data = asm.ProblemData(nu=1.0, beta=(1.0, 1.0, 1.0), a_star=(0.0, 0.5, -0.6),
+                               b_tau=(0.0, 0.0, 0.0), f=None)
+        rep = an.audit(two_hole_domain, data, mesh=two_hole_mesh)
+        assert rep.theorem_small_flux["evaluable"]
+        assert sorted(calls) == ["scalar_h1_gram", "scalar_h1_gram", "scalar_mass",
+                                 "scalar_stiffness"]
+
     def test_friction_margin_uses_all_components(self, two_hole_domain):
         # smallest hole has kappa = 2, outer has kappa = -1/3
         data = asm.ProblemData(nu=1.0, beta=(1.0, 0.0, 0.0),

@@ -18,3 +18,22 @@ def test_no_function_level_relative_imports():
                 found.update(f"{path.name}:{inner.lineno}" for inner in ast.walk(node)
                              if isinstance(inner, ast.ImportFrom) and inner.level > 0)
     assert not found, sorted(found)
+
+
+def test_splu_called_only_in_the_factorization_helper():
+    # one factorization setting: every SuperLU factorization of the package
+    # goes through linear_solvers._splu
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(inner), node.name) for inner in ast.walk(node))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "splu":
+                    calls.append((path.name, owner.get(id(node))))
+    assert calls == [("linear_solvers.py", "_splu")], calls
