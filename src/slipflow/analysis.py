@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import assembly, elements, extensions, geometry, norms
-from .assembly import scatter_vector
+from .assembly import component_fluxes
 from .errors import MultivaluedStreamError
 from .linear_solvers import (FlowState, interior_h1_factor, korn_constant, scalar_mass_factor,
                              sobolev_constant, zero_mean_neumann_solve)
@@ -26,9 +26,7 @@ from .quadrature import interval_rule
 
 def _scalar_projection(mesh, values_at_quad, mass_lu=None):
     """P2 L2 projection of values at the VOLUME_DEGREE quadrature points."""
-    ctx = assembly.volume_context(mesh)
-    load = scatter_vector(ctx.nodes, np.einsum("tq,tq,qi->ti", ctx.dv, values_at_quad, ctx.N),
-                          mesh.n_p2_nodes)
+    load = assembly.volume_context(mesh).load(values_at_quad)
     if mass_lu is None:
         mass_lu = scalar_mass_factor(mesh)
     return mass_lu.solve(load)
@@ -39,19 +37,20 @@ def vorticity(flow, mass_lu=None):
 
     mass_lu: optional scalar_mass_factor(flow.mesh) to reuse.
     """
-    mesh = flow.mesh
-    gu = assembly.velocity_gradient_at(mesh, flow.velocity,
-                                       assembly.volume_context(mesh).grads)
-    return _scalar_projection(mesh, gu[:, :, 0, 1] - gu[:, :, 1, 0], mass_lu)
+    gu = assembly.volume_context(flow.mesh).gradient(flow.velocity.reshape(-1, 2))
+    return _scalar_projection(flow.mesh, gu[..., 0, 1] - gu[..., 1, 0], mass_lu)
+
+
+def _head_values(ctx, flow):
+    """Velocity [.., 2] and total head p + |u|^2/2 at the points of an evaluator."""
+    u = ctx.values(flow.velocity.reshape(-1, 2))
+    return u, ctx.values(flow.pressure) + 0.5 * np.sum(u * u, axis=-1)
 
 
 def total_head(flow, mass_lu=None):
     """P2 projection of p + |u|^2/2; mass_lu as for vorticity."""
-    mesh = flow.mesh
-    pts = assembly.volume_context(mesh).pts
-    u = norms.velocity_values(mesh, flow.velocity, pts)
-    p = norms.pressure_values(mesh, flow.pressure, pts)
-    return _scalar_projection(mesh, p + 0.5 * np.einsum("tqx,tqx->tq", u, u), mass_lu)
+    _, head = _head_values(assembly.volume_context(flow.mesh), flow)
+    return _scalar_projection(flow.mesh, head, mass_lu)
 
 
 # -- Bernoulli-type boundary diagnostics --------------------------------------
@@ -62,15 +61,9 @@ def boundary_head(flow):
     Returns (bq, head[nb, nq], u[nb, nq, 2]); the pressure trace on an
     edge is linear between its two endpoint values.
     """
-    mesh = flow.mesh
-    bq = assembly.boundary_quadrature(mesh)
-    unod = flow.velocity.reshape(-1, 2)[bq.nodes3]
-    u = np.einsum("qi,kix->kqx", bq.shape, unod)
-    s, _ = interval_rule(assembly.EDGE_POINTS)
-    pa = flow.pressure[bq.nodes3[:, :2]]
-    p = pa[:, 0][:, None] * (1 - s)[None, :] + pa[:, 1][:, None] * s[None, :]
-    phi = p + 0.5 * np.einsum("kqx,kqx->kq", u, u)
-    return bq, phi, u
+    bq = assembly.boundary_quadrature(flow.mesh)
+    u, head = _head_values(bq, flow)
+    return bq, head, u
 
 
 @dataclass
@@ -97,10 +90,10 @@ def bernoulli_audit(flow):
     """
     pieces = []
     if isinstance(flow, FlowState):
-        bq, phi, u = boundary_head(flow)
+        bq, phi, _ = boundary_head(flow)
         for comp in range(flow.mesh.domain.n_components):
             sel = bq.component == comp
-            flux = np.einsum("kq,kqx,kqx->", bq.w_ds[sel], u[sel], bq.normal[sel])
+            flux = assembly.boundary_flux(flow.mesh, flow.velocity, comp)
             pieces.append((bq.w_ds[sel], phi[sel], flux))
     else:
         domain = flow.domain
@@ -128,20 +121,18 @@ def stream_function(flow, flux_rtol=1e-8):
     the potential is multivalued and MultivaluedStreamError is raised.
     """
     mesh = flow.mesh
-    bq = assembly.boundary_quadrature(mesh)
     uscale = max(float(np.max(np.abs(flow.velocity))), 1e-30)
-    for comp in range(mesh.domain.n_components):
+    lengths = assembly.boundary_quadrature(mesh).component_integrals(1.0)
+    for comp, length in enumerate(lengths):
         flux = assembly.boundary_flux(mesh, flow.velocity, comp)
-        length = bq.w_ds[bq.component == comp].sum()
         if abs(flux) > flux_rtol * uscale * length:
             raise MultivaluedStreamError(
                 f"component {comp} carries net flux {flux:.6e}; "
                 "stream function would be multivalued")
     ctx = assembly.volume_context(mesh)
-    u = norms.velocity_values(mesh, flow.velocity, ctx.pts)
+    u = ctx.values(flow.velocity.reshape(-1, 2))
     rotated = np.stack([-u[..., 1], u[..., 0]], axis=-1)
-    contrib = np.einsum("tq,tqix,tqx->ti", ctx.dv, ctx.grads, rotated, optimize=True)
-    return zero_mean_neumann_solve(mesh, scatter_vector(ctx.nodes, contrib, mesh.n_p2_nodes))
+    return zero_mean_neumann_solve(mesh, ctx.load(None, flux=rotated))
 
 
 # -- interior identity residuals ------------------------------------------------
@@ -159,26 +150,19 @@ def head_pressure_residual(flow, data):
     Tests Delta(Phi) = omega^2 + div(Phi u)/nu - (f . u)/nu against
     interior quadratic test functions.
     """
-    mesh = flow.mesh
-    nu = flow.nu
+    mesh, nu = flow.mesh, flow.nu
     ctx = assembly.volume_context(mesh)
-    pts, grads, dv, N, nodes = ctx.pts, ctx.grads, ctx.dv, ctx.N, ctx.nodes
     mass_lu = scalar_mass_factor(mesh)
     phi = total_head(flow, mass_lu)
-    omega = vorticity(flow, mass_lu)
-    gphi = np.einsum("ti,tqix->tqx", phi[nodes], grads)
-    om_q = np.einsum("qi,ti->tq", N, omega[nodes])
-    phi_q = np.einsum("qi,ti->tq", N, phi[nodes])
-    u = norms.velocity_values(mesh, flow.velocity, pts)
-
-    term = -np.einsum("tq,tqx,tqix->ti", dv, gphi, grads, optimize=True)
-    term -= np.einsum("tq,tq,tq,qi->ti", dv, om_q, om_q, N, optimize=True)
-    term += np.einsum("tq,tq,tqx,tqix->ti", dv, phi_q, u, grads, optimize=True) / nu
+    om = ctx.values(vorticity(flow, mass_lu))
+    u = ctx.values(flow.velocity.reshape(-1, 2))
+    values = -om * om
     if data.f is not None and callable(data.f):
-        x = elements.mapped_points(ctx.coords, pts)
+        x = ctx.points()
         fval = np.asarray(data.f(x.reshape(-1, 2)), float).reshape(x.shape)
-        term += np.einsum("tq,tqx,tqx,qi->ti", dv, fval, u, N, optimize=True) / nu
-    return _interior_dual_norm(mesh, scatter_vector(nodes, term, mesh.n_p2_nodes))
+        values = values + np.sum(fval * u, axis=-1) / nu
+    flux = ctx.values(phi)[..., None] * u / nu - ctx.gradient(phi)
+    return _interior_dual_norm(mesh, ctx.load(values, flux))
 
 
 def weingarten_identity_check(flow):
@@ -313,7 +297,7 @@ def korn_weight(domain, data):
 def audit(domain, data, mesh=None, q=4.0):
     """Evaluate every applicability condition; always returns a report."""
     notes = []
-    fluxes = extensions.component_fluxes(domain, data.a_star)
+    fluxes, _, _ = component_fluxes(domain, data.a_star)
     flux_block = {
         "per_component": [float(f) for f in fluxes],
         "total": float(np.sum(fluxes)),

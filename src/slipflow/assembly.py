@@ -87,25 +87,36 @@ class ProblemData:
         return True
 
 
-def check_total_flux(domain, a_star, flux_rtol=1e-8):
-    """Total exact-curve flux of a per-component normal datum.
+def component_fluxes(domain, a_star):
+    """Exact-curve flux of a per-component normal datum through each component.
 
-    Raises CompatibilityError unless the total vanishes to within
-    flux_rtol * max|a_star| * perimeter (a non-finite total fails too).
+    Returns (flux, peak, length), one entry per component: the curve_rule
+    integral of a_star, max |a_star| at the rule points and the curve length.
+    Raises DataError when a value at a rule point is not finite.
     """
     if len(a_star) != domain.n_components:
         raise DataError(
             f"normal datum has {len(a_star)} components, domain has {domain.n_components}")
-    total = 0.0
-    scale = 0.0
-    perimeter = 0.0
+    rows = []
     for curve, a in zip(domain.curves, a_star):
         t, pts, w_ds = geometry.curve_rule(curve)
         vals = np.asarray(as_boundary_scalar(a)(t, pts), float)
-        total += float(np.sum(w_ds * vals))
-        scale = max(scale, float(np.max(np.abs(vals))))
-        perimeter += float(np.sum(w_ds))
-    tol = max(flux_rtol * scale * perimeter, 1e-14 * perimeter)
+        if not np.all(np.isfinite(vals)):
+            raise DataError("normal datum is not finite at a boundary flux quadrature point")
+        rows.append((np.sum(w_ds * vals), np.max(np.abs(vals)), np.sum(w_ds)))
+    return tuple(np.array(rows).T)
+
+
+def check_total_flux(domain, a_star, flux_rtol=1e-8):
+    """Total exact-curve flux of a per-component normal datum.
+
+    Raises CompatibilityError unless the total vanishes to within
+    flux_rtol * max|a_star| * perimeter, and DataError when the datum is
+    not finite at a rule point.
+    """
+    flux, peak, length = component_fluxes(domain, a_star)
+    total, perimeter = sum(flux.tolist()), sum(length.tolist())
+    tol = max(flux_rtol * peak.max() * perimeter, 1e-14 * perimeter)
     if not abs(total) <= tol:
         raise CompatibilityError(
             f"total boundary flux {total:.6e} violates the zero-flux compatibility "
@@ -113,11 +124,12 @@ def check_total_flux(domain, a_star, flux_rtol=1e-8):
     return total
 
 
-# -- per-mesh element context ----------------------------------------------
+# -- per-mesh element context and field evaluation ---------------------------
 
 def _frozen(arrays):
     for a in arrays:
-        a.flags.writeable = False
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
 
 
 def _cached_on_mesh(mesh, name, key, build):
@@ -130,18 +142,95 @@ def _cached_on_mesh(mesh, name, key, build):
     return value
 
 
+def _interpolate(nodal, spaces, point_shape):
+    """Values [*point_shape, ...] of a nodal array [n, ...] in the space of
+    spaces = {node count: (node ids [e, k], shape functions [nq, k])} with n nodes."""
+    nodal = np.asarray(nodal, float)
+    if len(nodal) not in spaces:
+        raise ValueError(f"a nodal array of length {len(nodal)} fits no element space here")
+    ids, shape = spaces[len(nodal)]
+    return (shape @ nodal[ids].reshape(*ids.shape, -1)).reshape(*point_shape, *nodal.shape[1:])
+
+
+def _weighted(values, weights):
+    """values [e, q, ...] (or a constant) times the quadrature weights [e, q]."""
+    values = np.asarray(values, float)
+    return values * weights.reshape(weights.shape + (1,) * (values.ndim - 2))
+
+
+def _tested(shape, values, weights):
+    """Element contributions [e, k, ...] of sum_q weights values shape[q, k]."""
+    wv = _weighted(values, weights)
+    return (shape.T @ wv.reshape(*weights.shape, -1)).reshape(
+        len(wv), shape.shape[1], *wv.shape[2:])
+
+
+def _scatter_nodal(nodes, contrib, n):
+    """Sum element contributions [e, k] or [e, k, 2] into a nodal array [n] or [n, 2]."""
+    if contrib.ndim == 2:
+        return scatter_vector(nodes, contrib, n)
+    return scatter_vector(velocity_dofs(nodes), contrib, 2 * n).reshape(-1, 2)
+
+
 @dataclass(frozen=True)
 class VolumeContext:
-    """Element data of a mesh at one triangle rule; every array is read-only."""
+    """Element data of a mesh at one triangle rule; every array is read-only.
+
+    The package's field evaluator: nodal fields meet quadrature points only
+    through its methods.  A nodal array is a P2 scalar [n_nodes], a P2 vector
+    [n_nodes, 2] (velocity coefficients.reshape(-1, 2)) or a P1 pressure [n_vertices].
+    """
 
     pts: np.ndarray     # [nq, 2] reference quadrature points
     w: np.ndarray       # [nq] reference weights
-    nodes: np.ndarray   # [nt, 6] P2 node ids per triangle
+    nodes: np.ndarray   # [nt, 6] P2 node ids per triangle, vertices first
     coords: np.ndarray  # [nt, 6, 2] P2 node coordinates per triangle
     grads: np.ndarray   # [nt, nq, 6, 2] physical gradients of the P2 basis
     dv: np.ndarray      # [nt, nq] weight times Jacobian determinant
     N: np.ndarray       # [nq, 6] P2 shape functions
     P: np.ndarray       # [nq, 3] P1 shape functions
+    n_nodes: int        # P2 node count of the mesh
+    n_vertices: int     # vertex (P1 pressure node) count of the mesh
+
+    def points(self):
+        """Physical quadrature points [nt, nq, 2]."""
+        return self.N @ self.coords
+
+    def values(self, nodal):
+        """Field values [nt, nq, ...] at the quadrature points."""
+        return _interpolate(nodal, {self.n_nodes: (self.nodes, self.N),
+                                    self.n_vertices: (self.nodes[:, :3], self.P)},
+                            self.dv.shape)
+
+    def gradient(self, nodal):
+        """Gradients [nt, nq, ..., 2] of a P2 field; [..., a, b] = du_a/dx_b."""
+        nodal = np.asarray(nodal, float)
+        if len(nodal) != self.n_nodes:
+            raise ValueError(f"gradient of a nodal array of length {len(nodal)}, not P2")
+        elementT = np.swapaxes(nodal[self.nodes].reshape(*self.nodes.shape, -1), 1, 2)
+        return (elementT[:, None] @ self.grads).reshape(*self.dv.shape, *nodal.shape[1:], 2)
+
+    def integral(self, values):
+        """Integral of values [nt, nq, ...] (or a constant) over the mesh."""
+        return _weighted(values, self.dv).sum(axis=(0, 1))
+
+    def element_load(self, values, flux=None):
+        """Element contributions [nt, 6, ...] of integral values phi_i + flux . grad(phi_i).
+
+        values [nt, nq, ...] (a constant, or None) and flux [nt, nq, ..., 2]
+        share the trailing shape of the result, element-local for element matrices.
+        """
+        nt, nq = self.dv.shape
+        out = 0.0 if values is None else _tested(self.N, values, self.dv)
+        if flux is not None:
+            wf = _weighted(flux, self.dv)
+            per_point = self.grads @ np.swapaxes(wf.reshape(nt, nq, -1, 2), -1, -2)
+            out = out + per_point.sum(axis=1).reshape(nt, 6, *wf.shape[2:-1])
+        return out
+
+    def load(self, values, flux=None):
+        """Nodal vector [n_nodes] or [n_nodes, 2] of integral values phi_i + flux . grad(phi_i)."""
+        return _scatter_nodal(self.nodes, self.element_load(values, flux), self.n_nodes)
 
 
 def _volume_context(mesh, degree):
@@ -152,7 +241,8 @@ def _volume_context(mesh, degree):
         raise MeshError("nonpositive Jacobian in curved element")
     ctx = VolumeContext(pts=pts, w=w, nodes=mesh.triangle_nodes(), coords=coords,
                         grads=grads, dv=det * w[None, :], N=elements.p2_shape(pts),
-                        P=elements.p1_shape(pts))
+                        P=elements.p1_shape(pts), n_nodes=mesh.n_p2_nodes,
+                        n_vertices=mesh.n_vertices)
     _frozen(vars(ctx).values())
     return ctx
 
@@ -241,8 +331,7 @@ def scalar_h1_gram(mesh):
 
 def scalar_integral_vector(mesh):
     """Vector of integrals of each P2 basis function."""
-    ctx = volume_context(mesh)
-    return scatter_vector(ctx.nodes, np.einsum("tq,qi->ti", ctx.dv, ctx.N), mesh.n_p2_nodes)
+    return volume_context(mesh).load(1.0)
 
 
 # -- velocity and pressure forms ---------------------------------------------
@@ -282,20 +371,12 @@ def assemble_pressure_mean(mesh):
     return scatter_vector(mesh.triangles, contrib, mesh.n_vertices)
 
 
-def velocity_gradient_at(mesh, coeffs, grads):
-    """Velocity gradients du_a/dx_b at quadrature points, [t, q, 2, 2]."""
-    nodal = coeffs.reshape(-1, 2)[mesh.triangle_nodes()]
-    return np.einsum("tia,tqib->tqab", nodal, grads)
-
-
 def assemble_convection(mesh, w_coeffs, lam=1.0):
     """Matrix C(w) of integral ((w . grad) u) . phi, plus N(w) = C(w) w."""
     ctx = volume_context(mesh)
-    nodes = ctx.nodes
-    wq_field = np.einsum("qi,tix->tqx", ctx.N, w_coeffs.reshape(-1, 2)[nodes])
-    conv = np.einsum("tqx,tqjx->tqj", wq_field, ctx.grads)  # (w . grad) phi_j
-    scal = lam * np.einsum("tq,qi,tqj->tij", ctx.dv, ctx.N, conv, optimize=True)
-    C = componentwise(_scalar_form(mesh, nodes, scal))
+    wq = ctx.values(w_coeffs.reshape(-1, 2))
+    conv = np.einsum("tqjx,tqx->tqj", ctx.grads, wq)                    # (w . grad) phi_j
+    C = componentwise(_scalar_form(mesh, ctx.nodes, lam * ctx.element_load(conv)))
     return C, C @ w_coeffs
 
 
@@ -305,26 +386,18 @@ def convection_vector(mesh, w_coeffs):
     Equals assemble_convection(mesh, w_coeffs)[1] up to roundoff.
     """
     ctx = volume_context(mesh)
-    return scatter_vector(velocity_dofs(ctx.nodes), _convection_contrib(ctx, w_coeffs),
-                          2 * mesh.n_p2_nodes)
-
-
-def _convection_contrib(ctx, w_coeffs):
-    """Element contributions [t, i, a] of convection_vector, by batched matmul."""
-    nodal = w_coeffs.reshape(-1, 2)[ctx.nodes]                  # [t, i, a]
-    wq = ctx.N @ nodal                                          # [t, q, a]
-    gradT = np.swapaxes(ctx.grads, -1, -2) @ nodal[:, None]     # [t, q, b, a] = d w_a / d x_b
-    adv = np.einsum("tqb,tqba->tqa", wq, gradT)                # (w . grad) w
-    return ctx.N.T @ (adv * ctx.dv[..., None])
+    w = w_coeffs.reshape(-1, 2)
+    adv = np.einsum("tqab,tqb->tqa", ctx.gradient(w), ctx.values(w))     # (w . grad) w
+    return ctx.load(adv).ravel()
 
 
 def assemble_convection_newton(mesh, w_coeffs, lam=1.0):
     """Matrix of integral ((u . grad) w) . phi for the Newton linearization."""
     ctx = volume_context(mesh)
-    nodes, N = ctx.nodes, ctx.N
-    gw = velocity_gradient_at(mesh, w_coeffs, ctx.grads)    # [t, q, a, b]
-    return _velocity_form(mesh, nodes, lam * np.einsum(
-        "tq,qi,qj,tqab->tiajb", ctx.dv, N, N, gw, optimize=True))
+    gw = ctx.gradient(w_coeffs.reshape(-1, 2))                         # [t, q, a, b]
+    # one trial function j at a time keeps the temporaries at [t, q, 2, 2]
+    blk = np.stack([ctx.element_load(ctx.N[:, j, None, None] * gw) for j in range(6)], axis=3)
+    return _velocity_form(mesh, ctx.nodes, lam * blk)                  # [t, i, a, j, b]
 
 
 def load_volume(mesh, f):
@@ -332,24 +405,22 @@ def load_volume(mesh, f):
     if f is None:
         return np.zeros(2 * mesh.n_p2_nodes)
     ctx = volume_context(mesh)
-    N, nodes = ctx.N, ctx.nodes
     if callable(f):
-        x = elements.mapped_points(ctx.coords, ctx.pts)
+        x = ctx.points()
         fval = np.asarray(f(x.reshape(-1, 2)), float).reshape(x.shape)
     else:
-        fnod = np.asarray(f, float).reshape(-1, 2)[nodes]
-        fval = np.einsum("qi,tix->tqx", N, fnod)
+        fval = ctx.values(np.asarray(f, float).reshape(-1, 2))
     if not np.all(np.isfinite(fval)):
         raise DataError("volume force is not finite at a quadrature point")
-    contrib = np.einsum("tq,qi,tqx->tix", ctx.dv, N, fval, optimize=True)
-    return scatter_vector(velocity_dofs(nodes), contrib, 2 * mesh.n_p2_nodes)
+    return ctx.load(fval).ravel()
 
 
 # -- boundary quadrature ---------------------------------------------------
 
 @dataclass
 class BoundaryQuadrature:
-    """Per-edge quadrature on the curved quadratic boundary edges."""
+    """Per-edge quadrature on the curved quadratic boundary edges; it evaluates
+    edge traces of nodal fields as VolumeContext does (P1 linear along the edge)."""
 
     nodes3: np.ndarray     # [nb, 3] P2 node ids (first, second, mid)
     component: np.ndarray  # [nb]
@@ -361,9 +432,26 @@ class BoundaryQuadrature:
     kappa: np.ndarray      # [nb, nq]
     shape: np.ndarray      # [nq, 3] edge shape functions
     dshape: np.ndarray     # [nq, 3]
+    shape_p1: np.ndarray   # [nq, 2] linear shape functions of the end vertices
     edge_len: np.ndarray   # [nb] arclength of each edge
     tri: np.ndarray        # [nb] adjacent triangle
     local: np.ndarray      # [nb] local edge in the triangle
+    n_nodes: int           # P2 node count of the mesh
+    n_vertices: int        # vertex count of the mesh
+
+    def values(self, nodal):
+        """Trace values [nb, nq, ...] at the edge quadrature points."""
+        return _interpolate(nodal, {self.n_nodes: (self.nodes3, self.shape),
+                                    self.n_vertices: (self.nodes3[:, :2], self.shape_p1)},
+                            self.t.shape)
+
+    def component_integrals(self, values):
+        """Integral of values [nb, nq] (or a constant) over each boundary component."""
+        return np.bincount(self.component, weights=_weighted(values, self.w_ds).sum(axis=1))
+
+    def load(self, values):
+        """Nodal vector [n_nodes] or [n_nodes, 2] of integral values phi_i ds."""
+        return _scatter_nodal(self.nodes3, _tested(self.shape, values, self.w_ds), self.n_nodes)
 
 
 def boundary_quadrature(mesh):
@@ -407,7 +495,8 @@ def _boundary_quadrature(mesh):
     bq = BoundaryQuadrature(
         nodes3=nodes3, component=comp, t=tq, x=x, w_ds=w_ds,
         normal=normal, tangent=tangent, kappa=kappa, shape=Nq, dshape=dNq,
-        edge_len=w_ds.sum(axis=1), tri=tri, local=local)
+        shape_p1=np.column_stack([1.0 - s, s]), edge_len=w_ds.sum(axis=1), tri=tri,
+        local=local, n_nodes=mesh.n_p2_nodes, n_vertices=mesh.n_vertices)
     _frozen(vars(bq).values())
     return bq
 
@@ -443,11 +532,8 @@ def assemble_friction(mesh, beta):
 def load_boundary_tangential(mesh, b_tau):
     """Load vector of integral b_tau (phi . tau) ds."""
     bq = boundary_quadrature(mesh)
-    fns = [as_boundary_scalar(b) for b in b_tau]
-    vals = _eval_per_component(bq, fns)
-    contrib = np.einsum("kq,kq,qi,kqa->kia", bq.w_ds, vals, bq.shape, bq.tangent,
-                        optimize=True)
-    return scatter_vector(velocity_dofs(bq.nodes3), contrib, 2 * mesh.n_p2_nodes)
+    vals = _eval_per_component(bq, [as_boundary_scalar(b) for b in b_tau])
+    return bq.load(vals[..., None] * bq.tangent).ravel()
 
 
 def circulation_functional(mesh, component):
@@ -456,18 +542,15 @@ def circulation_functional(mesh, component):
     The contour is traversed in the tau = (n2, -n1) direction.
     """
     bq = boundary_quadrature(mesh)
-    sel = bq.component == component
-    contrib = np.einsum("kq,qi,kqa->kia", bq.w_ds[sel], bq.shape, bq.tangent[sel],
-                        optimize=True)
-    return scatter_vector(velocity_dofs(bq.nodes3[sel]), contrib, 2 * mesh.n_p2_nodes)
+    on = (bq.component == component)[:, None, None]
+    return bq.load(np.where(on, bq.tangent, 0.0)).ravel()
 
 
 def boundary_flux(mesh, coeffs, component):
     """Contour integral of u . n over one component for a velocity field."""
     bq = boundary_quadrature(mesh)
-    sel = bq.component == component
-    uval = np.einsum("qi,kix->kqx", bq.shape, coeffs.reshape(-1, 2)[bq.nodes3[sel]])
-    return float(np.einsum("kq,kqx,kqx->", bq.w_ds[sel], uval, bq.normal[sel]))
+    u_n = np.sum(bq.values(coeffs.reshape(-1, 2)) * bq.normal, axis=-1)
+    return float(bq.component_integrals(u_n)[component])
 
 
 # -- slip constraint -------------------------------------------------------

@@ -72,16 +72,6 @@ def edge_shape_deriv(s):
     ], axis=-1)
 
 
-def mapped_points(coords, pts):
-    """Map reference points through the quadratic geometry map.
-
-    coords: [ntri, 6, 2] node coordinates; pts: [nq, 2].
-    Returns points [ntri, nq, 2].
-    """
-    N = p2_shape(pts)
-    return np.einsum("qi,tix->tqx", N, coords)
-
-
 def mapped_jacobians(coords, pts):
     """Jacobians of the quadratic map at reference points.
 
@@ -106,5 +96,4 @@ def physical_gradients(coords, pts, basis_grad):
     Returns (grads[ntri, nq, nb, 2], detJ[ntri, nq]).
     """
     _, det, Jinv = mapped_jacobians(coords, pts)
-    grads = np.einsum("qir,tqrx->tqix", basis_grad, Jinv)
-    return grads, det
+    return basis_grad[None] @ Jinv, det

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import assembly, geometry
-from .assembly import scatter_vector, velocity_dofs
+from . import assembly
 from .errors import DataError, SolverError
 from .linear_solvers import dirichlet_solver, scalar_mass_factor, solve_laplace_neumann
 
@@ -25,13 +24,10 @@ def _project_scalar_gradient(mesh, scalar_coeffs, mass_lu=None):
     components are solved with mass_lu, a scalar_mass_factor(mesh).
     """
     ctx = assembly.volume_context(mesh)
-    nodes = ctx.nodes
-    gq = np.einsum("ti,tqix->tqx", scalar_coeffs[nodes], ctx.grads)
-    contrib = np.einsum("tq,qi,tqx->tix", ctx.dv, ctx.N, gq, optimize=True)
-    b = scatter_vector(velocity_dofs(nodes), contrib, 2 * mesh.n_p2_nodes)
+    b = ctx.load(ctx.gradient(scalar_coeffs))
     if mass_lu is None:
         mass_lu = scalar_mass_factor(mesh)
-    return mass_lu.solve(b.reshape(-1, 2)).ravel()
+    return mass_lu.solve(b).ravel()
 
 
 @dataclass
@@ -66,20 +62,11 @@ class HarmonicBasis:
         return self.psi.T @ coeffs
 
 
-def component_fluxes(domain, a_star):
-    """Fluxes of a per-component boundary scalar through each component."""
-    out = []
-    for curve, a in zip(domain.curves, a_star):
-        t, pts, w_ds = geometry.curve_rule(curve)
-        out.append(float(np.sum(w_ds * np.asarray(assembly.as_boundary_scalar(a)(t, pts), float))))
-    return np.asarray(out)
-
-
 def solenoidal_extension(mesh, a_star):
     """Gradient-of-harmonic extension with normal trace a_star."""
     q = solve_laplace_neumann(mesh, a_star)
     coeffs = _project_scalar_gradient(mesh, q)
-    fluxes = component_fluxes(mesh.domain, a_star)[1:]
+    fluxes = assembly.component_fluxes(mesh.domain, a_star)[0][1:]
     return ExtensionField(coefficients=coeffs, fluxes=fluxes, method="neumann-gradient")
 
 

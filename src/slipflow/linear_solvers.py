@@ -10,7 +10,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import assembly, geometry
-from .assembly import scalar_integral_vector, scalar_mass, scalar_stiffness, scatter_vector
+from .assembly import scalar_integral_vector, scalar_mass, scalar_stiffness
 from .errors import DataError, SolverError
 
 RESIDUAL_TOL = 1e-10
@@ -199,8 +199,7 @@ def solve_laplace_neumann(mesh, a_star):
     assembly.check_total_flux(mesh.domain, a_star)
     bq = assembly.boundary_quadrature(mesh)
     vals = assembly._eval_per_component(bq, [assembly.as_boundary_scalar(a) for a in a_star])
-    contrib = np.einsum("kq,kq,qi->ki", bq.w_ds, vals, bq.shape)
-    return zero_mean_neumann_solve(mesh, scatter_vector(bq.nodes3, contrib, mesh.n_p2_nodes))
+    return zero_mean_neumann_solve(mesh, bq.load(vals))
 
 
 def zero_mean_neumann_solve(mesh, load):
@@ -464,14 +463,12 @@ def sobolev_constant(mesh, r, maxiter=600, tol=1e-10, v0=None):
     W = assembly.scalar_h1_gram(mesh)
     lu = _splu(W)
     ctx = assembly.volume_context(mesh)
-    dv, N, nodes = ctx.dv, ctx.N, ctx.nodes
 
     def ratio_and_load(v):
-        vq = np.einsum("qi,ti->tq", N, v[nodes])
-        lr = np.einsum("tq,tq->", dv, np.abs(vq) ** r) ** (1.0 / r)
+        vq = ctx.values(v)
+        lr = ctx.integral(np.abs(vq) ** r) ** (1.0 / r)
         wnorm = np.sqrt(v @ (W @ v))
-        contrib = np.einsum("tq,tq,qi->ti", dv, np.abs(vq) ** (r - 2.0) * vq, N)
-        return lr / wnorm, scatter_vector(nodes, contrib, len(v))
+        return lr / wnorm, ctx.load(np.abs(vq) ** (r - 2.0) * vq)
 
     if v0 is None:
         x0 = mesh.domain.curves[0].point(np.array([0.0]))[0]

@@ -312,34 +312,32 @@ def symmetric_data_defect(domain, data):
     Symmetric data has a defect below SYMMETRY_TOL; non-finite data gives
     NaN.  Errors evaluating the data propagate.
     """
-    scale = 0.0
-    worst = 0.0
+    scales = [1.0]
+    defects = [0.0]
     t = (np.arange(48) + 0.17) / 48.0
-    for comp, curve in enumerate(domain.curves):
-        pts = curve.point(t)
-        mirrored = pts * np.array([1.0, -1.0])
-        t2, dist = curve.project(mirrored)
-        a = assembly.as_boundary_scalar(data.a_star[comp])
-        b = assembly.as_boundary_scalar(data.b_tau[comp])
-        bet = assembly.as_boundary_scalar(data.beta[comp])
-        a1, a2 = np.asarray(a(t, pts), float), np.asarray(a(t2, mirrored), float)
-        b1, b2 = np.asarray(b(t, pts), float), np.asarray(b(t2, mirrored), float)
-        c1, c2 = np.asarray(bet(t, pts), float), np.asarray(bet(t2, mirrored), float)
-        scale = max(scale, np.max(np.abs(a1)), np.max(np.abs(b1)), np.max(np.abs(c1)), 1.0)
-        worst = max(worst,
-                    float(np.max(np.abs(a1 - a2))),
-                    float(np.max(np.abs(b1 + b2))),   # tangential density is odd
-                    float(np.max(np.abs(c1 - c2))))
-    if data.f is not None and callable(data.f):
-        rng = np.random.default_rng(3)
-        pts = sample_interior_points(domain, 32, rng)
-        pts = np.vstack([pts, pts * np.array([1.0, -1.0])])
-        fv = np.asarray(data.f(pts), float)
-        n = len(pts) // 2
-        worst = max(worst, float(np.max(np.abs(fv[:n, 0] - fv[n:, 0]))),
-                    float(np.max(np.abs(fv[:n, 1] + fv[n:, 1]))))
-        scale = max(scale, float(np.max(np.abs(fv))))
-    return float(worst) / float(scale)
+    with np.errstate(invalid="ignore"):   # non-finite data gives NaN defects
+        for comp, curve in enumerate(domain.curves):
+            pts = curve.point(t)
+            mirrored = pts * np.array([1.0, -1.0])
+            t2, dist = curve.project(mirrored)
+            # the tangential density b_tau is odd, a_star and beta are even
+            for datum, parity in ((data.a_star, -1.0), (data.b_tau, 1.0), (data.beta, -1.0)):
+                fn = assembly.as_boundary_scalar(datum[comp])
+                v1, v2 = np.asarray(fn(t, pts), float), np.asarray(fn(t2, mirrored), float)
+                scales.append(np.max(np.abs(v1)))
+                defects.append(np.max(np.abs(v1 + parity * v2)))
+        if data.f is not None and callable(data.f):
+            rng = np.random.default_rng(3)
+            pts = sample_interior_points(domain, 32, rng)
+            pts = np.vstack([pts, pts * np.array([1.0, -1.0])])
+            fv = np.asarray(data.f(pts), float)
+            n = len(pts) // 2
+            defects += [np.max(np.abs(fv[:n, 0] - fv[n:, 0])),
+                        np.max(np.abs(fv[:n, 1] + fv[n:, 1]))]
+            scales.append(np.max(np.abs(fv)))
+    # np.max, unlike max(), propagates NaN; an infinite scale is non-finite data too
+    scale = float(np.max(scales))
+    return float(np.max(defects)) / scale if np.isfinite(scale) else np.nan
 
 
 def _stokes_lift(ws):

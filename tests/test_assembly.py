@@ -223,7 +223,8 @@ class TestComponentwiseForms:
 
 class TestScatterBitwise:
     """scatter_vector / scatter_matrix sites against the per-site np.add.at and
-    hand-built index grids they replaced, bit for bit."""
+    hand-built index grids they replaced, bit for bit; the element contributions
+    of the field evaluator against the einsum contractions it replaced."""
 
     @pytest.fixture(scope="class", params=["annulus", "two-hole"])
     def mesh(self, request, annulus_coarse, two_hole_coarse):
@@ -248,6 +249,10 @@ class TestScatterBitwise:
         return sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=shape)
 
     @staticmethod
+    def _close(a, ref):
+        assert np.max(np.abs(a - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    @staticmethod
     def _same_csr(A, B):
         return (A.shape == B.shape and np.array_equal(A.indptr, B.indptr)
                 and np.array_equal(A.indices, B.indices) and np.array_equal(A.data, B.data))
@@ -257,31 +262,37 @@ class TestScatterBitwise:
         rng = np.random.default_rng(3)
         nv = 2 * mesh.n_p2_nodes
         f_nodal = rng.standard_normal(nv)
-        fq = np.einsum("qi,tix->tqx", ctx.N, f_nodal.reshape(-1, 2)[ctx.nodes])
-        contrib = np.einsum("tq,qi,tqx->tix", ctx.dv, ctx.N, fq, optimize=True)
+        fq = ctx.values(f_nodal.reshape(-1, 2))
+        self._close(fq, np.einsum("qi,tix->tqx", ctx.N, f_nodal.reshape(-1, 2)[ctx.nodes]))
+        contrib = ctx.element_load(fq)
+        self._close(contrib, np.einsum("tq,qi,tqx->tix", ctx.dv, ctx.N, fq, optimize=True))
         assert np.array_equal(asm.load_volume(mesh, f_nodal),
                               self._velocity_add_at(nv, ctx.nodes, contrib))
         mean = np.zeros(mesh.n_vertices)
         np.add.at(mean, mesh.triangles, np.einsum("tq,qk->tk", ctx.dv, ctx.P))
         assert np.array_equal(asm.assemble_pressure_mean(mesh), mean)
         integral = np.zeros(mesh.n_p2_nodes)
-        np.add.at(integral, ctx.nodes, np.einsum("tq,qi->ti", ctx.dv, ctx.N))
+        self._close(ctx.element_load(1.0), np.einsum("tq,qi->ti", ctx.dv, ctx.N))
+        np.add.at(integral, ctx.nodes, ctx.element_load(1.0))
         assert np.array_equal(asm.scalar_integral_vector(mesh), integral)
-        # the scatter of convection_vector, fed its own element contributions
-        w = rng.standard_normal(nv)
-        assert np.array_equal(asm.convection_vector(mesh, w), self._velocity_add_at(
-            nv, ctx.nodes, asm._convection_contrib(ctx, w)))
+        # the scatter of convection_vector, fed the evaluator's element contributions
+        w = rng.standard_normal(nv).reshape(-1, 2)
+        adv = np.einsum("tqab,tqb->tqa", ctx.gradient(w), ctx.values(w))
+        assert np.array_equal(asm.convection_vector(mesh, w.ravel()), self._velocity_add_at(
+            nv, ctx.nodes, ctx.element_load(adv)))
 
     def test_convection_contrib_matches_einsum(self, mesh):
-        # the batched-matmul kernel against the chained einsum it replaced
+        # convection_vector's element contributions by the evaluator against
+        # the chained einsum they replaced
         ctx = asm.volume_context(mesh)
-        w = np.random.default_rng(3).standard_normal(2 * mesh.n_p2_nodes)
-        nodal = w.reshape(-1, 2)[ctx.nodes]
+        w = np.random.default_rng(3).standard_normal(2 * mesh.n_p2_nodes).reshape(-1, 2)
+        nodal = w[ctx.nodes]
         wq = np.einsum("qi,tia->tqa", ctx.N, nodal)
         adv = np.einsum("tqb,tqib,tia->tqa", wq, ctx.grads, nodal, optimize=True)
         ref = np.einsum("tq,qi,tqa->tia", ctx.dv, ctx.N, adv, optimize=True)
-        assert np.max(np.abs(asm._convection_contrib(ctx, w) - ref)) \
-            <= 1e-15 * np.max(np.abs(ref))
+        gw = ctx.gradient(w)
+        self._close(gw, np.einsum("tia,tqib->tqab", nodal, ctx.grads))
+        self._close(ctx.element_load(np.einsum("tqab,tqb->tqa", gw, ctx.values(w))), ref)
 
     def test_boundary_vectors(self, mesh, monkeypatch):
         from slipflow import linear_solvers as ls
@@ -289,23 +300,28 @@ class TestScatterBitwise:
         ncomp = mesh.domain.n_components
         b_tau = [lambda t, x, c=c: np.cos(2 * np.pi * t) + c for c in range(ncomp)]
         vals = asm._eval_per_component(bq, b_tau)
-        contrib = np.einsum("kq,kq,qi,kqa->kia", bq.w_ds, vals, bq.shape, bq.tangent,
-                            optimize=True)
+        # each vector scatters the boundary evaluator's element contributions
+        contrib = asm._tested(bq.shape, vals[..., None] * bq.tangent, bq.w_ds)
+        self._close(contrib, np.einsum("kq,kq,qi,kqa->kia", bq.w_ds, vals, bq.shape, bq.tangent,
+                                       optimize=True))
         assert np.array_equal(asm.load_boundary_tangential(mesh, b_tau),
                               self._velocity_add_at(nv, bq.nodes3, contrib))
+        contrib = asm._tested(bq.shape, bq.tangent, bq.w_ds)
         for comp in range(ncomp):
             sel = bq.component == comp
-            contrib = np.einsum("kq,qi,kqa->kia", bq.w_ds[sel], bq.shape, bq.tangent[sel],
-                                optimize=True)
+            self._close(contrib[sel], np.einsum("kq,qi,kqa->kia", bq.w_ds[sel], bq.shape,
+                                                bq.tangent[sel], optimize=True))
             assert np.array_equal(asm.circulation_functional(mesh, comp),
-                                  self._velocity_add_at(nv, bq.nodes3[sel], contrib))
+                                  self._velocity_add_at(nv, bq.nodes3[sel], contrib[sel]))
         a_star = [lambda t, x: np.sin(2 * np.pi * t)] * ncomp
         loads = []
         monkeypatch.setattr(ls, "zero_mean_neumann_solve", lambda m, load: loads.append(load))
         ls.solve_laplace_neumann(mesh, a_star)
+        vals = asm._eval_per_component(bq, a_star)
+        contrib = asm._tested(bq.shape, vals, bq.w_ds)
+        self._close(contrib, np.einsum("kq,kq,qi->ki", bq.w_ds, vals, bq.shape))
         ref = np.zeros(mesh.n_p2_nodes)
-        np.add.at(ref, bq.nodes3, np.einsum(
-            "kq,kq,qi->ki", bq.w_ds, asm._eval_per_component(bq, a_star), bq.shape))
+        np.add.at(ref, bq.nodes3, contrib)
         assert np.array_equal(loads[0], ref)
 
     def test_scalar_projections(self, mesh):
@@ -324,14 +340,19 @@ class TestScatterBitwise:
         values = rng.standard_normal(ctx.dv.shape)
         lu = Captured()
         analysis._scalar_projection(mesh, values, lu)
+        contrib = ctx.element_load(values)
+        self._close(contrib, np.einsum("tq,tq,qi->ti", ctx.dv, values, ctx.N))
         ref = np.zeros(mesh.n_p2_nodes)
-        np.add.at(ref, ctx.nodes, np.einsum("tq,tq,qi->ti", ctx.dv, values, ctx.N))
+        np.add.at(ref, ctx.nodes, contrib)
         assert np.array_equal(lu.loads[0], ref)
         q = rng.standard_normal(mesh.n_p2_nodes)
         extensions._project_scalar_gradient(mesh, q, lu)
-        gq = np.einsum("ti,tqix->tqx", q[ctx.nodes], ctx.grads)
+        gq = ctx.gradient(q)
+        self._close(gq, np.einsum("ti,tqix->tqx", q[ctx.nodes], ctx.grads))
+        contrib = ctx.element_load(gq)
+        self._close(contrib, np.einsum("tq,qi,tqx->tix", ctx.dv, ctx.N, gq, optimize=True))
         ref = np.zeros((mesh.n_p2_nodes, 2))
-        np.add.at(ref, ctx.nodes, np.einsum("tq,qi,tqx->tix", ctx.dv, ctx.N, gq, optimize=True))
+        np.add.at(ref, ctx.nodes, contrib)
         assert np.array_equal(lu.loads[1], ref)
 
     def test_matrix_forms(self, mesh):
@@ -346,8 +367,10 @@ class TestScatterBitwise:
         assert self._same_csr(asm.assemble_viscous(mesh, 0.7), self._grid_scatter(
             rows, cols, block.reshape(nt, 12, 12), (nv, nv)))
         w = np.random.default_rng(5).standard_normal(nv)
-        gw = asm.velocity_gradient_at(mesh, w, g)
-        block = np.einsum("tq,qi,qj,tqab->tiajb", dv, N, N, gw, optimize=True)
+        gw = ctx.gradient(w.reshape(-1, 2))
+        self._close(gw, np.einsum("tia,tqib->tqab", w.reshape(-1, 2)[nodes], g))
+        block = np.stack([ctx.element_load(N[:, j, None, None] * gw) for j in range(6)], axis=3)
+        self._close(block, np.einsum("tq,qi,qj,tqab->tiajb", dv, N, N, gw, optimize=True))
         assert self._same_csr(asm.assemble_convection_newton(mesh, w), self._grid_scatter(
             rows, cols, block.reshape(nt, 12, 12), (nv, nv)))
         blk = np.einsum("tq,qk,tqjb->tkjb", dv, ctx.P, g, optimize=True)
@@ -372,6 +395,86 @@ class TestScatterBitwise:
         ref = self._grid_scatter(np.repeat(dofs, 6, axis=1), np.tile(dofs, (1, 6)),
                                  blk.reshape(len(dofs), 6, 6), (2 * mesh.n_p2_nodes,) * 2)
         assert self._same_csr(asm.assemble_friction(mesh, beta), ref)
+
+
+class TestFieldEvaluator:
+    """The quadrature contexts as field evaluators, on affine fields, which the
+    isoparametric P2 space reproduces exactly."""
+
+    A = np.array([[0.3, -1.2], [0.7, 0.4]])
+    C = np.array([0.5, -0.2])
+
+    @pytest.fixture(scope="class", params=["annulus", "two-hole"])
+    def mesh(self, request, annulus_coarse, two_hole_coarse):
+        return annulus_coarse if request.param == "annulus" else two_hole_coarse
+
+    def affine(self, x):
+        return x @ self.A.T + self.C
+
+    @pytest.mark.parametrize("degree", [asm.VOLUME_DEGREE, asm.ERROR_DEGREE])
+    def test_affine_velocity_values_and_gradient(self, mesh, degree):
+        ctx = asm.volume_context(mesh, degree)
+        u = self.affine(mesh.p2_coords())
+        exact = self.affine(ctx.points())
+        assert np.max(np.abs(ctx.values(u) - exact)) <= 1e-12 * np.max(np.abs(exact))
+        gu = ctx.gradient(u)
+        assert gu.shape == ctx.dv.shape + (2, 2)
+        assert np.max(np.abs(gu - self.A)) <= 1e-12 * np.max(np.abs(self.A))
+        # one component as a scalar field; a constant pressure on the vertices
+        assert np.max(np.abs(ctx.gradient(u[:, 1]) - self.A[1])) <= 1e-12
+        assert np.max(np.abs(ctx.values(np.full(mesh.n_vertices, 2.5)) - 2.5)) <= 1e-14
+
+    def test_affine_boundary_trace(self, mesh):
+        bq = asm.boundary_quadrature(mesh)
+        exact = self.affine(bq.x)
+        trace = bq.values(self.affine(mesh.p2_coords()))
+        assert np.max(np.abs(trace - exact)) <= 1e-12 * np.max(np.abs(exact))
+        # the pressure trace is linear between the end vertices
+        from slipflow.quadrature import interval_rule
+        s, _ = interval_rule(asm.EDGE_POINTS)
+        ends = mesh.vertices[bq.nodes3[:, :2], 0]
+        linear = ends[:, :1] * (1.0 - s) + ends[:, 1:] * s
+        assert np.max(np.abs(bq.values(mesh.vertices[:, 0]) - linear)) <= 1e-14
+        lengths = bq.component_integrals(1.0)
+        assert np.allclose(lengths, [bq.edge_len[bq.component == c].sum()
+                                     for c in range(mesh.domain.n_components)], rtol=1e-14)
+        assert bq.load(np.ones(bq.t.shape)).sum() == pytest.approx(lengths.sum(), rel=1e-13)
+
+    def test_load_of_one_sums_to_integral(self, mesh):
+        ctx = asm.volume_context(mesh)
+        area = ctx.integral(1.0)
+        assert area == pytest.approx(domain_area(mesh), rel=1e-14)
+        assert ctx.load(1.0).sum() == pytest.approx(area, rel=1e-13)
+        vec = ctx.load(np.ones(ctx.dv.shape + (2,)))
+        assert vec.shape == (mesh.n_p2_nodes, 2)
+        assert np.allclose(vec.sum(axis=0), area, rtol=1e-13)
+
+    def test_load_is_the_integral_against_the_basis(self, mesh):
+        # <load(values, flux), u> = integral values u + flux . grad u for a P2 field u
+        ctx = asm.volume_context(mesh)
+        rng = np.random.default_rng(8)
+        values, flux = rng.standard_normal(ctx.dv.shape), rng.standard_normal(ctx.dv.shape + (2,))
+        u = rng.standard_normal(mesh.n_p2_nodes)
+        ref = ctx.integral(values * ctx.values(u) + np.sum(flux * ctx.gradient(u), axis=-1))
+        assert ctx.load(values, flux) @ u == pytest.approx(ref, rel=1e-12)
+
+    def test_wrong_length_rejected(self, mesh):
+        ctx = asm.volume_context(mesh)
+        with pytest.raises(ValueError):
+            ctx.values(np.zeros(2 * mesh.n_p2_nodes))
+        with pytest.raises(ValueError):
+            ctx.gradient(np.zeros(mesh.n_vertices))
+
+    @pytest.mark.parametrize("degree", [asm.VOLUME_DEGREE, asm.ERROR_DEGREE])
+    def test_physical_gradients_match_einsum(self, mesh, degree):
+        from slipflow import elements
+        from slipflow.quadrature import triangle_rule
+        pts, _ = triangle_rule(degree)
+        coords, basis_grad = mesh.triangle_coords(), elements.p2_grad(pts)
+        grads, _ = elements.physical_gradients(coords, pts, basis_grad)
+        _, _, Jinv = elements.mapped_jacobians(coords, pts)
+        ref = np.einsum("qir,tqrx->tqix", basis_grad, Jinv)
+        assert np.max(np.abs(grads - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 class TestNormalTrace:
@@ -470,9 +573,14 @@ class TestVolumeContext:
         bq = asm.boundary_quadrature(mesh)
         assert asm.volume_context(mesh) is ctx
         assert asm.boundary_quadrature(mesh) is bq
-        for arr in list(vars(ctx).values()) + list(vars(bq).values()):
-            with pytest.raises(ValueError):
-                arr[...] = 0
+        fields = list(vars(ctx).values()) + list(vars(bq).values())
+        # besides read-only arrays, each holds only its (immutable) node counts
+        assert [f for f in fields if not isinstance(f, np.ndarray)] == \
+            [mesh.n_p2_nodes, mesh.n_vertices] * 2
+        for arr in fields:
+            if isinstance(arr, np.ndarray):
+                with pytest.raises(ValueError):
+                    arr[...] = 0
         # replacing a geometry array derives a new context
         moved = copy.copy(mesh)
         moved.edge_nodes = mesh.edge_nodes.copy()

@@ -175,6 +175,16 @@ class TestSubcommands:
         assert not (out / "solution.vtk").exists()
         assert not (out / "audit.json").exists()
 
+    def test_audit_non_finite_normal_datum_exit_code(self, tmp_path, capsys):
+        # x1/0 is +-inf (NaN at x1 = 0) at the exact-curve flux points
+        path = hamel_config(tmp_path,
+                            mesh={"generator": "annulus", "n_radial": 4, "n_angular": 16},
+                            boundary={"a_star": ["-1.5 + x1/0", 3.0], "b_tau": [0.0, 0.0]})
+        out = tmp_path / "out"
+        assert cli.main(["audit", "--config", path, "--out", str(out)]) == 2
+        assert "not finite at a boundary flux quadrature point" in capsys.readouterr().err
+        assert not (out / "audit.json").exists()
+
     def test_invalid_mesh_exit_code(self, tmp_path):
         # with 8 cells around, the snapped midnodes fold the thin boundary elements
         path = hamel_config(tmp_path,

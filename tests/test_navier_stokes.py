@@ -435,6 +435,18 @@ class TestSymmetricSolve:
         assert gap < 1e-7
         assert sym_flow.metadata["symmetry_defect"] < 1e-10
 
+    def test_non_finite_data_defect_is_nan(self):
+        # the hole datum is -inf on the unit circle; max() used to drop the
+        # NaN defects and report 0.0, i.e. symmetric data
+        from slipflow import expressions
+        sol = val.hamel(1.0)
+        data = replace(sol.data, a_star=tuple(expressions.boundary_value(v) for v in
+                                              ("-1.5", "3.0 + log(x1*x1 + x2*x2 - 1)")))
+        defect = nvs.symmetric_data_defect(sol.domain, data)
+        assert np.isnan(defect)
+        assert not defect <= nvs.SYMMETRY_TOL
+        assert nvs.symmetric_data_defect(sol.domain, sol.data) <= nvs.SYMMETRY_TOL
+
     def test_asymmetric_data_rejected(self, annulus_coarse):
         data = asm.ProblemData(
             nu=1.0, beta=(1.0, 1.0),

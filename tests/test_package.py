@@ -37,3 +37,22 @@ def test_splu_called_only_in_the_factorization_helper():
                 if name == "splu":
                     calls.append((path.name, owner.get(id(node))))
     assert calls == [("linear_solvers.py", "_splu")], calls
+
+
+def test_fields_meet_quadrature_points_only_in_assembly():
+    # one field evaluator: outside assembly.py no module reads the shape
+    # functions or basis gradients of an element context, or scatters element
+    # contributions itself
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "assembly.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ("N", "grads"):
+                found.append(f"{path.name}:{node.lineno} .{node.attr}")
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in ("scatter_vector", "scatter_matrix"):
+                    found.append(f"{path.name}:{node.lineno} {name}()")
+    assert not found, found
