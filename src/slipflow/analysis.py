@@ -15,7 +15,7 @@ import numpy as np
 
 from . import assembly, elements, extensions, geometry, norms
 from .assembly import component_fluxes
-from .errors import MultivaluedStreamError
+from .errors import DataError, MultivaluedStreamError
 from .linear_solvers import (FlowState, interior_h1_factor, korn_constant, scalar_mass_factor,
                              sobolev_constant, zero_mean_neumann_solve)
 from .navier_stokes import SYMMETRY_TOL, symmetric_data_defect
@@ -276,7 +276,7 @@ class AuditReport:
 
 
 def _boundary_min(domain, fn_per_component, extra_per_component=None, samples=256):
-    worst = np.inf
+    """(minimum over the boundary, per-component minima); a NaN sample makes both NaN."""
     per_comp = []
     for comp in range(domain.n_components):
         t = (np.arange(samples) + 0.5) / samples
@@ -284,8 +284,7 @@ def _boundary_min(domain, fn_per_component, extra_per_component=None, samples=25
         vals = np.asarray(assembly.as_boundary_scalar(fn_per_component[comp])(t, pts), float)
         combined = vals + 2.0 * kappa if extra_per_component == "curvature" else vals
         per_comp.append(float(np.min(combined)))
-        worst = min(worst, per_comp[-1])
-    return worst, per_comp
+    return float(np.min(per_comp)), per_comp
 
 
 def korn_weight(domain, data):
@@ -295,7 +294,11 @@ def korn_weight(domain, data):
 
 
 def audit(domain, data, mesh=None, q=4.0):
-    """Evaluate every applicability condition; always returns a report."""
+    """Evaluate every applicability condition and return the report.
+
+    DataError when the normal datum or the friction coefficient is not
+    finite at a boundary point where the conditions sample it.
+    """
     notes = []
     fluxes, _, _ = component_fluxes(domain, data.a_star)
     flux_block = {
@@ -309,6 +312,8 @@ def audit(domain, data, mesh=None, q=4.0):
         bfn = data.beta_fn(comp)
         ratio_fns.append(lambda t, x, bfn=bfn: np.asarray(bfn(t, x), float) / data.nu)
     margin, per_comp = _boundary_min(domain, ratio_fns, "curvature")
+    if not np.isfinite(margin):
+        raise DataError("friction coefficient is not finite at a boundary sample point")
     t1 = {"margin": float(margin), "per_component_margin": per_comp}
 
     # outflow with one convex hole

@@ -78,10 +78,13 @@ class ProblemData:
         return check_total_flux(domain, self.a_star, flux_rtol)
 
     def beta_identically_zero(self, domain, samples=65):
+        """Whether beta vanishes at every sample; DataError when a sample is not finite."""
         for comp in range(domain.n_components):
             fn = self.beta_fn(comp)
             t = np.linspace(0.0, 1.0, samples)
             vals = np.asarray(fn(t, domain.curves[comp].point(t)), float)
+            if not np.all(np.isfinite(vals)):
+                raise DataError(f"friction coefficient is not finite on component {comp}")
             if np.max(np.abs(vals)) > 0:
                 return False
         return True

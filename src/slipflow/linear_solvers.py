@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from . import assembly, geometry
 from .assembly import scalar_integral_vector, scalar_mass, scalar_stiffness
@@ -45,6 +46,30 @@ def rigid_rotation_mode(mesh, center=(0.0, 0.0), b=1.0):
     return RigidMode(coefficients=vals.ravel(), center=tuple(center), b=b)
 
 
+@dataclass(frozen=True)
+class _OrderedLU:
+    """SuperLU factor `lu` of A[perm][:, perm]; solve() takes and returns A's
+    own numbering, for a 1-D right-hand side or the columns of an [n, k] one."""
+
+    lu: object
+    perm: np.ndarray
+
+    def solve(self, b):
+        y = self.lu.solve(np.asarray(b)[self.perm])
+        x = np.empty_like(y)
+        x[self.perm] = y
+        return x
+
+    # read on demand only: SuperLU builds a fresh copy of the factor per access
+    @property
+    def L(self):
+        return self.lu.L
+
+    @property
+    def U(self):
+        return self.lu.U
+
+
 def _splu(matrix):
     """SuperLU factorization of a matrix with a symmetric sparsity pattern.
 
@@ -52,17 +77,25 @@ def _splu(matrix):
     where it cancels to exactly zero): the scalar and vector forms, the
     bordered Neumann and Korn pencils, the saddle cores with both B_f and
     B_f^T, and the Newton blocks A + C + D; diagonal bumps keep it.  So the
-    columns are ordered by minimum degree on A^T + A and the pivots stay on
-    the diagonal unless a diagonal entry is below 1e-3 of its column's
-    largest, which about halves the LU fill of COLAMD with partial pivoting.
+    matrix is first renumbered symmetrically by reverse Cuthill-McKee on its
+    own pattern: the minimum degree order that SuperLU then takes on A^T + A
+    depends on the numbering it starts from, and from the structured annulus
+    numbering it is poor (LU fill of the 7241-row Hamel saddle core 1.62M
+    without the pre-order, 1.16M with it).  The pivots stay on the diagonal
+    unless a diagonal entry is below 1e-3 of its column's largest, and the
+    supernodes are kept small (relax=1, panel_size=10), which factors and
+    back-solves these 2-D element matrices faster than SuperLU's default.
     The callers' residual checks (BorderedSolver's refinement, the
     RESIDUAL_TOL gates) guard the accuracy.
     """
+    A = sp.csc_matrix(matrix)
+    perm = reverse_cuthill_mckee(A, symmetric_mode=True)
     try:
-        return spla.splu(sp.csc_matrix(matrix), permc_spec="MMD_AT_PLUS_A",
-                         diag_pivot_thresh=1e-3, options={"SymmetricMode": True})
+        lu = spla.splu(A[perm][:, perm], permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-3,
+                       relax=1, panel_size=10, options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SolverError(f"sparse factorization failed: {exc}") from exc
+    return _OrderedLU(lu, perm)
 
 
 def scalar_mass_factor(mesh, mass=None):
@@ -133,12 +166,13 @@ class BorderedSolver:
             [np.asarray(d, float), np.zeros(self.k - self.k_true)])
         z = np.zeros(self.n)
         mu = np.zeros(self.k)
-        scale = max(np.linalg.norm(b), np.linalg.norm(d), 1e-300)
+        # np.max, not max(): max() drops a NaN that is not its first argument
+        scale = np.max([np.linalg.norm(b), np.linalg.norm(d), 1e-300])
         # at most refine + 1 corrections; relres is always that of the returned z
         for step in range(refine + 2):
             rb = b - (self.core @ z + self.C @ mu)
             rd = d - (self.R.T @ z + self.D @ mu)
-            relres = max(np.linalg.norm(rb), np.linalg.norm(rd)) / scale
+            relres = np.max([np.linalg.norm(rb), np.linalg.norm(rd)]) / scale
             if relres < rtol or step == refine + 1:
                 break
             dz, dmu = self._inverse(rb, rd)

@@ -347,9 +347,8 @@ def _stokes_lift(ws):
     """
     x, step = ws.solve_linear(ws.A_base)
     # the reduced load and the inhomogeneous boundary terms set the scale
-    scale = max(np.linalg.norm(ws.con.reduce_vector(ws.F)),
-                np.linalg.norm(ws.base.G_f), 1e-30)
-    scale = max(scale, float(np.linalg.norm(ws.base.F_f)))
+    scale = np.max([np.linalg.norm(ws.con.reduce_vector(ws.F)), np.linalg.norm(ws.base.G_f),
+                    np.linalg.norm(ws.base.F_f), 1e-30])
     return x, scale, step
 
 

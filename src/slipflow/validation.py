@@ -303,7 +303,7 @@ def slip_residual(sol, component, n_samples=64, step=None):
     resid = traction_tau + beta * u_tau - b
     normal_gap = np.einsum("ma,ma->m", u.astype(float), n) - np.asarray(
         as_boundary_scalar(sol.data.a_star[component])(t, pts), float)
-    return float(max(np.max(np.abs(resid)), np.max(np.abs(normal_gap))))
+    return float(np.max([np.max(np.abs(resid)), np.max(np.abs(normal_gap))]))
 
 
 def certify(sol, n_interior=100, seed=0):
@@ -313,7 +313,7 @@ def certify(sol, n_interior=100, seed=0):
     report = {
         "momentum": momentum_residual(sol, pts),
         "continuity": continuity_residual(sol, pts),
-        "slip": max(slip_residual(sol, c) for c in range(sol.domain.n_components)),
+        "slip": float(np.max([slip_residual(sol, c) for c in range(sol.domain.n_components)])),
     }
     return report
 

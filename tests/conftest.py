@@ -19,6 +19,14 @@ def annulus_coarse():
 
 
 @pytest.fixture(scope="session")
+def two_hole_coarse():
+    from slipflow.geometry import Circle, DomainSpec
+    return sf.mesh_disk_with_holes(
+        DomainSpec([Circle((0.0, 0.0), 3.0), Circle((-1.2, 0.0), 0.6),
+                    Circle((1.3, 0.0), 0.5)]), 0.3)
+
+
+@pytest.fixture(scope="session")
 def annulus_medium():
     return sf.mesh_annulus(1.0, 2.0, 16, 32)
 

@@ -8,7 +8,7 @@ from slipflow import analysis as an
 from slipflow import assembly as asm
 from slipflow import navier_stokes as nvs
 from slipflow import norms, validation as val
-from slipflow.errors import MultivaluedStreamError, SolverError
+from slipflow.errors import DataError, MultivaluedStreamError, SolverError
 from slipflow.linear_solvers import FlowState
 
 
@@ -42,6 +42,15 @@ class TestAudit:
         t1 = rep.theorem_friction_curvature
         assert t1["margin"] == pytest.approx(0.25, abs=1e-12)
         assert t1["verdict"] is True
+
+    @pytest.mark.parametrize("beta", [(np.nan, 0.0), (0.0, np.nan)], ids=["outer", "hole"])
+    def test_non_finite_friction_rejected(self, annulus_coarse, beta):
+        # a NaN coefficient is neither a margin nor zero friction
+        data = asm.ProblemData(nu=1.0, beta=beta, a_star=(-1.5, 3.0), b_tau=(0.0, 0.0), f=None)
+        with pytest.raises(DataError, match="friction coefficient is not finite"):
+            data.beta_identically_zero(annulus_coarse.domain)
+        with pytest.raises(DataError, match="friction coefficient is not finite"):
+            an.audit(annulus_coarse.domain, data, mesh=annulus_coarse)
 
     def test_outflow_condition_passes_with_reversed_data(self, annulus_medium):
         data = asm.ProblemData(nu=1.0, beta=(0.75, 0.0), a_star=(1.5, -3.0),

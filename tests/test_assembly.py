@@ -17,14 +17,6 @@ def domain_area(mesh):
     return float(asm.volume_context(mesh).dv.sum())
 
 
-@pytest.fixture(scope="module")
-def two_hole_coarse():
-    from slipflow.geometry import Circle, DomainSpec
-    return sf.mesh_disk_with_holes(
-        DomainSpec([Circle((0.0, 0.0), 3.0), Circle((-1.2, 0.0), 0.6),
-                    Circle((1.3, 0.0), 0.5)]), 0.3)
-
-
 class TestViscous:
     def test_annihilates_rigid_rotation(self, annulus_coarse):
         A = asm.assemble_viscous(annulus_coarse, nu=1.0)

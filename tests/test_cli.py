@@ -185,6 +185,16 @@ class TestSubcommands:
         assert "not finite at a boundary flux quadrature point" in capsys.readouterr().err
         assert not (out / "audit.json").exists()
 
+    def test_audit_non_finite_friction_exit_code(self, tmp_path, capsys):
+        # 0*x1/0 is NaN at every point of the outer boundary
+        path = hamel_config(tmp_path,
+                            mesh={"generator": "annulus", "n_radial": 4, "n_angular": 16},
+                            physics={"nu": 1.0, "beta": ["0*x1/0", 0.0], "f": None})
+        out = tmp_path / "out"
+        assert cli.main(["audit", "--config", path, "--out", str(out)]) == 2
+        assert "friction coefficient is not finite" in capsys.readouterr().err
+        assert not (out / "audit.json").exists()
+
     def test_invalid_mesh_exit_code(self, tmp_path):
         # with 8 cells around, the snapped midnodes fold the thin boundary elements
         path = hamel_config(tmp_path,

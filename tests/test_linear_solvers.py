@@ -93,6 +93,32 @@ class TestBorderedSolver:
         assert not relres <= ls.RESIDUAL_TOL
 
 
+def fill(lu):
+    return lu.L.nnz + lu.U.nnz
+
+
+def unordered_splu(A):
+    """The SuperLU setting of _splu without its reverse Cuthill-McKee pre-order."""
+    return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-3,
+                     options={"SymmetricMode": True})
+
+
+def hamel_core(mesh):
+    """The bordered saddle core of the pinned k = 1 Hamel Stokes system."""
+    ws = nvs._Workspace(mesh, val.hamel(1.0).data, nvs.SolverConfig(pins={1: 2 * np.pi}))
+    return ls.build_saddle_solver(ws.rows, ws.constrained_system(ws.A_base).A_ff).core
+
+
+def korn_pencil(mesh):
+    """The shifted, reduced Korn pencil that korn_constant factors."""
+    factored = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ls, "_splu", lambda m, real=ls._splu: factored.append(m) or real(m))
+        ls.korn_constant(mesh, weight=[2.0] * mesh.domain.n_components)
+    assert len(factored) == 1
+    return factored[0]
+
+
 class TestFactorization:
     """The symmetric-pattern SuperLU setting on the pinned Hamel saddle systems."""
 
@@ -117,9 +143,38 @@ class TestFactorization:
         pattern.data[:] = 1.0
         assert abs(pattern - pattern.T).sum() <= 1e-3 * pattern.nnz
         default = spla.splu(sp.csc_matrix(solver.core))
-        assert solver.lu.L.nnz + solver.lu.U.nnz < default.L.nnz + default.U.nnz
+        assert fill(solver.lu) < fill(default)
         _, relres = ls.solve_saddle_rhs(ws.rows, solver, cs.F_f)
         assert relres <= 1e-12
+
+    def test_pre_order_cuts_the_hamel_fill(self, annulus_coarse):
+        # minimum degree from the structured annulus numbering fills more than
+        # from the reverse Cuthill-McKee one (134,202 against 112,538 entries)
+        core = hamel_core(annulus_coarse)
+        assert fill(ls._splu(core)) < fill(unordered_splu(core))
+
+    @pytest.mark.parametrize("columns", [None, 3], ids=["1-D", "n-by-3"])
+    @pytest.mark.parametrize("matrix", ["hamel-core", "p2-mass", "korn-pencil"])
+    def test_ordered_solve_matches_unordered(self, annulus_coarse, two_hole_coarse,
+                                             matrix, columns):
+        A = {"hamel-core": lambda: hamel_core(annulus_coarse),
+             "p2-mass": lambda: asm.scalar_mass(annulus_coarse),
+             "korn-pencil": lambda: korn_pencil(two_hole_coarse)}[matrix]()
+        n = A.shape[0]
+        b = np.random.default_rng(0).standard_normal(n if columns is None else (n, columns))
+        x = ls._splu(A).solve(b)
+        ref = unordered_splu(A).solve(b)
+        assert x.shape == b.shape
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_factor_keeps_only_superlu_and_permutation(self, annulus_coarse):
+        # L and U are built on demand from the SuperLU object, never kept:
+        # holding them costs peak memory for every live factor
+        factor = ls._splu(asm.scalar_mass(annulus_coarse))
+        assert set(vars(factor)) == {"lu", "perm"}
+        assert isinstance(factor.lu, spla.SuperLU)
+        assert np.array_equal(np.sort(factor.perm), np.arange(annulus_coarse.n_p2_nodes))
+        assert fill(factor) == fill(factor.lu)
 
 
 class TestStokes:

@@ -21,8 +21,9 @@ def test_no_function_level_relative_imports():
 
 
 def test_splu_called_only_in_the_factorization_helper():
-    # one factorization setting: every SuperLU factorization of the package
-    # goes through linear_solvers._splu
+    # one factorization setting: every SuperLU factorization of the package,
+    # and the reverse Cuthill-McKee order ahead of it, goes through
+    # linear_solvers._splu
     calls = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -34,9 +35,10 @@ def test_splu_called_only_in_the_factorization_helper():
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name == "splu":
-                    calls.append((path.name, owner.get(id(node))))
-    assert calls == [("linear_solvers.py", "_splu")], calls
+                if name in ("splu", "reverse_cuthill_mckee"):
+                    calls.append((path.name, owner.get(id(node)), name))
+    assert sorted(calls) == [("linear_solvers.py", "_splu", "reverse_cuthill_mckee"),
+                             ("linear_solvers.py", "_splu", "splu")], calls
 
 
 def test_fields_meet_quadrature_points_only_in_assembly():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,18 @@ class TestOracles:
     def test_slip_residual(self, sol):
         for comp in range(sol.domain.n_components):
             assert val.slip_residual(sol, comp, n_samples=64) <= 1e-9
+
+    def test_nan_slip_residual_propagates(self):
+        # a normal datum that is NaN on the last component only: the NaN normal
+        # gap must reach both the component's residual and certify's maximum
+        sol = val.hamel(1.0)
+        a_star = (sol.data.a_star[0], lambda t, x: np.full(len(t), np.nan))
+        sol = replace(sol, data=replace(sol.data, a_star=a_star))
+        assert np.isfinite(val.slip_residual(sol, 0))
+        assert np.isnan(val.slip_residual(sol, 1))
+        report = val.certify(sol, n_interior=10)
+        assert np.isnan(report["slip"])
+        assert not report["slip"] <= 1e-9
 
     def test_analytic_derivatives_match_stencils(self):
         sol = val.hamel(1.0)
