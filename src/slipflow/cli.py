@@ -114,6 +114,12 @@ def build_solver_config(cfg, pin_overrides=None):
     )
 
 
+def _problem(cfg):
+    """(domain, ProblemData, mesh) of a run configuration."""
+    domain = build_domain(cfg)
+    return domain, build_data(cfg, domain), build_mesh(cfg, domain)
+
+
 def _outdir(args, cfg):
     out = args.out or cfg.get("output", {}).get("directory", ".")
     os.makedirs(out, exist_ok=True)
@@ -128,6 +134,23 @@ def _write_solution(flow, trace, data, out, prov):
     output.write_json({"metadata": meta}, os.path.join(out, "solution.json"), prov)
     if trace is not None:
         output.write_json(trace.as_dict(), os.path.join(out, "trace.json"), prov)
+
+
+def _solve_ns(mesh, data, config, out, prov):
+    """Navier-Stokes solve that writes its artifacts; returns the FlowState.
+
+    On non-convergence trace.json is written all the same, with the error
+    message, before the error propagates.
+    """
+    try:
+        flow, trace = nvs.solve_navier_stokes(mesh, data, config)
+    except NonConvergenceError as exc:
+        if exc.trace is not None:
+            output.write_json(dict(exc.trace.as_dict(), error=str(exc)),
+                              os.path.join(out, "trace.json"), prov)
+        raise
+    _write_solution(flow, trace, data, out, prov)
+    return flow
 
 
 def _jsonable(v):
@@ -150,9 +173,7 @@ def cmd_mesh(args, cfg):
 
 
 def cmd_audit(args, cfg):
-    domain = build_domain(cfg)
-    data = build_data(cfg, domain)
-    mesh = build_mesh(cfg, domain)
+    domain, data, mesh = _problem(cfg)
     q = cfg.get("audit", {}).get("q", 4.0)
     report = analysis.audit(domain, data, mesh=mesh, q=q)
     out = _outdir(args, cfg)
@@ -163,9 +184,7 @@ def cmd_audit(args, cfg):
 
 
 def cmd_solve(args, cfg):
-    domain = build_domain(cfg)
-    data = build_data(cfg, domain)
-    mesh = build_mesh(cfg, domain)
+    _, data, mesh = _problem(cfg)
     out = _outdir(args, cfg)
     prov = output.provenance(cfg)
     pins = _parse_pins(args.pin)
@@ -174,29 +193,17 @@ def cmd_solve(args, cfg):
         _write_solution(flow, None, data, out, prov)
         print(f"stokes solve done (linear residual {flow.metadata['linear_residual']:.3e})")
         return 0
-    config = build_solver_config(cfg, pins)
-    try:
-        flow, trace = nvs.solve_navier_stokes(mesh, data, config)
-    except NonConvergenceError as exc:
-        if exc.trace is not None:
-            output.write_json(dict(exc.trace.as_dict(), error=str(exc)),
-                              os.path.join(out, "trace.json"), prov)
-        raise
-    _write_solution(flow, trace, data, out, prov)
+    flow = _solve_ns(mesh, data, build_solver_config(cfg, pins), out, prov)
     print(f"navier-stokes solve done (residual {flow.metadata['residual']:.3e}, "
           f"{flow.metadata['iterations']} iterations)")
     return 0
 
 
 def cmd_diagnose(args, cfg):
-    domain = build_domain(cfg)
-    data = build_data(cfg, domain)
-    mesh = build_mesh(cfg, domain)
+    _, data, mesh = _problem(cfg)
     out = _outdir(args, cfg)
     prov = output.provenance(cfg)
-    config = build_solver_config(cfg, _parse_pins(args.pin))
-    flow, trace = nvs.solve_navier_stokes(mesh, data, config)
-    _write_solution(flow, trace, data, out, prov)
+    flow = _solve_ns(mesh, data, build_solver_config(cfg, _parse_pins(args.pin)), out, prov)
     bern = analysis.bernoulli_audit(flow)
     output.write_json(bern.as_dict(), os.path.join(out, "bernoulli.json"), prov)
     resids = {
@@ -210,9 +217,7 @@ def cmd_diagnose(args, cfg):
 
 
 def cmd_korn(args, cfg):
-    domain = build_domain(cfg)
-    data = build_data(cfg, domain)
-    mesh = build_mesh(cfg, domain)
+    domain, data, mesh = _problem(cfg)
     q = cfg.get("audit", {}).get("q", 4.0)
     beta_zero = data.beta_identically_zero(domain)
     circ = geometry.classify_symmetry(domain).circularly_symmetric is not None

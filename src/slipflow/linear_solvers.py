@@ -113,7 +113,7 @@ def interior_h1_factor(mesh):
 
 
 class BorderedSolver:
-    """Exact solve of [[P, C], [R^T, D]] [z; mu] = [b; d] around a sparse core.
+    """Exact solve of [[P, C], [C^T, 0]] [z; mu] = [b; d] around a sparse core.
 
     Dense constraint rows (pressure mean, rigid-mode orthogonality) would
     cause catastrophic fill inside the sparse factorization, so they are
@@ -125,13 +125,12 @@ class BorderedSolver:
     the solved system is unchanged.
     """
 
-    def __init__(self, core, C=None, R=None, D=None, bumps=()):
+    def __init__(self, core, C=None, bumps=()):
         core = sp.csc_matrix(core)
         n = core.shape[0]
         C = np.zeros((n, 0)) if C is None else np.asarray(C, float).reshape(n, -1)
-        R = C.copy() if R is None else np.asarray(R, float).reshape(n, -1)
         k = C.shape[1]
-        D = np.zeros((k, k)) if D is None else np.asarray(D, float)
+        R, D = C, np.zeros((k, k))
         kb = len(bumps)
         if kb:
             idx = np.array([b[0] for b in bumps], np.int64)

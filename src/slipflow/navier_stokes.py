@@ -2,11 +2,15 @@
 
 The nonlinear problem is attacked as a fixed point of the viscous slip
 operator: damped Picard steps (all convection explicit, each step being
-one Stokes-type solve) optionally followed by Newton.  A continuation
-parameter scales the convection terms from 0 (Stokes lift, the initial
-guess) to 1.  On configurations with a solution continuum the Jacobian
-is singular; optional circulation pins (one scalar constraint per hole)
-restore uniqueness and select the branch.
+one Stokes-type solve) optionally followed by Newton.  One driver, the
+generator _continuation, walks a continuation parameter lambda that
+scales the convection from 0 (the Stokes lift, solved once) to 1.  It
+carries N(u) and the residual of its iterate from one lambda to the
+next and yields one fully described state per lambda:
+solve_navier_stokes keeps the last, continuation_sweep keeps them all.
+On configurations with a solution continuum the Jacobian is singular;
+optional circulation pins (one scalar constraint per hole) restore
+uniqueness and select the branch.
 
 One nonlinear solve factors one matrix: the Stokes lift factors the
 constrained base system, every Picard step (at every continuation
@@ -341,10 +345,8 @@ def symmetric_data_defect(domain, data):
 
 
 def _stokes_lift(ws):
-    """The lambda = 0 solve (also the initial guess w = 0) and the residual scale.
-
-    Returns (x, scale, LinearStep); the solve factors A_base.
-    """
+    """The lambda = 0 solve (the initial guess w = 0), which factors A_base;
+    returns (x, the residual scale, LinearStep)."""
     x, step = ws.solve_linear(ws.A_base)
     # the reduced load and the inhomogeneous boundary terms set the scale
     scale = np.max([np.linalg.norm(ws.con.reduce_vector(ws.F)), np.linalg.norm(ws.base.G_f),
@@ -374,58 +376,55 @@ def solve_stokes(mesh, data):
 def solve_navier_stokes(mesh, data, config=None):
     """Nonlinear slip-flow solve; returns (FlowState, IterationTrace)."""
     config = config or SolverConfig()
-    return _iterate(_Workspace(mesh, data, config), config)
-
-
-def _iterate(ws, config):
-    mesh, data = ws.mesh, ws.data
-    trace = IterationTrace()
-
-    x, scale, lift_step = _stokes_lift(ws)
-    lift, _ = ws.rows.split(x)
-
-    lift_energy = 0.5 * float(lift @ (ws.A_base @ lift))
-    for lam in config.lambda_schedule:
-        if lam == 0.0:
-            conv = assembly.convection_vector(mesh, ws.rows.split(x)[0])
-            res = np.linalg.norm(ws.residual(x, 0.0, conv)) / scale
-            trace.record(res, lift_energy, 1.0, "stokes", lift_step)
-            continue
-        x, trace = _solve_at_lambda(ws, config, lam, x, trace, scale)
-    lam = config.lambda_schedule[-1]
-    u, p = ws.rows.split(x)
-    conv = assembly.convection_vector(mesh, u)
-    weak = ws.residual(ws.rows.unpinned(x), lam, conv)[:ws.rows.n_flow]
-    meta = dict(ws.meta)
-    meta.update({
-        "problem": "navier-stokes",
-        "residual": np.linalg.norm(ws.residual(x, lam, conv)) / scale,
-        "weak_residual_unpinned": np.linalg.norm(weak) / scale,
-        "iterations": len(trace.residuals),
-        "factorizations": ws.factorizations,
-        "lambda": lam,
-        "pins": dict(config.pins or {}),
-        "stokes_lift_energy": lift_energy,
-    })
-    if config.pins:
-        meta["circulations"] = {
-            comp: float(assembly.circulation_functional(mesh, comp) @ u)
-            for comp in config.pins}
-    if config.symmetric_subspace:
-        meta["symmetry_defect"] = _symmetry_defect(mesh, u)
-    flow = FlowState(mesh=mesh, nu=data.nu, velocity=u, pressure=ws.physical_pressure(p),
-                     metadata=meta)
+    for flow, trace, _ in _continuation(_Workspace(mesh, data, config), config):
+        pass
     return flow, trace
 
 
-def _solve_at_lambda(ws, config, lam, x, trace, scale):
+def _continuation(ws, config):
+    """Walk config.lambda_schedule from the Stokes lift; after each lambda
+    yield (FlowState, the growing IterationTrace, energy norm of u - lift)."""
+    mesh = ws.mesh
+    trace = IterationTrace()
+    x, scale, lift_step = _stokes_lift(ws)
+    lift, _ = ws.rows.split(x)
+    lift_energy = 0.5 * float(lift @ (ws.A_base @ lift))
+    conv = assembly.convection_vector(mesh, lift)
+    for lam in config.lambda_schedule:
+        if lam == 0.0:
+            res = np.linalg.norm(ws.residual(x, 0.0, conv)) / scale
+            trace.record(res, lift_energy, 1.0, "stokes", lift_step)
+        else:
+            x, conv, res = _solve_at_lambda(ws, config, lam, x, conv, trace, scale)
+        u, p = ws.rows.split(x)
+        weak = ws.residual(ws.rows.unpinned(x), lam, conv)[:ws.rows.n_flow]
+        meta = {**ws.meta, "problem": "navier-stokes", "residual": res,
+                "weak_residual_unpinned": np.linalg.norm(weak) / scale,
+                "iterations": len(trace.residuals), "factorizations": ws.factorizations,
+                "lambda": lam, "pins": dict(config.pins or {}),
+                "stokes_lift_energy": lift_energy}
+        if config.pins:
+            meta["circulations"] = {
+                comp: float(assembly.circulation_functional(mesh, comp) @ u)
+                for comp in config.pins}
+        if config.symmetric_subspace:
+            meta["symmetry_defect"] = _symmetry_defect(mesh, u)
+        w = u - lift
+        yield (FlowState(mesh=mesh, nu=ws.data.nu, velocity=u,
+                         pressure=ws.physical_pressure(p), metadata=meta),
+               trace, float(np.sqrt(max(w @ (ws.A_base @ w), 0.0))))
+
+
+def _solve_at_lambda(ws, config, lam, x, conv, trace, scale):
+    """Iterate at one lambda from x, whose convection vector N(u) is conv.
+
+    Returns (x, N(u), relative residual) of the converged iterate.
+    """
     mesh = ws.mesh
     damping = config.damping
     u = ws.rows.split(x)[0]
-    conv = assembly.convection_vector(mesh, u)
     res_prev = np.linalg.norm(ws.residual(x, lam, conv)) / scale
     growth_streak = 0
-    newton_allowed = config.mode in ("newton", "picard-then-newton")
     picard_budget = {"picard": config.max_iterations,
                      "newton": 0,
                      "picard-then-newton": config.picard_iterations}[config.mode]
@@ -434,8 +433,6 @@ def _solve_at_lambda(ws, config, lam, x, trace, scale):
         if res_prev <= config.tolerance:
             break
         phase = "picard" if it < picard_budget else "newton"
-        if phase == "newton" and not newton_allowed:
-            phase = "picard"
         try:
             if phase == "picard":
                 x_new, step = ws.solve_linear(ws.A_base, extra_rhs=-lam * conv)
@@ -468,12 +465,11 @@ def _solve_at_lambda(ws, config, lam, x, trace, scale):
                 f"residual grew for 5 consecutive steps at lambda={lam:g}", trace)
         res_prev = res_try
         damping = min(1.0, alpha * 1.5)
-    else:
-        if not res_prev <= config.tolerance:
-            raise NonConvergenceError(
-                f"no convergence within {config.max_iterations} iterations at "
-                f"lambda={lam:g} (residual {res_prev:.3e})", trace)
-    return x, trace
+    if not res_prev <= config.tolerance:
+        raise NonConvergenceError(
+            f"no convergence within {config.max_iterations} iterations at "
+            f"lambda={lam:g} (residual {res_prev:.3e})", trace)
+    return x, conv, res_prev
 
 
 def _symmetry_defect(mesh, u):
@@ -496,38 +492,23 @@ def solve_symmetric(mesh, data, config=None):
 
 
 def continuation_sweep(mesh, data, lambda_grid, config=None):
-    """Warm-started solves over a nondecreasing grid of convection scales.
+    """Warm-started solves over a nondecreasing grid of convection scales in [0, 1].
 
     Returns a list of (lambda, FlowState, J-norm of w) where w is the
     deviation from the Stokes lift measured in the energy norm whose
-    boundedness the solvability argument requires.
+    boundedness the solvability argument requires.  Each state carries the
+    metadata of solve_navier_stokes and the norm as `w_norm`.
     """
-    lam_grid = tuple(lambda_grid)
-    if any(lam_grid[i] > lam_grid[i + 1] for i in range(len(lam_grid) - 1)):
-        raise DataError("continuation grid must be nondecreasing")
-    config = config or SolverConfig()
-    ws = _Workspace(mesh, data, config)
-
-    trace = IterationTrace()
-    x, scale, _ = _stokes_lift(ws)
-    lift, _ = ws.rows.split(x)
+    config = replace(config or SolverConfig(), lambda_schedule=tuple(lambda_grid))
+    states = _continuation(_Workspace(mesh, data, config), config)
     out = []
-    for lam in lam_grid:
-        if lam > 0:
-            try:
-                x, trace = _solve_at_lambda(ws, config, lam, x, trace, scale)
-            except (NonConvergenceError, BranchDegeneracyError) as exc:
-                # keep the type, the traceback and a NonConvergenceError's trace
-                exc.args = (f"continuation failed at lambda={lam:g}: {exc}",)
-                raise
-        u, p = ws.rows.split(x)
-        w = u - lift
-        wnorm = float(np.sqrt(max(w @ (ws.A_base @ w), 0.0)))
-        conv = assembly.convection_vector(mesh, u)
-        res = np.linalg.norm(ws.residual(x, lam, conv)) / scale
-        flow = FlowState(mesh=mesh, nu=data.nu, velocity=u,
-                         pressure=ws.physical_pressure(p),
-                         metadata={"problem": "navier-stokes", "lambda": lam,
-                                   "residual": res, "w_norm": wnorm})
-        out.append((lam, flow, wnorm))
+    for lam in config.lambda_schedule:
+        try:
+            flow, _, w_norm = next(states)
+        except (NonConvergenceError, BranchDegeneracyError) as exc:
+            # keep the type, the traceback and a NonConvergenceError's trace
+            exc.args = (f"continuation failed at lambda={lam:g}: {exc}",)
+            raise
+        flow.metadata["w_norm"] = w_norm
+        out.append((lam, flow, w_norm))
     return out

@@ -246,6 +246,16 @@ class TestSubcommands:
         res = json.load(open(out / "residuals.json"))
         assert res["nonlinear_residual"] <= 1e-10
 
+    def test_diagnose_non_convergence_writes_trace(self, tmp_path):
+        path = hamel_config(tmp_path, solver={"max_iterations": 1, "tolerance": 1e-14,
+                                              "pins": {"1": 0.0}})
+        out = tmp_path / "out"
+        assert cli.main(["diagnose", "--config", path, "--out", str(out)]) == 3
+        trace = json.load(open(out / "trace.json"))
+        assert len(trace["residuals"]) == 1
+        assert "no convergence" in trace["error"]
+        assert not (out / "residuals.json").exists()
+
     def test_validate_couette(self, tmp_path):
         out = tmp_path / "out"
         assert cli.main(["validate", "couette", "--levels", "2",

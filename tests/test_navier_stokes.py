@@ -423,6 +423,49 @@ class TestContinuation:
         assert len(err.value.trace.residuals) == 2
 
 
+class TestOneDriver:
+    """solve_navier_stokes and continuation_sweep walk lambda through one driver."""
+
+    def test_sweep_state_is_the_solve_state(self, annulus_coarse):
+        data, grid = val.hamel(1.0).data, (0.0, 0.5, 1.0)
+        config = nvs.SolverConfig(pins={1: 2 * np.pi})
+        sweep = nvs.continuation_sweep(annulus_coarse, data, grid, config)
+        flow, _ = nvs.solve_navier_stokes(annulus_coarse, data,
+                                          replace(config, lambda_schedule=grid))
+        last = dict(sweep[-1][1].metadata)
+        assert last.pop("w_norm") == sweep[-1][2]
+        assert last == flow.metadata
+        assert np.array_equal(sweep[-1][1].velocity, flow.velocity)
+        assert np.array_equal(sweep[-1][1].pressure, flow.pressure)
+
+    def test_sweep_states_carry_the_full_metadata(self, annulus_coarse):
+        sweep = nvs.continuation_sweep(annulus_coarse, val.hamel(1.0).data,
+                                       (0.0, 0.5, 1.0), nvs.SolverConfig(pins={1: 2 * np.pi}))
+        metas = [flow.metadata for _, flow, _ in sweep]
+        assert [m["lambda"] for m in metas] == [0.0, 0.5, 1.0]
+        assert all(m["factorizations"] == 1 for m in metas)
+        assert all(set(m["circulations"]) == {1} for m in metas)
+        assert all(np.isfinite(m["weak_residual_unpinned"]) for m in metas)
+        iterations = [m["iterations"] for m in metas]
+        assert iterations == sorted(iterations)
+
+    @pytest.mark.parametrize("grid", [(0.5, 1.5), (-0.1, 1.0)])
+    def test_grid_outside_unit_interval_rejected(self, annulus_coarse, grid):
+        with pytest.raises(DataError):
+            nvs.continuation_sweep(annulus_coarse, val.hamel(0.0).data, grid)
+
+    def test_convection_vector_once_per_iterate(self, annulus_coarse, monkeypatch):
+        # the lift and each accepted iterate; N(u) is carried, never recomputed
+        real = asm.convection_vector
+        calls = []
+        monkeypatch.setattr(asm, "convection_vector",
+                            lambda *args: calls.append(1) or real(*args))
+        _, trace = nvs.solve_navier_stokes(annulus_coarse, val.hamel(1.0).data,
+                                           nvs.SolverConfig(pins={1: 2 * np.pi}))
+        assert trace.dampings == [1.0] * len(trace.residuals)
+        assert len(calls) == 1 + len(trace.residuals)
+
+
 class TestSymmetricSolve:
     def test_matches_unrestricted_radial_solution(self, annulus_coarse):
         data = val.hamel(0.0).data  # radial data, symmetric

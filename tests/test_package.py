@@ -58,3 +58,23 @@ def test_fields_meet_quadrature_points_only_in_assembly():
                 if name in ("scatter_vector", "scatter_matrix"):
                     found.append(f"{path.name}:{node.lineno} {name}()")
     assert not found, found
+
+
+def test_lambda_walk_has_one_driver():
+    # one continuation driver: the Stokes lift and the iteration at one
+    # lambda are called only from navier_stokes._continuation
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(inner), node.name) for inner in ast.walk(node))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in ("_stokes_lift", "_solve_at_lambda"):
+                    calls.append((path.name, owner.get(id(node)), name))
+    assert sorted(calls) == [("navier_stokes.py", "_continuation", "_solve_at_lambda"),
+                             ("navier_stokes.py", "_continuation", "_stokes_lift")], calls
