@@ -13,13 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import assembly, elements, extensions, geometry, norms
+from . import assembly, extensions, geometry, norms
 from .assembly import component_fluxes
 from .errors import DataError, MultivaluedStreamError
 from .linear_solvers import (FlowState, interior_h1_factor, korn_constant, scalar_mass_factor,
                              sobolev_constant, zero_mean_neumann_solve)
 from .navier_stokes import SYMMETRY_TOL, symmetric_data_defect
-from .quadrature import interval_rule
 
 
 # -- field extraction --------------------------------------------------------
@@ -90,10 +89,10 @@ def bernoulli_audit(flow):
     """
     pieces = []
     if isinstance(flow, FlowState):
-        bq, phi, _ = boundary_head(flow)
-        for comp in range(flow.mesh.domain.n_components):
+        bq, phi, u = boundary_head(flow)
+        fluxes = bq.component_integrals(np.sum(u * bq.normal, axis=-1))
+        for comp, flux in enumerate(fluxes):
             sel = bq.component == comp
-            flux = assembly.boundary_flux(flow.mesh, flow.velocity, comp)
             pieces.append((bq.w_ds[sel], phi[sel], flux))
     else:
         domain = flow.domain
@@ -122,9 +121,10 @@ def stream_function(flow, flux_rtol=1e-8):
     """
     mesh = flow.mesh
     uscale = max(float(np.max(np.abs(flow.velocity))), 1e-30)
-    lengths = assembly.boundary_quadrature(mesh).component_integrals(1.0)
-    for comp, length in enumerate(lengths):
-        flux = assembly.boundary_flux(mesh, flow.velocity, comp)
+    bq = assembly.boundary_quadrature(mesh)
+    u_n = np.sum(bq.values(flow.velocity.reshape(-1, 2)) * bq.normal, axis=-1)
+    lengths = bq.component_integrals(1.0)
+    for comp, (flux, length) in enumerate(zip(bq.component_integrals(u_n), lengths)):
         if abs(flux) > flux_rtol * uscale * length:
             raise MultivaluedStreamError(
                 f"component {comp} carries net flux {flux:.6e}; "
@@ -176,56 +176,22 @@ def weingarten_identity_check(flow):
     volumetric/trace mismatch of a discrete field (order h or better for
     interpolated smooth fields, zero only in the continuum).
     """
-    mesh = flow.mesh
-    bq = assembly.boundary_quadrature(mesh)
-    nq = bq.shape.shape[0]
-    s, _ = interval_rule(nq)
-    # reference coordinates of the edge quadrature points inside each triangle
-    refmap = {
-        0: lambda s: np.column_stack([s, np.zeros_like(s)]),
-        1: lambda s: np.column_stack([1.0 - s, s]),
-        2: lambda s: np.column_stack([np.zeros_like(s), 1.0 - s]),
-    }
-    coords_all = mesh.triangle_coords()
-    p2 = mesh.p2_coords()
-    unodal = flow.velocity.reshape(-1, 2)
-    tri_nodes = mesh.triangle_nodes()
-    total = 0.0
-    length = 0.0
-    for loc in (0, 1, 2):
-        sel = np.nonzero(bq.local == loc)[0]
-        if len(sel) == 0:
-            continue
-        ref = refmap[loc](s)
-        tris = bq.tri[sel]
-        gref = elements.p2_grad(ref)
-        grads, _ = elements.physical_gradients(coords_all[tris], ref, gref)
-        gu = np.einsum("kia,kqib->kqab", unodal[tri_nodes[tris]], grads)
-        Nq = elements.p2_shape(ref)
-        uq = np.einsum("qi,kix->kqx", Nq, unodal[tri_nodes[tris]])
-        n = bq.normal[sel]
-        tau = bq.tangent[sel]
-        kap = bq.kappa[sel]
-        S = gu + np.swapaxes(gu, 2, 3)
-        Sn = np.einsum("kqab,kqb->kqa", S, n)
-        Sn_tau = Sn - n * np.einsum("kqa,kqa->kq", Sn, n)[..., None]
-        curl = gu[..., 0, 1] - gu[..., 1, 0]
-        perp = np.stack([n[..., 1], -n[..., 0]], axis=-1)
-        u_tau = np.einsum("kqa,kqa->kq", uq, tau)
-        # intrinsic derivative of the trace of u . n along the curved edge
-        edge_pts = p2[bq.nodes3[sel]]                       # [k, 3, 2]
-        edge_u = unodal[bq.nodes3[sel]]                     # [k, 3, 2]
-        dx = np.einsum("qi,kix->kqx", bq.dshape, edge_pts)  # d(map)/ds
-        du = np.einsum("qi,kix->kqx", bq.dshape, edge_u)
-        speed = np.hypot(dx[..., 0], dx[..., 1])
-        align = np.sign(np.einsum("kqa,kqa->kq", tau, dx))
-        dstangent = align * np.einsum("kqa,kqa->kq", du, n) / speed - kap * u_tau
-        rhs = curl[..., None] * perp + 2.0 * dstangent[..., None] * tau \
-            + 2.0 * (kap * u_tau)[..., None] * tau
-        resid = Sn_tau - rhs
-        total += float(np.einsum("kq,kqa,kqa->", bq.w_ds[sel], resid, resid))
-        length += float(bq.w_ds[sel].sum())
-    return float(np.sqrt(total / max(length, 1e-300)))
+    bq = assembly.boundary_quadrature(flow.mesh)
+    u = flow.velocity.reshape(-1, 2)
+    gu, uq, du = bq.gradient(u), bq.values(u), bq.tangential_derivative(u)
+    n, tau, kap = bq.normal, bq.tangent, bq.kappa
+    Sn = ((gu + np.swapaxes(gu, -1, -2)) @ n[..., None])[..., 0]
+    Sn_tau = Sn - n * np.sum(Sn * n, axis=-1)[..., None]
+    curl = gu[..., 0, 1] - gu[..., 1, 0]
+    perp = np.stack([n[..., 1], -n[..., 0]], axis=-1)
+    u_tau = np.sum(uq * tau, axis=-1)
+    # intrinsic derivative of the trace of u . n along the curved edge
+    dstangent = np.sum(du * n, axis=-1) - kap * u_tau
+    rhs = curl[..., None] * perp + 2.0 * dstangent[..., None] * tau \
+        + 2.0 * (kap * u_tau)[..., None] * tau
+    resid = Sn_tau - rhs
+    total = bq.component_integrals(np.sum(resid * resid, axis=-1)).sum()
+    return float(np.sqrt(total / max(bq.component_integrals(1.0).sum(), 1e-300)))
 
 
 # -- the audit ------------------------------------------------------------------
@@ -275,18 +241,6 @@ class AuditReport:
         return out
 
 
-def _boundary_min(domain, fn_per_component, extra_per_component=None, samples=256):
-    """(minimum over the boundary, per-component minima); a NaN sample makes both NaN."""
-    per_comp = []
-    for comp in range(domain.n_components):
-        t = (np.arange(samples) + 0.5) / samples
-        pts, _, _, kappa = geometry.frames_at(domain, comp, t)
-        vals = np.asarray(assembly.as_boundary_scalar(fn_per_component[comp])(t, pts), float)
-        combined = vals + 2.0 * kappa if extra_per_component == "curvature" else vals
-        per_comp.append(float(np.min(combined)))
-    return float(np.min(per_comp)), per_comp
-
-
 def korn_weight(domain, data):
     """Per-component boundary weight 2 beta / nu of the Korn pencil."""
     return [lambda t, x, bfn=data.beta_fn(comp): 2.0 * np.asarray(bfn(t, x), float) / data.nu
@@ -306,12 +260,16 @@ def audit(domain, data, mesh=None, q=4.0):
         "total": float(np.sum(fluxes)),
     }
 
-    # friction vs curvature: need beta/nu + 2 kappa >= 0 everywhere
-    ratio_fns = []
+    # friction vs curvature: need beta/nu + 2 kappa >= 0 everywhere; a NaN
+    # sample makes the margin NaN
+    tt = (np.arange(256) + 0.5) / 256.0
+    per_comp, kappas = [], []
     for comp in range(domain.n_components):
-        bfn = data.beta_fn(comp)
-        ratio_fns.append(lambda t, x, bfn=bfn: np.asarray(bfn(t, x), float) / data.nu)
-    margin, per_comp = _boundary_min(domain, ratio_fns, "curvature")
+        pts, _, _, kappa = geometry.frames_at(domain, comp, tt)
+        ratio = np.asarray(data.beta_fn(comp)(tt, pts), float) / data.nu
+        per_comp.append(float(np.min(ratio + 2.0 * kappa)))
+        kappas.append(kappa)
+    margin = float(np.min(per_comp))
     if not np.isfinite(margin):
         raise DataError("friction coefficient is not finite at a boundary sample point")
     t1 = {"margin": float(margin), "per_component_margin": per_comp}
@@ -322,12 +280,10 @@ def audit(domain, data, mesh=None, q=4.0):
     beta_zero = data.beta_identically_zero(domain)
     t2 = {"applicable": domain.n_holes == 1}
     if domain.n_holes == 1:
-        tt = (np.arange(256) + 0.5) / 256.0
-        _, _, _, kap = geometry.frames_at(domain, 1, tt)
         outer_flux = float(fluxes[0])
         scale = max(abs(np.asarray(fluxes)).max(), 1e-30)
         t2.update({
-            "min_hole_curvature": float(np.min(kap)),
+            "min_hole_curvature": float(np.min(kappas[1])),
             "outer_flux": outer_flux,
             "flux_tolerance": 1e-10 * scale,
             "needs_nonzero_friction": bool(circ and beta_zero),

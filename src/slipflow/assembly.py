@@ -48,8 +48,8 @@ class ProblemData:
     f: object = None
 
     def __post_init__(self):
-        if self.nu <= 0:
-            raise DataError(f"viscosity must be positive, got {self.nu}")
+        if not (0 < self.nu < np.inf):
+            raise DataError(f"viscosity must be positive and finite, got {self.nu}")
         self.beta = tuple(self.beta)
         self.a_star = tuple(self.a_star)
         self.b_tau = tuple(self.b_tau)
@@ -67,14 +67,11 @@ class ProblemData:
         return as_boundary_scalar(self.b_tau[comp])
 
     def check_against(self, domain, flux_rtol=1e-8):
-        """Validate data against a domain: component count, beta sign, flux."""
+        """Validate data against a domain: component count and total flux
+        (assemble_friction checks the sign of beta)."""
         if self.component_count() != domain.n_components:
             raise DataError(
                 f"data has {self.component_count()} components, domain has {domain.n_components}")
-        for comp, curve in enumerate(domain.curves):
-            t, pts, _ = geometry.curve_rule(curve)
-            if np.any(np.asarray(self.beta_fn(comp)(t, pts), float) < -1e-14):
-                raise DataError(f"negative friction coefficient on component {comp}")
         return check_total_flux(domain, self.a_star, flux_rtol)
 
     def beta_identically_zero(self, domain, samples=65):
@@ -155,6 +152,16 @@ def _interpolate(nodal, spaces, point_shape):
     return (shape @ nodal[ids].reshape(*ids.shape, -1)).reshape(*point_shape, *nodal.shape[1:])
 
 
+def _gradient(nodal, nodes, grads, n_nodes):
+    """Gradients [e, q, ..., 2] of a P2 field on n_nodes nodes from the physical
+    basis gradients grads [e, q, 6, 2] of the element nodes [e, 6]."""
+    nodal = np.asarray(nodal, float)
+    if len(nodal) != n_nodes:
+        raise ValueError(f"gradient of a nodal array of length {len(nodal)}, not P2")
+    elementT = np.swapaxes(nodal[nodes].reshape(*nodes.shape, -1), 1, 2)
+    return (elementT[:, None] @ grads).reshape(*grads.shape[:2], *nodal.shape[1:], 2)
+
+
 def _weighted(values, weights):
     """values [e, q, ...] (or a constant) times the quadrature weights [e, q]."""
     values = np.asarray(values, float)
@@ -207,11 +214,7 @@ class VolumeContext:
 
     def gradient(self, nodal):
         """Gradients [nt, nq, ..., 2] of a P2 field; [..., a, b] = du_a/dx_b."""
-        nodal = np.asarray(nodal, float)
-        if len(nodal) != self.n_nodes:
-            raise ValueError(f"gradient of a nodal array of length {len(nodal)}, not P2")
-        elementT = np.swapaxes(nodal[self.nodes].reshape(*self.nodes.shape, -1), 1, 2)
-        return (elementT[:, None] @ self.grads).reshape(*self.dv.shape, *nodal.shape[1:], 2)
+        return _gradient(nodal, self.nodes, self.grads, self.n_nodes)
 
     def integral(self, values):
         """Integral of values [nt, nq, ...] (or a constant) over the mesh."""
@@ -423,7 +426,9 @@ def load_volume(mesh, f):
 @dataclass
 class BoundaryQuadrature:
     """Per-edge quadrature on the curved quadratic boundary edges; it evaluates
-    edge traces of nodal fields as VolumeContext does (P1 linear along the edge)."""
+    edge traces of nodal fields as VolumeContext does (P1 linear along the edge)
+    and gradients in the adjacent triangle.  Each edge runs from vertex `local`
+    of that positively oriented triangle to the next, against tau = (n2, -n1)."""
 
     nodes3: np.ndarray     # [nb, 3] P2 node ids (first, second, mid)
     component: np.ndarray  # [nb]
@@ -436,9 +441,11 @@ class BoundaryQuadrature:
     shape: np.ndarray      # [nq, 3] edge shape functions
     dshape: np.ndarray     # [nq, 3]
     shape_p1: np.ndarray   # [nq, 2] linear shape functions of the end vertices
+    speed: np.ndarray      # [nb, nq] arclength per unit edge parameter
     edge_len: np.ndarray   # [nb] arclength of each edge
-    tri: np.ndarray        # [nb] adjacent triangle
-    local: np.ndarray      # [nb] local edge in the triangle
+    local: np.ndarray      # [nb] local edge in the adjacent triangle
+    cell_nodes: np.ndarray   # [nb, 6] P2 node ids of the adjacent triangle
+    cell_coords: np.ndarray  # [nb, 6, 2] their coordinates
     n_nodes: int           # P2 node count of the mesh
     n_vertices: int        # vertex count of the mesh
 
@@ -447,6 +454,22 @@ class BoundaryQuadrature:
         return _interpolate(nodal, {self.n_nodes: (self.nodes3, self.shape),
                                     self.n_vertices: (self.nodes3[:, :2], self.shape_p1)},
                             self.t.shape)
+
+    def gradient(self, nodal):
+        """Gradients [nb, nq, ..., 2] of a P2 field in the adjacent triangles;
+        [..., a, b] = du_a/dx_b."""
+        grads = np.empty((*self.t.shape, 6, 2))
+        for loc in range(3):
+            sel = self.local == loc
+            ref = self.shape_p1 @ elements.P2_REFERENCE[[loc, (loc + 1) % 3]]
+            grads[sel] = elements.physical_gradients(self.cell_coords[sel], ref,
+                                                     elements.p2_grad(ref))[0]
+        return _gradient(nodal, self.cell_nodes, grads, self.n_nodes)
+
+    def tangential_derivative(self, nodal):
+        """Derivative [nb, nq, ...] of the edge trace of a P2 field along tau."""
+        d = _interpolate(nodal, {self.n_nodes: (self.nodes3, self.dshape)}, self.t.shape)
+        return -d / self.speed.reshape(self.speed.shape + (1,) * (d.ndim - 2))
 
     def component_integrals(self, values):
         """Integral of values [nb, nq] (or a constant) over each boundary component."""
@@ -475,11 +498,13 @@ def _boundary_quadrature(mesh):
     dNq = elements.edge_shape_deriv(s)
     rows = mesh.boundary_edges
     nb = len(rows)
-    tri, local, comp = rows["tri"].copy(), rows["local"].copy(), rows["component"].copy()
-    nodes3 = np.column_stack([mesh.triangles[tri, local], mesh.triangles[tri, (local + 1) % 3],
-                              mesh.n_vertices + rows["edge"]])
+    local, comp = rows["local"].copy(), rows["component"].copy()
+    cell_nodes = mesh.triangle_nodes()[rows["tri"]]
+    nodes3 = np.take_along_axis(cell_nodes, np.column_stack([local, (local + 1) % 3, 3 + local]),
+                                axis=1)
     tq = rows["t0"][:, None] + s * (rows["t1"] - rows["t0"])[:, None]
-    pts3 = mesh.p2_coords()[nodes3]                         # [nb, 3, 2]
+    p2 = mesh.p2_coords()
+    pts3 = p2[nodes3]                                       # [nb, 3, 2]
     x = np.einsum("qi,kix->kqx", Nq, pts3)
     dx = np.einsum("qi,kix->kqx", dNq, pts3)
     speed = np.hypot(dx[..., 0], dx[..., 1])
@@ -498,8 +523,9 @@ def _boundary_quadrature(mesh):
     bq = BoundaryQuadrature(
         nodes3=nodes3, component=comp, t=tq, x=x, w_ds=w_ds,
         normal=normal, tangent=tangent, kappa=kappa, shape=Nq, dshape=dNq,
-        shape_p1=np.column_stack([1.0 - s, s]), edge_len=w_ds.sum(axis=1), tri=tri,
-        local=local, n_nodes=mesh.n_p2_nodes, n_vertices=mesh.n_vertices)
+        shape_p1=np.column_stack([1.0 - s, s]), speed=speed, edge_len=w_ds.sum(axis=1),
+        local=local, cell_nodes=cell_nodes, cell_coords=p2[cell_nodes],
+        n_nodes=mesh.n_p2_nodes, n_vertices=mesh.n_vertices)
     _frozen(vars(bq).values())
     return bq
 

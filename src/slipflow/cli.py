@@ -98,20 +98,17 @@ def build_data(cfg, domain):
 
 
 def build_solver_config(cfg, pin_overrides=None):
+    """SolverConfig of the config's solver keys (its field names); SolverConfig
+    holds the defaults.  pin_overrides replace pins of the same component."""
     scfg = dict(cfg.get("solver", {}))
-    pins = {int(k): float(v) for k, v in scfg.get("pins", {}).items()}
-    if pin_overrides:
-        pins.update(pin_overrides)
-    return nvs.SolverConfig(
-        mode=scfg.get("mode", "picard-then-newton"),
-        lambda_schedule=tuple(scfg.get("lambda_schedule", [1.0])),
-        tolerance=scfg.get("tolerance", 1e-10),
-        max_iterations=scfg.get("max_iterations", 60),
-        picard_iterations=scfg.get("picard_iterations", 8),
-        damping=scfg.get("damping", 1.0),
-        pins=pins or None,
-        symmetric_subspace=scfg.get("symmetric_subspace", False),
-    )
+    pins = {int(k): float(v) for k, v in scfg.pop("pins", {}).items()}
+    pins.update(pin_overrides or {})
+    return nvs.SolverConfig(**scfg, pins=pins or None)
+
+
+def _audit_exponent(cfg):
+    """Lebesgue exponent q of the small-flux audit (default 4)."""
+    return cfg.get("audit", {}).get("q", 4.0)
 
 
 def _problem(cfg):
@@ -174,7 +171,7 @@ def cmd_mesh(args, cfg):
 
 def cmd_audit(args, cfg):
     domain, data, mesh = _problem(cfg)
-    q = cfg.get("audit", {}).get("q", 4.0)
+    q = _audit_exponent(cfg)
     report = analysis.audit(domain, data, mesh=mesh, q=q)
     out = _outdir(args, cfg)
     output.write_json(report.as_dict(), os.path.join(out, "audit.json"),
@@ -218,7 +215,7 @@ def cmd_diagnose(args, cfg):
 
 def cmd_korn(args, cfg):
     domain, data, mesh = _problem(cfg)
-    q = cfg.get("audit", {}).get("q", 4.0)
+    q = _audit_exponent(cfg)
     beta_zero = data.beta_identically_zero(domain)
     circ = geometry.classify_symmetry(domain).circularly_symmetric is not None
     est = ls.korn_constant(mesh, analysis.korn_weight(domain, data),

@@ -8,6 +8,9 @@ geometry map, so triangles with a snapped boundary midnode are curved.
 
 import numpy as np
 
+# reference coordinates of the P2 nodes v0 v1 v2 m01 m12 m20
+P2_REFERENCE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.0], [0.5, 0.5], [0.0, 0.5]])
+
 
 def p2_shape(pts):
     """Quadratic shape functions at reference points pts[n, 2] -> [n, 6]."""

@@ -434,14 +434,8 @@ def korn_constant(mesh, weight, project_rotation=False):
     for the continuum constant.  At or below the roundoff floor
     1e-13 trace(K)/trace(W), where the sign of lambda_min means nothing,
     K is inf and lambda_min is kept as computed; a non-finite lambda_min
-    raises SolverError.
+    raises SolverError, and a negative weight DataError (assemble_friction).
     """
-    fns = [assembly.as_boundary_scalar(wc) for wc in weight]
-    for comp, curve in enumerate(mesh.domain.curves):
-        t = np.linspace(0.0, 1.0, 65)
-        vals = np.asarray(fns[comp](t, curve.point(t)), float)
-        if np.any(vals < -1e-14):
-            raise DataError("Korn boundary weight must be nonnegative")
     sym = geometry.classify_symmetry(mesh.domain)
     kform = assembly.assemble_viscous(mesh, 2.0)  # integral S(u):S(v)
     kform = kform + assembly.assemble_friction(mesh, weight)

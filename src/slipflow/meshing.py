@@ -14,7 +14,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Delaunay
 
 from . import geometry
-from .elements import p2_shape
+from .elements import P2_REFERENCE, p2_shape
 from .errors import ConfigurationError, MeshError, MeshImportError
 
 FORMAT_VERSION = "slipflow-mesh-1"
@@ -372,10 +372,6 @@ def _inside_triangles(simplices, points, domain):
     return simplices[domain.contains(centroid)]
 
 
-# reference coordinates of the P2 nodes v0 v1 v2 m01 m12 m20
-_P2_REFERENCE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.0], [0.5, 0.5], [0.0, 0.5]])
-
-
 def refine_nested(mesh):
     """Uniform refinement that keeps the parent curved geometry exactly.
 
@@ -397,7 +393,7 @@ def refine_nested(mesh):
     ends = new_mesh.triangles[child[:, None], np.column_stack([loc, (loc + 1) % 3])]
     parent_nodes = old_tri_nodes[parent]
     local = np.argmax(parent_nodes[:, None, :] == ends[:, :, None], axis=2)
-    shape = p2_shape(0.5 * _P2_REFERENCE[local].sum(axis=1))
+    shape = p2_shape(0.5 * P2_REFERENCE[local].sum(axis=1))
     edge_nodes = np.matmul(shape[:, None, :], mesh.triangle_coords()[parent])[:, 0]
     n_old = mesh.n_p2_nodes
     n_new = new_mesh.n_p2_nodes

@@ -73,12 +73,14 @@ class SolverConfig:
     symmetric_subspace: bool = False
 
     def __post_init__(self):
-        lam = tuple(self.lambda_schedule)
-        if any(l < 0 or l > 1 for l in lam) or any(
+        self.lambda_schedule = lam = tuple(self.lambda_schedule)
+        if not (lam and all(0 <= l <= 1 for l in lam)) or any(
                 lam[i] > lam[i + 1] for i in range(len(lam) - 1)):
-            raise DataError("lambda schedule must be nondecreasing within [0, 1]")
-        if self.tolerance <= 0 or self.max_iterations <= 0:
-            raise DataError("tolerance and iteration limits must be positive")
+            raise DataError("lambda schedule must be nonempty and nondecreasing within [0, 1]")
+        if not (0 < self.tolerance < np.inf and self.max_iterations > 0):
+            raise DataError("tolerance must be finite and positive, iteration limits positive")
+        if not (0 < self.damping <= 1):
+            raise DataError(f"damping must lie in (0, 1], got {self.damping}")
         if self.mode not in ("picard", "newton", "picard-then-newton"):
             raise DataError(f"unknown solver mode {self.mode!r}")
 
@@ -157,6 +159,8 @@ class _Workspace:
         dense = []
         self.meta = {}
         pins = dict(config.pins or {})
+        if not np.all(np.isfinite(list(pins.values()))):
+            raise DataError(f"circulation pins must be finite, got {pins}")
         sym = geometry.classify_symmetry(domain)
         if config.symmetric_subspace:
             if not sym.admissible_x1:

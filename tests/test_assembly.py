@@ -79,6 +79,19 @@ class TestFriction:
         with pytest.raises(DataError):
             asm.assemble_friction(annulus_coarse, (-1.0, 0.0))
 
+    def test_negative_beta_rejected_by_the_solve(self, annulus_coarse):
+        from slipflow import navier_stokes as nvs
+        data = asm.ProblemData(nu=1.0, beta=(-1.0, 0.0), a_star=(0.0, 0.0), b_tau=(0.0, 0.0))
+        with pytest.raises(DataError, match="negative friction coefficient"):
+            nvs.solve_stokes(annulus_coarse, data)
+
+
+class TestProblemData:
+    @pytest.mark.parametrize("nu", [0.0, -1.0, np.nan, np.inf])
+    def test_viscosity_positive_and_finite(self, nu):
+        with pytest.raises(DataError, match="viscosity"):
+            asm.ProblemData(nu=nu, beta=(1.0, 1.0), a_star=(0.0, 0.0), b_tau=(0.0, 0.0))
+
 
 class TestDivergence:
     def test_rigid_rotation_divergence_free(self, annulus_coarse):
@@ -456,6 +469,34 @@ class TestFieldEvaluator:
             ctx.values(np.zeros(2 * mesh.n_p2_nodes))
         with pytest.raises(ValueError):
             ctx.gradient(np.zeros(mesh.n_vertices))
+
+    def test_affine_gradient_at_the_edge_points(self, mesh):
+        # taken in the adjacent triangle at every boundary quadrature point
+        bq = asm.boundary_quadrature(mesh)
+        u = self.affine(mesh.p2_coords())
+        gu = bq.gradient(u)
+        assert gu.shape == bq.t.shape + (2, 2)
+        assert np.max(np.abs(gu - self.A)) <= 1e-12
+        assert np.max(np.abs(bq.gradient(u[:, 1]) - self.A[1])) <= 1e-12
+        du = bq.tangential_derivative(u)
+        assert du.shape == bq.t.shape + (2,)
+        one = bq.tangential_derivative(u[:, 1])
+        assert np.max(np.abs(du[..., 1] - one)) <= 1e-14 * np.max(np.abs(one))
+        with pytest.raises(ValueError):
+            bq.gradient(np.zeros(mesh.n_vertices))
+        with pytest.raises(ValueError):
+            bq.tangential_derivative(np.zeros(mesh.n_vertices))
+
+    def test_tangential_derivative_third_order(self):
+        # d/dtau of c . x is c . tau; the gap is that of the isoparametric tangent
+        c = np.array([0.3, -1.1])
+        gaps = []
+        for n in (4, 8, 16):
+            mesh = sf.mesh_annulus(1, 2, n, 2 * n)
+            bq = asm.boundary_quadrature(mesh)
+            exact = bq.tangent @ c
+            gaps.append(np.max(np.abs(bq.tangential_derivative(mesh.p2_coords() @ c) - exact)))
+        assert gaps[0] > 5 * gaps[1] > 25 * gaps[2]
 
     @pytest.mark.parametrize("degree", [asm.VOLUME_DEGREE, asm.ERROR_DEGREE])
     def test_physical_gradients_match_einsum(self, mesh, degree):

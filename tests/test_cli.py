@@ -175,6 +175,25 @@ class TestSubcommands:
         assert not (out / "solution.vtk").exists()
         assert not (out / "audit.json").exists()
 
+    @pytest.mark.parametrize("setting, pin", [
+        ({"solver.lambda_schedule": []}, []),
+        ({"solver.lambda_schedule": [float("nan")]}, []),
+        ({"solver.tolerance": float("nan")}, []),
+        ({"solver.damping": float("nan")}, []),
+        ({"physics.nu": float("nan")}, []),
+        ({"physics.nu": float("inf")}, []),
+        ({}, ["--pin", "1=nan"]),
+        ({}, ["--pin", "1=inf"]),
+    ], ids=["empty-schedule", "nan-schedule", "nan-tolerance", "nan-damping", "nan-nu",
+            "inf-nu", "nan-pin", "inf-pin"])
+    def test_non_finite_or_empty_solver_value_exit_code(self, tmp_path, capsys, setting, pin):
+        path = hamel_config(tmp_path, mesh={"generator": "annulus", "n_radial": 4,
+                                            "n_angular": 16}, **setting)
+        out = tmp_path / "out"
+        assert cli.main(["solve", "ns", "--config", path, "--out", str(out), *pin]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists() or not any(out.iterdir())
+
     def test_audit_non_finite_normal_datum_exit_code(self, tmp_path, capsys):
         # x1/0 is +-inf (NaN at x1 = 0) at the exact-curve flux points
         path = hamel_config(tmp_path,

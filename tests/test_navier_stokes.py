@@ -369,6 +369,34 @@ class TestSaddleLayout:
         assert grids == [(4, {4}), (4, {4})]
 
 
+class TestSolverConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"lambda_schedule": ()}, {"lambda_schedule": (np.nan,)}, {"lambda_schedule": (0.5, np.nan)},
+        {"tolerance": np.nan}, {"tolerance": np.inf}, {"tolerance": 0.0},
+        {"damping": np.nan}, {"damping": 0.0}, {"damping": 1.5},
+        {"max_iterations": 0}, {"mode": "secant"},
+    ], ids=["empty-schedule", "nan-schedule", "nan-late-schedule", "nan-tolerance",
+            "inf-tolerance", "zero-tolerance", "nan-damping", "zero-damping", "large-damping",
+            "no-iterations", "unknown-mode"])
+    def test_rejected(self, kwargs):
+        with pytest.raises(DataError):
+            nvs.SolverConfig(**kwargs)
+
+    def test_schedule_normalized_to_a_tuple(self):
+        assert nvs.SolverConfig(lambda_schedule=[0.0, 1.0]).lambda_schedule == (0.0, 1.0)
+
+    def test_empty_sweep_rejected(self, annulus_coarse):
+        with pytest.raises(DataError, match="nonempty"):
+            nvs.continuation_sweep(annulus_coarse, val.hamel(0.0).data, ())
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    @pytest.mark.parametrize("target", [np.nan, np.inf])
+    def test_non_finite_pin_rejected(self, annulus_coarse, symmetric, target):
+        config = nvs.SolverConfig(pins={1: target}, symmetric_subspace=symmetric)
+        with pytest.raises(DataError, match="finite"):
+            nvs.solve_navier_stokes(annulus_coarse, val.hamel(0.0).data, config)
+
+
 class TestContinuation:
     def test_sweep_endpoints(self, annulus_coarse):
         data = val.hamel(0.0).data

@@ -44,18 +44,31 @@ def test_splu_called_only_in_the_factorization_helper():
 def test_fields_meet_quadrature_points_only_in_assembly():
     # one field evaluator: outside assembly.py no module reads the shape
     # functions or basis gradients of an element context, or scatters element
-    # contributions itself
+    # contributions itself; and outside assembly.py and elements.py no module
+    # evaluates the reference element, apart from the parent geometry map of
+    # meshing.refine_nested
+    reference = ("p2_shape", "p2_grad", "p1_shape", "edge_shape", "edge_shape_deriv",
+                 "physical_gradients", "mapped_jacobians")
     found = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "assembly.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(inner), node.name) for inner in ast.walk(node))
+        for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and node.attr in ("N", "grads"):
                 found.append(f"{path.name}:{node.lineno} .{node.attr}")
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
                 if name in ("scatter_vector", "scatter_matrix"):
+                    found.append(f"{path.name}:{node.lineno} {name}()")
+                if name in reference and path.name != "elements.py" and (
+                        path.name, owner.get(id(node)), name) != (
+                        "meshing.py", "refine_nested", "p2_shape"):
                     found.append(f"{path.name}:{node.lineno} {name}()")
     assert not found, found
 
