@@ -15,7 +15,7 @@ import numpy as np
 
 from . import assembly, extensions, geometry, norms
 from .assembly import component_fluxes
-from .errors import DataError, MultivaluedStreamError
+from .errors import MultivaluedStreamError
 from .linear_solvers import (FlowState, interior_h1_factor, korn_constant, scalar_mass_factor,
                              sobolev_constant, zero_mean_neumann_solve)
 from .navier_stokes import SYMMETRY_TOL, symmetric_data_defect
@@ -241,18 +241,19 @@ class AuditReport:
         return out
 
 
-def korn_weight(domain, data):
+def korn_weight(data):
     """Per-component boundary weight 2 beta / nu of the Korn pencil."""
-    return [lambda t, x, bfn=data.beta_fn(comp): 2.0 * np.asarray(bfn(t, x), float) / data.nu
-            for comp in range(domain.n_components)]
+    return [lambda t, x, b=b: 2.0 * np.asarray(b(t, x), float) / data.nu for b in data.beta]
 
 
 def audit(domain, data, mesh=None, q=4.0):
     """Evaluate every applicability condition and return the report.
 
-    DataError when the normal datum or the friction coefficient is not
-    finite at a boundary point where the conditions sample it.
+    DataError when the data do not have one entry per component, or the
+    normal datum or the friction coefficient is not finite at a boundary
+    point where the conditions sample it.
     """
+    data.check_against(domain)
     notes = []
     fluxes, _, _ = component_fluxes(domain, data.a_star)
     flux_block = {
@@ -260,24 +261,19 @@ def audit(domain, data, mesh=None, q=4.0):
         "total": float(np.sum(fluxes)),
     }
 
-    # friction vs curvature: need beta/nu + 2 kappa >= 0 everywhere; a NaN
-    # sample makes the margin NaN
+    # friction vs curvature: need beta/nu + 2 kappa >= 0 everywhere
     tt = (np.arange(256) + 0.5) / 256.0
-    per_comp, kappas = [], []
-    for comp in range(domain.n_components):
-        pts, _, _, kappa = geometry.frames_at(domain, comp, tt)
-        ratio = np.asarray(data.beta_fn(comp)(tt, pts), float) / data.nu
-        per_comp.append(float(np.min(ratio + 2.0 * kappa)))
-        kappas.append(kappa)
+    pts, _, _, kappas = map(np.array, zip(*(geometry.frames_at(domain, comp, tt)
+                                            for comp in range(domain.n_components))))
+    beta = assembly.boundary_values(
+        data.beta, np.arange(domain.n_components)[:, None], tt, pts,
+        "friction coefficient is not finite at a boundary sample point")
+    per_comp = [float(m) for m in np.min(beta / data.nu + 2.0 * kappas, axis=1)]
     margin = float(np.min(per_comp))
-    if not np.isfinite(margin):
-        raise DataError("friction coefficient is not finite at a boundary sample point")
     t1 = {"margin": float(margin), "per_component_margin": per_comp}
 
     # outflow with one convex hole
-    sym = geometry.classify_symmetry(domain)
-    circ = sym.circularly_symmetric is not None
-    beta_zero = data.beta_identically_zero(domain)
+    rotation_free = data.free_rotation_center(domain) is not None
     t2 = {"applicable": domain.n_holes == 1}
     if domain.n_holes == 1:
         outer_flux = float(fluxes[0])
@@ -286,13 +282,13 @@ def audit(domain, data, mesh=None, q=4.0):
             "min_hole_curvature": float(np.min(kappas[1])),
             "outer_flux": outer_flux,
             "flux_tolerance": 1e-10 * scale,
-            "needs_nonzero_friction": bool(circ and beta_zero),
+            "needs_nonzero_friction": rotation_free,
         })
     else:
         notes.append("outflow condition applies to doubly-connected domains only")
 
     # mirror symmetry of domain and data
-    admissible = sym.admissible_x1
+    admissible = geometry.classify_symmetry(domain).admissible_x1
     data_sym = symmetric_data_defect(domain, data) <= SYMMETRY_TOL
     t3 = {"admissible": bool(admissible), "data_symmetric": bool(data_sym)}
 
@@ -301,14 +297,14 @@ def audit(domain, data, mesh=None, q=4.0):
           "euler_supremum": "not evaluable (infinite-dimensional solution set)"}
     if mesh is None:
         notes.append("small-flux audit skipped: no mesh supplied for the constants")
-    elif beta_zero and circ:
+    elif rotation_free:
         notes.append("small-flux audit not evaluable: zero friction on a circularly "
                      "symmetric domain (no Korn bound; hypothesis excludes this case)")
     else:
         basis = extensions.harmonic_basis(mesh)
         h = extensions.harmonic_part(basis, fluxes[1:])
         hnorm = norms.lq_norm(mesh, h, q=q, vector=True)
-        korn = korn_constant(mesh, korn_weight(domain, data))
+        korn = korn_constant(mesh, korn_weight(data))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             sob = sobolev_constant(mesh, r=2 * q / (q - 2))

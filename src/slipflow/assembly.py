@@ -36,8 +36,8 @@ def as_boundary_scalar(value):
 class ProblemData:
     """Viscosity, volume force and per-component boundary data.
 
-    beta, a_star, b_tau are sequences with one entry per boundary
-    component; each entry is a constant or a callable(t, points).
+    beta, a_star, b_tau hold one entry per boundary component; each entry
+    is given as a constant or a callable(t, points) and kept as a callable.
     f is None, a callable(points) -> (n, 2), or a per-node array.
     """
 
@@ -50,41 +50,54 @@ class ProblemData:
     def __post_init__(self):
         if not (0 < self.nu < np.inf):
             raise DataError(f"viscosity must be positive and finite, got {self.nu}")
-        self.beta = tuple(self.beta)
-        self.a_star = tuple(self.a_star)
-        self.b_tau = tuple(self.b_tau)
+        self.beta = tuple(map(as_boundary_scalar, self.beta))
+        self.a_star = tuple(map(as_boundary_scalar, self.a_star))
+        self.b_tau = tuple(map(as_boundary_scalar, self.b_tau))
 
-    def component_count(self):
-        return len(self.beta)
+    def check_against(self, domain):
+        """DataError unless beta, a_star and b_tau have one entry per component
+        (assemble_friction checks the sign of beta, normal_trace_constraint the flux)."""
+        for name, entries in (("beta", self.beta), ("a_star", self.a_star),
+                              ("b_tau", self.b_tau)):
+            if len(entries) != domain.n_components:
+                raise DataError(f"{name} has {len(entries)} components, "
+                                f"domain has {domain.n_components}")
 
-    def beta_fn(self, comp):
-        return as_boundary_scalar(self.beta[comp])
+    def free_rotation_center(self, domain):
+        """Centre of the rigid rotation that costs no energy, else None.
 
-    def a_fn(self, comp):
-        return as_boundary_scalar(self.a_star[comp])
+        That is the centre of circular symmetry of the domain when beta
+        vanishes at 65 samples on each component, the only case the
+        existence theorems exclude.  DataError when a sample is not finite
+        or the data do not have one entry per component.
+        """
+        self.check_against(domain)
+        t = np.linspace(0.0, 1.0, 65)
+        beta = boundary_values(self.beta, np.arange(domain.n_components)[:, None], t,
+                               np.array([curve.point(t) for curve in domain.curves]),
+                               "friction coefficient is not finite at a boundary sample point")
+        if np.any(beta != 0.0):
+            return None
+        return geometry.classify_symmetry(domain).circularly_symmetric
 
-    def b_fn(self, comp):
-        return as_boundary_scalar(self.b_tau[comp])
 
-    def check_against(self, domain, flux_rtol=1e-8):
-        """Validate data against a domain: component count and total flux
-        (assemble_friction checks the sign of beta)."""
-        if self.component_count() != domain.n_components:
-            raise DataError(
-                f"data has {self.component_count()} components, domain has {domain.n_components}")
-        return check_total_flux(domain, self.a_star, flux_rtol)
+def boundary_values(per_component, component, t, x, error):
+    """Values of a per-component boundary datum at boundary points: their
+    component and curve parameter t (broadcast together) and positions x [..., 2].
 
-    def beta_identically_zero(self, domain, samples=65):
-        """Whether beta vanishes at every sample; DataError when a sample is not finite."""
-        for comp in range(domain.n_components):
-            fn = self.beta_fn(comp)
-            t = np.linspace(0.0, 1.0, samples)
-            vals = np.asarray(fn(t, domain.curves[comp].point(t)), float)
-            if not np.all(np.isfinite(vals)):
-                raise DataError(f"friction coefficient is not finite on component {comp}")
-            if np.max(np.abs(vals)) > 0:
-                return False
-        return True
+    Each component's entry, a constant or a callable(t, points), is evaluated
+    once at that component's points, in their order; entries past the last
+    component are not read.  Raises DataError(error) when a value is not finite.
+    """
+    component, t = np.broadcast_arrays(component, np.asarray(t, float))
+    vals = np.zeros(t.shape)
+    for c, value in enumerate(per_component):
+        sel = component == c
+        if sel.any():
+            vals[sel] = np.asarray(as_boundary_scalar(value)(t[sel], x[sel]), float)
+    if not np.all(np.isfinite(vals)):
+        raise DataError(error)
+    return vals
 
 
 def component_fluxes(domain, a_star):
@@ -97,14 +110,10 @@ def component_fluxes(domain, a_star):
     if len(a_star) != domain.n_components:
         raise DataError(
             f"normal datum has {len(a_star)} components, domain has {domain.n_components}")
-    rows = []
-    for curve, a in zip(domain.curves, a_star):
-        t, pts, w_ds = geometry.curve_rule(curve)
-        vals = np.asarray(as_boundary_scalar(a)(t, pts), float)
-        if not np.all(np.isfinite(vals)):
-            raise DataError("normal datum is not finite at a boundary flux quadrature point")
-        rows.append((np.sum(w_ds * vals), np.max(np.abs(vals)), np.sum(w_ds)))
-    return tuple(np.array(rows).T)
+    t, pts, w_ds = map(np.array, zip(*map(geometry.curve_rule, domain.curves)))
+    vals = boundary_values(a_star, np.arange(domain.n_components)[:, None], t, pts,
+                           "normal datum is not finite at a boundary flux quadrature point")
+    return np.sum(w_ds * vals, axis=1), np.max(np.abs(vals), axis=1), np.sum(w_ds, axis=1)
 
 
 def check_total_flux(domain, a_star, flux_rtol=1e-8):
@@ -530,24 +539,16 @@ def _boundary_quadrature(mesh):
     return bq
 
 
-def _eval_per_component(bq, per_component_fns):
-    vals = np.zeros(bq.t.shape)
-    for c, fn in enumerate(per_component_fns):
-        sel = bq.component == c
-        if sel.any():
-            vals[sel] = np.asarray(
-                fn(bq.t[sel].ravel(), bq.x[sel].reshape(-1, 2)), float
-            ).reshape(-1, bq.t.shape[1])
-    if not np.all(np.isfinite(vals)):
-        raise DataError("boundary data is not finite at a boundary quadrature point")
-    return vals
+def _eval_per_component(bq, per_component):
+    """boundary_values of a per-component datum at the edge quadrature points, [nb, nq]."""
+    return boundary_values(per_component, bq.component[:, None], bq.t, bq.x,
+                           "boundary data is not finite at a boundary quadrature point")
 
 
 def assemble_friction(mesh, beta):
     """Boundary matrix of integral beta (u . tau)(phi . tau) ds."""
     bq = boundary_quadrature(mesh)
-    fns = [as_boundary_scalar(b) for b in beta]
-    bvals = _eval_per_component(bq, fns)
+    bvals = _eval_per_component(bq, beta)
     if np.any(bvals < -1e-14):
         raise DataError("negative friction coefficient at a boundary quadrature point")
     bvals = np.maximum(bvals, 0.0)
@@ -561,7 +562,7 @@ def assemble_friction(mesh, beta):
 def load_boundary_tangential(mesh, b_tau):
     """Load vector of integral b_tau (phi . tau) ds."""
     bq = boundary_quadrature(mesh)
-    vals = _eval_per_component(bq, [as_boundary_scalar(b) for b in b_tau])
+    vals = _eval_per_component(bq, b_tau)
     return bq.load(vals[..., None] * bq.tangent).ravel()
 
 
@@ -591,16 +592,9 @@ def boundary_node_values(mesh, per_component):
         raise DataError(f"boundary datum has {len(per_component)} components, "
                         f"domain has {mesh.domain.n_components}")
     b = np.nonzero(mesh.node_is_boundary)[0]
-    values = np.zeros(len(b))
-    coords = mesh.p2_coords()
-    for comp, value in enumerate(per_component):
-        sel = mesh.node_component[b] == comp
-        if sel.any():
-            values[sel] = np.asarray(
-                as_boundary_scalar(value)(mesh.node_param[b[sel]], coords[b[sel]]), float)
-    if not np.all(np.isfinite(values)):
-        raise DataError("boundary data is not finite at a boundary node")
-    return b, values
+    return b, boundary_values(per_component, mesh.node_component[b], mesh.node_param[b],
+                              mesh.p2_coords()[b],
+                              "boundary data is not finite at a boundary node")
 
 
 @dataclass

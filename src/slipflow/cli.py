@@ -13,8 +13,7 @@ import jsonschema
 from . import analysis, assembly, expressions, geometry
 from . import linear_solvers as ls
 from . import meshing, navier_stokes as nvs, output, validation
-from .errors import (ConfigurationError, DataError, MeshError, NonConvergenceError,
-                     SolverError)
+from .errors import ConfigurationError, NonConvergenceError, SlipflowError, SolverError
 
 @functools.cache
 def config_schema():
@@ -216,10 +215,8 @@ def cmd_diagnose(args, cfg):
 def cmd_korn(args, cfg):
     domain, data, mesh = _problem(cfg)
     q = _audit_exponent(cfg)
-    beta_zero = data.beta_identically_zero(domain)
-    circ = geometry.classify_symmetry(domain).circularly_symmetric is not None
-    est = ls.korn_constant(mesh, analysis.korn_weight(domain, data),
-                           project_rotation=(beta_zero and circ))
+    est = ls.korn_constant(mesh, analysis.korn_weight(data),
+                           project_rotation=data.free_rotation_center(domain) is not None)
     sob = ls.sobolev_constant(mesh, r=2 * q / (q - 2))
     payload = {
         "korn": {"K": est.K, "lambda_min": est.lambda_min,
@@ -331,12 +328,12 @@ def main(argv=None):
     try:
         cfg = load_config(args.config) if args.config else None
         return handlers[args.command](args, cfg)
-    except (DataError, ConfigurationError, MeshError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NonConvergenceError, SolverError) as exc:
+    except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
+    except SlipflowError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

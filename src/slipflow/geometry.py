@@ -114,9 +114,11 @@ class Circle(Curve):
     kind = "circle"
 
     def __init__(self, center, radius):
-        if radius <= 0:
-            raise GeometryError(f"circle radius must be positive, got {radius}")
+        if not 0 < radius < np.inf:
+            raise GeometryError(f"circle radius must be positive and finite, got {radius}")
         self.center = np.asarray(center, float)
+        if not np.all(np.isfinite(self.center)):
+            raise GeometryError(f"circle center must be finite, got {center}")
         self.radius = float(radius)
 
     def _angles(self, t):
@@ -166,6 +168,8 @@ class SplineCurve(Curve):
         pts = np.asarray(control_points, float)
         if pts.ndim != 2 or pts.shape[0] < 4 or pts.shape[1] != 2:
             raise GeometryError("spline needs at least 4 control points in the plane")
+        if not np.all(np.isfinite(pts)):
+            raise GeometryError("spline control points must be finite")
         if np.hypot(*(pts[0] - pts[-1])) < 1e-12:
             pts = pts[:-1]
         closed = np.vstack([pts, pts[:1]])

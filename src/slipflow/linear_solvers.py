@@ -231,7 +231,7 @@ def solve_laplace_neumann(mesh, a_star):
     """Zero-mean P2 field with weak normal derivative a_star on the boundary."""
     assembly.check_total_flux(mesh.domain, a_star)
     bq = assembly.boundary_quadrature(mesh)
-    vals = assembly._eval_per_component(bq, [assembly.as_boundary_scalar(a) for a in a_star])
+    vals = assembly._eval_per_component(bq, a_star)
     return zero_mean_neumann_solve(mesh, bq.load(vals))
 
 

@@ -292,6 +292,8 @@ def _near_branch(t):
 
 def mesh_disk_with_holes(domain, target_h, smooth_rounds=6):
     """Delaunay mesh of a circle-bounded domain with circular holes."""
+    if not 0 < target_h < np.inf:
+        raise ConfigurationError(f"target_h must be positive and finite, got {target_h}")
     for curve in domain.curves:
         if not isinstance(curve, geometry.Circle):
             raise ConfigurationError("built-in generator supports circles only; import a mesh instead")

@@ -161,9 +161,8 @@ class _Workspace:
         pins = dict(config.pins or {})
         if not np.all(np.isfinite(list(pins.values()))):
             raise DataError(f"circulation pins must be finite, got {pins}")
-        sym = geometry.classify_symmetry(domain)
         if config.symmetric_subspace:
-            if not sym.admissible_x1:
+            if not geometry.classify_symmetry(domain).admissible_x1:
                 raise DataError("domain is not admissible (mirror symmetry about x1 required)")
             defect = symmetric_data_defect(domain, data)
             if not defect <= SYMMETRY_TOL:
@@ -180,8 +179,8 @@ class _Workspace:
                 del pins[comp]
             velocity.append(_mirror_pair_rows(mesh))
             pressure = _mirror_pressure_rows(mesh)
-        elif sym.circularly_symmetric is not None and data.beta_identically_zero(domain):
-            mode = rigid_rotation_mode(mesh, sym.circularly_symmetric)
+        elif (center := data.free_rotation_center(domain)) is not None:
+            mode = rigid_rotation_mode(mesh, center)
             compat = float(self.F @ mode.coefficients)
             scale = np.linalg.norm(self.F) * np.linalg.norm(mode.coefficients)
             if abs(compat) > max(1e-8 * scale, 1e-12):
@@ -330,7 +329,7 @@ def symmetric_data_defect(domain, data):
             t2, dist = curve.project(mirrored)
             # the tangential density b_tau is odd, a_star and beta are even
             for datum, parity in ((data.a_star, -1.0), (data.b_tau, 1.0), (data.beta, -1.0)):
-                fn = assembly.as_boundary_scalar(datum[comp])
+                fn = datum[comp]
                 v1, v2 = np.asarray(fn(t, pts), float), np.asarray(fn(t2, mirrored), float)
                 scales.append(np.max(np.abs(v1)))
                 defects.append(np.max(np.abs(v1 + parity * v2)))

@@ -83,8 +83,7 @@ def write_boundary_csv(flow, data, path, provenance_line=""):
     bq, phi, u = boundary_head(flow)
     u_n = np.einsum("kqx,kqx->kq", u, bq.normal)
     u_t = np.einsum("kqx,kqx->kq", u, bq.tangent)
-    beta = assembly._eval_per_component(bq, [assembly.as_boundary_scalar(b)
-                                             for b in data.beta])
+    beta = assembly._eval_per_component(bq, data.beta)
     margin = beta / data.nu + 2.0 * bq.kappa
 
     blocks = []

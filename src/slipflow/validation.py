@@ -295,14 +295,14 @@ def slip_residual(sol, component, n_samples=64, step=None):
     J = _fd_first(sol.velocity, x, h)
     S = J + np.swapaxes(J, 1, 2)
     u = np.asarray(sol.velocity(x), np.longdouble)
-    beta = np.asarray(as_boundary_scalar(sol.data.beta[component])(t, pts), float)
-    b = np.asarray(as_boundary_scalar(sol.data.b_tau[component])(t, pts), float)
+    beta = np.asarray(sol.data.beta[component](t, pts), float)
+    b = np.asarray(sol.data.b_tau[component](t, pts), float)
     Sn = np.einsum("mab,mb->ma", S.astype(float), n)
     traction_tau = sol.data.nu * np.einsum("ma,ma->m", Sn, tau)
     u_tau = np.einsum("ma,ma->m", u.astype(float), tau)
     resid = traction_tau + beta * u_tau - b
     normal_gap = np.einsum("ma,ma->m", u.astype(float), n) - np.asarray(
-        as_boundary_scalar(sol.data.a_star[component])(t, pts), float)
+        sol.data.a_star[component](t, pts), float)
     return float(np.max([np.max(np.abs(resid)), np.max(np.abs(normal_gap))]))
 
 

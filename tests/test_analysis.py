@@ -48,7 +48,7 @@ class TestAudit:
         # a NaN coefficient is neither a margin nor zero friction
         data = asm.ProblemData(nu=1.0, beta=beta, a_star=(-1.5, 3.0), b_tau=(0.0, 0.0), f=None)
         with pytest.raises(DataError, match="friction coefficient is not finite"):
-            data.beta_identically_zero(annulus_coarse.domain)
+            data.free_rotation_center(annulus_coarse.domain)
         with pytest.raises(DataError, match="friction coefficient is not finite"):
             an.audit(annulus_coarse.domain, data, mesh=annulus_coarse)
 

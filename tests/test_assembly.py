@@ -5,6 +5,7 @@ import scipy.sparse.linalg as spla
 
 import slipflow as sf
 from slipflow import assembly as asm
+from slipflow import geometry, navier_stokes as nvs
 from slipflow.errors import CompatibilityError, DataError
 
 
@@ -91,6 +92,53 @@ class TestProblemData:
     def test_viscosity_positive_and_finite(self, nu):
         with pytest.raises(DataError, match="viscosity"):
             asm.ProblemData(nu=nu, beta=(1.0, 1.0), a_star=(0.0, 0.0), b_tau=(0.0, 0.0))
+
+    @pytest.mark.parametrize("solve", [nvs.solve_stokes, nvs.solve_navier_stokes],
+                             ids=["stokes", "ns"])
+    @pytest.mark.parametrize("name", ["b_tau", "a_star", "beta"])
+    @pytest.mark.parametrize("entries", [(0.0,), (0.0, 0.0, 0.0)], ids=["short", "long"])
+    def test_one_entry_per_component(self, annulus_coarse, solve, name, entries):
+        # a missing entry must not be solved as zero, nor an extra one ignored
+        given = {"beta": (1.0, 1.0), "a_star": (0.0, 0.0), "b_tau": (1.0, 0.0), name: entries}
+        data = asm.ProblemData(nu=1.0, **given)
+        with pytest.raises(DataError, match=f"{name} has {len(entries)} components"):
+            solve(annulus_coarse, data)
+
+    def test_component_fluxes_match_the_per_curve_rule(self):
+        # the one evaluator keeps each curve's rule points and their order
+        domain = geometry.DomainSpec([geometry.Circle((0.0, 0.0), 3.0),
+                                      geometry.Circle((-1.2, 0.0), 0.6),
+                                      geometry.Circle((1.3, 0.0), 0.5)])
+        a_star = (lambda t, x: np.cos(2 * np.pi * t) + x[:, 0],
+                  lambda t, x: np.full(len(t), 0.25), lambda t, x: x[:, 1] ** 2)
+        flux, peak, length = asm.component_fluxes(domain, a_star)
+        for c, (curve, a) in enumerate(zip(domain.curves, a_star)):
+            t, pts, w_ds = geometry.curve_rule(curve)
+            vals = a(t, pts)
+            assert flux[c] == np.sum(w_ds * vals)
+            assert peak[c] == np.max(np.abs(vals))
+            assert length[c] == np.sum(w_ds)
+
+    @pytest.mark.parametrize("beta", [(1.0, 0.0), (0.0, 1e-3)])
+    def test_friction_leaves_no_free_rotation(self, annulus_domain, beta):
+        data = asm.ProblemData(nu=1.0, beta=beta, a_star=(0.0, 0.0), b_tau=(0.0, 0.0))
+        assert data.free_rotation_center(annulus_domain) is None
+
+    def test_zero_friction_frees_the_rotation_about_the_centre(self):
+        center = (0.5, -0.25)
+        domain = geometry.DomainSpec([geometry.Circle(center, 2.0), geometry.Circle(center, 1.0)])
+        data = asm.ProblemData(nu=1.0, beta=(0.0, 0.0), a_star=(0.0, 0.0), b_tau=(0.0, 0.0))
+        assert data.free_rotation_center(domain) == pytest.approx(center, abs=1e-15)
+        eccentric = geometry.DomainSpec([geometry.Circle((0.0, 0.0), 2.0),
+                                         geometry.Circle((0.3, 0.0), 1.0)])
+        assert data.free_rotation_center(eccentric) is None
+
+    @pytest.mark.parametrize("outer", [0.0, 1.0])
+    def test_non_finite_friction_on_the_hole_rejected(self, annulus_domain, outer):
+        data = asm.ProblemData(nu=1.0, beta=(outer, np.nan), a_star=(0.0, 0.0),
+                               b_tau=(0.0, 0.0))
+        with pytest.raises(DataError, match="friction coefficient is not finite"):
+            data.free_rotation_center(annulus_domain)
 
 
 class TestDivergence:

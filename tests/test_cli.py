@@ -221,6 +221,36 @@ class TestSubcommands:
         assert cli.main(["solve", "stokes", "--config", path,
                          "--out", str(tmp_path / "o")]) == 2
 
+    HOLE = {"kind": "circle", "center": [0.0, 0.0], "radius": 1.0}
+    NAN = float("nan")
+
+    @pytest.mark.parametrize("curves", [
+        [{"kind": "circle", "center": [0.0, 0.0], "radius": 2.0},
+         {"kind": "circle", "center": [5.0, 0.0], "radius": 0.5}],
+        [{"kind": "circle", "center": [0.0, 0.0], "radius": 2.0},
+         {"kind": "circle", "center": [0.0, 0.0], "radius": 3.0}],
+        [{"kind": "spline", "points": [[2, 0], [0, 2], [-2, 0]]}, HOLE],
+        [{"kind": "spline", "points": [[0, 0], [1, 0], [2, 0], [1, 0]]}, HOLE],
+        [{"kind": "circle", "center": [0.0, 0.0], "radius": NAN}, HOLE],
+        [{"kind": "circle", "center": [NAN, 0.0], "radius": 2.0}, HOLE],
+        [{"kind": "spline", "points": [[2, 0], [0, 2], [-2, NAN], [0, -2]]}, HOLE],
+    ], ids=["hole-outside", "hole-larger", "three-point-spline", "degenerate-tangent",
+            "nan-radius", "nan-center", "nan-spline-point"])
+    def test_invalid_geometry_exit_code(self, tmp_path, capsys, curves):
+        path = hamel_config(tmp_path, domain={"curves": curves})
+        out = tmp_path / "out"
+        assert cli.main(["solve", "stokes", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_non_finite_target_h_exit_code(self, tmp_path, capsys):
+        path = hamel_config(tmp_path, mesh={"generator": "disk", "target_h": self.NAN})
+        out = tmp_path / "out"
+        assert cli.main(["mesh", "--config", path, "--out", str(out)]) == 2
+        assert "target_h" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_non_convergence_exit_code_writes_trace(self, tmp_path):
         path = hamel_config(tmp_path,
                             solver={"mode": "picard", "max_iterations": 2,

@@ -172,3 +172,15 @@ class TestDomainValidity:
     def test_spline_needs_enough_points(self):
         with pytest.raises(GeometryError):
             geometry.SplineCurve([[0, 0], [1, 0], [0, 1]])
+
+    @pytest.mark.parametrize("center, radius", [
+        ((0.0, 0.0), np.nan), ((0.0, 0.0), np.inf), ((np.nan, 0.0), 1.0), ((0.0, np.inf), 1.0),
+    ], ids=["nan-radius", "inf-radius", "nan-center", "inf-center"])
+    def test_circle_needs_finite_input(self, center, radius):
+        with pytest.raises(GeometryError, match="finite"):
+            geometry.Circle(center, radius)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_spline_needs_finite_points(self, bad):
+        with pytest.raises(GeometryError, match="finite"):
+            geometry.SplineCurve([[1, 0], [0, 1], [-1, bad], [0, -1]])

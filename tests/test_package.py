@@ -91,3 +91,19 @@ def test_lambda_walk_has_one_driver():
                     calls.append((path.name, owner.get(id(node)), name))
     assert sorted(calls) == [("navier_stokes.py", "_continuation", "_solve_at_lambda"),
                              ("navier_stokes.py", "_continuation", "_stokes_lift")], calls
+
+
+def test_boundary_data_normalized_only_in_assembly():
+    # one owner of per-component boundary data: ProblemData keeps callables and
+    # assembly.boundary_values evaluates them, so outside assembly.py only the
+    # independent oracles of validation.py normalize a constant datum themselves
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "as_boundary_scalar" and path.name not in ("assembly.py",
+                                                                       "validation.py"):
+                    calls.append(f"{path.name}:{node.lineno}")
+    assert not calls, calls

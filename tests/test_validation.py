@@ -88,9 +88,9 @@ class TestHamelFamily:
             assert other.nu == base.nu
             for comp in range(2):
                 pts = val.hamel(k).domain.curves[comp].point(t)
-                for attr in ("a_fn", "b_fn", "beta_fn"):
-                    v1 = getattr(base, attr)(comp)(t, pts)
-                    v2 = getattr(other, attr)(comp)(t, pts)
+                for attr in ("a_star", "b_tau", "beta"):
+                    v1 = getattr(base, attr)[comp](t, pts)
+                    v2 = getattr(other, attr)[comp](t, pts)
                     assert np.array_equal(v1, v2)
 
     def test_hole_circulation(self):
@@ -156,9 +156,9 @@ class TestMMS:
         t = np.linspace(0, 1, 33)
         for comp in (0, 1):
             x = sol.domain.curves[comp].point(t)
-            assert np.max(np.abs(data.b_fn(comp)(t, x))) < 1e-9
+            assert np.max(np.abs(data.b_tau[comp](t, x))) < 1e-9
             expected = -1.5 if comp == 0 else 3.0
-            assert np.allclose(data.a_fn(comp)(t, x), expected, atol=1e-12)
+            assert np.allclose(data.a_star[comp](t, x), expected, atol=1e-12)
 
     def test_rigid_rotation_with_friction(self):
         sol = val.rigid_rotation(1.0)
@@ -174,7 +174,7 @@ class TestMMS:
         t = np.linspace(0, 1, 17)
         x, _, tau, _ = geometry.frames_at(sol.domain, 0, t)
         u_tau = np.einsum("ma,ma->m", sol.velocity(x), tau)
-        assert np.allclose(data.b_fn(0)(t, x), u_tau, atol=1e-10)
+        assert np.allclose(data.b_tau[0](t, x), u_tau, atol=1e-10)
 
     def test_zero_fields(self):
         dom = val.hamel(0.0).domain
