@@ -266,7 +266,7 @@ def audit(domain, data, mesh=None, q=4.0):
     pts, _, _, kappas = map(np.array, zip(*(geometry.frames_at(domain, comp, tt)
                                             for comp in range(domain.n_components))))
     beta = assembly.boundary_values(
-        data.beta, np.arange(domain.n_components)[:, None], tt, pts,
+        data.beta, domain.n_components, np.arange(domain.n_components)[:, None], tt, pts,
         "friction coefficient is not finite at a boundary sample point")
     per_comp = [float(m) for m in np.min(beta / data.nu + 2.0 * kappas, axis=1)]
     margin = float(np.min(per_comp))

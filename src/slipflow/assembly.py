@@ -73,7 +73,8 @@ class ProblemData:
         """
         self.check_against(domain)
         t = np.linspace(0.0, 1.0, 65)
-        beta = boundary_values(self.beta, np.arange(domain.n_components)[:, None], t,
+        beta = boundary_values(self.beta, domain.n_components,
+                               np.arange(domain.n_components)[:, None], t,
                                np.array([curve.point(t) for curve in domain.curves]),
                                "friction coefficient is not finite at a boundary sample point")
         if np.any(beta != 0.0):
@@ -81,14 +82,18 @@ class ProblemData:
         return geometry.classify_symmetry(domain).circularly_symmetric
 
 
-def boundary_values(per_component, component, t, x, error):
+def boundary_values(per_component, n_components, component, t, x, error):
     """Values of a per-component boundary datum at boundary points: their
     component and curve parameter t (broadcast together) and positions x [..., 2].
 
-    Each component's entry, a constant or a callable(t, points), is evaluated
-    once at that component's points, in their order; entries past the last
-    component are not read.  Raises DataError(error) when a value is not finite.
+    Each of the n_components entries, a constant or a callable(t, points), is
+    evaluated once at that component's points, in their order.  Raises
+    DataError when the datum does not have n_components entries, and
+    DataError(error) when a value is not finite.
     """
+    if len(per_component) != n_components:
+        raise DataError(f"boundary datum has {len(per_component)} components, "
+                        f"domain has {n_components}")
     component, t = np.broadcast_arrays(component, np.asarray(t, float))
     vals = np.zeros(t.shape)
     for c, value in enumerate(per_component):
@@ -105,14 +110,12 @@ def component_fluxes(domain, a_star):
 
     Returns (flux, peak, length), one entry per component: the curve_rule
     integral of a_star, max |a_star| at the rule points and the curve length.
-    Raises DataError when a value at a rule point is not finite.
+    Raises DataError when a value at a rule point is not finite or a_star
+    does not have one entry per component.
     """
-    if len(a_star) != domain.n_components:
-        raise DataError(
-            f"normal datum has {len(a_star)} components, domain has {domain.n_components}")
     t, pts, w_ds = map(np.array, zip(*map(geometry.curve_rule, domain.curves)))
-    vals = boundary_values(a_star, np.arange(domain.n_components)[:, None], t, pts,
-                           "normal datum is not finite at a boundary flux quadrature point")
+    vals = boundary_values(a_star, domain.n_components, np.arange(domain.n_components)[:, None],
+                           t, pts, "normal datum is not finite at a boundary flux quadrature point")
     return np.sum(w_ds * vals, axis=1), np.max(np.abs(vals), axis=1), np.sum(w_ds, axis=1)
 
 
@@ -457,6 +460,7 @@ class BoundaryQuadrature:
     cell_coords: np.ndarray  # [nb, 6, 2] their coordinates
     n_nodes: int           # P2 node count of the mesh
     n_vertices: int        # vertex count of the mesh
+    n_components: int      # boundary component count of the domain
 
     def values(self, nodal):
         """Trace values [nb, nq, ...] at the edge quadrature points."""
@@ -534,14 +538,15 @@ def _boundary_quadrature(mesh):
         normal=normal, tangent=tangent, kappa=kappa, shape=Nq, dshape=dNq,
         shape_p1=np.column_stack([1.0 - s, s]), speed=speed, edge_len=w_ds.sum(axis=1),
         local=local, cell_nodes=cell_nodes, cell_coords=p2[cell_nodes],
-        n_nodes=mesh.n_p2_nodes, n_vertices=mesh.n_vertices)
+        n_nodes=mesh.n_p2_nodes, n_vertices=mesh.n_vertices,
+        n_components=mesh.domain.n_components)
     _frozen(vars(bq).values())
     return bq
 
 
 def _eval_per_component(bq, per_component):
     """boundary_values of a per-component datum at the edge quadrature points, [nb, nq]."""
-    return boundary_values(per_component, bq.component[:, None], bq.t, bq.x,
+    return boundary_values(per_component, bq.n_components, bq.component[:, None], bq.t, bq.x,
                            "boundary data is not finite at a boundary quadrature point")
 
 
@@ -587,12 +592,11 @@ def boundary_flux(mesh, coeffs, component):
 
 def boundary_node_values(mesh, per_component):
     """Boundary node ids and a per-component datum at them, on the exact curve
-    parameters of the nodes; DataError when a value is not finite."""
-    if len(per_component) != mesh.domain.n_components:
-        raise DataError(f"boundary datum has {len(per_component)} components, "
-                        f"domain has {mesh.domain.n_components}")
+    parameters of the nodes; DataError when a value is not finite or the datum
+    does not have one entry per component."""
     b = np.nonzero(mesh.node_is_boundary)[0]
-    return b, boundary_values(per_component, mesh.node_component[b], mesh.node_param[b],
+    return b, boundary_values(per_component, mesh.domain.n_components,
+                              mesh.node_component[b], mesh.node_param[b],
                               mesh.p2_coords()[b],
                               "boundary data is not finite at a boundary node")
 

@@ -30,9 +30,28 @@ def config_validator():
     return cls(schema)
 
 
+def _non_finite_key(value, key=()):
+    """Key path (a tuple) of the first non-finite number in a loaded config, else None."""
+    if isinstance(value, float):
+        return None if np.isfinite(value) else key
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for k, v in items:
+        found = _non_finite_key(v, (*key, str(k)))
+        if found is not None:
+            return found
+    return None
+
+
 def load_config(path):
     with open(path) as fh:
         cfg = json.load(fh)
+    # json reads NaN and Infinity tokens and overflows 1e400 to inf; no
+    # config value may be non-finite, and the schema cannot say so
+    key = _non_finite_key(cfg)
+    if key is not None:
+        raise ConfigurationError(
+            f"config value at {'.'.join(key) or 'the top level'} is not a finite number")
     error = jsonschema.exceptions.best_match(config_validator().iter_errors(cfg))
     if error is not None:
         raise ConfigurationError(f"config validation failed: {error.message}") from error
@@ -244,6 +263,8 @@ def _parse_pins(pin_args):
 
 def cmd_validate(args, cfg):
     levels = args.levels
+    if levels < 1:
+        raise ConfigurationError(f"--levels must be at least 1, got {levels}")
     out = _outdir(args, cfg if cfg else {})
     prov = output.provenance(cfg or {"case": args.case})
     line = f"config={prov['config_sha256_16']} version={prov['version']}"

@@ -11,7 +11,6 @@ kappa = +1/R.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import GeometryError
 from .quadrature import interval_rule
@@ -165,6 +164,8 @@ class SplineCurve(Curve):
     kind = "spline"
 
     def __init__(self, control_points):
+        from scipy.interpolate import CubicSpline  # loaded only by spline boundaries
+
         pts = np.asarray(control_points, float)
         if pts.ndim != 2 or pts.shape[0] < 4 or pts.shape[1] != 2:
             raise GeometryError("spline needs at least 4 control points in the plane")

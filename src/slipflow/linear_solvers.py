@@ -168,15 +168,16 @@ class BorderedSolver:
         # np.max, not max(): max() drops a NaN that is not its first argument
         scale = np.max([np.linalg.norm(b), np.linalg.norm(d), 1e-300])
         # at most refine + 1 corrections; relres is always that of the returned z
+        rb, rd = b, d  # the residual of z = 0, mu = 0 needs no product
         for step in range(refine + 2):
-            rb = b - (self.core @ z + self.C @ mu)
-            rd = d - (self.R.T @ z + self.D @ mu)
             relres = np.max([np.linalg.norm(rb), np.linalg.norm(rd)]) / scale
             if relres < rtol or step == refine + 1:
                 break
             dz, dmu = self._inverse(rb, rd)
             z += dz
             mu += dmu
+            rb = b - (self.core @ z + self.C @ mu)
+            rd = d - (self.R.T @ z + self.D @ mu)
         return z, mu[:self.k_true], float(relres)
 
     def _inverse(self, rb, rd):
@@ -434,7 +435,8 @@ def korn_constant(mesh, weight, project_rotation=False):
     for the continuum constant.  At or below the roundoff floor
     1e-13 trace(K)/trace(W), where the sign of lambda_min means nothing,
     K is inf and lambda_min is kept as computed; a non-finite lambda_min
-    raises SolverError, and a negative weight DataError (assemble_friction).
+    raises SolverError, and a negative weight or one without an entry per
+    component DataError (assemble_friction).
     """
     sym = geometry.classify_symmetry(mesh.domain)
     kform = assembly.assemble_viscous(mesh, 2.0)  # integral S(u):S(v)

@@ -11,7 +11,6 @@ import io
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
-from scipy.spatial import Delaunay
 
 from . import geometry
 from .elements import P2_REFERENCE, p2_shape
@@ -292,6 +291,8 @@ def _near_branch(t):
 
 def mesh_disk_with_holes(domain, target_h, smooth_rounds=6):
     """Delaunay mesh of a circle-bounded domain with circular holes."""
+    from scipy.spatial import Delaunay  # loaded only by the Delaunay mesher
+
     if not 0 < target_h < np.inf:
         raise ConfigurationError(f"target_h must be positive and finite, got {target_h}")
     for curve in domain.curves:

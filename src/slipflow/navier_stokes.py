@@ -38,7 +38,6 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial import cKDTree
 
 from . import assembly, geometry
 from .errors import (BranchDegeneracyError, DataError, MeshError,
@@ -255,6 +254,8 @@ class _Workspace:
 
 def _mirror_lookup(mesh, tol_rel=1e-9):
     """Index of the mirror partner of every quadratic node (or error)."""
+    from scipy.spatial import cKDTree  # loaded only by the mirror-symmetric solve
+
     coords = mesh.p2_coords()
     tol = tol_rel * mesh.domain.diameter
     tree = cKDTree(coords)

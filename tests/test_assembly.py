@@ -104,6 +104,20 @@ class TestProblemData:
         with pytest.raises(DataError, match=f"{name} has {len(entries)} components"):
             solve(annulus_coarse, data)
 
+    @pytest.mark.parametrize("form", [
+        lambda mesh, entries: asm.assemble_friction(mesh, entries),
+        lambda mesh, entries: asm.load_boundary_tangential(mesh, entries),
+        lambda mesh, entries: sf.linear_solvers.solve_laplace_neumann(mesh, entries),
+        lambda mesh, entries: sf.korn_constant(mesh, weight=entries),
+    ], ids=["assemble_friction", "load_boundary_tangential", "solve_laplace_neumann",
+            "korn_constant"])
+    @pytest.mark.parametrize("entries", [(0.0,), (0.0, 0.0, 1.0)], ids=["short", "long"])
+    def test_library_forms_need_one_entry_per_component(self, annulus_coarse, form, entries):
+        # a per-component tuple given to a form directly: a missing entry must
+        # not be read as zero, nor an extra one ignored
+        with pytest.raises(DataError, match=f"has {len(entries)} components, domain has 2"):
+            form(annulus_coarse, entries)
+
     def test_component_fluxes_match_the_per_curve_rule(self):
         # the one evaluator keeps each curve's rule points and their order
         domain = geometry.DomainSpec([geometry.Circle((0.0, 0.0), 3.0),
@@ -655,9 +669,9 @@ class TestVolumeContext:
         assert asm.volume_context(mesh) is ctx
         assert asm.boundary_quadrature(mesh) is bq
         fields = list(vars(ctx).values()) + list(vars(bq).values())
-        # besides read-only arrays, each holds only its (immutable) node counts
+        # besides read-only arrays, each holds only its (immutable) counts
         assert [f for f in fields if not isinstance(f, np.ndarray)] == \
-            [mesh.n_p2_nodes, mesh.n_vertices] * 2
+            [mesh.n_p2_nodes, mesh.n_vertices] * 2 + [mesh.domain.n_components]
         for arr in fields:
             if isinstance(arr, np.ndarray):
                 with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import pytest
 
 from slipflow import cli
 from slipflow import validation as val
+from slipflow.errors import ConfigurationError
 from slipflow.meshing import import_mesh
 
 
@@ -40,6 +41,25 @@ class TestConfig:
         permissive = type(cli.config_validator())({})
         monkeypatch.setattr(cli, "config_validator", lambda: permissive)
         assert cli.main(argv) == 0
+
+    @pytest.mark.parametrize("setting, literal, key", [
+        ({"mesh.target_h": float("nan")}, None, "mesh.target_h"),
+        ({"physics.nu": float("inf")}, None, "physics.nu"),
+        ({"mesh.n_radial": -float("inf")}, None, "mesh.n_radial"),
+        ({"boundary.b_tau": [0.0, float("inf")]}, "1e400", "boundary.b_tau.1"),
+    ], ids=["nan", "inf", "minus-inf", "overflow"])
+    def test_non_finite_number_rejected_at_load(self, tmp_path, capsys, setting, literal, key):
+        # json reads NaN and Infinity tokens, and 1e400 overflows to inf
+        path = hamel_config(tmp_path, **setting)
+        if literal:
+            written = tmp_path / "config.json"
+            written.write_text(written.read_text().replace("Infinity", literal))
+        with pytest.raises(ConfigurationError, match=rf"at {key} is not a finite number"):
+            cli.load_config(path)
+        out = tmp_path / "out"
+        assert cli.main(["mesh", "--config", path, "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
     def test_shipped_golden_configs_validate(self):
         for name in ("hamel", "couette", "theorem1_pass", "symmetric_domain"):
@@ -312,6 +332,13 @@ class TestSubcommands:
         lines = open(out / "convergence_couette.csv").read().splitlines()
         header = [l for l in lines if not l.startswith("#")][0]
         assert header == "level,h,eL2_u,order,eH1_u,order,eL2_p,order"
+
+    @pytest.mark.parametrize("levels", ["0", "-1"])
+    def test_validate_needs_a_level(self, tmp_path, capsys, levels):
+        out = tmp_path / "out"
+        assert cli.main(["validate", "couette", "--levels", levels, "--out", str(out)]) == 2
+        assert "--levels must be at least 1" in capsys.readouterr().err
+        assert not (out / "convergence_couette.csv").exists()
 
 
 class TestDeterminism:

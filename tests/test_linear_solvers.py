@@ -92,6 +92,38 @@ class TestBorderedSolver:
         assert not np.isfinite(relres)
         assert not relres <= ls.RESIDUAL_TOL
 
+    def test_one_core_product_per_correction(self, annulus_coarse, monkeypatch):
+        # the residual of the zero start is the right-hand side itself, so each
+        # core product measures a corrected iterate and none is spent on z = 0
+        K = asm.scalar_stiffness(annulus_coarse)
+        m = asm.scalar_integral_vector(annulus_coarse)
+        solver = ls.BorderedSolver(K, C=m[:, None], bumps=[(0, float(np.mean(K.diagonal())))])
+        core, inverse, products, corrections = solver.core, solver._inverse, [], []
+
+        class CountedCore:
+            def __matmul__(self, z):
+                products.append(None)
+                return core @ z
+
+        def counted_inverse(rb, rd):
+            corrections.append(None)
+            return inverse(rb, rd)
+
+        monkeypatch.setattr(solver, "core", CountedCore())
+        monkeypatch.setattr(solver, "_inverse", counted_inverse)
+        load = np.random.default_rng(1).standard_normal(annulus_coarse.n_p2_nodes)
+        load -= m * (load.sum() / m.sum())
+        for kwargs in ({}, {"refine": 3, "rtol": 0.0}):
+            products.clear()
+            corrections.clear()
+            z, _, relres = solver.solve(load, **kwargs)
+            assert relres <= ls.RESIDUAL_TOL and np.all(np.isfinite(z))
+            assert len(products) == len(corrections) >= 1
+        assert len(corrections) == 4  # rtol 0: all refine + 1 corrections
+        products.clear()
+        z, mu, relres = solver.solve(np.zeros(annulus_coarse.n_p2_nodes))
+        assert relres == 0.0 and not products and not np.any(z) and not np.any(mu)
+
 
 def fill(lu):
     return lu.L.nnz + lu.U.nnz

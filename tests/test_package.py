@@ -1,9 +1,33 @@
 """Structure of the package source."""
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "slipflow"
+
+FOOTPRINT_SCRIPT = """
+import json, sys
+HEAVY = ("scipy.interpolate", "scipy.spatial", "scipy.optimize", "scipy.special")
+loaded = lambda: [name for name in HEAVY if name in sys.modules]
+config, out, report = sys.argv[1:]
+steps = {}
+import slipflow
+steps["import slipflow"] = loaded()
+from slipflow import cli, geometry, meshing
+steps["import slipflow.cli"] = loaded()
+code = cli.main(["--deterministic", "solve", "ns", "--config", config, "--out", out])
+steps["solve ns"] = loaded()
+geometry.SplineCurve([[2.0, 0.0], [0.0, 2.0], [-2.0, 0.0], [0.0, -2.0]])
+steps["SplineCurve"] = loaded()
+meshing.mesh_disk_with_holes(geometry.DomainSpec(
+    [geometry.Circle((0.0, 0.0), 3.0), geometry.Circle((0.0, 0.0), 1.0)]), 0.5)
+steps["mesh_disk_with_holes"] = loaded()
+json.dump({"code": code, "steps": steps}, open(report, "w"))
+"""
 
 
 def test_no_function_level_relative_imports():
@@ -107,3 +131,22 @@ def test_boundary_data_normalized_only_in_assembly():
                                                                        "validation.py"):
                     calls.append(f"{path.name}:{node.lineno}")
     assert not calls, calls
+
+
+def test_import_footprint(tmp_path):
+    # a circle-bounded annulus run loads no scipy package beyond sparse and
+    # linalg; spline boundaries and the Delaunay mesher load their own
+    cfg = json.loads((SRC.parent.parent / "configs" / "hamel.json").read_text())
+    cfg["mesh"] = {"generator": "annulus", "n_radial": 4, "n_angular": 16}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    report = tmp_path / "report.json"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT, str(config), str(tmp_path / "out"),
+                    str(report)], env=env, check=True, capture_output=True, timeout=120)
+    result = json.loads(report.read_text())
+    steps = result["steps"]
+    assert result["code"] == 0
+    assert steps["import slipflow"] == steps["import slipflow.cli"] == steps["solve ns"] == []
+    assert "scipy.interpolate" in steps["SplineCurve"]
+    assert "scipy.spatial" in steps["mesh_disk_with_holes"]
