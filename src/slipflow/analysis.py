@@ -301,8 +301,8 @@ def audit(domain, data, mesh=None, q=4.0):
         notes.append("small-flux audit not evaluable: zero friction on a circularly "
                      "symmetric domain (no Korn bound; hypothesis excludes this case)")
     else:
-        basis = extensions.harmonic_basis(mesh)
-        h = extensions.harmonic_part(basis, fluxes[1:])
+        # the basis is dropped before the Korn pencil is factored
+        h = extensions.harmonic_part(extensions.harmonic_basis(mesh), fluxes[1:])
         hnorm = norms.lq_norm(mesh, h, q=q, vector=True)
         korn = korn_constant(mesh, korn_weight(data))
         with warnings.catch_warnings():

@@ -8,7 +8,7 @@ fixes both spaces: velocity dofs are 2*node + a over its quadratic nodes,
 pressure dofs are its vertices.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -139,9 +139,11 @@ def check_total_flux(domain, a_star, flux_rtol=1e-8):
 # -- per-mesh element context and field evaluation ---------------------------
 
 def _frozen(arrays):
+    """Make each array, and the array it is a view of, read-only."""
     for a in arrays:
-        if isinstance(a, np.ndarray):
+        while isinstance(a, np.ndarray):
             a.flags.writeable = False
+            a = a.base
 
 
 def _cached_on_mesh(mesh, name, key, build):
@@ -161,17 +163,23 @@ def _interpolate(nodal, spaces, point_shape):
     if len(nodal) not in spaces:
         raise ValueError(f"a nodal array of length {len(nodal)} fits no element space here")
     ids, shape = spaces[len(nodal)]
-    return (shape @ nodal[ids].reshape(*ids.shape, -1)).reshape(*point_shape, *nodal.shape[1:])
+    # one [e m, k] @ [k, nq] product over all elements and components
+    e, k = ids.shape
+    vals = np.swapaxes(nodal[ids].reshape(e, k, -1), 1, 2).reshape(-1, k) @ shape.T
+    vals = np.ascontiguousarray(np.swapaxes(vals.reshape(e, -1, len(shape)), 1, 2))
+    return vals.reshape(*point_shape, *nodal.shape[1:])
 
 
-def _gradient(nodal, nodes, grads, n_nodes):
+def _gradient(nodal, nodes, dphi, n_nodes):
     """Gradients [e, q, ..., 2] of a P2 field on n_nodes nodes from the physical
-    basis gradients grads [e, q, 6, 2] of the element nodes [e, 6]."""
+    basis gradients dphi [e, 6, q, 2] (node-major) of the element nodes [e, 6]."""
     nodal = np.asarray(nodal, float)
     if len(nodal) != n_nodes:
         raise ValueError(f"gradient of a nodal array of length {len(nodal)}, not P2")
-    elementT = np.swapaxes(nodal[nodes].reshape(*nodes.shape, -1), 1, 2)
-    return (elementT[:, None] @ grads).reshape(*grads.shape[:2], *nodal.shape[1:], 2)
+    e, k, nq, _ = dphi.shape
+    # [e, 2q, 6] @ [e, 6, m]: every point and direction against the nodal values
+    g = np.swapaxes(dphi.reshape(e, k, 2 * nq), 1, 2) @ nodal[nodes].reshape(e, k, -1)
+    return np.swapaxes(g.reshape(e, nq, 2, -1), 2, 3).reshape(e, nq, *nodal.shape[1:], 2)
 
 
 def _weighted(values, weights):
@@ -183,8 +191,11 @@ def _weighted(values, weights):
 def _tested(shape, values, weights):
     """Element contributions [e, k, ...] of sum_q weights values shape[q, k]."""
     wv = _weighted(values, weights)
-    return (shape.T @ wv.reshape(*weights.shape, -1)).reshape(
-        len(wv), shape.shape[1], *wv.shape[2:])
+    # one [e m, nq] @ [nq, k] product over all elements and components
+    e, nq = weights.shape
+    out = np.swapaxes(wv.reshape(e, nq, -1), 1, 2).reshape(-1, nq) @ shape
+    return np.swapaxes(out.reshape(e, -1, shape.shape[1]), 1, 2).reshape(
+        e, shape.shape[1], *wv.shape[2:])
 
 
 def _scatter_nodal(nodes, contrib, n):
@@ -207,12 +218,17 @@ class VolumeContext:
     w: np.ndarray       # [nq] reference weights
     nodes: np.ndarray   # [nt, 6] P2 node ids per triangle, vertices first
     coords: np.ndarray  # [nt, 6, 2] P2 node coordinates per triangle
-    grads: np.ndarray   # [nt, nq, 6, 2] physical gradients of the P2 basis
+    grads: np.ndarray   # [nt, nq, 6, 2] physical gradients of the P2 basis (a view of dphi)
     dv: np.ndarray      # [nt, nq] weight times Jacobian determinant
     N: np.ndarray       # [nq, 6] P2 shape functions
     P: np.ndarray       # [nq, 3] P1 shape functions
     n_nodes: int        # P2 node count of the mesh
     n_vertices: int     # vertex (P1 pressure node) count of the mesh
+
+    @property
+    def dphi(self):
+        """The basis gradients in their C-contiguous node-major layout [nt, 6, nq, 2]."""
+        return np.swapaxes(self.grads, 1, 2)
 
     def points(self):
         """Physical quadrature points [nt, nq, 2]."""
@@ -226,7 +242,7 @@ class VolumeContext:
 
     def gradient(self, nodal):
         """Gradients [nt, nq, ..., 2] of a P2 field; [..., a, b] = du_a/dx_b."""
-        return _gradient(nodal, self.nodes, self.grads, self.n_nodes)
+        return _gradient(nodal, self.nodes, self.dphi, self.n_nodes)
 
     def integral(self, values):
         """Integral of values [nt, nq, ...] (or a constant) over the mesh."""
@@ -241,9 +257,10 @@ class VolumeContext:
         nt, nq = self.dv.shape
         out = 0.0 if values is None else _tested(self.N, values, self.dv)
         if flux is not None:
-            wf = _weighted(flux, self.dv)
-            per_point = self.grads @ np.swapaxes(wf.reshape(nt, nq, -1, 2), -1, -2)
-            out = out + per_point.sum(axis=1).reshape(nt, 6, *wf.shape[2:-1])
+            # [nt, 6, 2 nq] @ [nt, 2 nq, m]: the flux against every basis gradient
+            wf = np.swapaxes(_weighted(flux, self.dv).reshape(nt, nq, -1, 2), 2, 3)
+            per_node = self.dphi.reshape(nt, 6, 2 * nq) @ wf.reshape(nt, 2 * nq, -1)
+            out = out + per_node.reshape(nt, 6, *np.shape(flux)[2:-1])
         return out
 
     def load(self, values, flux=None):
@@ -270,29 +287,228 @@ def volume_context(mesh, degree=VOLUME_DEGREE):
 
     The VOLUME_DEGREE context is derived once and kept on the mesh; it is
     derived again when the mesh's vertices, triangles, tri_edges or
-    edge_nodes are replaced by other arrays.  Other degrees (the
+    edge_nodes are replaced by other arrays.  The mesh's Sparsity and
+    SlipPlan are derived with it, ahead of the large temporaries of an
+    operation, so that these long-lived arrays do not pin freed heap
+    memory (derived in the middle of an audit, after the error norms'
+    temporaries, they raise its peak resident memory).  Other degrees (the
     ERROR_DEGREE norms) are derived on every call and not kept.
     Raises MeshError when an element has a nonpositive Jacobian.
     """
     if degree != VOLUME_DEGREE:
         return _volume_context(mesh, degree)
+
+    def derive():
+        ctx = _volume_context(mesh, degree)
+        slip_plan(mesh)
+        return ctx
+
     key = (mesh.vertices, mesh.triangles, mesh.tri_edges, mesh.edge_nodes)
-    return _cached_on_mesh(mesh, "_volume_context", key,
-                           lambda: _volume_context(mesh, degree))
+    return _cached_on_mesh(mesh, "_volume_context", key, derive)
 
 
-# -- element to global ------------------------------------------------------
+# -- sparsity patterns and element to global -----------------------------------
 
 def velocity_dofs(nodes):
     """Interleaved velocity dof ids 2*node + a of a [..., k] node array, [..., 2k]."""
     return (2 * nodes[..., None] + np.arange(2)).reshape(*nodes.shape[:-1], -1)
 
 
-def scatter_matrix(row_dofs, col_dofs, blocks, shape):
-    """Sum element blocks [e, r, c] into a csr matrix at (row_dofs[e, r], col_dofs[e, c])."""
-    rows = np.repeat(row_dofs, col_dofs.shape[1], axis=1)
-    cols = np.tile(col_dofs, (1, row_dofs.shape[1]))
-    return sp.csr_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())), shape=shape)
+@dataclass(frozen=True)
+class Pattern:
+    """Canonical CSR sparsity pattern (int32 indptr and indices) of one kind of matrix.
+
+    slots: for an element form, the data slot of each entry of its element
+    blocks [e, ...], in element order (None otherwise).  velocity_slots:
+    for a pattern inside the velocity pattern, the velocity-pattern data
+    slot of each of its own slots (None otherwise).
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    shape: tuple
+    slots: np.ndarray = None
+    velocity_slots: np.ndarray = None
+
+    @property
+    def nnz(self):
+        return len(self.indices)
+
+    def matrix(self, data):
+        """csr matrix with the given data array on this pattern."""
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+
+    def holds(self, A):
+        """Whether the sparse matrix A was built on this pattern (shares its arrays)."""
+        return (sp.issparse(A) and A.format == "csr" and A.indptr is self.indptr
+                and (A.indices is self.indices or A.indices.base is self.indices))
+
+    def rows(self):
+        """Row of each data slot."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def data_of(self, A):
+        """The data of the sparse matrix A laid on this pattern, zero where A
+        stores nothing (A's own data when A was built on it); ValueError when
+        A has an entry outside the pattern."""
+        if self.holds(A):
+            return A.data
+        A = sp.csr_matrix(A)
+        if A.shape != self.shape:
+            raise ValueError(f"a {A.shape} matrix does not fit a {self.shape} pattern")
+        if not A.has_canonical_format:
+            A = A.copy()
+            A.sum_duplicates()
+        rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+        data = np.zeros(self.nnz)
+        data[_slots_in(self, rows, A.indices)] = A.data
+        return data
+
+
+def _element_pattern(row_ids, col_ids, shape):
+    """Pattern of the element blocks at (row_ids[e, r], col_ids[e, c]), with slots [e, r, c]."""
+    keys = (row_ids.astype(np.int64)[:, :, None] * shape[1] + col_ids[:, None, :]).ravel()
+    order = np.argsort(keys)
+    ordered = keys[order]
+    new = np.diff(ordered, prepend=-1) != 0          # the first entry of each (row, col)
+    slots = np.empty(len(keys), np.int32)
+    slots[order] = np.cumsum(new) - 1
+    unique = ordered[new]
+    indptr = np.searchsorted(unique, np.arange(shape[0] + 1, dtype=np.int64) * shape[1])
+    return Pattern(indptr=indptr.astype(np.int32), indices=(unique % shape[1]).astype(np.int32),
+                   shape=shape, slots=slots.reshape(len(row_ids), -1))
+
+
+def _slots_in(pattern, rows, cols):
+    """Data slots of the entries (rows, cols) in pattern; ValueError if one is not in it."""
+    keys = pattern.rows() * pattern.shape[1] + pattern.indices
+    wanted = np.asarray(rows, np.int64) * pattern.shape[1] + cols
+    slots = np.searchsorted(keys, wanted)
+    if np.any(slots >= len(keys)) or np.any(keys[np.minimum(slots, len(keys) - 1)] != wanted):
+        raise ValueError("the matrix has entries outside the sparsity pattern")
+    return slots
+
+
+def _block_slots(scalar):
+    """(first, step): where the 2x2 block of each scalar P2 slot sits in the velocity pattern.
+
+    The velocity pattern holds the full block of every scalar entry (r, c):
+    row 2r + a holds the columns 2c, 2c + 1 of every entry of the scalar
+    row r in turn, so the (a, b) entry of the block of slot s is at
+    first[s] + a * step[s] + b, with first[s] = 2 (s + indptr[r]) and
+    step[s] = 2 deg(r).
+    """
+    row, deg = scalar.rows(), np.diff(scalar.indptr)
+    first = 2 * (np.arange(scalar.nnz, dtype=np.int32) + scalar.indptr[row])
+    return first, 2 * deg[row]
+
+
+@dataclass(frozen=True)
+class Sparsity:
+    """Sparsity patterns of a mesh's matrices; every array is read-only and int32.
+
+    velocity holds the full 2x2 block of every scalar P2 entry in the
+    interleaved dofs 2*node + a; componentwise the scalar pattern (x) I_2;
+    divergence the vertex rows of the scalar pattern with doubled columns;
+    friction the blocks of the boundary edges.
+    """
+
+    scalar: Pattern          # slots [nt, 36]
+    velocity: Pattern        # slots [nt, 144], (i, j, b, a) order: column component first
+    componentwise: Pattern   # velocity_slots; source: its scalar slot
+    source: np.ndarray       # [2 nnz] the scalar data slot each componentwise slot copies
+    divergence: Pattern      # slots [nt, 36], (vertex k, node j, b) order
+    friction: Pattern        # slots [nb, 36], (i, a, j, b) order; velocity_slots
+
+    def velocity_data(self, A):
+        """The data of the velocity matrix A laid on the velocity pattern, zero
+        where A stores nothing: through the slot map of A's pattern when A was
+        built on the componentwise or friction pattern, else Pattern.data_of."""
+        for pattern in (self.componentwise, self.friction):
+            if pattern.holds(A):
+                data = np.zeros(self.velocity.nnz)
+                data[pattern.velocity_slots] = A.data
+                return data
+        return self.velocity.data_of(A)
+
+
+def sparsity(mesh):
+    """The Sparsity of the mesh, derived once and kept on the mesh.
+
+    Derived again when the mesh's vertices, triangles, tri_edges or
+    boundary_edges are replaced by other arrays.
+    """
+    key = (mesh.vertices, mesh.triangles, mesh.tri_edges, mesh.boundary_edges)
+    return _cached_on_mesh(mesh, "_sparsity", key, lambda: _sparsity(mesh))
+
+
+def _sparsity(mesh):
+    nodes = mesh.triangle_nodes()
+    n, nv, nt = mesh.n_p2_nodes, mesh.n_vertices, len(nodes)
+    scalar = _element_pattern(nodes, nodes, (n, n))
+    nnz, cols = scalar.nnz, 2 * scalar.indices
+    first, step = _block_slots(scalar)
+
+    indices = np.empty(4 * nnz, np.int32)
+    slots = np.empty((nt, 36, 2, 2), np.int32)          # (i, j, b, a)
+    at, steps = first[scalar.slots], step[scalar.slots]
+    for a in range(2):
+        for b in range(2):
+            indices[first + (a * step + b)] = cols + b
+            slots[..., b, a] = at + (a * steps + b)
+    velocity = Pattern(indptr=_pair_indptr(4 * scalar.indptr.astype(np.int64)),
+                       indices=indices, shape=(2 * n, 2 * n), slots=slots.reshape(nt, -1))
+
+    # the (a, a) entries: row 2r + a holds column 2c + a of each entry s of the
+    # scalar row r, at slot s + indptr[r] + a deg(r) = first / 2 + a step / 2
+    own = first // 2
+    cw_indices, source, cw_slots = (np.empty(2 * nnz, np.int32) for _ in range(3))
+    for a in range(2):
+        at = own + a * (step // 2)
+        cw_indices[at] = cols + a
+        source[at] = np.arange(nnz)
+        cw_slots[at] = first + a * (step + 1)
+    componentwise = Pattern(indptr=_pair_indptr(2 * scalar.indptr.astype(np.int64)),
+                            indices=cw_indices, shape=(2 * n, 2 * n), velocity_slots=cw_slots)
+
+    # vertices are the first P2 nodes and the first three of every triangle
+    end = scalar.indptr[nv]
+    div_slots = np.empty((nt, 3, 6, 2), np.int32)      # (vertex k, node j, b)
+    for b in range(2):
+        div_slots[..., b] = 2 * scalar.slots.reshape(nt, 6, 6)[:, :3] + b
+    divergence = Pattern(indptr=2 * scalar.indptr[:nv + 1], shape=(nv, 2 * n),
+                         indices=np.stack([cols[:end], cols[:end] + 1], axis=1).ravel(),
+                         slots=div_slots.reshape(nt, -1))
+
+    edges = _boundary_edge_nodes(mesh)[2]
+    dofs = velocity_dofs(edges)
+    friction = _element_pattern(dofs, dofs, (2 * n, 2 * n))
+    dof_rows = friction.rows()
+    at = _slots_in(scalar, dof_rows // 2, friction.indices // 2)
+    friction = replace(friction, velocity_slots=(
+        first[at] + (dof_rows % 2) * step[at] + friction.indices % 2).astype(np.int32))
+
+    out = Sparsity(scalar=scalar, velocity=velocity, componentwise=componentwise,
+                   source=source, divergence=divergence, friction=friction)
+    _frozen([source])
+    for pattern in (scalar, velocity, componentwise, divergence, friction):
+        _frozen(vars(pattern).values())
+    return out
+
+
+def _pair_indptr(indptr):
+    """int32 indptr of a pattern whose rows 2r and 2r + 1 split the entries
+    indptr[r]:indptr[r + 1] in halves."""
+    starts = indptr[:-1]
+    rows = np.stack([starts, starts + np.diff(indptr) // 2], axis=1).ravel()
+    return np.append(rows, indptr[-1]).astype(np.int32)
+
+
+def scatter_matrix(pattern, blocks):
+    """Sum element blocks [e, ...] into a csr matrix on an element pattern, in
+    element order (one np.bincount, bitwise equal to np.add.at)."""
+    data = np.bincount(pattern.slots.ravel(), weights=blocks.ravel(), minlength=pattern.nnz)
+    return pattern.matrix(data)
 
 
 def scatter_vector(dofs, contrib, n):
@@ -300,51 +516,115 @@ def scatter_vector(dofs, contrib, n):
     return np.bincount(dofs.ravel(), weights=contrib.ravel(), minlength=n)
 
 
-def _scalar_form(mesh, nodes, blk):
-    """Scalar P2 matrix from [t, 6, 6] element blocks."""
-    return scatter_matrix(nodes, nodes, blk, (mesh.n_p2_nodes, mesh.n_p2_nodes))
+def componentwise(mesh, scalar):
+    """scalar (x) I_2 in interleaved velocity dofs, with no stored zeros.
 
-
-def _velocity_form(mesh, nodes, blk):
-    """Velocity matrix from [e, k, 2, k, 2] element blocks on the [e, k] node array."""
-    dofs = velocity_dofs(nodes)
-    n = 2 * mesh.n_p2_nodes
-    return scatter_matrix(dofs, dofs, blk.reshape(len(dofs), dofs.shape[1], -1), (n, n))
-
-
-def componentwise(scalar):
-    """scalar (x) I_2 in interleaved velocity dofs, with no stored zeros."""
-    out = sp.kron(scalar, sp.eye(2), format="csr")
+    A scalar matrix not on the scalar pattern is first gathered onto it.
+    """
+    s = sparsity(mesh)
+    data = s.scalar.data_of(scalar)[s.source]
+    if np.all(data != 0.0):
+        return s.componentwise.matrix(data)
+    out = sp.csr_matrix((data, s.componentwise.indices.copy(), s.componentwise.indptr.copy()),
+                        shape=s.componentwise.shape)
     out.eliminate_zeros()
     return out
 
 
-# -- scalar P2 forms -------------------------------------------------------
+def velocity_sum(mesh, *terms):
+    """Sum of velocity matrices, each term a matrix or a (weight, matrix) pair.
+
+    The sum is on the velocity pattern and is taken on the data arrays
+    (Sparsity.velocity_data), in the order of the terms.
+    """
+    s = sparsity(mesh)
+    data = np.zeros(s.velocity.nnz)
+    for term in terms:
+        weight, A = term if isinstance(term, tuple) else (1.0, term)
+        data += weight * s.velocity_data(A)
+    return s.velocity.matrix(data)
+
+
+# -- element kernels: one GEMM per element, or one for the whole mesh ----------
+
+def _basis_products(N):
+    """[36, nq] products N_i N_j of the shape functions at each point."""
+    return (N.T[:, None, :] * N.T[None, :, :]).reshape(-1, len(N))
+
+
+def _by_component(ctx):
+    """Basis gradients [t, 12, nq] in (node, component) rows."""
+    nt, nq = ctx.dv.shape
+    return np.swapaxes(ctx.dphi, 2, 3).reshape(nt, 12, nq)
+
 
 def _stiffness_blocks(ctx):
-    return np.einsum("tq,tqix,tqjx->tij", ctx.dv, ctx.grads, ctx.grads, optimize=True)
+    """[t, 6, 6] integral grad(phi_i) . grad(phi_j): [t, 6, 2q] @ [t, 2q, 6],
+    with the contraction in (x, q) order and both operands C-contiguous, as
+    np.einsum takes it (so the blocks are bitwise those of the einsum)."""
+    nt, nq = ctx.dv.shape
+    d = _by_component(ctx).reshape(nt, 6, 2 * nq)
+    return (d * np.tile(ctx.dv, 2)[:, None, :]) @ np.ascontiguousarray(np.swapaxes(d, 1, 2))
 
 
 def _mass_blocks(ctx):
-    return np.einsum("tq,qi,qj->tij", ctx.dv, ctx.N, ctx.N, optimize=True)
+    """[t, 6, 6] integral phi_i phi_j: [36, q] @ [q, t]."""
+    return (_basis_products(ctx.N) @ ctx.dv.T).reshape(6, 6, -1).transpose(2, 0, 1)
 
+
+def _viscous_blocks(ctx, nu):
+    """[t, i, j, b, a] blocks of nu * integral (grad u : grad v + grad u : grad v^T)
+    from P[t, i, x, j, y] = integral d(phi_i)/dx_x d(phi_j)/dx_y: [t, 12, q] @ [t, q, 12]."""
+    nt, nq = ctx.dv.shape
+    g = _by_component(ctx)                                          # [t, (i, x), q]
+    P = ((g * ctx.dv[:, None, :]) @ np.swapaxes(g, 1, 2)).reshape(nt, 6, 2, 6, 2)
+    blk = np.ascontiguousarray(P.transpose(0, 1, 3, 2, 4))         # grad u : grad v^T
+    same = P[:, :, 0, :, 0] + P[:, :, 1, :, 1]                      # grad phi_i . grad phi_j
+    for a in range(2):
+        blk[..., a, a] += same
+    blk *= nu
+    return blk
+
+
+def _divergence_blocks(ctx):
+    """[t, k, j, b] integral psi_k d(phi_j)/dx_b: [t, 3, q] @ [t, q, 12]."""
+    nt, nq = ctx.dv.shape
+    return ((ctx.dv[:, None, :] * ctx.P.T) @ ctx.grads.reshape(nt, nq, 12)).reshape(nt, 3, 6, 2)
+
+
+def _convection_blocks(ctx, wq):
+    """[t, i, j] integral phi_i (w . grad) phi_j for w at the points wq [t, q, 2]:
+    [t, 6, 2q] @ [t, 2q, 6]."""
+    nt, nq = ctx.dv.shape
+    weighted = (ctx.dv[:, :, None] * wq).reshape(nt, 1, 2 * nq)
+    left = np.repeat(ctx.N.T, 2, axis=1) * weighted                 # phi_i w_x at (q, x)
+    return left @ np.swapaxes(ctx.dphi.reshape(nt, 6, 2 * nq), 1, 2)
+
+
+def _newton_blocks(ctx, gw):
+    """[t, i, j, b, a] integral phi_i phi_j dw_a/dx_b for gw [t, q, 2, 2]
+    ([..., a, b] = dw_a/dx_b): [36, q] @ [t, q, 4]."""
+    nt, nq = ctx.dv.shape
+    wg = (ctx.dv[:, :, None, None] * np.swapaxes(gw, 2, 3)).reshape(nt, nq, 4)
+    return (_basis_products(ctx.N) @ wg).reshape(nt, 6, 6, 2, 2)
+
+
+# -- scalar P2 forms -------------------------------------------------------
 
 def scalar_stiffness(mesh):
     """Matrix of integral grad(u) . grad(v) on the scalar P2 space."""
-    ctx = volume_context(mesh)
-    return _scalar_form(mesh, ctx.nodes, _stiffness_blocks(ctx))
+    return scatter_matrix(sparsity(mesh).scalar, _stiffness_blocks(volume_context(mesh)))
 
 
 def scalar_mass(mesh):
     """Scalar P2 L2 mass matrix."""
-    ctx = volume_context(mesh)
-    return _scalar_form(mesh, ctx.nodes, _mass_blocks(ctx))
+    return scatter_matrix(sparsity(mesh).scalar, _mass_blocks(volume_context(mesh)))
 
 
 def scalar_h1_gram(mesh):
     """Matrix of integral grad(u) . grad(v) + u v, the scalar P2 H1 Gram matrix."""
     ctx = volume_context(mesh)
-    return _scalar_form(mesh, ctx.nodes, _stiffness_blocks(ctx) + _mass_blocks(ctx))
+    return scatter_matrix(sparsity(mesh).scalar, _stiffness_blocks(ctx) + _mass_blocks(ctx))
 
 
 def scalar_integral_vector(mesh):
@@ -356,30 +636,22 @@ def scalar_integral_vector(mesh):
 
 def assemble_viscous(mesh, nu):
     """Matrix of (nu/2) * integral S(u):S(phi) over curved elements."""
-    ctx = volume_context(mesh)
-    g, dv, nodes = ctx.grads, ctx.dv, ctx.nodes
-    same = np.einsum("tq,tqix,tqjx->tij", dv, g, g, optimize=True)
-    cross = np.einsum("tq,tqib,tqja->tiajb", dv, g, g, optimize=True)
-    return _velocity_form(mesh, nodes, nu * (np.einsum("tij,ab->tiajb", same, np.eye(2)) + cross))
+    return scatter_matrix(sparsity(mesh).velocity, _viscous_blocks(volume_context(mesh), nu))
 
 
 def assemble_vector_mass(mesh):
     """Velocity-space L2 mass matrix: the scalar mass on each component."""
-    return componentwise(scalar_mass(mesh))
+    return componentwise(mesh, scalar_mass(mesh))
 
 
 def assemble_vector_gradient(mesh):
     """Matrix of integral grad(u):grad(phi) (componentwise H1 seminorm)."""
-    return componentwise(scalar_stiffness(mesh))
+    return componentwise(mesh, scalar_stiffness(mesh))
 
 
 def assemble_divergence(mesh):
     """Matrix B with (B u)_q = integral q div(u); pressure rows."""
-    ctx = volume_context(mesh)
-    blk = np.einsum("tq,qk,tqjb->tkjb", ctx.dv, ctx.P, ctx.grads, optimize=True)  # [t, 3, 6, 2]
-    return scatter_matrix(mesh.triangles, velocity_dofs(ctx.nodes),
-                          blk.reshape(len(ctx.nodes), 3, 12),
-                          (mesh.n_vertices, 2 * mesh.n_p2_nodes))
+    return scatter_matrix(sparsity(mesh).divergence, _divergence_blocks(volume_context(mesh)))
 
 
 def assemble_pressure_mean(mesh):
@@ -392,9 +664,8 @@ def assemble_pressure_mean(mesh):
 def assemble_convection(mesh, w_coeffs, lam=1.0):
     """Matrix C(w) of integral ((w . grad) u) . phi, plus N(w) = C(w) w."""
     ctx = volume_context(mesh)
-    wq = ctx.values(w_coeffs.reshape(-1, 2))
-    conv = np.einsum("tqjx,tqx->tqj", ctx.grads, wq)                    # (w . grad) phi_j
-    C = componentwise(_scalar_form(mesh, ctx.nodes, lam * ctx.element_load(conv)))
+    blk = _convection_blocks(ctx, ctx.values(w_coeffs.reshape(-1, 2)))
+    C = componentwise(mesh, scatter_matrix(sparsity(mesh).scalar, lam * blk))
     return C, C @ w_coeffs
 
 
@@ -412,10 +683,8 @@ def convection_vector(mesh, w_coeffs):
 def assemble_convection_newton(mesh, w_coeffs, lam=1.0):
     """Matrix of integral ((u . grad) w) . phi for the Newton linearization."""
     ctx = volume_context(mesh)
-    gw = ctx.gradient(w_coeffs.reshape(-1, 2))                         # [t, q, a, b]
-    # one trial function j at a time keeps the temporaries at [t, q, 2, 2]
-    blk = np.stack([ctx.element_load(ctx.N[:, j, None, None] * gw) for j in range(6)], axis=3)
-    return _velocity_form(mesh, ctx.nodes, lam * blk)                  # [t, i, a, j, b]
+    blk = _newton_blocks(ctx, ctx.gradient(w_coeffs.reshape(-1, 2)))
+    return scatter_matrix(sparsity(mesh).velocity, lam * blk)
 
 
 def load_volume(mesh, f):
@@ -471,13 +740,14 @@ class BoundaryQuadrature:
     def gradient(self, nodal):
         """Gradients [nb, nq, ..., 2] of a P2 field in the adjacent triangles;
         [..., a, b] = du_a/dx_b."""
-        grads = np.empty((*self.t.shape, 6, 2))
+        nb, nq = self.t.shape
+        dphi = np.empty((nb, 6, nq, 2))
         for loc in range(3):
             sel = self.local == loc
             ref = self.shape_p1 @ elements.P2_REFERENCE[[loc, (loc + 1) % 3]]
-            grads[sel] = elements.physical_gradients(self.cell_coords[sel], ref,
-                                                     elements.p2_grad(ref))[0]
-        return _gradient(nodal, self.cell_nodes, grads, self.n_nodes)
+            dphi[sel] = np.swapaxes(elements.physical_gradients(
+                self.cell_coords[sel], ref, elements.p2_grad(ref))[0], 1, 2)
+        return _gradient(nodal, self.cell_nodes, dphi, self.n_nodes)
 
     def tangential_derivative(self, nodal):
         """Derivative [nb, nq, ...] of the edge trace of a P2 field along tau."""
@@ -505,16 +775,25 @@ def boundary_quadrature(mesh):
                            lambda: _boundary_quadrature(mesh))
 
 
+def _boundary_edge_nodes(mesh):
+    """(local edge [nb], adjacent triangle's P2 nodes [nb, 6], edge nodes [nb, 3]
+    (first, second, mid)) of every boundary edge."""
+    rows = mesh.boundary_edges
+    local = rows["local"].copy()
+    cell_nodes = mesh.triangle_nodes()[rows["tri"]]
+    nodes3 = np.take_along_axis(cell_nodes, np.column_stack([local, (local + 1) % 3, 3 + local]),
+                                axis=1)
+    return local, cell_nodes, nodes3
+
+
 def _boundary_quadrature(mesh):
     s, w = interval_rule(EDGE_POINTS)
     Nq = elements.edge_shape(s)
     dNq = elements.edge_shape_deriv(s)
     rows = mesh.boundary_edges
     nb = len(rows)
-    local, comp = rows["local"].copy(), rows["component"].copy()
-    cell_nodes = mesh.triangle_nodes()[rows["tri"]]
-    nodes3 = np.take_along_axis(cell_nodes, np.column_stack([local, (local + 1) % 3, 3 + local]),
-                                axis=1)
+    comp = rows["component"].copy()
+    local, cell_nodes, nodes3 = _boundary_edge_nodes(mesh)
     tq = rows["t0"][:, None] + s * (rows["t1"] - rows["t0"])[:, None]
     p2 = mesh.p2_coords()
     pts3 = p2[nodes3]                                       # [nb, 3, 2]
@@ -561,7 +840,7 @@ def assemble_friction(mesh, beta):
     blk = np.einsum("kq,kq,qi,qj,kqa,kqb->kiajb",
                     bq.w_ds, bvals, bq.shape, bq.shape, bq.tangent, bq.tangent,
                     optimize=True)
-    return _velocity_form(mesh, bq.nodes3, blk)
+    return scatter_matrix(sparsity(mesh).friction, blk)
 
 
 def load_boundary_tangential(mesh, b_tau):
@@ -601,19 +880,124 @@ def boundary_node_values(mesh, per_component):
                               "boundary data is not finite at a boundary node")
 
 
+@dataclass(frozen=True)
+class SlipPlan:
+    """The mesh-fixed part of every slip constraint on a mesh; arrays read-only.
+
+    Q is orthogonal: it takes the Cartesian dofs of each boundary node to
+    its (n, tau) dofs and is the identity elsewhere; the rotated normal
+    dofs 2*node are fixed.  Q A Q^T differs from A only in the 2x2 node
+    blocks with a boundary row or column node: `blocks` holds their
+    velocity-pattern data slots, `left` and `right` the rotations that act
+    on them from either side.  free_free and free_fixed are the patterns of
+    the (free, free) and (free, fixed) parts, their velocity_slots the
+    slots they gather.
+    """
+
+    sparsity: Sparsity
+    Q: sp.csr_matrix
+    free: np.ndarray
+    fixed: np.ndarray
+    blocks: np.ndarray       # [m, 2, 2]
+    left: np.ndarray         # [m, 2, 2] rotation of the row node
+    right: np.ndarray        # [m, 2, 2] transposed rotation of the column node
+    free_free: Pattern
+    free_fixed: Pattern
+
+
+def slip_plan(mesh):
+    """The SlipPlan of the mesh, derived once and kept on the mesh.
+
+    Derived again with the mesh's Sparsity, or when its node_is_boundary,
+    node_normal or node_tangent are replaced by other arrays.
+    """
+    key = (sparsity(mesh), mesh.node_is_boundary, mesh.node_normal, mesh.node_tangent)
+    return _cached_on_mesh(mesh, "_slip_plan", key, lambda: _slip_plan(mesh))
+
+
+def _slip_plan(mesh):
+    patterns = sparsity(mesh)
+    scalar, velocity = patterns.scalar, patterns.velocity
+    n_velocity = 2 * mesh.n_p2_nodes
+    bnd = mesh.node_is_boundary
+    b = np.nonzero(bnd)[0]
+    rotation = np.tile(np.eye(2), (mesh.n_p2_nodes, 1, 1))
+    rotation[b, 0] = mesh.node_normal[b]
+    rotation[b, 1] = mesh.node_tangent[b]
+    idx = np.nonzero(~bnd)[0]
+    rows = np.concatenate([2 * idx, 2 * idx + 1, 2 * b, 2 * b, 2 * b + 1, 2 * b + 1])
+    cols = np.concatenate([2 * idx, 2 * idx + 1, 2 * b, 2 * b + 1, 2 * b, 2 * b + 1])
+    vals = np.concatenate([np.ones(2 * len(idx)), rotation[b, 0, 0], rotation[b, 0, 1],
+                           rotation[b, 1, 0], rotation[b, 1, 1]])
+    Q = sp.csr_matrix((vals, (rows, cols)), shape=(n_velocity, n_velocity))
+
+    # the blocks of the scalar entries with a boundary row or column node
+    node_rows, node_cols = scalar.rows(), scalar.indices
+    touched = np.nonzero(bnd[node_rows] | bnd[node_cols])[0]
+    first, step = (x[touched] for x in _block_slots(scalar))
+    blocks = first[:, None, None] + step[:, None, None] * np.arange(2)[:, None] + np.arange(2)
+
+    fixed = 2 * b
+    is_fixed = np.zeros(n_velocity, bool)
+    is_fixed[fixed] = True
+    free = np.nonzero(~is_fixed)[0]
+    renumber = np.zeros(n_velocity, np.int64)
+    renumber[free] = np.arange(len(free))
+    renumber[fixed] = np.arange(len(fixed))
+    free_row = np.repeat(~is_fixed, np.diff(velocity.indptr))
+    fixed_col = is_fixed[velocity.indices]
+
+    def part(keep, n_cols):
+        # kept slots lie in free rows only, so each free row's part starts
+        # where its first velocity slot would be among them
+        slots = np.flatnonzero(keep)
+        starts = np.searchsorted(slots, velocity.indptr[np.append(free, n_velocity)])
+        return Pattern(indptr=starts.astype(np.int32), shape=(len(free), n_cols),
+                       indices=renumber[velocity.indices[slots]].astype(np.int32),
+                       velocity_slots=slots.astype(np.int32))
+
+    plan = SlipPlan(sparsity=patterns, Q=Q, free=free, fixed=fixed,
+                    blocks=blocks.astype(np.int32), left=rotation[node_rows[touched]],
+                    right=np.swapaxes(rotation[node_cols[touched]], 1, 2),
+                    free_free=part(free_row & ~fixed_col, len(free)),
+                    free_fixed=part(free_row & fixed_col, len(fixed)))
+    _frozen([Q.data, Q.indices, Q.indptr, free, fixed, plan.blocks, plan.left, plan.right])
+    for p in (plan.free_free, plan.free_fixed):
+        _frozen(vars(p).values())
+    return plan
+
+
 @dataclass
 class SlipConstraint:
     """Rotated basis plus elimination data for u . n = a_star at boundary nodes."""
 
-    Q: sp.csr_matrix
-    free: np.ndarray
-    fixed: np.ndarray
+    plan: SlipPlan
     fixed_values: np.ndarray
 
+    @property
+    def Q(self):
+        return self.plan.Q
+
+    @property
+    def free(self):
+        return self.plan.free
+
+    @property
+    def fixed(self):
+        return self.plan.fixed
+
     def reduce_matrix(self, A):
-        """Rotate a velocity-velocity matrix and split (A_ff, A_fc)."""
-        Ahat = (self.Q @ A) @ self.Q.T
-        return Ahat[self.free][:, self.free], Ahat[self.free][:, self.fixed]
+        """Rotate a velocity-velocity matrix and split (A_ff, A_fc).
+
+        A is taken on the velocity pattern (a matrix on another pattern of
+        the mesh is gathered onto it first); only the 2x2 node blocks with a
+        boundary node are rotated, and both parts are gathered from the data.
+        """
+        plan = self.plan
+        data = np.array(plan.sparsity.velocity_data(A))
+        data[plan.blocks] = plan.left @ data[plan.blocks] @ plan.right
+        return (plan.free_free.matrix(data[plan.free_free.velocity_slots]),
+                plan.free_fixed.matrix(data[plan.free_fixed.velocity_slots]))
 
     def reduce_rows(self, B):
         """Rotate the columns of a (pressure x velocity) matrix and split."""
@@ -639,26 +1023,14 @@ def normal_trace_constraint(mesh, a_star, flux_rtol=1e-8):
     """Build the slip constraint for prescribed normal trace a_star.
 
     a_star is a per-component sequence.  The nodal values are
-    interpolated on the exact curve parameters of the boundary nodes.
-    Q is orthogonal: it takes the Cartesian dofs of each boundary node to
-    its (n, tau) dofs and is the identity elsewhere; the rotated normal
-    dofs 2*node are fixed.  Raises CompatibilityError when the total flux
-    is out of tolerance and DataError when a nodal value is not finite.
+    interpolated on the exact curve parameters of the boundary nodes; the
+    rotation and the elimination pattern are the mesh's SlipPlan.  Raises
+    CompatibilityError when the total flux is out of tolerance and
+    DataError when a nodal value is not finite.
     """
     check_total_flux(mesh.domain, a_star, flux_rtol)
-    b, values = boundary_node_values(mesh, a_star)
-    n_velocity = 2 * mesh.n_p2_nodes
-    idx = np.nonzero(~mesh.node_is_boundary)[0]
-    n, tau = mesh.node_normal[b], mesh.node_tangent[b]
-    rows = np.concatenate([2 * idx, 2 * idx + 1, 2 * b, 2 * b, 2 * b + 1, 2 * b + 1])
-    cols = np.concatenate([2 * idx, 2 * idx + 1, 2 * b, 2 * b + 1, 2 * b, 2 * b + 1])
-    vals = np.concatenate([np.ones(2 * len(idx)), n[:, 0], n[:, 1], tau[:, 0], tau[:, 1]])
-    Q = sp.csr_matrix((vals, (rows, cols)), shape=(n_velocity, n_velocity))
-    fixed = 2 * b
-    mask = np.ones(n_velocity, bool)
-    mask[fixed] = False
-    free = np.nonzero(mask)[0]
-    return SlipConstraint(Q=Q, free=free, fixed=fixed, fixed_values=values)
+    _, values = boundary_node_values(mesh, a_star)
+    return SlipConstraint(plan=slip_plan(mesh), fixed_values=values)
 
 
 @dataclass

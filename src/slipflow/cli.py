@@ -44,8 +44,16 @@ def _non_finite_key(value, key=()):
 
 
 def load_config(path):
-    with open(path) as fh:
-        cfg = json.load(fh)
+    """The run configuration in the JSON file at path, checked against the schema.
+
+    ConfigurationError (naming the path) when the file cannot be read, is
+    not UTF-8 or is not JSON, or when a value is out of the schema.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:   # ValueError: JSON and UTF-8 decoding errors
+        raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     # json reads NaN and Infinity tokens and overflows 1e400 to inf; no
     # config value may be non-finite, and the schema cannot say so
     key = _non_finite_key(cfg)

@@ -81,7 +81,10 @@ def mapped_jacobians(coords, pts):
     Returns (J[ntri, nq, 2, 2], detJ[ntri, nq], Jinv[ntri, nq, 2, 2]).
     """
     dN = p2_grad(pts)
-    J = np.einsum("qir,tix->tqxr", dN, coords)
+    nt, nq = len(coords), len(pts)
+    # J[t, q, x, r] = sum_i coords[t, i, x] dN[q, i, r]: one [2 nt, 6] @ [6, 2 nq] product
+    J = np.swapaxes(coords, 1, 2).reshape(-1, 6) @ np.swapaxes(dN, 0, 1).reshape(6, -1)
+    J = J.reshape(nt, 2, nq, 2).transpose(0, 2, 1, 3)
     det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
     Jinv = np.empty_like(J)
     Jinv[..., 0, 0] = J[..., 1, 1]
@@ -96,7 +99,11 @@ def physical_gradients(coords, pts, basis_grad):
     """Physical-space gradients of a reference basis on mapped triangles.
 
     basis_grad: [nq, nb, 2] reference gradients.
-    Returns (grads[ntri, nq, nb, 2], detJ[ntri, nq]).
+    Returns (grads[ntri, nq, nb, 2], detJ[ntri, nq]); grads is a view of
+    basis-major memory [ntri, nb, nq, 2], so np.swapaxes(grads, 1, 2) is
+    C-contiguous.
     """
     _, det, Jinv = mapped_jacobians(coords, pts)
-    return basis_grad[None] @ Jinv, det
+    grads = np.empty((len(coords), basis_grad.shape[1], len(pts), 2))
+    np.matmul(basis_grad[None], Jinv, out=np.swapaxes(grads, 1, 2))
+    return np.swapaxes(grads, 1, 2), det

@@ -75,7 +75,7 @@ def harmonic_basis(mesh, domain=None):
     domain = mesh.domain if domain is None else domain
     N = domain.n_holes
     scalar_mass = assembly.scalar_mass(mesh)
-    mass = assembly.componentwise(scalar_mass)
+    mass = assembly.componentwise(mesh, scalar_mass)
     if N == 0:
         return HarmonicBasis(mesh=mesh, gradients=np.zeros((0, 2 * mesh.n_p2_nodes)),
                              psi=np.zeros((0, 2 * mesh.n_p2_nodes)),

@@ -295,13 +295,31 @@ class SaddleLayout:
         # where x splits into u_f, p, mu_v, mu_p, mu_mean, mu_d
         self._cuts = [self.nf, self.n_flow, self.n_flow + self.V.shape[0], self.n_core,
                       self.n_core + 1]
+        # the core's pattern, once: each entry numbered by its source in the
+        # data of A_ff (on the slip plan's free/free pattern), then of B_f, V and P
+        free_free = con.plan.free_free
+        blocks = [sp.csr_matrix(M, copy=True) for M in (self.B_f, self.V, self.P)]
+        for M in blocks:
+            M.sum_duplicates()
+        self._fixed_data = np.concatenate([M.data for M in blocks])
+        start = free_free.nnz + np.cumsum([0] + [M.nnz for M in blocks])
+        B_f, V, P = (sp.csr_matrix((np.arange(s, s + M.nnz) + 1.0, M.indices, M.indptr), M.shape)
+                     for s, M in zip(start, blocks))
+        core = sp.bmat([[free_free.matrix(np.arange(free_free.nnz) + 1.0), B_f.T, V.T, None],
+                        [B_f, None, None, P.T],
+                        [V, None, None, None],
+                        [None, P, None, None]], format="csc")
+        core.indices.flags.writeable = core.indptr.flags.writeable = False  # shared by every core
+        self._core_pattern = core.indices, core.indptr, core.shape
+        self._source = (core.data - 1).astype(np.int32)
 
     def core(self, A_ff):
-        """Sparse core of the system with velocity block A_ff."""
-        return sp.bmat([[A_ff, self.B_f.T, self.V.T, None],
-                        [self.B_f, None, None, self.P.T],
-                        [self.V, None, None, None],
-                        [None, self.P, None, None]], format="csc")
+        """Sparse core of the system with velocity block A_ff, gathered onto
+        the core's pattern (A_ff is taken on the free/free pattern of the
+        slip plan)."""
+        data = np.concatenate([self.con.plan.free_free.data_of(A_ff), self._fixed_data])
+        indices, indptr, shape = self._core_pattern
+        return sp.csc_matrix((data[self._source], indices, indptr), shape=shape)
 
     def borders(self):
         """Dense border columns: the pressure mean, then the rows of D."""
@@ -439,13 +457,13 @@ def korn_constant(mesh, weight, project_rotation=False):
     component DataError (assemble_friction).
     """
     sym = geometry.classify_symmetry(mesh.domain)
-    kform = assembly.assemble_viscous(mesh, 2.0)  # integral S(u):S(v)
-    kform = kform + assembly.assemble_friction(mesh, weight)
-    wform = assembly.componentwise(assembly.scalar_h1_gram(mesh))
-
     con = assembly.normal_trace_constraint(mesh, [0.0] * mesh.domain.n_components)
-    K_ff, _ = con.reduce_matrix(kform)
-    W_ff, _ = con.reduce_matrix(wform)
+    # the full forms are dropped as soon as they are reduced, before the
+    # pencil is factored, which is the peak of an audit's memory
+    K_ff, _ = con.reduce_matrix(assembly.velocity_sum(
+        mesh, assembly.assemble_viscous(mesh, 2.0),                  # integral S(u):S(v)
+        assembly.assemble_friction(mesh, weight)))
+    W_ff, _ = con.reduce_matrix(assembly.componentwise(mesh, assembly.scalar_h1_gram(mesh)))
     constraints = []
     if project_rotation:
         if sym.circularly_symmetric is None:

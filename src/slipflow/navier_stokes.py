@@ -143,8 +143,8 @@ class _Workspace:
         data.check_against(domain)
         self.mesh = mesh
         self.data = data
-        self.A_base = assembly.assemble_viscous(mesh, data.nu) \
-            + assembly.assemble_friction(mesh, data.beta)
+        self.A_base = assembly.velocity_sum(mesh, assembly.assemble_viscous(mesh, data.nu),
+                                            assembly.assemble_friction(mesh, data.beta))
         self.B = assembly.assemble_divergence(mesh)
         self.F = assembly.load_volume(mesh, data.f) \
             + assembly.load_boundary_tangential(mesh, data.b_tau)
@@ -444,7 +444,8 @@ def _solve_at_lambda(ws, config, lam, x, conv, trace, scale):
                 C, _ = assembly.assemble_convection(mesh, u)
                 D = assembly.assemble_convection_newton(mesh, u, lam)
                 x_new, step = ws.solve_linear(
-                    ws.A_base + lam * C + D, extra_rhs=(D @ u), guess=x)
+                    assembly.velocity_sum(mesh, ws.A_base, (lam, C), D),
+                    extra_rhs=(D @ u), guess=x)
         except SolverError as exc:
             raise BranchDegeneracyError(
                 f"singular linearized system at lambda={lam:g}; a circulation pin "

@@ -13,6 +13,19 @@ def annulus_domain():
                       labels=["outer", "inner"])
 
 
+@pytest.fixture
+def pattern_derivations(monkeypatch):
+    """Names of the per-mesh pattern derivations (sparsity, slip plan) run in a test."""
+    from slipflow import assembly
+    calls = []
+    for name in ("_sparsity", "_slip_plan"):
+        def counted(mesh, original=getattr(assembly, name), name=name):
+            calls.append(name)
+            return original(mesh)
+        monkeypatch.setattr(assembly, name, counted)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def annulus_coarse():
     return sf.mesh_annulus(1.0, 2.0, 8, 16)

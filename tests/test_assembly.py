@@ -422,7 +422,21 @@ class TestScatterBitwise:
         np.add.at(ref, ctx.nodes, contrib)
         assert np.array_equal(lu.loads[1], ref)
 
+    @staticmethod
+    def _add_at(rows, cols, vals, shape):
+        """The csr matrix of the entries vals at (rows, cols), its pattern every
+        entry given and each value summed by np.add.at in element order."""
+        keys = rows.astype(np.int64).ravel() * shape[1] + cols.ravel()
+        unique, slot = np.unique(keys, return_inverse=True)
+        data = np.zeros(len(unique))
+        np.add.at(data, slot, vals.ravel())
+        indptr = np.searchsorted(unique, np.arange(shape[0] + 1) * shape[1])
+        return sp.csr_matrix((data, unique % shape[1], indptr), shape=shape)
+
     def test_matrix_forms(self, mesh):
+        # the element blocks of each form against the einsum contractions they
+        # replaced, and each assembled form against the element-order np.add.at
+        # of its own blocks, bit for bit
         ctx = asm.volume_context(mesh)
         g, dv, N, nodes = ctx.grads, ctx.dv, ctx.N, ctx.nodes
         nt, nv, n = len(nodes), 2 * mesh.n_p2_nodes, mesh.n_p2_nodes
@@ -430,26 +444,37 @@ class TestScatterBitwise:
         rows, cols = np.repeat(dofs, 12, axis=1), np.tile(dofs, (1, 12))
         same = np.einsum("tq,tqix,tqjx->tij", dv, g, g, optimize=True)
         cross = np.einsum("tq,tqib,tqja->tiajb", dv, g, g, optimize=True)
-        block = 0.7 * (np.einsum("tij,ab->tiajb", same, np.eye(2)) + cross)
-        assert self._same_csr(asm.assemble_viscous(mesh, 0.7), self._grid_scatter(
+        # the velocity kernels give [t, i, j, b, a] blocks: column component first
+        block = asm._viscous_blocks(ctx, 0.7).transpose(0, 1, 4, 2, 3)
+        self._close(block, 0.7 * (np.einsum("tij,ab->tiajb", same, np.eye(2)) + cross))
+        assert self._same_csr(asm.assemble_viscous(mesh, 0.7), self._add_at(
             rows, cols, block.reshape(nt, 12, 12), (nv, nv)))
         w = np.random.default_rng(5).standard_normal(nv)
         gw = ctx.gradient(w.reshape(-1, 2))
         self._close(gw, np.einsum("tia,tqib->tqab", w.reshape(-1, 2)[nodes], g))
-        block = np.stack([ctx.element_load(N[:, j, None, None] * gw) for j in range(6)], axis=3)
+        block = asm._newton_blocks(ctx, gw).transpose(0, 1, 4, 2, 3)
         self._close(block, np.einsum("tq,qi,qj,tqab->tiajb", dv, N, N, gw, optimize=True))
-        assert self._same_csr(asm.assemble_convection_newton(mesh, w), self._grid_scatter(
+        assert self._same_csr(asm.assemble_convection_newton(mesh, w), self._add_at(
             rows, cols, block.reshape(nt, 12, 12), (nv, nv)))
-        blk = np.einsum("tq,qk,tqjb->tkjb", dv, ctx.P, g, optimize=True)
-        assert self._same_csr(asm.assemble_divergence(mesh), self._grid_scatter(
-            np.repeat(mesh.triangles, 12, axis=1), np.tile(dofs, (1, 3)),
-            blk.reshape(nt, 3, 12), (mesh.n_vertices, nv)))
+        blk = asm._divergence_blocks(ctx)
+        self._close(blk, np.einsum("tq,qk,tqjb->tkjb", dv, ctx.P, g, optimize=True))
+        assert self._same_csr(asm.assemble_divergence(mesh), self._add_at(
+            np.repeat(mesh.triangles, 12, axis=1), np.tile(dofs, (1, 3)), blk,
+            (mesh.n_vertices, nv)))
         srows, scols = np.repeat(nodes, 6, axis=1), np.tile(nodes, (1, 6))
-        assert self._same_csr(asm.scalar_stiffness(mesh),
-                              self._grid_scatter(srows, scols, same, (n, n)))
-        mass = np.einsum("tq,qi,qj->tij", dv, N, N, optimize=True)
-        assert self._same_csr(asm.scalar_mass(mesh),
-                              self._grid_scatter(srows, scols, mass, (n, n)))
+        blk = asm._stiffness_blocks(ctx)
+        self._close(blk, same)
+        assert self._same_csr(asm.scalar_stiffness(mesh), self._add_at(srows, scols, blk, (n, n)))
+        blk = asm._mass_blocks(ctx)
+        self._close(blk, np.einsum("tq,qi,qj->tij", dv, N, N, optimize=True))
+        assert self._same_csr(asm.scalar_mass(mesh), self._add_at(srows, scols, blk, (n, n)))
+        blk = asm._convection_blocks(ctx, ctx.values(w.reshape(-1, 2)))
+        self._close(blk, np.einsum("tq,qi,tqjx,tqx->tij", dv, N, g, ctx.values(w.reshape(-1, 2)),
+                                   optimize=True))
+        scalar = self._add_at(srows, scols, blk, (n, n))
+        C = asm.assemble_convection(mesh, w)[0]
+        assert C.nnz == 2 * scalar.nnz
+        assert self._same_csr(C, sp.kron(scalar, sp.eye(2), format="csr"))
 
     def test_friction(self, mesh):
         bq = asm.boundary_quadrature(mesh)
@@ -570,6 +595,102 @@ class TestFieldEvaluator:
         _, _, Jinv = elements.mapped_jacobians(coords, pts)
         ref = np.einsum("qir,tqrx->tqix", basis_grad, Jinv)
         assert np.max(np.abs(grads - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+class TestSparsity:
+    """The per-mesh patterns, the data-array sums and the planned slip reduction."""
+
+    @pytest.fixture(scope="class", params=["annulus", "two-hole"])
+    def mesh(self, request, annulus_coarse, two_hole_coarse):
+        return annulus_coarse if request.param == "annulus" else two_hole_coarse
+
+    @staticmethod
+    def _forms(mesh):
+        w = np.random.default_rng(6).standard_normal(2 * mesh.n_p2_nodes)
+        beta = (1.0,) * mesh.domain.n_components
+        return {"viscous": asm.assemble_viscous(mesh, 0.8),
+                "friction": asm.assemble_friction(mesh, beta),
+                "newton": asm.assemble_convection_newton(mesh, w, 0.3),
+                "convection": asm.assemble_convection(mesh, w)[0],
+                "mass": asm.assemble_vector_mass(mesh),
+                "gradient": asm.assemble_vector_gradient(mesh)}
+
+    def test_pattern_arrays_read_only_and_rebuilt(self):
+        import copy
+        mesh = sf.mesh_annulus(1.0, 2.0, 4, 16)
+        s, plan = asm.sparsity(mesh), asm.slip_plan(mesh)
+        assert asm.sparsity(mesh) is s and asm.slip_plan(mesh) is plan
+        patterns = [s.scalar, s.velocity, s.componentwise, s.divergence, s.friction,
+                    plan.free_free, plan.free_fixed]
+        maps = [a for p in patterns for a in vars(p).values() if isinstance(a, np.ndarray)]
+        maps += [s.source, plan.blocks]
+        assert all(a.dtype == np.int32 for a in maps)
+        arrays = maps + [plan.Q.data, plan.Q.indices, plan.Q.indptr, plan.free, plan.fixed,
+                         plan.left, plan.right]
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[...] = 0
+        # a matrix shares the arrays of its pattern, so it cannot write to them
+        A = asm.assemble_viscous(mesh, 1.0)
+        assert s.velocity.holds(A)
+        with pytest.raises(ValueError):
+            A.indices[0] = 0
+        # replacing the triangles derives new patterns and a new plan on them
+        moved = copy.copy(mesh)
+        moved.triangles = mesh.triangles.copy()
+        assert asm.sparsity(moved) is not s
+        assert asm.slip_plan(moved) is not plan
+        assert asm.slip_plan(moved).sparsity is asm.sparsity(moved)
+        # replacing the node frames derives a new plan on the same patterns
+        turned = copy.copy(mesh)
+        turned.node_normal = -mesh.node_normal
+        assert asm.sparsity(turned) is s
+        assert asm.slip_plan(turned) is not plan and asm.slip_plan(turned).sparsity is s
+        assert asm.sparsity(mesh) is s and asm.slip_plan(mesh) is plan
+
+    def test_solve_derives_patterns_once(self, annulus_coarse, pattern_derivations):
+        import copy
+        from slipflow import validation as val
+        mesh = copy.copy(annulus_coarse)
+        mesh.triangles = annulus_coarse.triangles.copy()    # nothing derived yet
+        _, trace = nvs.solve_navier_stokes(mesh, val.hamel(1.0).data,
+                                           nvs.SolverConfig(pins={1: 2 * np.pi}))
+        assert any(phase.startswith("newton") for phase in trace.phases)
+        assert sorted(pattern_derivations) == ["_slip_plan", "_sparsity"]
+
+    def test_sum_on_data_arrays(self, mesh):
+        forms = self._forms(mesh)
+        total = asm.velocity_sum(mesh, forms["viscous"], (0.3, forms["convection"]),
+                                 forms["newton"], forms["friction"])
+        assert asm.sparsity(mesh).velocity.holds(total)
+        ref = forms["viscous"] + 0.3 * forms["convection"] + forms["newton"] \
+            + forms["friction"]
+        assert abs(total - ref).max() <= 1e-15 * abs(ref).max()
+        # a matrix on no pattern of the mesh (scipy's sum drops stored zeros)
+        # is gathered onto the velocity pattern
+        dropped = forms["viscous"] + forms["friction"]
+        assert not asm.sparsity(mesh).velocity.holds(dropped)
+        assert (asm.velocity_sum(mesh, dropped) != dropped).nnz == 0
+        scalar = asm.sparsity(mesh).scalar
+        apart = np.setdiff1d(np.arange(mesh.n_p2_nodes), scalar.indices[:scalar.indptr[1]])[0]
+        off = sp.csr_matrix(([1.0], ([0], [2 * apart])), shape=dropped.shape)
+        with pytest.raises(ValueError, match="outside the sparsity pattern"):
+            asm.velocity_sum(mesh, off)
+
+    def test_reduce_matrix_is_the_rotation(self, mesh):
+        # Q A Q^T split by rows and columns, as reduce_matrix computed it before
+        con = asm.normal_trace_constraint(mesh, [0.0] * mesh.domain.n_components)
+        forms = self._forms(mesh)
+        forms["dropped"] = forms["viscous"] + forms["friction"]
+        for name, A in forms.items():
+            A_ff, A_fc = con.reduce_matrix(A)
+            hat = (con.Q @ A) @ con.Q.T
+            ref_ff, ref_fc = hat[con.free][:, con.free], hat[con.free][:, con.fixed]
+            scale = abs(hat).max()
+            assert A_ff.shape == ref_ff.shape and A_fc.shape == ref_fc.shape, name
+            assert abs(A_ff - ref_ff).max() <= 1e-15 * scale, name
+            assert abs(A_fc - ref_fc).max() <= 1e-15 * scale, name
+            assert A_ff.has_canonical_format and A_fc.has_canonical_format, name
 
 
 class TestNormalTrace:

@@ -67,6 +67,24 @@ class TestConfig:
             cli.build_domain(cfg)
             cli.build_data(cfg, cli.build_domain(cfg))
 
+    @pytest.mark.parametrize("make", [
+        lambda path: path.write_text('{"domain": '),
+        lambda path: None,
+        lambda path: path.mkdir(),
+        lambda path: path.write_bytes(b'{"domain": "\xff\xfe"}'),
+    ], ids=["truncated-json", "missing", "directory", "invalid-utf8"])
+    def test_unreadable_config_exit_code(self, tmp_path, capsys, make):
+        path = tmp_path / "config.json"
+        make(path)
+        with pytest.raises(ConfigurationError, match=f"cannot read config {path}"):
+            cli.load_config(str(path))
+        out = tmp_path / "out"
+        assert cli.main(["audit", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config {path}: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_unknown_keys_rejected(self, tmp_path):
         path = hamel_config(tmp_path, typo={"oops": 1})
         assert cli.main(["audit", "--config", path, "--out", str(tmp_path)]) == 2

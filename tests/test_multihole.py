@@ -125,6 +125,16 @@ class TestAuditTwoHoles:
         assert sorted(calls) == ["scalar_h1_gram", "scalar_h1_gram", "scalar_mass",
                                  "scalar_stiffness"]
 
+    def test_audit_derives_patterns_once(self, two_hole_domain, two_hole_mesh,
+                                         pattern_derivations):
+        import copy
+        mesh = copy.copy(two_hole_mesh)
+        mesh.triangles = two_hole_mesh.triangles.copy()     # nothing derived yet
+        data = asm.ProblemData(nu=1.0, beta=(1.0, 1.0, 1.0), a_star=(0.0, 0.5, -0.6),
+                               b_tau=(0.0, 0.0, 0.0), f=None)
+        assert an.audit(two_hole_domain, data, mesh=mesh).theorem_small_flux["evaluable"]
+        assert sorted(pattern_derivations) == ["_slip_plan", "_sparsity"]
+
     def test_friction_margin_uses_all_components(self, two_hole_domain):
         # smallest hole has kappa = 2, outer has kappa = -1/3
         data = asm.ProblemData(nu=1.0, beta=(1.0, 0.0, 0.0),
