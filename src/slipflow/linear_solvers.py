@@ -258,66 +258,71 @@ class SaddleLayout:
     """The constrained Stokes blocks with their extra rows: the one owner of
     the multiplier order.
 
-    The bordered system in x = [z; mu] = [u_f; p; mu_v; mu_p | mu_mean; mu_d]
+    The bordered system in x = [z; mu] = [u_f; p; mu_v | mu_mean; mu_d]
     reads
 
-        [A_ff  B_f^T  V^T  .    | .     D^T]        [F_f          ]
-        [B_f   .      .    P^T  | mean  .  ]        [G_f          ]
-        [V     .      .    .    | .     .  ]  x  =  [v_vals - v_off]
-        [.     P      .    .    | .     .  ]        [0            ]
-        [.     mean^T .    .    | .     .  ]        [0            ]
-        [D     .      .    .    | .     .  ]        [-d_off       ]
+        [A_ff  B_f^T  V^T  | .     D^T]        [F_f          ]
+        [B_f   .      .    | mean  .  ]        [G_f          ]
+        [V     .      .    | .     .  ]  x  =  [v_vals - v_off]
+        [.     mean^T .    | .     .  ]        [0            ]
+        [D     .      .    | .     .  ]        [-d_off       ]
 
-    V holds the velocity rows with local support (circulation pins, mirror
-    pairings) and P the pressure rows (mirror pairings); both stay in the
-    sparse core left of the bar, a fixed 4x4 block grid.  D holds the
-    globally supported velocity rows with zero targets (rigid-mode
-    orthogonality); they are eliminated as borders together with the dense
-    pressure-mean row, since inside the core they would cause catastrophic
-    fill.  Velocity rows are given in Cartesian form and reduced once by
-    the slip rotation into a free part and the offset of the prescribed
-    normal values.
+    V holds the velocity rows with local support (circulation pins); they
+    stay in the sparse core left of the bar, a fixed 3x3 block grid.  D
+    holds the globally supported velocity rows with zero targets
+    (rigid-mode orthogonality); they are eliminated as borders together
+    with the dense pressure-mean row, since inside the core they would
+    cause catastrophic fill.  Velocity rows are given in Cartesian form and
+    reduced once by the slip rotation into a free part and the offset of
+    the prescribed normal values.  Given sparse bases Z_v (free velocities)
+    and Z_p (pressures) of a subspace, u_f and p are coefficients in them,
+    cs holds its blocks restricted to them (Z_v^T A_ff Z_v, Z_p^T B_f Z_v,
+    ...), and the free parts of the rows are taken times Z_v.
     """
 
-    def __init__(self, cs, velocity_rows, velocity_vals, pressure_rows=None, dense_rows=()):
+    def __init__(self, cs, velocity_rows, velocity_vals, dense_rows=(), Z_v=None, Z_p=None):
         con = cs.constraint
         self.con, self.B_f, self.G_f, self.mean = con, cs.B_f, cs.G_f, cs.mean
+        self.Z_v, self.Z_p = Z_v, Z_p
         self.npres, self.nf = cs.B_f.shape
         VQ = (sp.csr_matrix(velocity_rows) @ con.Q.T).tocsc()
-        self.V = VQ[:, con.free].tocsr()
+        V = VQ[:, con.free]
+        self.V = (V if Z_v is None else V @ Z_v).tocsr()
         self.v_rhs = np.asarray(velocity_vals, float) - VQ[:, con.fixed] @ con.fixed_values
-        self.P = sp.csr_matrix((0, self.npres) if pressure_rows is None else pressure_rows)
         DQ = np.asarray(dense_rows, float).reshape(-1, con.Q.shape[0]) @ con.Q.T
-        self.D = DQ[:, con.free]
+        self.D = DQ[:, con.free] if Z_v is None else DQ[:, con.free] @ Z_v
         self.d_rhs = np.zeros(len(DQ)) - DQ[:, con.fixed] @ con.fixed_values  # zero targets
         self.n_flow = self.nf + self.npres
-        self.n_core = self.n_flow + self.V.shape[0] + self.P.shape[0]
-        # where x splits into u_f, p, mu_v, mu_p, mu_mean, mu_d
-        self._cuts = [self.nf, self.n_flow, self.n_flow + self.V.shape[0], self.n_core,
-                      self.n_core + 1]
+        self.n_core = self.n_flow + self.V.shape[0]
+        # where x splits into u_f, p, mu_v, mu_mean, mu_d
+        self._cuts = [self.nf, self.n_flow, self.n_core, self.n_core + 1]
+        # the velocity block's pattern: the slip plan's free/free one, or
+        # the structure of Z_v^T A_ff Z_v on it
+        a = self._a_block = con.plan.free_free
+        if Z_v is not None:
+            ones = abs(Z_v).T @ a.matrix(np.ones(a.nnz)) @ abs(Z_v)
+            ones.sort_indices()
+            a = self._a_block = assembly.Pattern(
+                ones.indptr.astype(np.int32), ones.indices.astype(np.int32), ones.shape)
         # the core's pattern, once: each entry numbered by its source in the
-        # data of A_ff (on the slip plan's free/free pattern), then of B_f, V and P
-        free_free = con.plan.free_free
-        blocks = [sp.csr_matrix(M, copy=True) for M in (self.B_f, self.V, self.P)]
+        # data of A_ff (on the velocity block's pattern), then of B_f and V
+        blocks = [sp.csr_matrix(M, copy=True) for M in (self.B_f, self.V)]
         for M in blocks:
             M.sum_duplicates()
         self._fixed_data = np.concatenate([M.data for M in blocks])
-        start = free_free.nnz + np.cumsum([0] + [M.nnz for M in blocks])
-        B_f, V, P = (sp.csr_matrix((np.arange(s, s + M.nnz) + 1.0, M.indices, M.indptr), M.shape)
-                     for s, M in zip(start, blocks))
-        core = sp.bmat([[free_free.matrix(np.arange(free_free.nnz) + 1.0), B_f.T, V.T, None],
-                        [B_f, None, None, P.T],
-                        [V, None, None, None],
-                        [None, P, None, None]], format="csc")
+        start = a.nnz + np.cumsum([0] + [M.nnz for M in blocks])
+        B_f, V = (sp.csr_matrix((np.arange(s, s + M.nnz) + 1.0, M.indices, M.indptr), M.shape)
+                  for s, M in zip(start, blocks))
+        core = sp.bmat([[a.matrix(np.arange(a.nnz) + 1.0), B_f.T, V.T],
+                        [B_f, None, None], [V, None, None]], format="csc")
         core.indices.flags.writeable = core.indptr.flags.writeable = False  # shared by every core
         self._core_pattern = core.indices, core.indptr, core.shape
         self._source = (core.data - 1).astype(np.int32)
 
     def core(self, A_ff):
         """Sparse core of the system with velocity block A_ff, gathered onto
-        the core's pattern (A_ff is taken on the free/free pattern of the
-        slip plan)."""
-        data = np.concatenate([self.con.plan.free_free.data_of(A_ff), self._fixed_data])
+        the core's pattern."""
+        data = np.concatenate([self._a_block.data_of(A_ff), self._fixed_data])
         indices, indptr, shape = self._core_pattern
         return sp.csc_matrix((data[self._source], indices, indptr), shape=shape)
 
@@ -330,23 +335,26 @@ class SaddleLayout:
 
     def rhs(self, F_f):
         """Right-hand side [b; d] for the momentum load F_f."""
-        b = np.concatenate([F_f, self.G_f, self.v_rhs, np.zeros(self.P.shape[0])])
+        b = np.concatenate([F_f, self.G_f, self.v_rhs])
         return b, np.concatenate([np.zeros(1), self.d_rhs])
 
     def product(self, A_ff, x):
         """The bordered system with velocity block A_ff applied to x."""
-        u, p, mv, mp, mm, md = np.split(x, self._cuts)
+        u, p, mv, mm, md = np.split(x, self._cuts)
         return np.concatenate([
             A_ff @ u + self.B_f.T @ p + self.V.T @ mv + self.D.T @ md,
-            self.B_f @ u + self.P.T @ mp + self.mean * mm,
-            self.V @ u, self.P @ p, [self.mean @ p], self.D @ u])
+            self.B_f @ u + self.mean * mm,
+            self.V @ u, [self.mean @ p], self.D @ u])
 
     def split(self, x):
         """x -> (Cartesian velocity, saddle pressure)."""
-        return self.con.expand(x[:self.nf]), x[self.nf:self.n_flow]
+        u, p = x[:self.nf], x[self.nf:self.n_flow]
+        if self.Z_v is not None:
+            u, p = self.Z_v @ u, self.Z_p @ p
+        return self.con.expand(u), p
 
     def unpinned(self, x):
-        """x with the multipliers of V, P and D zeroed (the pressure mean's kept)."""
+        """x with the multipliers of V and D zeroed (the pressure mean's kept)."""
         out = np.zeros_like(x)
         out[:self.n_flow] = x[:self.n_flow]
         out[self.n_core] = x[self.n_core]

@@ -24,14 +24,16 @@ factorization is alive.  Residuals need only the convection vector
 N(w), which is computed without assembling C(w).
 
 The constraint rows live in one SaddleLayout per workspace: circulation
-pins and mirror pairings of the velocity as one sparse Cartesian block,
-mirror pairings of the pressure as another, both inside the sparse
-core; the rigid-rotation row (zero friction on a circularly symmetric
-domain) as a dense border next to the pressure mean.  The iteration
-carries the solution x of the bordered system; the layout splits it
-into velocity and pressure, and its block product gives both the GMRES
-operator and the nonlinear residual.  The Stokes problem is the
-workspace's base solve alone (solve_stokes).
+pins as a sparse Cartesian block inside the sparse core; the
+rigid-rotation row (zero friction on a circularly symmetric domain) as a
+dense border next to the pressure mean.  The mirror-symmetric subspace
+is no row at all: its unknowns are the coefficients in sparse bases of
+the symmetric free velocities and pressures, and the workspace restricts
+the slip-reduced blocks to them once.  The iteration carries the solution
+x of the bordered system; the layout splits it into velocity and
+pressure, and its block product gives both the GMRES operator and the
+nonlinear residual.  The Stokes problem is the workspace's base solve
+alone (solve_stokes).
 """
 
 from dataclasses import asdict, dataclass, field, replace
@@ -126,9 +128,11 @@ class IterationTrace:
 class _Workspace:
     """Assembled base operators, the slip constraint and the extra saddle rows.
 
-    `rows` is the SaddleLayout of the problem: the circulation pins and
-    mirror rows the config asks for and, on a zero-friction circularly
-    symmetric domain, the rigid-rotation row.  The workspace holds one
+    `rows` is the SaddleLayout of the problem: the circulation pins the
+    config asks for and, on a zero-friction circularly symmetric domain,
+    the rigid-rotation row.  On the mirror-symmetric subspace Z_v and Z_p
+    are its bases (None otherwise), and every constrained system and
+    reduced load is restricted to them.  The workspace holds one
     factored bordered saddle system at a time, first that of A_base
     (built by the Stokes lift).  A system of the held operator is a
     back-solve; any other operator is solved by one GMRES cycle
@@ -153,9 +157,8 @@ class _Workspace:
                                                 data.a_star)
         self.con = self.base.constraint
 
-        velocity = [sp.csr_matrix((0, 2 * mesh.n_p2_nodes))]
-        pressure = None
-        dense = []
+        velocity, targets, dense = [], [], []   # pin rows and targets, rigid-mode rows
+        self.Z_v = self.Z_p = None
         self.meta = {}
         pins = dict(config.pins or {})
         if not np.all(np.isfinite(list(pins.values()))):
@@ -169,15 +172,14 @@ class _Workspace:
                     f"data is not symmetric about the x1-axis (relative defect {defect:.3e})")
             # mirror symmetry already forces zero circulation around every hole,
             # so zero pins are redundant and nonzero pins are contradictory
-            for comp, target in list(pins.items()):
-                if abs(target) > 1e-12:
-                    raise DataError(
-                        f"circulation pin {target:g} on component {comp} is "
-                        "incompatible with mirror symmetry (symmetric fields have "
-                        "zero circulation)")
-                del pins[comp]
-            velocity.append(_mirror_pair_rows(mesh))
-            pressure = _mirror_pressure_rows(mesh)
+            if any(abs(target) > 1e-12 for target in pins.values()):
+                raise DataError(f"circulation pins {pins} are incompatible with mirror "
+                                "symmetry (symmetric fields have zero circulation)")
+            pins = {}
+            Z_v, Z_p = self.Z_v, self.Z_p = _mirror_bases(mesh, self.con)
+            b = self.base
+            self.base = replace(b, A_ff=Z_v.T @ b.A_ff @ Z_v, B_f=Z_p.T @ b.B_f @ Z_v,
+                                F_f=Z_v.T @ b.F_f, G_f=Z_p.T @ b.G_f, mean=Z_p.T @ b.mean)
         elif (center := data.free_rotation_center(domain)) is not None:
             mode = rigid_rotation_mode(mesh, center)
             compat = float(self.F @ mode.coefficients)
@@ -190,23 +192,30 @@ class _Workspace:
             dense.append(mass @ mode.coefficients)
             self.meta["rigid_constraint"] = True
             self.meta["symmetric_compatibility_residual"] = compat
-        targets = [0.0] * sum(block.shape[0] for block in velocity)
         for comp, target in sorted(pins.items()):
             if comp < 1 or comp > domain.n_holes:
                 raise DataError(f"circulation pin on invalid hole component {comp}")
-            velocity.append(sp.csr_matrix(
-                assembly.circulation_functional(mesh, comp)))
+            velocity.append(assembly.circulation_functional(mesh, comp))
             targets.append(float(target))
-        self.rows = SaddleLayout(self.base, sp.vstack(velocity), targets, pressure, dense)
+        self.rows = SaddleLayout(self.base, np.reshape(velocity, (-1, 2 * mesh.n_p2_nodes)),
+                                 targets, dense, self.Z_v, self.Z_p)
         self._held = None       # (operator, its factored saddle system)
         self.factorizations = 0
 
     def constrained_system(self, A):
+        """The base system with operator A: slip-reduced, then restricted to Z_v."""
         if A is self.A_base:
             return self.base
         A_ff, A_fc = self.con.reduce_matrix(A)
-        return replace(self.base, A_ff=A_ff,
-                       F_f=self.con.reduce_vector(self.F) - A_fc @ self.con.fixed_values)
+        F_f = self.con.reduce_vector(self.F) - A_fc @ self.con.fixed_values
+        if self.Z_v is not None:
+            A_ff, F_f = self.Z_v.T @ A_ff @ self.Z_v, self.Z_v.T @ F_f
+        return replace(self.base, A_ff=A_ff, F_f=F_f)
+
+    def reduce_vector(self, F):
+        """A Cartesian velocity load slip-reduced, then restricted to Z_v."""
+        F_f = self.con.reduce_vector(F)
+        return F_f if self.Z_v is None else self.Z_v.T @ F_f
 
     def solve_linear(self, A, extra_rhs=None, guess=None):
         """Constrained saddle solve with operator A; returns (x, LinearStep).
@@ -216,7 +225,7 @@ class _Workspace:
         """
         cs = self.constrained_system(A)
         F_f = cs.F_f if extra_rhs is None else \
-            cs.F_f + self.con.reduce_vector(extra_rhs)
+            cs.F_f + self.reduce_vector(extra_rhs)
         method, iterations = "direct", 0
         if self._held is not None and self._held[0] is not A:
             x, relres, iterations = solve_saddle_krylov(
@@ -248,7 +257,7 @@ class _Workspace:
     def residual(self, x, lam, conv_vec):
         """Residual vector of the bordered system of A_base at x, with the
         convection load lam * N(u) on the right-hand side."""
-        b, d = self.rows.rhs(self.base.F_f - lam * self.con.reduce_vector(conv_vec))
+        b, d = self.rows.rhs(self.base.F_f - lam * self.reduce_vector(conv_vec))
         return np.concatenate([b, d]) - self.rows.product(self.base.A_ff, x)
 
 
@@ -262,56 +271,39 @@ def _mirror_lookup(mesh, tol_rel=1e-9):
     dist, idx = tree.query(coords * np.array([1.0, -1.0]), k=1)
     if dist.max() > tol:
         raise MeshError("mesh is not mirror-symmetric about the x1-axis")
-    return coords, idx, tol
+    return idx
 
 
-def _mirror_pair_rows(mesh, tol_rel=1e-9):
-    """Sparse Cartesian velocity rows pairing mirror nodes about the x1-axis.
+def _mirror_bases(mesh, con):
+    """Sparse bases (Z_v, Z_p) of the mirror-symmetric free velocities and pressures.
 
-    Node m on or above the axis with mirror s gives, in node order: on
-    the boundary the row tau_m . u_m + tau_s . u_s (tau_m . u_m on the
-    axis); inside the rows u1_s - u1_m and u2_s + u2_m (u2_m on the axis).
+    A field symmetric about the x1-axis is even in u1, u_n and p and odd in
+    u2 and u_tau: each rotated dof 2*node + a is (1, -1)[a] times that of
+    the mirror node, and each vertex pressure that of the mirror vertex.
     """
-    coords, s, tol = _mirror_lookup(mesh, tol_rel)
-    m = np.arange(len(coords))
-    on_axis = np.abs(coords[:, 1]) <= tol
-    keep = ~(coords[:, 1] < -tol) & (on_axis | (s != m))
-    bnd = mesh.node_is_boundary
-    count = np.where(keep, np.where(bnd | on_axis, 1, 2), 0)
-    first = np.cumsum(count) - count
-    tau = mesh.node_tangent
-    entries = []        # (row, column, value) arrays
-
-    def add(sel, row_shift, col, val):
-        entries.append((first[sel] + row_shift, col[sel],
-                        np.broadcast_to(val, m.shape)[sel]))
-
-    b, b_pair = keep & bnd, keep & bnd & ~on_axis
-    add(b, 0, 2 * m, tau[:, 0])
-    add(b, 0, 2 * m + 1, tau[:, 1])
-    add(b_pair, 0, 2 * s, tau[s, 0])
-    add(b_pair, 0, 2 * s + 1, tau[s, 1])
-    add(keep & ~bnd & on_axis, 0, 2 * m + 1, 1.0)
-    i_pair = keep & ~bnd & ~on_axis
-    add(i_pair, 0, 2 * s, 1.0)
-    add(i_pair, 0, 2 * m, -1.0)
-    add(i_pair, 1, 2 * s + 1, 1.0)
-    add(i_pair, 1, 2 * m + 1, 1.0)
-    rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
-    return sp.csr_matrix((vals, (rows, cols)), shape=(int(count.sum()), 2 * len(coords)))
-
-
-def _mirror_pressure_rows(mesh, tol_rel=1e-9):
-    """Sparse evenness rows p_s - p_m pairing mirror vertices above the axis."""
-    coords, mirror, tol = _mirror_lookup(mesh, tol_rel)
+    mirror = _mirror_lookup(mesh)
     nv = mesh.n_vertices
-    s = mirror[:nv]
-    if np.any(s >= nv):
+    if np.any(mirror[:nv] >= nv):
         raise MeshError("vertex mirrors onto a midside node")
-    m = np.nonzero((coords[:nv, 1] > tol) & (s != np.arange(nv)))[0]
-    k = np.arange(len(m))
-    return sp.csr_matrix((np.repeat([1.0, -1.0], len(m)), (np.tile(k, 2),
-                          np.concatenate([s[m], m]))), shape=(len(m), nv))
+    free_of = np.zeros(2 * len(mirror), np.int64)
+    free_of[con.free] = np.arange(len(con.free))
+    partner = free_of[assembly.velocity_dofs(mirror[:, None]).ravel()[con.free]]
+    sign = np.tile([1.0, -1.0], len(mirror))[con.free]
+    return _pairing_basis(partner, sign), _pairing_basis(mirror[:nv], np.ones(nv))
+
+
+def _pairing_basis(partner, sign):
+    """Sparse basis of {x : x[partner] = sign * x} for an involution `partner`:
+    a column e_i + sign[i] e_partner[i] per pair i < partner[i], and e_i per
+    unknown that is its own partner with sign[i] > 0 (the others are zero)."""
+    i = np.arange(len(partner))
+    lead = np.nonzero((i < partner) | ((i == partner) & (sign > 0)))[0]
+    paired = partner[lead] != lead
+    cols = np.arange(len(lead))
+    return sp.csr_matrix((np.concatenate([np.ones(len(lead)), sign[lead[paired]]]),
+                          (np.concatenate([lead, partner[lead[paired]]]),
+                           np.concatenate([cols, cols[paired]]))),
+                         shape=(len(partner), len(lead)))
 
 
 def symmetric_data_defect(domain, data):
@@ -353,7 +345,7 @@ def _stokes_lift(ws):
     returns (x, the residual scale, LinearStep)."""
     x, step = ws.solve_linear(ws.A_base)
     # the reduced load and the inhomogeneous boundary terms set the scale
-    scale = np.max([np.linalg.norm(ws.con.reduce_vector(ws.F)), np.linalg.norm(ws.base.G_f),
+    scale = np.max([np.linalg.norm(ws.reduce_vector(ws.F)), np.linalg.norm(ws.base.G_f),
                     np.linalg.norm(ws.base.F_f), 1e-30])
     return x, scale, step
 
@@ -478,11 +470,9 @@ def _solve_at_lambda(ws, config, lam, x, conv, trace, scale):
 
 
 def _symmetry_defect(mesh, u):
-    coords, mirror, _ = _mirror_lookup(mesh)
+    mirror = _mirror_lookup(mesh)
     vals = u.reshape(-1, 2)
-    paired = vals[mirror]
-    worst = max(float(np.max(np.abs(vals[:, 0] - paired[:, 0]))),
-                float(np.max(np.abs(vals[:, 1] + paired[:, 1]))))
+    worst = np.max(np.abs(vals - vals[mirror] * [1.0, -1.0]))
     return float(worst / max(np.max(np.abs(vals)), 1e-30))
 
 

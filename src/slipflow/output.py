@@ -48,22 +48,21 @@ def write_vtk(flow, path, provenance_line=""):
     mass_lu = scalar_mass_factor(mesh)
     omega = vorticity(flow, mass_lu)
     phi = total_head(flow, mass_lu)
-    zero = np.zeros((len(pts), 1))
-    xyz = " ".join([FLOAT_FMT] * 3)
+    xyz = f"{FLOAT_FMT} {FLOAT_FMT} " + FLOAT_FMT % 0.0     # planar: z is written as text
 
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write(f"slipflow {provenance_line}\n")
         fh.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {len(pts)} double\n")
-        _write_rows(fh, np.hstack([pts, zero]), xyz)
+        _write_rows(fh, pts, xyz)
         fh.write(f"CELLS {len(cells)} {4 * len(cells)}\n")
         _write_rows(fh, cells, "3 %d %d %d")
         fh.write(f"CELL_TYPES {len(cells)}\n")
         fh.write("5\n" * len(cells))
         fh.write(f"POINT_DATA {len(pts)}\n")
         fh.write("VECTORS velocity double\n")
-        _write_rows(fh, np.hstack([u, zero]), xyz)
+        _write_rows(fh, u, xyz)
         for name, vals in (("pressure", p_all), ("vorticity", omega), ("total_head", phi)):
             fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
             _write_rows(fh, vals[:, None], FLOAT_FMT)

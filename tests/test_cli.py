@@ -171,6 +171,29 @@ class TestSubcommands:
         u_n = [float(r[2]) for r in rows if r[0] == "0"]
         assert np.allclose(u_n, -1.5, atol=5e-3)
 
+    def test_solve_ns_symmetric_subspace_matches_full_space(self, tmp_path):
+        # the shipped 12 x 32 symmetric config solved on the mirror subspace
+        # and in the full space: the same iterations, one factorization each,
+        # a symmetric velocity and the same one
+        cfg = json.load(open(os.path.join(CONFIG_DIR, "symmetric_domain.json")))
+        velocity, defects = {}, []
+        for symmetric in (True, False):
+            cfg["solver"]["symmetric_subspace"] = symmetric
+            path = tmp_path / f"config_{symmetric}.json"
+            path.write_text(json.dumps(cfg))
+            out = tmp_path / f"out_{symmetric}"
+            argv = ["--deterministic", "solve", "ns", "--config", str(path), "--out", str(out)]
+            assert cli.main(argv) == 0
+            meta = json.load(open(out / "solution.json"))["metadata"]
+            assert (meta["iterations"], meta["factorizations"]) == (9, 1)
+            defects.append(meta.get("symmetry_defect"))
+            vtk = open(out / "solution.vtk").read().splitlines()
+            start = vtk.index("VECTORS velocity double") + 1
+            velocity[symmetric] = np.loadtxt(vtk[start:start + int(vtk[4].split()[1])])
+        assert defects[0] <= 1e-10 and defects[1] is None
+        gap = np.linalg.norm(velocity[True] - velocity[False])
+        assert gap <= 1e-10 * np.linalg.norm(velocity[False])
+
     def test_incompatible_flux_exit_code(self, tmp_path):
         path = hamel_config(tmp_path,
                             boundary={"a_star": [1.0, 1.0], "b_tau": [0.0, 0.0]})
