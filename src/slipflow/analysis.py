@@ -15,6 +15,7 @@ import numpy as np
 
 from . import assembly, extensions, geometry, norms
 from .assembly import component_fluxes
+from .concurrency import beside
 from .errors import MultivaluedStreamError
 from .linear_solvers import (FlowState, interior_h1_factor, korn_constant, scalar_mass_factor,
                              sobolev_constant, zero_mean_neumann_solve)
@@ -246,6 +247,25 @@ def korn_weight(data):
     return [lambda t, x, b=b: 2.0 * np.asarray(b(t, x), float) / data.nu for b in data.beta]
 
 
+def derive_geometry(mesh):
+    """Derive the element geometry, patterns and boundary rule kept on the mesh.
+
+    Called before a worker is forked, so that neither the caller nor the
+    worker derives them again.
+    """
+    assembly.volume_context(mesh)       # with the sparsity and the slip plan
+    assembly.boundary_quadrature(mesh)
+
+
+def _harmonic_and_sobolev(mesh, hole_fluxes, q):
+    """(L^q norm of the harmonic part of the fluxes, Sobolev constant C_r), r = 2q/(q-2)."""
+    h = extensions.harmonic_part(extensions.harmonic_basis(mesh), hole_fluxes)
+    hnorm = norms.lq_norm(mesh, h, q=q, vector=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return hnorm, sobolev_constant(mesh, r=2 * q / (q - 2)).C_r
+
+
 def audit(domain, data, mesh=None, q=4.0):
     """Evaluate every applicability condition and return the report.
 
@@ -301,21 +321,20 @@ def audit(domain, data, mesh=None, q=4.0):
         notes.append("small-flux audit not evaluable: zero friction on a circularly "
                      "symmetric domain (no Korn bound; hypothesis excludes this case)")
     else:
-        # the basis is dropped before the Korn pencil is factored
-        h = extensions.harmonic_part(extensions.harmonic_basis(mesh), fluxes[1:])
-        hnorm = norms.lq_norm(mesh, h, q=q, vector=True)
-        korn = korn_constant(mesh, korn_weight(data))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            sob = sobolev_constant(mesh, r=2 * q / (q - 2))
-        lhs = float(np.sqrt(2.0) * sob.C_r * hnorm)
+        derive_geometry(mesh)
+        # a worker evaluates the harmonic part and the Sobolev ascent while
+        # the caller solves the Korn pencil, the larger share of the work
+        with beside(lambda: _harmonic_and_sobolev(mesh, fluxes[1:], q)) as worker:
+            korn = korn_constant(mesh, korn_weight(data))
+            hnorm, C_r = worker.result()
+        lhs = float(np.sqrt(2.0) * C_r * hnorm)
         rhs = float(0.5 * data.nu / korn.K)
         t4.update({
             "evaluable": True,
             "harmonic_part_lq_norm": hnorm,
             "korn_constant": korn.K,
             "korn_lambda_min": korn.lambda_min,
-            "sobolev_constant": sob.C_r,
+            "sobolev_constant": C_r,
             "lhs": lhs,
             "rhs": rhs,
             "rigor": "non-rigorous: both constants are one-sided discrete estimates "

@@ -13,6 +13,7 @@ import jsonschema
 from . import analysis, assembly, expressions, geometry
 from . import linear_solvers as ls
 from . import meshing, navier_stokes as nvs, output, validation
+from .concurrency import beside
 from .errors import ConfigurationError, NonConvergenceError, SlipflowError, SolverError
 
 @functools.cache
@@ -242,9 +243,11 @@ def cmd_diagnose(args, cfg):
 def cmd_korn(args, cfg):
     domain, data, mesh = _problem(cfg)
     q = _audit_exponent(cfg)
-    est = ls.korn_constant(mesh, analysis.korn_weight(data),
-                           project_rotation=data.free_rotation_center(domain) is not None)
-    sob = ls.sobolev_constant(mesh, r=2 * q / (q - 2))
+    analysis.derive_geometry(mesh)
+    with beside(lambda: ls.sobolev_constant(mesh, r=2 * q / (q - 2))) as sobolev:
+        est = ls.korn_constant(mesh, analysis.korn_weight(data),
+                               project_rotation=data.free_rotation_center(domain) is not None)
+        sob = sobolev.result()
     payload = {
         "korn": {"K": est.K, "lambda_min": est.lambda_min,
                  "rotation_projected": est.rotation_projected, "rigor": est.rigor},

@@ -356,8 +356,9 @@ def _smooth(points, simplices, n_fixed):
     """One Laplacian smoothing round: points past the first n_fixed move to
     the mean of their edge neighbours (counted once per triangle)."""
     pairs = _tri_edge_pairs(simplices)
-    neighbor_sum = np.zeros_like(points)
-    np.add.at(neighbor_sum, pairs[:, 0], points[pairs[:, 1]])
+    # bincount adds in pair order from zero, as np.add.at would, in one pass
+    neighbor_sum = np.column_stack([np.bincount(pairs[:, 0], points[pairs[:, 1], a],
+                                                minlength=len(points)) for a in (0, 1)])
     neighbor_cnt = np.bincount(pairs[:, 0], minlength=len(points))
     ok = (np.arange(len(points)) >= n_fixed) & (neighbor_cnt > 0)
     points = points.copy()

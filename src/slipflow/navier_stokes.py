@@ -2,7 +2,8 @@
 
 The nonlinear problem is attacked as a fixed point of the viscous slip
 operator: damped Picard steps (all convection explicit, each step being
-one Stokes-type solve) optionally followed by Newton.  One driver, the
+one Stokes-type solve) optionally followed by Newton, which takes over
+early when a Picard step does not lower the residual.  One driver, the
 generator _continuation, walks a continuation parameter lambda that
 scales the convection from 0 (the Stokes lift, solved once) to 1.  It
 carries N(u) and the residual of its iterate from one lambda to the
@@ -131,8 +132,9 @@ class _Workspace:
     `rows` is the SaddleLayout of the problem: the circulation pins the
     config asks for and, on a zero-friction circularly symmetric domain,
     the rigid-rotation row.  On the mirror-symmetric subspace Z_v and Z_p
-    are its bases (None otherwise), and every constrained system and
-    reduced load is restricted to them.  The workspace holds one
+    are its bases and `mirror` the node pairing they are built from (all
+    None otherwise), and every constrained system and reduced load is
+    restricted to them.  The workspace holds one
     factored bordered saddle system at a time, first that of A_base
     (built by the Stokes lift).  A system of the held operator is a
     back-solve; any other operator is solved by one GMRES cycle
@@ -158,7 +160,7 @@ class _Workspace:
         self.con = self.base.constraint
 
         velocity, targets, dense = [], [], []   # pin rows and targets, rigid-mode rows
-        self.Z_v = self.Z_p = None
+        self.Z_v = self.Z_p = self.mirror = None
         self.meta = {}
         pins = dict(config.pins or {})
         if not np.all(np.isfinite(list(pins.values()))):
@@ -176,7 +178,8 @@ class _Workspace:
                 raise DataError(f"circulation pins {pins} are incompatible with mirror "
                                 "symmetry (symmetric fields have zero circulation)")
             pins = {}
-            Z_v, Z_p = self.Z_v, self.Z_p = _mirror_bases(mesh, self.con)
+            self.mirror = _mirror_lookup(mesh)
+            Z_v, Z_p = self.Z_v, self.Z_p = _mirror_bases(mesh, self.con, self.mirror)
             b = self.base
             self.base = replace(b, A_ff=Z_v.T @ b.A_ff @ Z_v, B_f=Z_p.T @ b.B_f @ Z_v,
                                 F_f=Z_v.T @ b.F_f, G_f=Z_p.T @ b.G_f, mean=Z_p.T @ b.mean)
@@ -274,14 +277,14 @@ def _mirror_lookup(mesh, tol_rel=1e-9):
     return idx
 
 
-def _mirror_bases(mesh, con):
-    """Sparse bases (Z_v, Z_p) of the mirror-symmetric free velocities and pressures.
+def _mirror_bases(mesh, con, mirror):
+    """Sparse bases (Z_v, Z_p) of the mirror-symmetric free velocities and pressures;
+    mirror is the _mirror_lookup of the mesh.
 
     A field symmetric about the x1-axis is even in u1, u_n and p and odd in
     u2 and u_tau: each rotated dof 2*node + a is (1, -1)[a] times that of
     the mirror node, and each vertex pressure that of the mirror vertex.
     """
-    mirror = _mirror_lookup(mesh)
     nv = mesh.n_vertices
     if np.any(mirror[:nv] >= nv):
         raise MeshError("vertex mirrors onto a midside node")
@@ -404,7 +407,7 @@ def _continuation(ws, config):
                 comp: float(assembly.circulation_functional(mesh, comp) @ u)
                 for comp in config.pins}
         if config.symmetric_subspace:
-            meta["symmetry_defect"] = _symmetry_defect(mesh, u)
+            meta["symmetry_defect"] = _symmetry_defect(ws.mirror, u)
         w = u - lift
         yield (FlowState(mesh=mesh, nu=ws.data.nu, velocity=u,
                          pressure=ws.physical_pressure(p), metadata=meta),
@@ -456,12 +459,16 @@ def _solve_at_lambda(ws, config, lam, x, conv, trace, scale):
         x, u, conv = x_try, u_try, conv_try
         energy = 0.5 * float(u @ (ws.A_base @ u))
         trace.record(res_try, energy, alpha, f"{phase}@{lam:g}", step)
-        growth_streak = growth_streak + 1 if res_try > res_prev else 0
+        grew = res_try > res_prev
+        res_prev = res_try
+        damping = min(1.0, alpha * 1.5)
+        if grew and phase == "picard" and config.mode == "picard-then-newton":
+            # Picard has stalled: hand over to Newton at the configured damping
+            picard_budget, damping, grew = it + 1, config.damping, False
+        growth_streak = growth_streak + 1 if grew else 0
         if growth_streak >= 5:
             raise NonConvergenceError(
                 f"residual grew for 5 consecutive steps at lambda={lam:g}", trace)
-        res_prev = res_try
-        damping = min(1.0, alpha * 1.5)
     if not res_prev <= config.tolerance:
         raise NonConvergenceError(
             f"no convergence within {config.max_iterations} iterations at "
@@ -469,8 +476,8 @@ def _solve_at_lambda(ws, config, lam, x, conv, trace, scale):
     return x, conv, res_prev
 
 
-def _symmetry_defect(mesh, u):
-    mirror = _mirror_lookup(mesh)
+def _symmetry_defect(mirror, u):
+    """Largest mirror defect of the velocity u relative to its size."""
     vals = u.reshape(-1, 2)
     worst = np.max(np.abs(vals - vals[mirror] * [1.0, -1.0]))
     return float(worst / max(np.max(np.abs(vals)), 1e-30))

@@ -772,8 +772,9 @@ class TestVolumeContext:
         assert len(calls) == 1
 
     def test_audit_derives_geometry_twice(self, monkeypatch):
-        from slipflow import analysis, validation as val
+        from slipflow import analysis, concurrency, validation as val
         from slipflow.quadrature import triangle_rule
+        monkeypatch.setattr(concurrency, "usable_cpus", lambda: 1)     # one process
         mesh = sf.mesh_annulus(1.0, 2.0, 4, 16)
         calls = self._count_geometry(monkeypatch)
         report = analysis.audit(mesh.domain, val.hamel(0.0).data, mesh=mesh)
@@ -781,6 +782,18 @@ class TestVolumeContext:
         # once at the assembly rule, once at the error-norm rule (not kept)
         assert calls == [len(triangle_rule(asm.VOLUME_DEGREE)[0]),
                          len(triangle_rule(asm.ERROR_DEGREE)[0])]
+
+    def test_audit_derives_geometry_once_before_the_fork(self, monkeypatch):
+        # the worker reuses the caller's assembly-rule geometry and derives
+        # the error-norm rule of the harmonic part itself
+        from slipflow import analysis, concurrency, validation as val
+        from slipflow.quadrature import triangle_rule
+        monkeypatch.setattr(concurrency, "usable_cpus", lambda: 2)
+        mesh = sf.mesh_annulus(1.0, 2.0, 4, 16)
+        calls = self._count_geometry(monkeypatch)
+        report = analysis.audit(mesh.domain, val.hamel(0.0).data, mesh=mesh)
+        assert report.theorem_small_flux["evaluable"]
+        assert calls == [len(triangle_rule(asm.VOLUME_DEGREE)[0])]
 
     def test_cached_arrays_reject_writes(self):
         import copy

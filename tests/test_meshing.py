@@ -324,6 +324,16 @@ class TestBoundaryTable:
         got = meshing._smooth(points, mesh.triangles, 100)
         assert got.tobytes() == _smoothed(points, mesh.triangles, 100).tobytes()
 
+    @pytest.mark.parametrize("target_h", [0.3, 0.22, 0.15])
+    def test_disk_mesh_unchanged_by_the_smoothing_sum(self, target_h, monkeypatch):
+        # the two-hole meshes of the tests and the benchmark, smoothed by the
+        # bincount sums and by the pair loop (the order np.add.at sums in)
+        got = sf.mesh_disk_with_holes(_two_hole_domain(), target_h)
+        monkeypatch.setattr(meshing, "_smooth", _smoothed)
+        ref = sf.mesh_disk_with_holes(_two_hole_domain(), target_h)
+        _assert_bitwise(got, {name: getattr(ref, name) for name in (
+            "vertices", "triangles", "edges", "edge_nodes", "boundary_edges", "node_param")})
+
     def test_two_refinements_match_child_loop(self):
         mesh = sf.mesh_annulus(1, 2, 4, 16)
         for _ in range(2):

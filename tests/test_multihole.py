@@ -7,6 +7,7 @@ import scipy.sparse.linalg as spla
 import slipflow as sf
 from slipflow import analysis as an
 from slipflow import assembly as asm
+from slipflow import concurrency
 from slipflow import extensions as ext
 from slipflow import linear_solvers as ls
 from slipflow import navier_stokes as nvs
@@ -106,10 +107,11 @@ class TestAuditTwoHoles:
         assert rep.theorem_outflow_convex_hole["applicable"] is False
         assert rep.theorem_outflow_convex_hole["verdict"] is False
 
-    def test_scalar_forms_assembled_once_per_audit(self, two_hole_domain, two_hole_mesh,
-                                                   monkeypatch):
-        # the harmonic basis takes its vector mass and mass factor from one
-        # scalar mass; Korn and Sobolev each build one H1 Gram matrix
+    DATA = asm.ProblemData(nu=1.0, beta=(1.0, 1.0, 1.0), a_star=(0.0, 0.5, -0.6),
+                           b_tau=(0.0, 0.0, 0.0), f=None)
+
+    @staticmethod
+    def _count_scalar_forms(monkeypatch):
         calls = []
         for name in ("scalar_mass", "scalar_stiffness", "scalar_h1_gram"):
             def counted(mesh, original=getattr(asm, name), name=name):
@@ -118,12 +120,37 @@ class TestAuditTwoHoles:
             for module in (asm, ls):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted)
-        data = asm.ProblemData(nu=1.0, beta=(1.0, 1.0, 1.0), a_star=(0.0, 0.5, -0.6),
-                               b_tau=(0.0, 0.0, 0.0), f=None)
-        rep = an.audit(two_hole_domain, data, mesh=two_hole_mesh)
+        return calls
+
+    def test_scalar_forms_assembled_once_per_audit(self, two_hole_domain, two_hole_mesh,
+                                                   monkeypatch):
+        # in one process the harmonic basis takes its vector mass and mass
+        # factor from one scalar mass; Korn and Sobolev each build one H1
+        # Gram matrix
+        monkeypatch.setattr(concurrency, "usable_cpus", lambda: 1)
+        calls = self._count_scalar_forms(monkeypatch)
+        rep = an.audit(two_hole_domain, self.DATA, mesh=two_hole_mesh)
         assert rep.theorem_small_flux["evaluable"]
         assert sorted(calls) == ["scalar_h1_gram", "scalar_h1_gram", "scalar_mass",
                                  "scalar_stiffness"]
+
+    def test_caller_assembles_the_korn_form_alone(self, two_hole_domain, two_hole_mesh,
+                                                  monkeypatch):
+        # the harmonic basis and the Sobolev ascent assemble theirs in the worker
+        monkeypatch.setattr(concurrency, "usable_cpus", lambda: 2)
+        calls = self._count_scalar_forms(monkeypatch)
+        rep = an.audit(two_hole_domain, self.DATA, mesh=two_hole_mesh)
+        assert rep.theorem_small_flux["evaluable"]
+        assert calls == ["scalar_h1_gram"]
+
+    def test_report_bitwise_forked_and_in_process(self, two_hole_domain, two_hole_mesh,
+                                                  monkeypatch):
+        reports = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(concurrency, "usable_cpus", lambda cpus=cpus: cpus)
+            reports.append(an.audit(two_hole_domain, self.DATA, mesh=two_hole_mesh))
+        assert reports[0].theorem_small_flux["evaluable"]
+        assert reports[0].to_json() == reports[1].to_json()
 
     def test_audit_derives_patterns_once(self, two_hole_domain, two_hole_mesh,
                                          pattern_derivations):

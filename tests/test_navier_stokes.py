@@ -217,12 +217,57 @@ class TestOneFactorization:
                                    nvs.SolverConfig(pins={1: 0.0}))
         assert factors["calls"] == flow.metadata["factorizations"] == 1
 
+    def test_one_mirror_pairing_per_symmetric_solve(self, monkeypatch):
+        import os
+        from slipflow import cli
+        cfg = cli.load_config(os.path.join(os.path.dirname(__file__), "..", "configs",
+                                           "symmetric_domain.json"))
+        _, data, mesh = cli._problem(cfg)
+        lookups = []
+
+        def counted(mesh, original=nvs._mirror_lookup):
+            lookups.append(mesh)
+            return original(mesh)
+        monkeypatch.setattr(nvs, "_mirror_lookup", counted)
+        flow, _ = nvs.solve_navier_stokes(mesh, data, cli.build_solver_config(cfg))
+        assert len(lookups) == 1
+        # the defect of the kept pairing is that of a fresh one
+        defect = flow.metadata["symmetry_defect"]
+        assert defect == nvs._symmetry_defect(nvs._mirror_lookup(mesh), flow.velocity)
+        assert defect <= 1e-10
+
     def test_picard_divergence_still_reported(self):
+        # in the default mode Newton takes over from the stalled Picard steps
+        # here (test_stalled_picard_hands_over_to_newton)
         from slipflow.errors import NonConvergenceError
         mesh = sf.mesh_annulus(1.0, 2.0, 10, 20)
         data = replace(val.hamel(1.0).data, nu=0.3)
         with pytest.raises(NonConvergenceError, match="grew for 5 consecutive"):
-            nvs.solve_navier_stokes(mesh, data, nvs.SolverConfig(pins={1: 2 * np.pi}))
+            nvs.solve_navier_stokes(mesh, data,
+                                    nvs.SolverConfig(mode="picard", pins={1: 2 * np.pi}))
+
+    @pytest.mark.parametrize("case", ["benchmark-nu0.5", "hamel-k1-nu0.3"])
+    def test_stalled_picard_hands_over_to_newton(self, case):
+        # no damping lets a Picard step lower the residual, which once ended
+        # the solve after 5 such steps although Newton converges from there
+        if case == "benchmark-nu0.5":      # the benchmark's seed-0 Hamel problem
+            mesh = sf.mesh_annulus(1.0, 2.0, 8, 16)
+            data = asm.ProblemData(nu=0.5, beta=(0.75, 0.0), a_star=(-1.5, 3.0),
+                                   b_tau=(0.0, 0.0), f=None)
+            pins = {1: -2 * np.pi}
+        else:
+            mesh = sf.mesh_annulus(1.0, 2.0, 10, 20)
+            data = replace(val.hamel(1.0).data, nu=0.3)
+            pins = {1: 2 * np.pi}
+        flow, trace = nvs.solve_navier_stokes(mesh, data, nvs.SolverConfig(pins=pins))
+        assert flow.metadata["residual"] <= 1e-10
+        assert trace.phases == ["picard@1"] * 2 + ["newton@1"] * 2
+        assert trace.residuals[1] > trace.residuals[0]
+        assert trace.dampings[2] == 1.0        # Newton starts at the configured damping
+        newton, _ = nvs.solve_navier_stokes(mesh, data,
+                                            nvs.SolverConfig(mode="newton", pins=pins))
+        assert np.linalg.norm(flow.velocity - newton.velocity) \
+            <= 1e-8 * np.linalg.norm(newton.velocity)
 
 
 def _loop_mirror_rows(mesh):
