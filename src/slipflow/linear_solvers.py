@@ -91,11 +91,22 @@ def _splu(matrix):
     A = sp.csc_matrix(matrix)
     perm = reverse_cuthill_mckee(A, symmetric_mode=True)
     try:
-        lu = spla.splu(A[perm][:, perm], permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-3,
+        lu = spla.splu(_permuted(A, perm), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-3,
                        relax=1, panel_size=10, options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SolverError(f"sparse factorization failed: {exc}") from exc
     return _OrderedLU(lu, perm)
+
+
+def _permuted(A, perm):
+    """A[perm][:, perm] of a CSC matrix by one gather of whole columns and a
+    renumbering of their row indices; the arrays, entry order within each
+    column included, are those of the two fancy-indexing passes."""
+    inverse = np.empty_like(perm)
+    inverse[perm] = np.arange(len(perm), dtype=perm.dtype)
+    columns = A[:, perm]
+    return sp.csc_matrix((columns.data, inverse[columns.indices], columns.indptr),
+                         shape=A.shape)
 
 
 def scalar_mass_factor(mesh, mass=None):

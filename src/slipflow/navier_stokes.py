@@ -1,9 +1,12 @@
 """Stationary Stokes and Navier-Stokes slip solvers.
 
 The nonlinear problem is attacked as a fixed point of the viscous slip
-operator: damped Picard steps (all convection explicit, each step being
-one Stokes-type solve) optionally followed by Newton, which takes over
-early when a Picard step does not lower the residual.  One driver, the
+operator: Picard steps (all convection explicit, each step being one
+Stokes-type solve) or Newton steps.  The default mode accelerates the
+Picard map by Anderson mixing of its last ANDERSON_DEPTH images, which
+improves Picard's linear rate for Navier-Stokes (Pollock, Rebholz &
+Xiao, SIAM J. Numer. Anal. 57, 2019); Newton takes over only when an
+accelerated step does not lower the residual.  One driver, the
 generator _continuation, walks a continuation parameter lambda that
 scales the convection from 0 (the Stokes lift, solved once) to 1.  It
 carries N(u) and the residual of its iterate from one lambda to the
@@ -22,7 +25,8 @@ inexact Newton-Krylov method; Knoll & Keyes, J. Comput. Phys. 193,
 meet the linear tolerance, as at low viscosity, is the Newton operator
 factored; that factor replaces the held one, so at most one
 factorization is alive.  Residuals need only the convection vector
-N(w), which is computed without assembling C(w).
+N(w), which is computed without assembling C(w), so a solve that needs
+no Newton step assembles no convection matrix.
 
 The constraint rows live in one SaddleLayout per workspace: circulation
 pins as a sparse Cartesian block inside the sparse core; the
@@ -59,6 +63,8 @@ SYMMETRY_TOL = 1e-10
 # costs about as much as 20 iterations on 10x20 and 50 on 20x40, so past
 # this crossover factoring the Newton operator is the cheaper way.
 KRYLOV_CYCLE = 40
+# Picard images kept by the Anderson-accelerated iteration of the default mode
+ANDERSON_DEPTH = 3
 
 
 @dataclass
@@ -68,8 +74,7 @@ class SolverConfig:
     mode: str = "picard-then-newton"    # "picard" | "newton" | "picard-then-newton"
     lambda_schedule: tuple = (1.0,)     # nondecreasing continuation values in [0, 1]
     tolerance: float = 1e-10            # relative nonlinear residual
-    max_iterations: int = 60
-    picard_iterations: int = 8          # Picard budget before Newton
+    max_iterations: int = 60            # per lambda, accelerated and Newton steps together
     damping: float = 1.0
     pins: dict = None                   # {hole component: circulation target}
     symmetric_subspace: bool = False
@@ -104,6 +109,11 @@ class LinearStep:
 
 @dataclass
 class IterationTrace:
+    """Per-iteration lists of the nonlinear solve, and per lambda in `stops`
+    why its iteration stopped: reason "converged", "max_iterations" or
+    "residual_growth", and `newton_from`, the index (into the per-iteration
+    lists) of its first Newton step, or None without one."""
+
     residuals: list = field(default_factory=list)
     energies: list = field(default_factory=list)
     dampings: list = field(default_factory=list)
@@ -111,6 +121,7 @@ class IterationTrace:
     linear: list = field(default_factory=list)
     krylov_iterations: list = field(default_factory=list)
     linear_relres: list = field(default_factory=list)
+    stops: list = field(default_factory=list)
 
     def record(self, residual, energy, damping, phase, step):
         self.residuals.append(float(residual))
@@ -121,8 +132,15 @@ class IterationTrace:
         self.krylov_iterations.append(int(step.iterations))
         self.linear_relres.append(float(step.relres))
 
+    def stop(self, lam, reason, first):
+        """Record why the iteration at lam, whose first step is index first, stopped."""
+        newton = [i for i, phase in enumerate(self.phases[first:], first)
+                  if phase.startswith("newton")]
+        self.stops.append({"lambda": float(lam), "reason": reason,
+                           "newton_from": newton[0] if newton else None})
+
     def as_dict(self):
-        """Every per-iteration list by field name (the trace.json layout)."""
+        """Every list by field name (the trace.json layout)."""
         return asdict(self)
 
 
@@ -393,6 +411,7 @@ def _continuation(ws, config):
         if lam == 0.0:
             res = np.linalg.norm(ws.residual(x, 0.0, conv)) / scale
             trace.record(res, lift_energy, 1.0, "stokes", lift_step)
+            trace.stop(lam, "converged", len(trace.residuals))
         else:
             x, conv, res = _solve_at_lambda(ws, config, lam, x, conv, trace, scale)
         u, p = ws.rows.split(x)
@@ -417,63 +436,98 @@ def _continuation(ws, config):
 def _solve_at_lambda(ws, config, lam, x, conv, trace, scale):
     """Iterate at one lambda from x, whose convection vector N(u) is conv.
 
-    Returns (x, N(u), relative residual) of the converged iterate.
+    Returns (x, N(u), relative residual) of the converged iterate.  Records
+    in trace why the iteration stopped, also before raising.
     """
     mesh = ws.mesh
     damping = config.damping
     u = ws.rows.split(x)[0]
     res_prev = np.linalg.norm(ws.residual(x, lam, conv)) / scale
     growth_streak = 0
-    picard_budget = {"picard": config.max_iterations,
-                     "newton": 0,
-                     "picard-then-newton": config.picard_iterations}[config.mode]
+    phase = {"picard": "picard", "newton": "newton",
+             "picard-then-newton": "anderson"}[config.mode]
+    history = []            # (Picard image, its field step) of the anderson steps here
+    first = len(trace.residuals)
 
-    for it in range(config.max_iterations):
+    def evaluate(x_try):
+        u_try = ws.rows.split(x_try)[0]
+        conv_try = assembly.convection_vector(mesh, u_try)
+        return u_try, conv_try, np.linalg.norm(ws.residual(x_try, lam, conv_try)) / scale
+
+    for _ in range(config.max_iterations):
         if res_prev <= config.tolerance:
             break
-        phase = "picard" if it < picard_budget else "newton"
         try:
-            if phase == "picard":
-                x_new, step = ws.solve_linear(ws.A_base, extra_rhs=-lam * conv)
-            else:
+            if phase == "newton":
                 C, _ = assembly.assemble_convection(mesh, u)
                 D = assembly.assemble_convection_newton(mesh, u, lam)
                 x_new, step = ws.solve_linear(
                     assembly.velocity_sum(mesh, ws.A_base, (lam, C), D),
                     extra_rhs=(D @ u), guess=x)
+            else:
+                x_new, step = ws.solve_linear(ws.A_base, extra_rhs=-lam * conv)
         except SolverError as exc:
             raise BranchDegeneracyError(
                 f"singular linearized system at lambda={lam:g}; a circulation pin "
                 f"may be needed to select a branch ({exc})") from exc
 
-        # damped update, halving on residual growth
-        alpha = damping
-        for _ in range(6):
-            x_try = x + alpha * (x_new - x)
-            u_try = ws.rows.split(x_try)[0]
-            conv_try = assembly.convection_vector(mesh, u_try)
-            res_try = np.linalg.norm(ws.residual(x_try, lam, conv_try)) / scale
-            if res_try <= res_prev or alpha < 0.05:
-                break
-            alpha *= 0.5
+        if phase == "anderson":         # undamped: the mixing replaces the damping
+            alpha = 1.0
+            step_fields = np.concatenate(ws.rows.split(x_new)) - np.concatenate(ws.rows.split(x))
+            x_try = _anderson_update(history, x_new, step_fields)
+            u_try, conv_try, res_try = evaluate(x_try)
+        else:
+            # damped update, halving on residual growth
+            alpha = damping
+            for _ in range(6):
+                x_try = x + alpha * (x_new - x)
+                u_try, conv_try, res_try = evaluate(x_try)
+                if res_try <= res_prev or alpha < 0.05:
+                    break
+                alpha *= 0.5
+            damping = min(1.0, alpha * 1.5)
         x, u, conv = x_try, u_try, conv_try
         energy = 0.5 * float(u @ (ws.A_base @ u))
         trace.record(res_try, energy, alpha, f"{phase}@{lam:g}", step)
         grew = res_try > res_prev
         res_prev = res_try
-        damping = min(1.0, alpha * 1.5)
-        if grew and phase == "picard" and config.mode == "picard-then-newton":
-            # Picard has stalled: hand over to Newton at the configured damping
-            picard_budget, damping, grew = it + 1, config.damping, False
+        if grew and phase == "anderson":
+            # the accelerated Picard map has stalled: Newton takes over at the
+            # configured damping, and the Anderson history is not used again
+            phase, grew = "newton", False
         growth_streak = growth_streak + 1 if grew else 0
         if growth_streak >= 5:
+            trace.stop(lam, "residual_growth", first)
             raise NonConvergenceError(
                 f"residual grew for 5 consecutive steps at lambda={lam:g}", trace)
     if not res_prev <= config.tolerance:
+        trace.stop(lam, "max_iterations", first)
         raise NonConvergenceError(
             f"no convergence within {config.max_iterations} iterations at "
             f"lambda={lam:g} (residual {res_prev:.3e})", trace)
+    trace.stop(lam, "converged", first)
     return x, conv, res_prev
+
+
+def _anderson_update(history, g, r):
+    """Next iterate of Anderson acceleration of depth ANDERSON_DEPTH (Walker &
+    Ni, SIAM J. Numer. Anal. 49, 2011) from the Picard image g of the
+    iterate and r, the step it makes in the Cartesian velocity and the
+    pressure; history holds the (image, step) pairs of the earlier steps
+    and is extended in place.
+
+    gamma minimizes |r - dR gamma| over the differences dR of the last
+    steps.  Measured in the fields rather than in the unknowns of the
+    bordered system, the iteration is the same on the mirror subspace and
+    in the full space.  The update g - dG gamma (g at the first step)
+    combines Picard images, so it meets every linear constraint they meet.
+    """
+    history.append((g, r))
+    del history[:-ANDERSON_DEPTH - 1]
+    if len(history) == 1:
+        return g
+    G, R = (np.diff(np.array(column), axis=0).T for column in zip(*history))
+    return g - G @ np.linalg.lstsq(R, r, rcond=None)[0]
 
 
 def _symmetry_defect(mirror, u):

@@ -89,6 +89,14 @@ class TestConfig:
         path = hamel_config(tmp_path, typo={"oops": 1})
         assert cli.main(["audit", "--config", path, "--out", str(tmp_path)]) == 2
 
+    def test_picard_budget_key_rejected(self, tmp_path, capsys):
+        # the default mode needs no Picard budget, and the key no longer exists
+        path = hamel_config(tmp_path, **{"solver.picard_iterations": 8})
+        out = tmp_path / "out"
+        assert cli.main(["solve", "ns", "--config", path, "--out", str(out)]) == 2
+        assert "picard_iterations" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_expression_boundary_values(self, tmp_path):
         path = hamel_config(
             tmp_path,
@@ -185,7 +193,7 @@ class TestSubcommands:
             argv = ["--deterministic", "solve", "ns", "--config", str(path), "--out", str(out)]
             assert cli.main(argv) == 0
             meta = json.load(open(out / "solution.json"))["metadata"]
-            assert (meta["iterations"], meta["factorizations"]) == (9, 1)
+            assert (meta["iterations"], meta["factorizations"]) == (10, 1)
             defects.append(meta.get("symmetry_defect"))
             vtk = open(out / "solution.vtk").read().splitlines()
             start = vtk.index("VECTORS velocity double") + 1
@@ -323,6 +331,8 @@ class TestSubcommands:
         assert trace["linear"] == ["direct", "direct"]
         assert trace["krylov_iterations"] == [0, 0]
         assert all(r <= 1e-8 for r in trace["linear_relres"])
+        assert trace["stops"] == [{"lambda": 1.0, "newton_from": None,
+                                   "reason": "max_iterations"}]
         assert "no convergence" in trace["error"]
 
     def test_pin_flag_overrides(self, tmp_path):
@@ -333,11 +343,11 @@ class TestSubcommands:
         assert code == 0
         meta = json.load(open(out / "solution.json"))["metadata"]
         assert meta["circulations"]["1"] == pytest.approx(2 * np.pi)
-        # one factorization: the Picard steps back-solve, the Newton steps use GMRES
+        # one factorization: every accelerated Picard step back-solves with it
         assert meta["factorizations"] == 1
         trace = json.load(open(out / "trace.json"))
-        assert trace["linear"] == ["direct"] * 8 + ["krylov"] * 2
-        assert all(0 < k <= 40 for k in trace["krylov_iterations"][8:])
+        assert trace["linear"] == ["direct"] * 12
+        assert trace["krylov_iterations"] == [0] * 12
 
     def test_korn_constants(self, tmp_path):
         path = hamel_config(tmp_path)

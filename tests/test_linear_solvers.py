@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 import slipflow as sf
 from slipflow import assembly as asm
@@ -199,20 +200,15 @@ class TestFactorization:
         _, relres = ls.solve_saddle_rhs(ws.rows, solver, cs.F_f)
         assert relres <= 1e-12
 
-    @pytest.mark.filterwarnings("ignore:Sobolev ascent stopped")   # one ascent step
-    @pytest.mark.parametrize("kind, which", [
-        ("hamel-saddle", "annulus"), ("mirror-saddle", "annulus"), ("newton-block", "annulus"),
-        ("korn-pencil", "annulus"), ("korn-pencil", "two-hole"),
-        ("p2-mass", "annulus"), ("p2-mass", "two-hole"),
-        ("h1-gram", "annulus"), ("h1-gram", "two-hole"),
-        ("dirichlet-stiffness", "annulus"), ("dirichlet-stiffness", "two-hole")])
-    def test_fill_below_default_per_matrix_kind(self, annulus_coarse, two_hole_coarse,
-                                                 kind, which):
-        # a watch on every kind of matrix the package factors: one factorization
-        # setting serves them all only while each fills less than SuperLU's
-        # default would.
-        mesh = annulus_coarse if which == "annulus" else two_hole_coarse
-        matrix = {
+    KINDS = [("hamel-saddle", "annulus"), ("mirror-saddle", "annulus"),
+             ("newton-block", "annulus"), ("korn-pencil", "annulus"), ("korn-pencil", "two-hole"),
+             ("p2-mass", "annulus"), ("p2-mass", "two-hole"), ("h1-gram", "annulus"),
+             ("h1-gram", "two-hole"), ("dirichlet-stiffness", "annulus"),
+             ("dirichlet-stiffness", "two-hole")]
+
+    @staticmethod
+    def _matrix_of_kind(mesh, kind):
+        return {
             "hamel-saddle": lambda: hamel_core(mesh),
             "mirror-saddle": lambda: hamel_core(mesh, nvs.SolverConfig(symmetric_subspace=True)),
             "newton-block": lambda: newton_core(mesh),
@@ -221,7 +217,40 @@ class TestFactorization:
             "h1-gram": lambda: factored_by(lambda: ls.sobolev_constant(mesh, 4.0, maxiter=1)),
             "dirichlet-stiffness": lambda: factored_by(lambda: ls.dirichlet_solver(mesh)),
         }[kind]()
+
+    @pytest.mark.filterwarnings("ignore:Sobolev ascent stopped")   # one ascent step
+    @pytest.mark.parametrize("kind, which", KINDS)
+    def test_fill_below_default_per_matrix_kind(self, annulus_coarse, two_hole_coarse,
+                                                 kind, which):
+        # a watch on every kind of matrix the package factors: one factorization
+        # setting serves them all only while each fills less than SuperLU's
+        # default would.
+        mesh = annulus_coarse if which == "annulus" else two_hole_coarse
+        matrix = self._matrix_of_kind(mesh, kind)
         assert fill(ls._splu(matrix)) < fill(spla.splu(sp.csc_matrix(matrix)))
+
+    @pytest.mark.filterwarnings("ignore:Sobolev ascent stopped")   # one ascent step
+    @pytest.mark.parametrize("kind, which", KINDS)
+    def test_one_gather_permutation_factors_bitwise_alike(self, annulus_coarse,
+                                                          two_hole_coarse, kind, which):
+        # the symmetric permutation by one column gather gives SuperLU the same
+        # arrays as two fancy-indexing passes, so the same factor bit for bit
+        mesh = annulus_coarse if which == "annulus" else two_hole_coarse
+        A = sp.csc_matrix(self._matrix_of_kind(mesh, kind))
+        perm = reverse_cuthill_mckee(A, symmetric_mode=True)
+        ref, got = A[perm][:, perm], ls._permuted(A, perm)
+        assert all(np.array_equal(getattr(got, name), getattr(ref, name))
+                   for name in ("indptr", "indices", "data"))
+        options = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-3, relax=1,
+                       panel_size=10, options={"SymmetricMode": True})
+        lu, lu_ref = ls._splu(A).lu, spla.splu(ref, **options)
+        for name in ("perm_r", "perm_c"):
+            assert np.array_equal(getattr(lu, name), getattr(lu_ref, name))
+        for name in ("L", "U"):
+            factor, factor_ref = getattr(lu, name), getattr(lu_ref, name)
+            assert (factor != factor_ref).nnz == 0
+            assert all(np.array_equal(getattr(factor, part), getattr(factor_ref, part))
+                       for part in ("indptr", "indices", "data"))
 
     @pytest.mark.parametrize("config", [nvs.SolverConfig(pins={1: 2 * np.pi}),
                                         nvs.SolverConfig(symmetric_subspace=True)],

@@ -167,9 +167,9 @@ class TestOneFactorization:
         assert factors["calls"] == 1
         assert flow.metadata["factorizations"] == 1
         assert flow.metadata["residual"] <= 1e-10
-        assert trace.linear == ["direct"] * 8 + ["krylov"] * 2
-        assert trace.krylov_iterations[:8] == [0] * 8
-        assert all(0 < k <= nvs.KRYLOV_CYCLE for k in trace.krylov_iterations[8:])
+        # every accelerated Picard step back-solves with the one factor
+        assert trace.linear == ["direct"] * 12
+        assert trace.krylov_iterations == [0] * 12
         assert all(r <= nvs.LINEAR_TOL for r in trace.linear_relres)
 
     def test_one_factorization_per_sweep(self, annulus_coarse, factors):
@@ -242,14 +242,70 @@ class TestOneFactorization:
         from slipflow.errors import NonConvergenceError
         mesh = sf.mesh_annulus(1.0, 2.0, 10, 20)
         data = replace(val.hamel(1.0).data, nu=0.3)
-        with pytest.raises(NonConvergenceError, match="grew for 5 consecutive"):
+        with pytest.raises(NonConvergenceError, match="grew for 5 consecutive") as err:
             nvs.solve_navier_stokes(mesh, data,
                                     nvs.SolverConfig(mode="picard", pins={1: 2 * np.pi}))
+        assert err.value.trace.stops == [
+            {"lambda": 1.0, "reason": "residual_growth", "newton_from": None}]
+
+    def test_accelerated_picard_needs_no_newton(self, annulus_coarse, factors, monkeypatch):
+        # the default mode converges on the held factor alone: no Newton
+        # matrix is assembled and no GMRES cycle runs
+        assembled = []
+        for name in ("assemble_convection", "assemble_convection_newton"):
+            real = getattr(asm, name)
+            monkeypatch.setattr(asm, name, lambda *args, name=name, real=real:
+                                assembled.append(name) or real(*args))
+        data, pins = val.hamel(1.0).data, {1: 2 * np.pi}
+        flow, trace = nvs.solve_navier_stokes(annulus_coarse, data, nvs.SolverConfig(pins=pins))
+        assert assembled == []
+        assert flow.metadata["residual"] <= 1e-10
+        assert factors["calls"] == flow.metadata["factorizations"] == 1
+        assert set(trace.phases) == {"anderson@1"} and set(trace.linear) == {"direct"}
+        assert trace.stops == [{"lambda": 1.0, "reason": "converged", "newton_from": None}]
+        newton, _ = nvs.solve_navier_stokes(annulus_coarse, data,
+                                            nvs.SolverConfig(mode="newton", pins=pins))
+        assert np.linalg.norm(flow.velocity - newton.velocity) \
+            <= 1e-8 * np.linalg.norm(newton.velocity)
+
+    @pytest.mark.parametrize("limit", [1, 3])
+    def test_max_iterations_bounds_accelerated_and_newton_steps(self, limit):
+        # the benchmark's seed-0 Hamel data at nu = 0.5 on 8 x 16: 2 accelerated
+        # steps, the second of which stalls, then 2 Newton steps
+        from slipflow.errors import NonConvergenceError
+        mesh = sf.mesh_annulus(1.0, 2.0, 8, 16)
+        data = asm.ProblemData(nu=0.5, beta=(0.75, 0.0), a_star=(-1.5, 3.0),
+                               b_tau=(0.0, 0.0), f=None)
+        config = nvs.SolverConfig(pins={1: -2 * np.pi}, max_iterations=limit)
+        with pytest.raises(NonConvergenceError, match=f"within {limit} iterations") as err:
+            nvs.solve_navier_stokes(mesh, data, config)
+        trace = err.value.trace
+        assert trace.phases == (["anderson@1"] * 2 + ["newton@1"])[:limit]
+        assert trace.stops == [{"lambda": 1.0, "reason": "max_iterations",
+                                "newton_from": 2 if limit > 2 else None}]
+        flow, _ = nvs.solve_navier_stokes(mesh, data, replace(config, max_iterations=4))
+        assert flow.metadata["iterations"] == 4
+
+    def test_anderson_update_solves_a_linear_map(self):
+        # on an affine map of R^3 Anderson mixing of depth 3 is GMRES: the
+        # fixed point after at most 4 updates; the first update is the image
+        rng = np.random.default_rng(0)
+        M, b = 0.4 * rng.standard_normal((3, 3)), rng.standard_normal(3)
+        fixed = np.linalg.solve(np.eye(3) - M, b)
+        history, x = [], np.zeros(3)
+        for k in range(4):
+            g = M @ x + b
+            x_next = nvs._anderson_update(history, g, g - x)
+            assert k > 0 or x_next is g
+            x = x_next
+        assert len(history) == nvs.ANDERSON_DEPTH + 1
+        assert np.linalg.norm(x - fixed) <= 1e-12 * np.linalg.norm(fixed)
 
     @pytest.mark.parametrize("case", ["benchmark-nu0.5", "hamel-k1-nu0.3"])
     def test_stalled_picard_hands_over_to_newton(self, case):
         # no damping lets a Picard step lower the residual, which once ended
-        # the solve after 5 such steps although Newton converges from there
+        # the solve after 5 such steps although Newton converges from there;
+        # the accelerated Picard map stalls here the same way
         if case == "benchmark-nu0.5":      # the benchmark's seed-0 Hamel problem
             mesh = sf.mesh_annulus(1.0, 2.0, 8, 16)
             data = asm.ProblemData(nu=0.5, beta=(0.75, 0.0), a_star=(-1.5, 3.0),
@@ -261,7 +317,8 @@ class TestOneFactorization:
             pins = {1: 2 * np.pi}
         flow, trace = nvs.solve_navier_stokes(mesh, data, nvs.SolverConfig(pins=pins))
         assert flow.metadata["residual"] <= 1e-10
-        assert trace.phases == ["picard@1"] * 2 + ["newton@1"] * 2
+        assert trace.phases == ["anderson@1"] * 2 + ["newton@1"] * 2
+        assert trace.stops == [{"lambda": 1.0, "reason": "converged", "newton_from": 2}]
         assert trace.residuals[1] > trace.residuals[0]
         assert trace.dampings[2] == 1.0        # Newton starts at the configured damping
         newton, _ = nvs.solve_navier_stokes(mesh, data,
@@ -499,6 +556,8 @@ class TestContinuation:
             nvs.continuation_sweep(annulus_coarse, val.hamel(0.0).data, (1.0,), config)
         assert "continuation failed at lambda=1" in str(err.value)
         assert len(err.value.trace.residuals) == 2
+        assert err.value.trace.stops == [
+            {"lambda": 1.0, "reason": "max_iterations", "newton_from": None}]
 
 
 class TestOneDriver:
@@ -521,6 +580,13 @@ class TestOneDriver:
                                        (0.0, 0.5, 1.0), nvs.SolverConfig(pins={1: 2 * np.pi}))
         metas = [flow.metadata for _, flow, _ in sweep]
         assert [m["lambda"] for m in metas] == [0.0, 0.5, 1.0]
+        # every lambda restarts the accelerated iteration, and each records its stop
+        _, trace = nvs.solve_navier_stokes(annulus_coarse, val.hamel(1.0).data,
+                                           nvs.SolverConfig(pins={1: 2 * np.pi},
+                                                            lambda_schedule=(0.0, 0.5, 1.0)))
+        assert [s["lambda"] for s in trace.stops] == [0.0, 0.5, 1.0]
+        assert {s["reason"] for s in trace.stops} == {"converged"}
+        assert trace.phases[0] == "stokes" and "newton" not in "".join(trace.phases)
         assert all(m["factorizations"] == 1 for m in metas)
         assert all(set(m["circulations"]) == {1} for m in metas)
         assert all(np.isfinite(m["weak_residual_unpinned"]) for m in metas)
