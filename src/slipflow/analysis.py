@@ -17,28 +17,17 @@ from . import assembly, extensions, geometry, norms
 from .assembly import component_fluxes
 from .concurrency import beside
 from .errors import MultivaluedStreamError
-from .linear_solvers import (FlowState, interior_h1_factor, korn_constant, scalar_mass_factor,
+from .linear_solvers import (FlowState, interior_h1_factor, korn_constant, l2_projection,
                              sobolev_constant, zero_mean_neumann_solve)
 from .navier_stokes import SYMMETRY_TOL, symmetric_data_defect
 
 
 # -- field extraction --------------------------------------------------------
 
-def _scalar_projection(mesh, values_at_quad, mass_lu=None):
-    """P2 L2 projection of values at the VOLUME_DEGREE quadrature points."""
-    load = assembly.volume_context(mesh).load(values_at_quad)
-    if mass_lu is None:
-        mass_lu = scalar_mass_factor(mesh)
-    return mass_lu.solve(load)
-
-
-def vorticity(flow, mass_lu=None):
-    """P2 projection of du1/dx2 - du2/dx1 (outward-normal curl convention).
-
-    mass_lu: optional scalar_mass_factor(flow.mesh) to reuse.
-    """
+def vorticity(flow):
+    """P2 projection of du1/dx2 - du2/dx1 (outward-normal curl convention)."""
     gu = assembly.volume_context(flow.mesh).gradient(flow.velocity.reshape(-1, 2))
-    return _scalar_projection(flow.mesh, gu[..., 0, 1] - gu[..., 1, 0], mass_lu)
+    return l2_projection(flow.mesh, gu[..., 0, 1] - gu[..., 1, 0])
 
 
 def _head_values(ctx, flow):
@@ -47,10 +36,10 @@ def _head_values(ctx, flow):
     return u, ctx.values(flow.pressure) + 0.5 * np.sum(u * u, axis=-1)
 
 
-def total_head(flow, mass_lu=None):
-    """P2 projection of p + |u|^2/2; mass_lu as for vorticity."""
+def total_head(flow):
+    """P2 projection of p + |u|^2/2."""
     _, head = _head_values(assembly.volume_context(flow.mesh), flow)
-    return _scalar_projection(flow.mesh, head, mass_lu)
+    return l2_projection(flow.mesh, head)
 
 
 # -- Bernoulli-type boundary diagnostics --------------------------------------
@@ -153,9 +142,8 @@ def head_pressure_residual(flow, data):
     """
     mesh, nu = flow.mesh, flow.nu
     ctx = assembly.volume_context(mesh)
-    mass_lu = scalar_mass_factor(mesh)
-    phi = total_head(flow, mass_lu)
-    om = ctx.values(vorticity(flow, mass_lu))
+    phi = total_head(flow)
+    om = ctx.values(vorticity(flow))
     u = ctx.values(flow.velocity.reshape(-1, 2))
     values = -om * om
     if data.f is not None and callable(data.f):

@@ -2,7 +2,8 @@
 vector-field basis of a multiply-connected domain.
 
 The basis fields are gradients of harmonic functions that equal 1 on one
-hole boundary and 0 on the others; after L2 orthonormalization the
+hole boundary and 0 on the others, L2-projected by CG on the scalar mass
+of each component (`l2_projection`); after L2 orthonormalization the
 harmonic part of ANY solenoidal extension is a universal linear function
 of the hole fluxes, which is the formula implemented here (the
 projection route stays available as a cross-check).
@@ -14,20 +15,7 @@ import numpy as np
 
 from . import assembly
 from .errors import DataError, SolverError
-from .linear_solvers import dirichlet_solver, scalar_mass_factor, solve_laplace_neumann
-
-
-def _project_scalar_gradient(mesh, scalar_coeffs, mass_lu=None):
-    """L2-project the gradient of a P2 scalar field into the velocity space.
-
-    The vector mass is the scalar P2 mass on each component, so both
-    components are solved with mass_lu, a scalar_mass_factor(mesh).
-    """
-    ctx = assembly.volume_context(mesh)
-    b = ctx.load(ctx.gradient(scalar_coeffs))
-    if mass_lu is None:
-        mass_lu = scalar_mass_factor(mesh)
-    return mass_lu.solve(b).ravel()
+from .linear_solvers import dirichlet_solver, l2_projection, solve_laplace_neumann
 
 
 @dataclass
@@ -65,7 +53,7 @@ class HarmonicBasis:
 def solenoidal_extension(mesh, a_star):
     """Gradient-of-harmonic extension with normal trace a_star."""
     q = solve_laplace_neumann(mesh, a_star)
-    coeffs = _project_scalar_gradient(mesh, q)
+    coeffs = l2_projection(mesh, assembly.volume_context(mesh).gradient(q)).ravel()
     fluxes = assembly.component_fluxes(mesh.domain, a_star)[0][1:]
     return ExtensionField(coefficients=coeffs, fluxes=fluxes, method="neumann-gradient")
 
@@ -80,12 +68,12 @@ def harmonic_basis(mesh, domain=None):
         return HarmonicBasis(mesh=mesh, gradients=np.zeros((0, 2 * mesh.n_p2_nodes)),
                              psi=np.zeros((0, 2 * mesh.n_p2_nodes)),
                              alpha=np.zeros((0, 0)), mass=mass)
-    mass_lu = scalar_mass_factor(mesh, scalar_mass)
+    ctx = assembly.volume_context(mesh)
     solve = dirichlet_solver(mesh)
     grads = []
     for k in range(1, N + 1):
         qk = solve([1.0 if j == k else 0.0 for j in range(domain.n_components)])
-        grads.append(_project_scalar_gradient(mesh, qk, mass_lu))
+        grads.append(l2_projection(mesh, ctx.gradient(qk), scalar_mass).ravel())
     G = np.array([[gi @ (mass @ gj) for gj in grads] for gi in grads])
     try:
         L = np.linalg.cholesky(G)

@@ -1,4 +1,5 @@
-"""Direct solves: scalar Laplace problems, the bordered saddle systems
+"""Linear solves: the P2 L2 projection by Jacobi-preconditioned CG, and by
+direct factorization scalar Laplace problems, the bordered saddle systems
 with slip constraints and nullspace handling, and the generalized
 eigenvalue estimates for the Korn and Sobolev constants."""
 
@@ -15,6 +16,7 @@ from .assembly import scalar_integral_vector, scalar_mass, scalar_stiffness
 from .errors import DataError, SolverError
 
 RESIDUAL_TOL = 1e-10
+MASS_RTOL = 1e-14
 
 
 # -- states ----------------------------------------------------------------
@@ -109,12 +111,32 @@ def _permuted(A, perm):
                          shape=A.shape)
 
 
-def scalar_mass_factor(mesh, mass=None):
-    """Factored P2 mass matrix; pass it to several projections to factor once.
+def l2_projection(mesh, values, mass=None):
+    """P2 L2 projection of values at the VOLUME_DEGREE quadrature points,
+    [nt, nq] to nodal [n] or [nt, nq, 2] to [n, 2]; mass: scalar_mass(mesh)
+    when the caller has assembled it.
 
-    mass: the scalar_mass(mesh) matrix when the caller has assembled it.
+    Each column is solved by Jacobi-preconditioned CG to relative residual
+    MASS_RTOL, with no factor: the P2 mass matrix is spectrally equivalent to
+    its diagonal (Wathen, IMA J. Numer. Anal. 7, 1987), so the steps do not
+    grow with the mesh.  A non-finite load or a true residual above the
+    tolerance is a SolverError.
     """
-    return _splu(scalar_mass(mesh) if mass is None else mass)
+    with np.errstate(all="ignore"):     # a non-finite load is the error raised here
+        load = assembly.volume_context(mesh).load(values)
+    if not np.all(np.isfinite(load)):
+        raise SolverError("L2 projection of non-finite values")
+    mass = scalar_mass(mesh) if mass is None else mass
+    jacobi = sp.diags(1.0 / mass.diagonal())
+    columns = load.reshape(len(load), -1)
+    out = np.empty_like(columns)
+    for j in range(columns.shape[1]):
+        b = columns[:, j]
+        out[:, j], _ = spla.cg(mass, b, rtol=MASS_RTOL, atol=0.0, M=jacobi)
+        relres = np.linalg.norm(b - mass @ out[:, j]) / max(np.linalg.norm(b), 1e-300)
+        if not relres <= MASS_RTOL:
+            raise SolverError(f"L2 projection: CG residual {relres:.3e} above {MASS_RTOL:g}")
+    return out.reshape(load.shape)
 
 
 def interior_h1_factor(mesh):

@@ -65,6 +65,8 @@ SYMMETRY_TOL = 1e-10
 KRYLOV_CYCLE = 40
 # Picard images kept by the Anderson-accelerated iteration of the default mode
 ANDERSON_DEPTH = 3
+# steps without a new lowest residual after which the iteration at one lambda stops
+STALL_STEPS = 5
 
 
 @dataclass
@@ -111,8 +113,9 @@ class LinearStep:
 class IterationTrace:
     """Per-iteration lists of the nonlinear solve, and per lambda in `stops`
     why its iteration stopped: reason "converged", "max_iterations" or
-    "residual_growth", and `newton_from`, the index (into the per-iteration
-    lists) of its first Newton step, or None without one."""
+    "stalled" (STALL_STEPS steps since the lowest residual at that lambda),
+    and `newton_from`, the index (into the per-iteration lists) of its
+    first Newton step, or None without one."""
 
     residuals: list = field(default_factory=list)
     energies: list = field(default_factory=list)
@@ -443,7 +446,7 @@ def _solve_at_lambda(ws, config, lam, x, conv, trace, scale):
     damping = config.damping
     u = ws.rows.split(x)[0]
     res_prev = np.linalg.norm(ws.residual(x, lam, conv)) / scale
-    growth_streak = 0
+    best, since_best = res_prev, 0      # a NaN residual is never a new lowest
     phase = {"picard": "picard", "newton": "newton",
              "picard-then-newton": "anderson"}[config.mode]
     history = []            # (Picard image, its field step) of the anderson steps here
@@ -489,17 +492,17 @@ def _solve_at_lambda(ws, config, lam, x, conv, trace, scale):
         x, u, conv = x_try, u_try, conv_try
         energy = 0.5 * float(u @ (ws.A_base @ u))
         trace.record(res_try, energy, alpha, f"{phase}@{lam:g}", step)
-        grew = res_try > res_prev
-        res_prev = res_try
-        if grew and phase == "anderson":
+        if res_try > res_prev and phase == "anderson":
             # the accelerated Picard map has stalled: Newton takes over at the
             # configured damping, and the Anderson history is not used again
-            phase, grew = "newton", False
-        growth_streak = growth_streak + 1 if grew else 0
-        if growth_streak >= 5:
-            trace.stop(lam, "residual_growth", first)
+            phase = "newton"
+        res_prev = res_try
+        best, since_best = (res_try, 0) if res_try < best else (best, since_best + 1)
+        if since_best >= STALL_STEPS:
+            trace.stop(lam, "stalled", first)
             raise NonConvergenceError(
-                f"residual grew for 5 consecutive steps at lambda={lam:g}", trace)
+                f"residual stalled: {STALL_STEPS} steps without going below {best:.3e} "
+                f"at lambda={lam:g}", trace)
     if not res_prev <= config.tolerance:
         trace.stop(lam, "max_iterations", first)
         raise NonConvergenceError(

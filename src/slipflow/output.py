@@ -12,7 +12,6 @@ import numpy as np
 
 from . import __version__, assembly
 from .analysis import boundary_head, total_head, vorticity
-from .linear_solvers import scalar_mass_factor
 
 FLOAT_FMT = "%.16e"
 
@@ -45,9 +44,8 @@ def write_vtk(flow, path, provenance_line=""):
     p_vertex = flow.pressure
     edge_p = 0.5 * (p_vertex[mesh.edges[:, 0]] + p_vertex[mesh.edges[:, 1]])
     p_all = np.concatenate([p_vertex, edge_p])
-    mass_lu = scalar_mass_factor(mesh)
-    omega = vorticity(flow, mass_lu)
-    phi = total_head(flow, mass_lu)
+    omega = vorticity(flow)
+    phi = total_head(flow)
     xyz = f"{FLOAT_FMT} {FLOAT_FMT} " + FLOAT_FMT % 0.0     # planar: z is written as text
 
     with open(path, "w") as fh:

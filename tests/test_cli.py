@@ -179,6 +179,19 @@ class TestSubcommands:
         u_n = [float(r[2]) for r in rows if r[0] == "0"]
         assert np.allclose(u_n, -1.5, atol=5e-3)
 
+    def test_solve_ns_factors_once(self, tmp_path, monkeypatch):
+        # the saddle core is the one SuperLU factor of a solve and its
+        # artifacts: the projections written to the VTK file factor nothing
+        import scipy.sparse.linalg as spla
+        factored = []
+        monkeypatch.setattr(spla, "splu", lambda A, real=spla.splu, **kw:
+                            factored.append(A.shape) or real(A, **kw))
+        out = tmp_path / "out"
+        path = hamel_config(tmp_path)
+        assert cli.main(["solve", "ns", "--config", path, "--out", str(out)]) == 0
+        assert len(factored) == 1
+        assert json.load(open(out / "solution.json"))["metadata"]["factorizations"] == 1
+
     def test_solve_ns_symmetric_subspace_matches_full_space(self, tmp_path):
         # the shipped 12 x 32 symmetric config solved on the mirror subspace
         # and in the full space: the same iterations, one factorization each,

@@ -14,6 +14,10 @@ _spec = importlib.util.spec_from_file_location(
     "fidelity", os.path.join(ROOT, "tools", "fidelity.py"))
 fidelity = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(fidelity)
+_spec = importlib.util.spec_from_file_location(
+    "fidelity_matrix", os.path.join(ROOT, "tools", "fidelity_matrix.py"))
+fidelity_matrix = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(fidelity_matrix)
 
 
 @pytest.fixture(scope="module")
@@ -89,3 +93,21 @@ def test_perturbed_copy_reports_each_difference(run_dir, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "ns/solution.vtk: differs" in out and "outcomes: 2 changed" in out
     assert fidelity.main([str(run_dir), str(tmp_path / "missing")]) == 2
+
+
+def test_matrix_subset_runs_and_compares(tmp_path):
+    # two cases of the command matrix, each in its own subprocess on this
+    # tree: one converging solve and the solve below the roundoff floor
+    names = ("couette-ns", "hamel-ns-roundoff-floor")
+    cases = [case for case in fidelity_matrix.MATRIX if case[0] in names]
+    assert len(fidelity_matrix.MATRIX) == 36 and len(cases) == 2
+    codes = fidelity_matrix.run_matrix(ROOT, tmp_path, cases)
+    assert codes == {"couette-ns": 0, "hamel-ns-roundoff-floor": 3}
+    assert (tmp_path / "couette-ns" / "exit_code").read_text() == "0\n"
+    stopped = json.load(open(tmp_path / "hamel-ns-roundoff-floor" / "out" / "trace.json"))
+    assert [stop["reason"] for stop in stopped["stops"]] == ["stalled"]
+    result = fidelity.compare(tmp_path, tmp_path)
+    assert {"couette-ns/out/solution.vtk", "couette-ns/config.json",
+            "hamel-ns-roundoff-floor/exit_code"} <= set(result["artifacts"])
+    assert set(result["artifacts"].values()) == {"identical"}
+    assert result["outcomes"] == {}

@@ -124,15 +124,27 @@ class TestAuditTwoHoles:
 
     def test_scalar_forms_assembled_once_per_audit(self, two_hole_domain, two_hole_mesh,
                                                    monkeypatch):
-        # in one process the harmonic basis takes its vector mass and mass
-        # factor from one scalar mass; Korn and Sobolev each build one H1
-        # Gram matrix
+        # in one process the harmonic basis takes its vector mass and its
+        # projections' mass from one scalar mass; Korn and Sobolev each build
+        # one H1 Gram matrix
         monkeypatch.setattr(concurrency, "usable_cpus", lambda: 1)
         calls = self._count_scalar_forms(monkeypatch)
         rep = an.audit(two_hole_domain, self.DATA, mesh=two_hole_mesh)
         assert rep.theorem_small_flux["evaluable"]
         assert sorted(calls) == ["scalar_h1_gram", "scalar_h1_gram", "scalar_mass",
                                  "scalar_stiffness"]
+
+    def test_three_factorizations_per_audit(self, two_hole_domain, two_hole_mesh, monkeypatch):
+        # in one process: the Korn pencil, the Sobolev ascent's H1 Gram matrix
+        # and the Dirichlet stiffness of the harmonic basis; its projections
+        # solve the mass matrix by CG
+        monkeypatch.setattr(concurrency, "usable_cpus", lambda: 1)
+        factored = []
+        monkeypatch.setattr(spla, "splu", lambda A, real=spla.splu, **kw:
+                            factored.append(A.shape) or real(A, **kw))
+        rep = an.audit(two_hole_domain, self.DATA, mesh=two_hole_mesh)
+        assert rep.theorem_small_flux["evaluable"]
+        assert len(factored) == 3
 
     def test_caller_assembles_the_korn_form_alone(self, two_hole_domain, two_hole_mesh,
                                                   monkeypatch):

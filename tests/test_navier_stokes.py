@@ -242,11 +242,44 @@ class TestOneFactorization:
         from slipflow.errors import NonConvergenceError
         mesh = sf.mesh_annulus(1.0, 2.0, 10, 20)
         data = replace(val.hamel(1.0).data, nu=0.3)
-        with pytest.raises(NonConvergenceError, match="grew for 5 consecutive") as err:
+        with pytest.raises(NonConvergenceError, match="stalled: 5 steps without going") as err:
             nvs.solve_navier_stokes(mesh, data,
                                     nvs.SolverConfig(mode="picard", pins={1: 2 * np.pi}))
         assert err.value.trace.stops == [
-            {"lambda": 1.0, "reason": "residual_growth", "newton_from": None}]
+            {"lambda": 1.0, "reason": "stalled", "newton_from": None}]
+        assert len(err.value.trace.residuals) == 6
+
+    @pytest.mark.parametrize("mode, steps, newton_from",
+                             [("picard-then-newton", 26, 22), ("newton", 8, 0)])
+    def test_roundoff_floor_stops_as_stalled(self, annulus_coarse, mode, steps, newton_from):
+        # a tolerance below the attainable residual: the iteration stops 5
+        # steps after its lowest residual, not when max_iterations is spent
+        from slipflow.errors import NonConvergenceError
+        config = nvs.SolverConfig(mode=mode, pins={1: 2 * np.pi}, tolerance=1e-15,
+                                  max_iterations=60)
+        with pytest.raises(NonConvergenceError, match="stalled") as err:
+            nvs.solve_navier_stokes(annulus_coarse, val.hamel(1.0).data, config)
+        trace = err.value.trace
+        assert len(trace.residuals) == steps
+        assert trace.stops == [{"lambda": 1.0, "reason": "stalled", "newton_from": newton_from}]
+        lowest = int(np.argmin(trace.residuals))
+        assert lowest == steps - 1 - nvs.STALL_STEPS
+        assert trace.residuals[lowest] < 1e-13
+
+    def test_non_finite_residual_stops_as_stalled(self, annulus_coarse, monkeypatch):
+        # a NaN residual is never a new lowest, so it ends the iteration too
+        from slipflow.errors import NonConvergenceError
+        real = nvs._Workspace.residual
+        calls = []
+        monkeypatch.setattr(nvs._Workspace, "residual", lambda ws, *args:
+                            real(ws, *args) * (np.nan if calls.append(1) or len(calls) > 2 else 1))
+        config = nvs.SolverConfig(pins={1: 2 * np.pi}, max_iterations=60)
+        with pytest.raises(NonConvergenceError, match="stalled") as err:
+            nvs.solve_navier_stokes(annulus_coarse, val.hamel(1.0).data, config)
+        trace = err.value.trace
+        assert np.isnan(trace.residuals[-1])
+        assert len(trace.residuals) == 1 + nvs.STALL_STEPS
+        assert trace.stops[0]["reason"] == "stalled"
 
     def test_accelerated_picard_needs_no_newton(self, annulus_coarse, factors, monkeypatch):
         # the default mode converges on the held factor alone: no Newton
