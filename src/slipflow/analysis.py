@@ -24,10 +24,11 @@ from .navier_stokes import SYMMETRY_TOL, symmetric_data_defect
 
 # -- field extraction --------------------------------------------------------
 
-def vorticity(flow):
-    """P2 projection of du1/dx2 - du2/dx1 (outward-normal curl convention)."""
+def vorticity(flow, mass=None):
+    """P2 projection of du1/dx2 - du2/dx1 (outward-normal curl convention);
+    mass: scalar_mass(flow.mesh) when the caller has assembled it."""
     gu = assembly.volume_context(flow.mesh).gradient(flow.velocity.reshape(-1, 2))
-    return l2_projection(flow.mesh, gu[..., 0, 1] - gu[..., 1, 0])
+    return l2_projection(flow.mesh, gu[..., 0, 1] - gu[..., 1, 0], mass)
 
 
 def _head_values(ctx, flow):
@@ -36,10 +37,10 @@ def _head_values(ctx, flow):
     return u, ctx.values(flow.pressure) + 0.5 * np.sum(u * u, axis=-1)
 
 
-def total_head(flow):
-    """P2 projection of p + |u|^2/2."""
+def total_head(flow, mass=None):
+    """P2 projection of p + |u|^2/2; mass as for vorticity."""
     _, head = _head_values(assembly.volume_context(flow.mesh), flow)
-    return l2_projection(flow.mesh, head)
+    return l2_projection(flow.mesh, head, mass)
 
 
 # -- Bernoulli-type boundary diagnostics --------------------------------------
@@ -134,16 +135,19 @@ def _interior_dual_norm(mesh, residual_vector):
     return float(np.sqrt(max(r @ z, 0.0)))
 
 
-def head_pressure_residual(flow, data):
+def head_pressure_residual(flow, data, fields=None):
     """Dual-norm defect of the elliptic balance satisfied by the total head.
 
     Tests Delta(Phi) = omega^2 + div(Phi u)/nu - (f . u)/nu against
-    interior quadratic test functions.
+    interior quadratic test functions.  fields: the (vorticity, total_head)
+    projections of flow when the caller has them.
     """
     mesh, nu = flow.mesh, flow.nu
     ctx = assembly.volume_context(mesh)
-    phi = total_head(flow)
-    om = ctx.values(vorticity(flow))
+    if fields is None:
+        mass = assembly.scalar_mass(mesh)
+        fields = vorticity(flow, mass), total_head(flow, mass)
+    om, phi = ctx.values(fields[0]), fields[1]
     u = ctx.values(flow.velocity.reshape(-1, 2))
     values = -om * om
     if data.f is not None and callable(data.f):

@@ -661,11 +661,11 @@ def assemble_pressure_mean(mesh):
     return scatter_vector(mesh.triangles, contrib, mesh.n_vertices)
 
 
-def assemble_convection(mesh, w_coeffs, lam=1.0):
+def assemble_convection(mesh, w_coeffs):
     """Matrix C(w) of integral ((w . grad) u) . phi, plus N(w) = C(w) w."""
     ctx = volume_context(mesh)
     blk = _convection_blocks(ctx, ctx.values(w_coeffs.reshape(-1, 2)))
-    C = componentwise(mesh, scatter_matrix(sparsity(mesh).scalar, lam * blk))
+    C = componentwise(mesh, scatter_matrix(sparsity(mesh).scalar, blk))
     return C, C @ w_coeffs
 
 
@@ -1033,25 +1033,10 @@ def normal_trace_constraint(mesh, a_star, flux_rtol=1e-8):
     return SlipConstraint(plan=slip_plan(mesh), fixed_values=values)
 
 
-@dataclass
-class ConstrainedSystem:
-    """Stokes blocks reduced to the tangential/interior dof space."""
-
-    constraint: SlipConstraint
-    A_ff: sp.csr_matrix
-    B_f: sp.csr_matrix
-    F_f: np.ndarray
-    G_f: np.ndarray
-    mean: np.ndarray
-
-
-def apply_normal_trace(mesh, A, B, F, mean, a_star):
-    """Constrain the Stokes blocks (viscous A, divergence B, load F, pressure
-    mean) to prescribed normal trace a_star."""
+def apply_normal_trace(mesh, B, a_star):
+    """The slip constraint of the prescribed normal trace a_star with the
+    divergence B reduced by it: (constraint, B_f, G_f), G_f the divergence
+    of the prescribed normal values moved to the right-hand side."""
     con = normal_trace_constraint(mesh, a_star)
-    A_ff, A_fc = con.reduce_matrix(A)
     B_f, B_c = con.reduce_rows(B)
-    F_f = con.reduce_vector(F) - A_fc @ con.fixed_values
-    G_f = -(B_c @ con.fixed_values)
-    return ConstrainedSystem(constraint=con, A_ff=A_ff, B_f=B_f,
-                             F_f=F_f, G_f=G_f, mean=mean)
+    return con, B_f, -(B_c @ con.fixed_values)

@@ -63,7 +63,9 @@ def load_config(path):
             f"config value at {'.'.join(key) or 'the top level'} is not a finite number")
     error = jsonschema.exceptions.best_match(config_validator().iter_errors(cfg))
     if error is not None:
-        raise ConfigurationError(f"config validation failed: {error.message}") from error
+        where = ".".join(map(str, error.absolute_path)) or "the top level"
+        raise ConfigurationError(
+            f"config validation failed at {where}: {error.message}") from error
     return cfg
 
 
@@ -151,17 +153,21 @@ def _outdir(args, cfg):
 
 
 def _write_solution(flow, trace, data, out, prov):
+    """Write the artifacts of a solve; returns the (vorticity, total head)
+    projections of solution.vtk."""
     line = f"config={prov['config_sha256_16']} version={prov['version']}"
-    output.write_vtk(flow, os.path.join(out, "solution.vtk"), line)
+    fields = output.write_vtk(flow, os.path.join(out, "solution.vtk"), line)
     output.write_boundary_csv(flow, data, os.path.join(out, "boundary.csv"), line)
     meta = {k: v for k, v in flow.metadata.items() if _jsonable(v)}
     output.write_json({"metadata": meta}, os.path.join(out, "solution.json"), prov)
     if trace is not None:
         output.write_json(trace.as_dict(), os.path.join(out, "trace.json"), prov)
+    return fields
 
 
 def _solve_ns(mesh, data, config, out, prov):
-    """Navier-Stokes solve that writes its artifacts; returns the FlowState.
+    """Navier-Stokes solve that writes its artifacts; returns the FlowState
+    and its (vorticity, total head) projections.
 
     On non-convergence trace.json is written all the same, with the error
     message, before the error propagates.
@@ -173,8 +179,7 @@ def _solve_ns(mesh, data, config, out, prov):
             output.write_json(dict(exc.trace.as_dict(), error=str(exc)),
                               os.path.join(out, "trace.json"), prov)
         raise
-    _write_solution(flow, trace, data, out, prov)
-    return flow
+    return flow, _write_solution(flow, trace, data, out, prov)
 
 
 def _jsonable(v):
@@ -217,7 +222,7 @@ def cmd_solve(args, cfg):
         _write_solution(flow, None, data, out, prov)
         print(f"stokes solve done (linear residual {flow.metadata['linear_residual']:.3e})")
         return 0
-    flow = _solve_ns(mesh, data, build_solver_config(cfg, pins), out, prov)
+    flow, _ = _solve_ns(mesh, data, build_solver_config(cfg, pins), out, prov)
     print(f"navier-stokes solve done (residual {flow.metadata['residual']:.3e}, "
           f"{flow.metadata['iterations']} iterations)")
     return 0
@@ -227,11 +232,12 @@ def cmd_diagnose(args, cfg):
     _, data, mesh = _problem(cfg)
     out = _outdir(args, cfg)
     prov = output.provenance(cfg)
-    flow = _solve_ns(mesh, data, build_solver_config(cfg, _parse_pins(args.pin)), out, prov)
+    flow, fields = _solve_ns(mesh, data, build_solver_config(cfg, _parse_pins(args.pin)),
+                             out, prov)
     bern = analysis.bernoulli_audit(flow)
     output.write_json(bern.as_dict(), os.path.join(out, "bernoulli.json"), prov)
     resids = {
-        "head_pressure_residual": analysis.head_pressure_residual(flow, data),
+        "head_pressure_residual": analysis.head_pressure_residual(flow, data, fields),
         "weingarten_identity_residual": analysis.weingarten_identity_check(flow),
         "nonlinear_residual": flow.metadata["residual"],
     }

@@ -289,7 +289,7 @@ def zero_mean_neumann_solve(mesh, load):
 
 class SaddleLayout:
     """The constrained Stokes blocks with their extra rows: the one owner of
-    the multiplier order.
+    the slip reduction, the subspace restriction and the multiplier order.
 
     The bordered system in x = [z; mu] = [u_f; p; mu_v | mu_mean; mu_d]
     reads
@@ -300,24 +300,28 @@ class SaddleLayout:
         [.     mean^T .    | .     .  ]        [0            ]
         [D     .      .    | .     .  ]        [-d_off       ]
 
-    V holds the velocity rows with local support (circulation pins); they
-    stay in the sparse core left of the bar, a fixed 3x3 block grid.  D
-    holds the globally supported velocity rows with zero targets
-    (rigid-mode orthogonality); they are eliminated as borders together
-    with the dense pressure-mean row, since inside the core they would
-    cause catastrophic fill.  Velocity rows are given in Cartesian form and
-    reduced once by the slip rotation into a free part and the offset of
-    the prescribed normal values.  Given sparse bases Z_v (free velocities)
-    and Z_p (pressures) of a subspace, u_f and p are coefficients in them,
-    cs holds its blocks restricted to them (Z_v^T A_ff Z_v, Z_p^T B_f Z_v,
-    ...), and the free parts of the rows are taken times Z_v.
+    con is the slip constraint with the divergence B_f it reduces and G_f
+    that of its prescribed normal values (apply_normal_trace); `reduce`
+    gives the A_ff and F_f of a velocity operator and load.  V holds the
+    velocity rows with local support (circulation pins); they stay in the
+    sparse core left of the bar, a fixed 3x3 block grid.  D holds the
+    globally supported velocity rows with zero targets (rigid-mode
+    orthogonality); they are eliminated as borders together with the dense
+    pressure-mean row, since inside the core they would cause catastrophic
+    fill.  Velocity rows are given in Cartesian form and reduced once by
+    the slip rotation into a free part and the offset of the prescribed
+    normal values.  Given sparse bases Z_v (free velocities) and Z_p
+    (pressures) of a subspace, u_f and p are coefficients in them: every
+    block is restricted to them (Z_v^T A_ff Z_v, Z_p^T B_f Z_v, ...).
     """
 
-    def __init__(self, cs, velocity_rows, velocity_vals, dense_rows=(), Z_v=None, Z_p=None):
-        con = cs.constraint
-        self.con, self.B_f, self.G_f, self.mean = con, cs.B_f, cs.G_f, cs.mean
+    def __init__(self, con, B_f, G_f, mean, velocity_rows, velocity_vals, dense_rows=(),
+                 Z_v=None, Z_p=None):
+        if Z_v is not None:
+            B_f, G_f, mean = Z_p.T @ B_f @ Z_v, Z_p.T @ G_f, Z_p.T @ mean
+        self.con, self.B_f, self.G_f, self.mean = con, B_f, G_f, mean
         self.Z_v, self.Z_p = Z_v, Z_p
-        self.npres, self.nf = cs.B_f.shape
+        self.npres, self.nf = B_f.shape
         VQ = (sp.csr_matrix(velocity_rows) @ con.Q.T).tocsc()
         V = VQ[:, con.free]
         self.V = (V if Z_v is None else V @ Z_v).tocsr()
@@ -351,6 +355,21 @@ class SaddleLayout:
         core.indices.flags.writeable = core.indptr.flags.writeable = False  # shared by every core
         self._core_pattern = core.indices, core.indptr, core.shape
         self._source = (core.data - 1).astype(np.int32)
+
+    def reduce(self, A, F):
+        """(A_ff, F_f) of the velocity operator A with the Cartesian load F:
+        A slip-reduced, the prescribed normal values moved into the load,
+        both restricted to Z_v."""
+        A_ff, A_fc = self.con.reduce_matrix(A)
+        F_f = self.con.reduce_vector(F) - A_fc @ self.con.fixed_values
+        if self.Z_v is not None:
+            A_ff, F_f = self.Z_v.T @ A_ff @ self.Z_v, self.Z_v.T @ F_f
+        return A_ff, F_f
+
+    def load(self, F):
+        """A Cartesian velocity load slip-reduced, then restricted to Z_v."""
+        F_f = self.con.reduce_vector(F)
+        return F_f if self.Z_v is None else self.Z_v.T @ F_f
 
     def core(self, A_ff):
         """Sparse core of the system with velocity block A_ff, gathered onto

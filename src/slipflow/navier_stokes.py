@@ -1,14 +1,17 @@
 """Stationary Stokes and Navier-Stokes slip solvers.
 
 The nonlinear problem is attacked as a fixed point of the viscous slip
-operator: Picard steps (all convection explicit, each step being one
-Stokes-type solve) or Newton steps.  The default mode accelerates the
-Picard map by Anderson mixing of its last ANDERSON_DEPTH images, which
-improves Picard's linear rate for Navier-Stokes (Pollock, Rebholz &
-Xiao, SIAM J. Numer. Anal. 57, 2019); Newton takes over only when an
-accelerated step does not lower the residual.  One driver, the
-generator _continuation, walks a continuation parameter lambda that
-scales the convection from 0 (the Stokes lift, solved once) to 1.  It
+operator.  The default mode iterates the Picard map (all convection
+explicit, each step being one Stokes-type solve) accelerated by Anderson
+mixing of its last ANDERSON_DEPTH images, which improves Picard's linear
+rate for Navier-Stokes (Pollock, Rebholz & Xiao, SIAM J. Numer. Anal.
+57, 2019); Newton takes over only when an accelerated step does not
+lower the residual.  Mode "newton" takes Newton steps from the start.
+A Newton step halves on residual growth; the first starts from a full
+step, a later one from 1.5 times the fraction of the one before (at
+most a full step).  One generator, _continuation, walks a continuation
+parameter lambda that scales the convection from 0 (the Stokes lift,
+solved once) to 1.  It
 carries N(u) and the residual of its iterate from one lambda to the
 next and yields one fully described state per lambda:
 solve_navier_stokes keeps the last, continuation_sweep keeps them all.
@@ -28,17 +31,18 @@ factorization is alive.  Residuals need only the convection vector
 N(w), which is computed without assembling C(w), so a solve that needs
 no Newton step assembles no convection matrix.
 
-The constraint rows live in one SaddleLayout per workspace: circulation
-pins as a sparse Cartesian block inside the sparse core; the
-rigid-rotation row (zero friction on a circularly symmetric domain) as a
-dense border next to the pressure mean.  The mirror-symmetric subspace
-is no row at all: its unknowns are the coefficients in sparse bases of
-the symmetric free velocities and pressures, and the workspace restricts
-the slip-reduced blocks to them once.  The iteration carries the solution
-x of the bordered system; the layout splits it into velocity and
-pressure, and its block product gives both the GMRES operator and the
-nonlinear residual.  The Stokes problem is the workspace's base solve
-alone (solve_stokes).
+One SaddleLayout per workspace owns the slip reduction and the
+constraint rows: circulation pins as a sparse Cartesian block inside the
+sparse core; the rigid-rotation row (zero friction on a circularly
+symmetric domain) as a dense border next to the pressure mean.  The
+mirror-symmetric subspace is no row at all: its unknowns are the
+coefficients in sparse bases of the symmetric free velocities and
+pressures, and the layout restricts the slip-reduced blocks to them, the
+base operator once and each Newton operator as it comes.  The iteration
+carries the solution x of the bordered system; the layout splits it into
+velocity and pressure, and its block product gives both the GMRES
+operator and the nonlinear residual.  The Stokes problem is the
+workspace's base solve alone (solve_stokes).
 """
 
 from dataclasses import asdict, dataclass, field, replace
@@ -73,11 +77,10 @@ STALL_STEPS = 5
 class SolverConfig:
     """Iteration strategy for the nonlinear solve."""
 
-    mode: str = "picard-then-newton"    # "picard" | "newton" | "picard-then-newton"
+    mode: str = "picard-then-newton"    # or "newton"
     lambda_schedule: tuple = (1.0,)     # nondecreasing continuation values in [0, 1]
     tolerance: float = 1e-10            # relative nonlinear residual
     max_iterations: int = 60            # per lambda, accelerated and Newton steps together
-    damping: float = 1.0
     pins: dict = None                   # {hole component: circulation target}
     symmetric_subspace: bool = False
 
@@ -88,9 +91,7 @@ class SolverConfig:
             raise DataError("lambda schedule must be nonempty and nondecreasing within [0, 1]")
         if not (0 < self.tolerance < np.inf and self.max_iterations > 0):
             raise DataError("tolerance must be finite and positive, iteration limits positive")
-        if not (0 < self.damping <= 1):
-            raise DataError(f"damping must lie in (0, 1], got {self.damping}")
-        if self.mode not in ("picard", "newton", "picard-then-newton"):
+        if self.mode not in ("newton", "picard-then-newton"):
             raise DataError(f"unknown solver mode {self.mode!r}")
 
 
@@ -148,20 +149,19 @@ class IterationTrace:
 
 
 class _Workspace:
-    """Assembled base operators, the slip constraint and the extra saddle rows.
+    """Assembled base operators and the SaddleLayout of the problem.
 
-    `rows` is the SaddleLayout of the problem: the circulation pins the
+    `rows` is that layout: the slip constraint, the circulation pins the
     config asks for and, on a zero-friction circularly symmetric domain,
     the rigid-rotation row.  On the mirror-symmetric subspace Z_v and Z_p
     are its bases and `mirror` the node pairing they are built from (all
-    None otherwise), and every constrained system and reduced load is
-    restricted to them.  The workspace holds one
-    factored bordered saddle system at a time, first that of A_base
-    (built by the Stokes lift).  A system of the held operator is a
-    back-solve; any other operator is solved by one GMRES cycle
-    preconditioned by the held factor and, if that cycle does not meet
-    LINEAR_TOL, by factoring the operator, which then replaces the held
-    factor.
+    None otherwise).  A_ff and F_f are the reduced base operator and load.
+    The workspace holds one factored bordered saddle system at a time,
+    first that of A_base (built by the Stokes lift).  A system of the held
+    operator is a back-solve; any other operator is solved by one GMRES
+    cycle preconditioned by the held factor and, if that cycle does not
+    meet LINEAR_TOL, by factoring the operator, which then replaces the
+    held factor.
     """
 
     def __init__(self, mesh, data, config=None):
@@ -172,13 +172,11 @@ class _Workspace:
         self.data = data
         self.A_base = assembly.velocity_sum(mesh, assembly.assemble_viscous(mesh, data.nu),
                                             assembly.assemble_friction(mesh, data.beta))
-        self.B = assembly.assemble_divergence(mesh)
         self.F = assembly.load_volume(mesh, data.f) \
             + assembly.load_boundary_tangential(mesh, data.b_tau)
         self.mean = assembly.assemble_pressure_mean(mesh)
-        self.base = assembly.apply_normal_trace(mesh, self.A_base, self.B, self.F, self.mean,
-                                                data.a_star)
-        self.con = self.base.constraint
+        con, B_f, G_f = assembly.apply_normal_trace(mesh, assembly.assemble_divergence(mesh),
+                                                    data.a_star)
 
         velocity, targets, dense = [], [], []   # pin rows and targets, rigid-mode rows
         self.Z_v = self.Z_p = self.mirror = None
@@ -200,10 +198,7 @@ class _Workspace:
                                 "symmetry (symmetric fields have zero circulation)")
             pins = {}
             self.mirror = _mirror_lookup(mesh)
-            Z_v, Z_p = self.Z_v, self.Z_p = _mirror_bases(mesh, self.con, self.mirror)
-            b = self.base
-            self.base = replace(b, A_ff=Z_v.T @ b.A_ff @ Z_v, B_f=Z_p.T @ b.B_f @ Z_v,
-                                F_f=Z_v.T @ b.F_f, G_f=Z_p.T @ b.G_f, mean=Z_p.T @ b.mean)
+            self.Z_v, self.Z_p = _mirror_bases(mesh, con, self.mirror)
         elif (center := data.free_rotation_center(domain)) is not None:
             mode = rigid_rotation_mode(mesh, center)
             compat = float(self.F @ mode.coefficients)
@@ -221,25 +216,12 @@ class _Workspace:
                 raise DataError(f"circulation pin on invalid hole component {comp}")
             velocity.append(assembly.circulation_functional(mesh, comp))
             targets.append(float(target))
-        self.rows = SaddleLayout(self.base, np.reshape(velocity, (-1, 2 * mesh.n_p2_nodes)),
-                                 targets, dense, self.Z_v, self.Z_p)
+        self.rows = SaddleLayout(con, B_f, G_f, self.mean,
+                                 np.reshape(velocity, (-1, 2 * mesh.n_p2_nodes)), targets,
+                                 dense, self.Z_v, self.Z_p)
+        self.A_ff, self.F_f = self.rows.reduce(self.A_base, self.F)
         self._held = None       # (operator, its factored saddle system)
         self.factorizations = 0
-
-    def constrained_system(self, A):
-        """The base system with operator A: slip-reduced, then restricted to Z_v."""
-        if A is self.A_base:
-            return self.base
-        A_ff, A_fc = self.con.reduce_matrix(A)
-        F_f = self.con.reduce_vector(self.F) - A_fc @ self.con.fixed_values
-        if self.Z_v is not None:
-            A_ff, F_f = self.Z_v.T @ A_ff @ self.Z_v, self.Z_v.T @ F_f
-        return replace(self.base, A_ff=A_ff, F_f=F_f)
-
-    def reduce_vector(self, F):
-        """A Cartesian velocity load slip-reduced, then restricted to Z_v."""
-        F_f = self.con.reduce_vector(F)
-        return F_f if self.Z_v is None else self.Z_v.T @ F_f
 
     def solve_linear(self, A, extra_rhs=None, guess=None):
         """Constrained saddle solve with operator A; returns (x, LinearStep).
@@ -247,19 +229,19 @@ class _Workspace:
         x is the solution of the bordered system (`rows.split` gives the
         velocity and pressure); guess: optional start x for the GMRES cycle.
         """
-        cs = self.constrained_system(A)
-        F_f = cs.F_f if extra_rhs is None else \
-            cs.F_f + self.reduce_vector(extra_rhs)
+        A_ff, F_f = (self.A_ff, self.F_f) if A is self.A_base else self.rows.reduce(A, self.F)
+        if extra_rhs is not None:
+            F_f = F_f + self.rows.load(extra_rhs)
         method, iterations = "direct", 0
         if self._held is not None and self._held[0] is not A:
             x, relres, iterations = solve_saddle_krylov(
-                self.rows, self._held[1], cs.A_ff, F_f, KRYLOV_CYCLE, guess)
+                self.rows, self._held[1], A_ff, F_f, KRYLOV_CYCLE, guess)
             if relres <= LINEAR_TOL:
                 return x, LinearStep("krylov", iterations, relres)
             method = "refactor"
             self._held = None           # at most one factorization is alive
         if self._held is None:
-            self._held = (A, build_saddle_solver(self.rows, cs.A_ff))
+            self._held = (A, build_saddle_solver(self.rows, A_ff))
             self.factorizations += 1
         x, relres = solve_saddle_rhs(self.rows, self._held[1], F_f)
         if not relres <= LINEAR_TOL:
@@ -281,8 +263,8 @@ class _Workspace:
     def residual(self, x, lam, conv_vec):
         """Residual vector of the bordered system of A_base at x, with the
         convection load lam * N(u) on the right-hand side."""
-        b, d = self.rows.rhs(self.base.F_f - lam * self.reduce_vector(conv_vec))
-        return np.concatenate([b, d]) - self.rows.product(self.base.A_ff, x)
+        b, d = self.rows.rhs(self.F_f - lam * self.rows.load(conv_vec))
+        return np.concatenate([b, d]) - self.rows.product(self.A_ff, x)
 
 
 def _mirror_lookup(mesh, tol_rel=1e-9):
@@ -369,8 +351,8 @@ def _stokes_lift(ws):
     returns (x, the residual scale, LinearStep)."""
     x, step = ws.solve_linear(ws.A_base)
     # the reduced load and the inhomogeneous boundary terms set the scale
-    scale = np.max([np.linalg.norm(ws.reduce_vector(ws.F)), np.linalg.norm(ws.base.G_f),
-                    np.linalg.norm(ws.base.F_f), 1e-30])
+    scale = np.max([np.linalg.norm(ws.rows.load(ws.F)), np.linalg.norm(ws.rows.G_f),
+                    np.linalg.norm(ws.F_f), 1e-30])
     return x, scale, step
 
 
@@ -443,12 +425,11 @@ def _solve_at_lambda(ws, config, lam, x, conv, trace, scale):
     in trace why the iteration stopped, also before raising.
     """
     mesh = ws.mesh
-    damping = config.damping
+    damping = 1.0           # first fraction of the next Newton step
     u = ws.rows.split(x)[0]
     res_prev = np.linalg.norm(ws.residual(x, lam, conv)) / scale
     best, since_best = res_prev, 0      # a NaN residual is never a new lowest
-    phase = {"picard": "picard", "newton": "newton",
-             "picard-then-newton": "anderson"}[config.mode]
+    phase = "newton" if config.mode == "newton" else "anderson"
     history = []            # (Picard image, its field step) of the anderson steps here
     first = len(trace.residuals)
 
@@ -474,13 +455,13 @@ def _solve_at_lambda(ws, config, lam, x, conv, trace, scale):
                 f"singular linearized system at lambda={lam:g}; a circulation pin "
                 f"may be needed to select a branch ({exc})") from exc
 
-        if phase == "anderson":         # undamped: the mixing replaces the damping
+        if phase == "anderson":         # undamped: the mixing replaces the line search
             alpha = 1.0
             step_fields = np.concatenate(ws.rows.split(x_new)) - np.concatenate(ws.rows.split(x))
             x_try = _anderson_update(history, x_new, step_fields)
             u_try, conv_try, res_try = evaluate(x_try)
         else:
-            # damped update, halving on residual growth
+            # Newton update, halving on residual growth
             alpha = damping
             for _ in range(6):
                 x_try = x + alpha * (x_new - x)
@@ -493,8 +474,8 @@ def _solve_at_lambda(ws, config, lam, x, conv, trace, scale):
         energy = 0.5 * float(u @ (ws.A_base @ u))
         trace.record(res_try, energy, alpha, f"{phase}@{lam:g}", step)
         if res_try > res_prev and phase == "anderson":
-            # the accelerated Picard map has stalled: Newton takes over at the
-            # configured damping, and the Anderson history is not used again
+            # the accelerated Picard map has stalled: Newton takes over from a
+            # full step, and the Anderson history is not used again
             phase = "newton"
         res_prev = res_try
         best, since_best = (res_try, 0) if res_try < best else (best, since_best + 1)

@@ -31,7 +31,8 @@ def _write_rows(fh, table, fmt):
 
 
 def write_vtk(flow, path, provenance_line=""):
-    """Legacy ASCII unstructured grid with u, p, vorticity and total head.
+    """Legacy ASCII unstructured grid with u, p, vorticity and total head;
+    returns those two projections, which share one scalar mass matrix.
 
     Quadratic nodes become points; each triangle is written as its four
     straight-sided children so standard viewers can render the data.
@@ -44,8 +45,8 @@ def write_vtk(flow, path, provenance_line=""):
     p_vertex = flow.pressure
     edge_p = 0.5 * (p_vertex[mesh.edges[:, 0]] + p_vertex[mesh.edges[:, 1]])
     p_all = np.concatenate([p_vertex, edge_p])
-    omega = vorticity(flow)
-    phi = total_head(flow)
+    mass = assembly.scalar_mass(mesh)
+    omega, phi = vorticity(flow, mass), total_head(flow, mass)
     xyz = f"{FLOAT_FMT} {FLOAT_FMT} " + FLOAT_FMT % 0.0     # planar: z is written as text
 
     with open(path, "w") as fh:
@@ -64,6 +65,7 @@ def write_vtk(flow, path, provenance_line=""):
         for name, vals in (("pressure", p_all), ("vorticity", omega), ("total_head", phi)):
             fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
             _write_rows(fh, vals[:, None], FLOAT_FMT)
+    return omega, phi
 
 
 def _arclength_of(curve, t):

@@ -90,12 +90,17 @@ class TestConfig:
         assert cli.main(["audit", "--config", path, "--out", str(tmp_path)]) == 2
 
     def test_picard_budget_key_rejected(self, tmp_path, capsys):
-        # the default mode needs no Picard budget, and the key no longer exists
-        path = hamel_config(tmp_path, **{"solver.picard_iterations": 8})
-        out = tmp_path / "out"
-        assert cli.main(["solve", "ns", "--config", path, "--out", str(out)]) == 2
-        assert "picard_iterations" in capsys.readouterr().err
-        assert not out.exists()
+        # the retired settings of the damped Picard iteration: the Picard
+        # budget, the damping knob and the plain Picard mode; each error
+        # names its key
+        for setting, key in (({"solver.picard_iterations": 8}, "picard_iterations"),
+                             ({"solver.damping": 0.5}, "damping"),
+                             ({"solver.mode": "picard"}, "solver.mode")):
+            path = hamel_config(tmp_path, **setting)
+            out = tmp_path / "out"
+            assert cli.main(["solve", "ns", "--config", path, "--out", str(out)]) == 2, key
+            assert key in capsys.readouterr().err
+            assert not out.exists(), key
 
     def test_expression_boundary_values(self, tmp_path):
         path = hamel_config(
@@ -335,8 +340,8 @@ class TestSubcommands:
 
     def test_non_convergence_exit_code_writes_trace(self, tmp_path):
         path = hamel_config(tmp_path,
-                            solver={"mode": "picard", "max_iterations": 2,
-                                    "tolerance": 1e-14, "pins": {"1": 0.0}})
+                            solver={"max_iterations": 2, "tolerance": 1e-14,
+                                    "pins": {"1": 0.0}})
         out = tmp_path / "out"
         assert cli.main(["solve", "ns", "--config", path, "--out", str(out)]) == 3
         trace = json.load(open(out / "trace.json"))

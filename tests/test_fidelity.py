@@ -100,7 +100,7 @@ def test_matrix_subset_runs_and_compares(tmp_path):
     # tree: one converging solve and the solve below the roundoff floor
     names = ("couette-ns", "hamel-ns-roundoff-floor")
     cases = [case for case in fidelity_matrix.MATRIX if case[0] in names]
-    assert len(fidelity_matrix.MATRIX) == 36 and len(cases) == 2
+    assert len(fidelity_matrix.MATRIX) == 32 and len(cases) == 2
     codes = fidelity_matrix.run_matrix(ROOT, tmp_path, cases)
     assert codes == {"couette-ns": 0, "hamel-ns-roundoff-floor": 3}
     assert (tmp_path / "couette-ns" / "exit_code").read_text() == "0\n"
@@ -111,3 +111,22 @@ def test_matrix_subset_runs_and_compares(tmp_path):
             "hamel-ns-roundoff-floor/exit_code"} <= set(result["artifacts"])
     assert set(result["artifacts"].values()) == {"identical"}
     assert result["outcomes"] == {}
+
+
+def test_changed_list_reported_by_its_first_difference(run_dir, tmp_path, capsys):
+    # the phases of a run stopped after 60 steps against one converged in 26
+    before, after = tmp_path / "before", tmp_path / "after"
+    for root, phases in ((before, ["anderson@1"] * 60),
+                         (after, ["anderson@1"] * 22 + ["newton@1"] * 4)):
+        shutil.copytree(run_dir, root)
+        trace = json.load(open(root / "ns" / "trace.json"))
+        trace["phases"] = phases
+        (root / "ns" / "trace.json").write_text(json.dumps(trace))
+    note = 'length 60 -> 26, first difference at [22]: "anderson@1" -> "newton@1"'
+    result = fidelity.compare(before, after)
+    assert result["artifacts"]["ns/trace.json"] == {"phases": note}
+    assert list(result["outcomes"]) == ["ns/trace.json:phases"]
+    assert fidelity.main([str(before), str(after)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert f"  phases: {note}" in lines and f"  ns/trace.json:phases: {note}" in lines
+    assert all(len(line) < 200 for line in lines)

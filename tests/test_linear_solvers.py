@@ -145,7 +145,7 @@ def hamel_core(mesh, config=None):
     unless another SolverConfig is given."""
     config = config or nvs.SolverConfig(pins={1: 2 * np.pi})
     ws = nvs._Workspace(mesh, val.hamel(1.0).data, config)
-    return ls.build_saddle_solver(ws.rows, ws.constrained_system(ws.A_base).A_ff).core
+    return ls.build_saddle_solver(ws.rows, ws.A_ff).core
 
 
 def factored_by(call):
@@ -169,7 +169,7 @@ def newton_core(mesh):
     ws = nvs._Workspace(mesh, val.hamel(1.0).data, nvs.SolverConfig(pins={1: 2 * np.pi}))
     u, _ = ws.rows.split(nvs._stokes_lift(ws)[0])
     A = ws.A_base + asm.assemble_convection(mesh, u)[0] + asm.assemble_convection_newton(mesh, u)
-    return ls.build_saddle_solver(ws.rows, ws.constrained_system(A).A_ff).core
+    return ls.build_saddle_solver(ws.rows, ws.rows.reduce(A, ws.F)[0]).core
 
 
 class TestFactorization:
@@ -186,10 +186,10 @@ class TestFactorization:
         if newton:
             u, _ = ws.rows.split(nvs._stokes_lift(ws)[0])
             A = A + asm.assemble_convection(mesh, u)[0] + asm.assemble_convection_newton(mesh, u)
-        cs = ws.constrained_system(A)
-        asymmetry = spla.norm(cs.A_ff - cs.A_ff.T) / spla.norm(cs.A_ff)
+        A_ff, F_f = ws.rows.reduce(A, ws.F)
+        asymmetry = spla.norm(A_ff - A_ff.T) / spla.norm(A_ff)
         assert asymmetry > 1e-3 if newton else asymmetry < 1e-14
-        solver = ls.build_saddle_solver(ws.rows, cs.A_ff)
+        solver = ls.build_saddle_solver(ws.rows, A_ff)
         # the premise of the setting: the factored core has a symmetric pattern,
         # up to the few entries a sparse product drops where it cancels to zero
         pattern = sp.csc_matrix(solver.core, copy=True)
@@ -197,7 +197,7 @@ class TestFactorization:
         assert abs(pattern - pattern.T).sum() <= 1e-3 * pattern.nnz
         default = spla.splu(sp.csc_matrix(solver.core))
         assert fill(solver.lu) < fill(default)
-        _, relres = ls.solve_saddle_rhs(ws.rows, solver, cs.F_f)
+        _, relres = ls.solve_saddle_rhs(ws.rows, solver, F_f)
         assert relres <= 1e-12
 
     KINDS = [("hamel-saddle", "annulus"), ("mirror-saddle", "annulus"),
@@ -265,7 +265,7 @@ class TestFactorization:
         assert rows.V.nnz or config.symmetric_subspace
         for A in (ws.A_base, newton):
             # on the mirror subspace A_ff and B_f are the blocks restricted to its bases
-            A_ff = ws.constrained_system(A).A_ff
+            A_ff, _ = rows.reduce(A, ws.F)
             ref = sp.bmat([[A_ff, rows.B_f.T, rows.V.T], [rows.B_f, None, None],
                            [rows.V, None, None]], format="csc")
             # a copy is on no pattern of the mesh and is gathered onto it first
@@ -284,7 +284,7 @@ class TestFactorization:
         fills = []
         for symmetric in (True, False):
             ws = nvs._Workspace(mesh, data, nvs.SolverConfig(symmetric_subspace=symmetric))
-            fills.append(fill(ls._splu(ls.build_saddle_solver(ws.rows, ws.base.A_ff).core)))
+            fills.append(fill(ls._splu(ls.build_saddle_solver(ws.rows, ws.A_ff).core)))
         assert fills[0] < fills[1]
 
     def test_pre_order_cuts_the_hamel_fill(self, annulus_coarse):

@@ -134,6 +134,27 @@ class TestAuditTwoHoles:
         assert sorted(calls) == ["scalar_h1_gram", "scalar_h1_gram", "scalar_mass",
                                  "scalar_stiffness"]
 
+    @pytest.mark.parametrize("command", [["solve", "ns"], ["diagnose"]])
+    def test_projections_share_one_scalar_mass(self, tmp_path, monkeypatch, command):
+        # the vorticity and total-head projections of solution.vtk, which
+        # diagnose reuses for its head-pressure residual: one scalar mass
+        # and one CG solve each
+        import json
+        import os
+        from slipflow import cli
+        cfg = json.load(open(os.path.join(os.path.dirname(__file__), "..", "configs",
+                                          "couette.json")))
+        cfg["mesh"] = {"generator": "annulus", "n_radial": 4, "n_angular": 16}
+        path = tmp_path / "couette.json"
+        path.write_text(json.dumps(cfg))
+        calls = self._count_scalar_forms(monkeypatch)
+        solves = []
+        monkeypatch.setattr(spla, "cg", lambda *args, real=spla.cg, **kw:
+                            solves.append(1) or real(*args, **kw))
+        argv = [*command, "--config", str(path), "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 0
+        assert calls.count("scalar_mass") == 1 and len(solves) == 2
+
     def test_three_factorizations_per_audit(self, two_hole_domain, two_hole_mesh, monkeypatch):
         # in one process: the Korn pencil, the Sobolev ascent's H1 Gram matrix
         # and the Dirichlet stiffness of the harmonic basis; its projections

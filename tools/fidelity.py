@@ -17,7 +17,8 @@ relative difference of each numeric field that differs:
 The relative difference is the absolute one over the largest magnitude
 of the field in BEFORE.  A field present on one side only, or of another
 length, and a changed JSON value that is not numeric (text, booleans) are
-reported as such.
+reported as such; a changed list of them by its two lengths, the first
+index that differs and the two values there.
 
 Separately, the report lists every change of outcome: the exit code (a
 file named `exit_code` holding the integer, written by whoever ran the
@@ -103,6 +104,18 @@ def _csv_fields(path):
 FIELD_READERS = {".vtk": _vtk_fields, ".json": _json_fields, ".csv": _csv_fields}
 
 
+def _change(before, after):
+    """A changed value as text; two lists by their lengths and their first
+    difference, which keeps a long list from filling the report."""
+    if not (isinstance(before, list) and isinstance(after, list)):
+        return f"{json.dumps(before)} -> {json.dumps(after)}"
+    i = next((i for i, (b, a) in enumerate(zip(before, after)) if b != a),
+             min(len(before), len(after)))
+    at = [json.dumps(v[i]) if i < len(v) else "none" for v in (before, after)]
+    return f"length {len(before)} -> {len(after)}, first difference at [{i}]: " \
+        f"{at[0]} -> {at[1]}"
+
+
 def _field_differences(before, after):
     """{field: (abs, rel) or a note} for the fields of two artifacts that differ."""
     out = {}
@@ -113,7 +126,7 @@ def _field_differences(before, after):
         a, b = _numeric(before[name]), _numeric(after[name])
         if a is None or b is None:
             if before[name] != after[name]:
-                out[name] = f"{json.dumps(before[name])} -> {json.dumps(after[name])}"
+                out[name] = _change(before[name], after[name])
         elif a.shape != b.shape:
             out[name] = f"length {a.size} -> {b.size}"
         elif not np.array_equal(a, b):
@@ -177,7 +190,7 @@ def report(result):
             lines.append(f"  {name}: {text}")
     lines.append(f"outcomes: {len(result['outcomes'])} changed")
     for key, (b, a) in result["outcomes"].items():
-        lines.append(f"  {key}: {json.dumps(b)} -> {json.dumps(a)}")
+        lines.append(f"  {key}: {_change(b, a)}")
     return lines
 
 
