@@ -24,11 +24,12 @@ def config_schema():
 
 @functools.cache
 def config_validator():
-    """The validator of config_schema(); the schema itself is checked once."""
+    """The validator of config_schema().
+
+    The schema itself is checked against its meta-schema by the test suite,
+    not here, so that no run pays for it."""
     schema = config_schema()
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+    return jsonschema.validators.validator_for(schema)(schema)
 
 
 def _non_finite_key(value, key=()):

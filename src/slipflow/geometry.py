@@ -265,7 +265,9 @@ class DomainSpec:
 
 
 def _min_distance(a, b):
-    return float(np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2).min()))
+    dx = a[:, 0, None] - b[None, :, 0]
+    dy = a[:, 1, None] - b[None, :, 1]
+    return float(np.sqrt((dx * dx + dy * dy).min()))
 
 
 def frames_at(domain, component, t):

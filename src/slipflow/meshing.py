@@ -61,13 +61,13 @@ class Mesh:
         nt = len(t)
         # pair p is local edge p // nt of triangle p % nt, in its ccw order
         pairs = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        key = np.sort(pairs, axis=1)
-        uniq, inverse, counts = np.unique(
-            key, axis=0, return_inverse=True, return_counts=True)
+        # one int64 key per edge orders the sorted pairs (a, b) as rows do
+        n = len(self.vertices)
+        key = pairs.min(axis=1) * n + pairs.max(axis=1)
+        uniq, inverse, counts = np.unique(key, return_inverse=True, return_counts=True)
         if counts.max() > 2:
             raise MeshError("non-conforming mesh: an edge is shared by more than 2 triangles")
-        inverse = inverse.reshape(-1)
-        self.edges = uniq
+        self.edges = np.column_stack(np.divmod(uniq, n))
         self.tri_edges = inverse.reshape(3, nt).T
         self._edge_count = counts
         # the topological boundary: edges of one triangle, in edge-id order
@@ -208,9 +208,10 @@ def mesh_annulus(r_in, r_out, n_radial, n_angular):
     if n_angular % 2:
         raise ConfigurationError("n_angular must be even (mirror-symmetric grid)")
 
+    # two concentric circles with 0 < r_in < r_out form a valid domain
     domain = geometry.DomainSpec(
         [geometry.Circle((0.0, 0.0), r_out), geometry.Circle((0.0, 0.0), r_in)],
-        labels=["outer", "inner"])
+        labels=["outer", "inner"], check=False)
 
     radii = np.linspace(r_in, r_out, n_radial + 1)
     theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
@@ -290,7 +291,15 @@ def _near_branch(t):
 
 
 def mesh_disk_with_holes(domain, target_h, smooth_rounds=6):
-    """Delaunay mesh of a circle-bounded domain with circular holes."""
+    """Delaunay mesh of a circle-bounded domain with circular holes.
+
+    Boundary points about target_h apart on every circle and a hexagonal
+    lattice of spacing target_h clear of the circles are triangulated once;
+    the lattice points then take smooth_rounds rounds of Laplacian smoothing
+    on that fixed connectivity, and the smoothed points are triangulated
+    again for the final mesh (two Delaunay calls whatever smooth_rounds is).
+    Triangles whose centroid lies outside the domain are dropped each time.
+    """
     from scipy.spatial import Delaunay  # loaded only by the Delaunay mesher
 
     if not 0 < target_h < np.inf:
@@ -335,12 +344,10 @@ def mesh_disk_with_holes(domain, target_h, smooth_rounds=6):
     interior = interior[keep]
 
     points = np.vstack(boundary_pts + [interior])
+    simplices = _inside_triangles(Delaunay(points).simplices, points, domain)
     for _ in range(smooth_rounds):
-        tri = Delaunay(points)
-        points = _smooth(points, _inside_triangles(tri.simplices, points, domain), n_boundary)
-
-    tri = Delaunay(points)
-    simplices = _inside_triangles(tri.simplices, points, domain)
+        points = _smooth(points, simplices, n_boundary)
+    simplices = _inside_triangles(Delaunay(points).simplices, points, domain)
     used = np.unique(simplices)
     remap = -np.ones(len(points), np.int64)
     remap[used] = np.arange(len(used))

@@ -1,6 +1,7 @@
 import json
 import os
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -60,6 +61,11 @@ class TestConfig:
         assert cli.main(["mesh", "--config", path, "--out", str(out)]) == 2
         assert key in capsys.readouterr().err
         assert not out.exists()
+
+    def test_packaged_schema_is_a_valid_schema(self):
+        # the run-time validator trusts the packaged schema; it is checked here
+        schema = cli.config_schema()
+        jsonschema.validators.validator_for(schema).check_schema(schema)
 
     def test_shipped_golden_configs_validate(self):
         for name in ("hamel", "couette", "theorem1_pass", "symmetric_domain"):
@@ -266,12 +272,12 @@ class TestSubcommands:
         ({"solver.lambda_schedule": []}, []),
         ({"solver.lambda_schedule": [float("nan")]}, []),
         ({"solver.tolerance": float("nan")}, []),
-        ({"solver.damping": float("nan")}, []),
+        ({"solver.pins": {"1": float("nan")}}, []),
         ({"physics.nu": float("nan")}, []),
         ({"physics.nu": float("inf")}, []),
         ({}, ["--pin", "1=nan"]),
         ({}, ["--pin", "1=inf"]),
-    ], ids=["empty-schedule", "nan-schedule", "nan-tolerance", "nan-damping", "nan-nu",
+    ], ids=["empty-schedule", "nan-schedule", "nan-tolerance", "nan-config-pin", "nan-nu",
             "inf-nu", "nan-pin", "inf-pin"])
     def test_non_finite_or_empty_solver_value_exit_code(self, tmp_path, capsys, setting, pin):
         path = hamel_config(tmp_path, mesh={"generator": "annulus", "n_radial": 4,

@@ -184,3 +184,15 @@ class TestDomainValidity:
     def test_spline_needs_finite_points(self, bad):
         with pytest.raises(GeometryError, match="finite"):
             geometry.SplineCurve([[1, 0], [0, 1], [-1, bad], [0, -1]])
+
+    def test_min_distance_matches_the_broadcast_reference(self):
+        # sample sets as DomainSpec validation takes them: 256 points per curve
+        t = np.linspace(0.0, 1.0, 256, endpoint=False)
+        curves = [geometry.Circle((0, 0), 3.0), geometry.Circle((-1.2, 0.1), 0.6),
+                  geometry.Circle((1.3, -0.2), 0.5)]
+        rng = np.random.default_rng(0)
+        samples = [c.point(t) for c in curves] + [rng.standard_normal((256, 2))]
+        for a in samples:
+            for b in samples:
+                ref = float(np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2).min()))
+                assert geometry._min_distance(a, b) == ref

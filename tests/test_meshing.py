@@ -61,6 +61,38 @@ class TestAnnulus:
             assert n @ inward > 0  # normal agrees with leaving the interior
 
 
+def _two_hole_domain(c1=(-1.2, 0.0), c2=(1.3, 0.0)):
+    return geometry.DomainSpec([geometry.Circle((0, 0), 3.0), geometry.Circle(c1, 0.6),
+                                geometry.Circle(c2, 0.5)])
+
+
+_SWEEP_H = (0.1, 0.15, 0.2, 0.25, 0.3)
+
+
+def _sweep():
+    """The benchmark's two-hole domain with one or both hole centres moved
+    by +-0.3 or +-0.5, each at two target_h from 0.1 to 0.3 (capped at a
+    third of the narrowest gap), then an annulus and a disk."""
+    cases = []
+    for s in (-0.5, -0.3, 0.3, 0.5):
+        for d1x, d1y, d2x, d2y in ((s, 0, 0, 0), (0, s, 0, 0), (0, 0, s, 0), (0, 0, 0, s),
+                                   (0, s, 0, -s)):
+            c1, c2 = np.array([-1.2 + d1x, d1y]), np.array([1.3 + d2x, d2y])
+            gap = min(3.0 - np.hypot(*c1) - 0.6, 3.0 - np.hypot(*c2) - 0.5,
+                      np.hypot(*(c1 - c2)) - 1.1)
+            k = len(cases) // 2
+            for h in (_SWEEP_H[k % 5], _SWEEP_H[(k + 2) % 5]):
+                h = min(h, gap / 3.0)
+                cases.append(pytest.param(_two_hole_domain(c1, c2), h,
+                                          id=f"{c1[0]:g},{c1[1]:g};{c2[0]:g},{c2[1]:g}@{h:.3g}"))
+    cases.append(pytest.param(geometry.DomainSpec([geometry.Circle((0, 0), 2.0),
+                                                   geometry.Circle((0, 0), 1.0)]), 0.2,
+                              id="annulus@0.2"))
+    cases.append(pytest.param(geometry.DomainSpec([geometry.Circle((0, 0), 1.0)]), 0.1,
+                              id="disk@0.1"))
+    return cases
+
+
 class TestDiskWithHoles:
     def test_annulus_area(self, annulus_domain):
         mesh = sf.mesh_disk_with_holes(annulus_domain, 0.2)
@@ -81,6 +113,28 @@ class TestDiskWithHoles:
             geometry.Circle((0.7055, 0), 0.9)])
         with pytest.raises(MeshError):
             sf.mesh_disk_with_holes(dom, 0.1)
+
+    def test_two_delaunay_calls_per_mesh(self, monkeypatch):
+        # one triangulation to smooth on, one of the smoothed points
+        import scipy.spatial
+        calls = []
+
+        def counted(points, *args, **kwargs):
+            calls.append(len(points))
+            return delaunay(points, *args, **kwargs)
+
+        delaunay = scipy.spatial.Delaunay
+        monkeypatch.setattr(scipy.spatial, "Delaunay", counted)
+        for smooth_rounds in (6, 1):
+            calls.clear()
+            sf.mesh_disk_with_holes(_two_hole_domain(), 0.15, smooth_rounds=smooth_rounds)
+            assert len(calls) == 2
+
+    @pytest.mark.parametrize("domain, target_h", _sweep())
+    def test_quality_over_hole_layouts(self, domain, target_h):
+        mesh = sf.mesh_disk_with_holes(domain, target_h)
+        mesh.validate()
+        assert mesh.min_angle() >= 20.0
 
     def test_non_circle_rejected(self):
         t = np.linspace(0, 2 * np.pi, 33)[:-1]
@@ -301,11 +355,6 @@ def _assert_bitwise(mesh, expected):
         assert got.tobytes() == value.tobytes(), name
 
 
-def _two_hole_domain():
-    return geometry.DomainSpec([geometry.Circle((0, 0), 3.0), geometry.Circle((-1.2, 0), 0.6),
-                                geometry.Circle((1.3, 0), 0.5)])
-
-
 class TestBoundaryTable:
     def test_annulus_matches_ring_walk(self):
         mesh = sf.mesh_annulus(1, 2, 4, 16)
@@ -316,6 +365,20 @@ class TestBoundaryTable:
         mesh = sf.mesh_disk_with_holes(_two_hole_domain(), 0.15)
         ref = meshing.Mesh(mesh.domain, mesh.vertices, mesh.triangles.copy())
         _assert_bitwise(mesh, _attached(ref, _projection_walk(ref)))
+
+    @pytest.mark.parametrize("make", [lambda: sf.mesh_annulus(1, 2, 20, 40),
+                                      lambda: sf.mesh_disk_with_holes(_two_hole_domain(), 0.15)],
+                             ids=["annulus", "disk"])
+    def test_edges_match_row_unique(self, make):
+        # the edge table as np.unique over the sorted (a, b) rows gives it
+        mesh = make()
+        t = mesh.triangles
+        pairs = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+        uniq, inverse, counts = np.unique(np.sort(pairs, axis=1), axis=0,
+                                          return_inverse=True, return_counts=True)
+        _assert_bitwise(mesh, {"edges": uniq,
+                               "tri_edges": inverse.reshape(3, len(t)).T,
+                               "_edge_count": counts})
 
     def test_smoothing_matches_pair_loop(self):
         mesh = sf.mesh_disk_with_holes(_two_hole_domain(), 0.15)
