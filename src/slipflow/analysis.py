@@ -104,7 +104,7 @@ def bernoulli_audit(flow):
 
 # -- stream function -----------------------------------------------------------
 
-def stream_function(flow, flux_rtol=1e-8):
+def stream_function(flow):
     """Least-squares potential with grad(psi) = (-u2, u1), zero mean.
 
     Requires zero net flux through every boundary component; otherwise
@@ -116,7 +116,7 @@ def stream_function(flow, flux_rtol=1e-8):
     u_n = np.sum(bq.values(flow.velocity.reshape(-1, 2)) * bq.normal, axis=-1)
     lengths = bq.component_integrals(1.0)
     for comp, (flux, length) in enumerate(zip(bq.component_integrals(u_n), lengths)):
-        if abs(flux) > flux_rtol * uscale * length:
+        if abs(flux) > assembly.FLUX_RTOL * uscale * length:
             raise MultivaluedStreamError(
                 f"component {comp} carries net flux {flux:.6e}; "
                 "stream function would be multivalued")
@@ -150,7 +150,7 @@ def head_pressure_residual(flow, data, fields=None):
     om, phi = ctx.values(fields[0]), fields[1]
     u = ctx.values(flow.velocity.reshape(-1, 2))
     values = -om * om
-    if data.f is not None and callable(data.f):
+    if data.f is not None:
         x = ctx.points()
         fval = np.asarray(data.f(x.reshape(-1, 2)), float).reshape(x.shape)
         values = values + np.sum(fval * u, axis=-1) / nu
@@ -252,7 +252,7 @@ def derive_geometry(mesh):
 def _harmonic_and_sobolev(mesh, hole_fluxes, q):
     """(L^q norm of the harmonic part of the fluxes, Sobolev constant C_r), r = 2q/(q-2)."""
     h = extensions.harmonic_part(extensions.harmonic_basis(mesh), hole_fluxes)
-    hnorm = norms.lq_norm(mesh, h, q=q, vector=True)
+    hnorm = norms.lq_norm(mesh, h, q=q)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return hnorm, sobolev_constant(mesh, r=2 * q / (q - 2)).C_r

@@ -20,6 +20,7 @@ from .quadrature import interval_rule, triangle_rule
 VOLUME_DEGREE = 6
 ERROR_DEGREE = 10
 EDGE_POINTS = 8
+FLUX_RTOL = 1e-8  # of a zero net flux: check_total_flux, analysis.stream_function
 
 
 # -- problem data ----------------------------------------------------------
@@ -38,7 +39,7 @@ class ProblemData:
 
     beta, a_star, b_tau hold one entry per boundary component; each entry
     is given as a constant or a callable(t, points) and kept as a callable.
-    f is None, a callable(points) -> (n, 2), or a per-node array.
+    f is None or a callable(points) -> (n, 2); anything else is a DataError.
     """
 
     nu: float
@@ -50,6 +51,9 @@ class ProblemData:
     def __post_init__(self):
         if not (0 < self.nu < np.inf):
             raise DataError(f"viscosity must be positive and finite, got {self.nu}")
+        if self.f is not None and not callable(self.f):
+            raise DataError(f"volume force must be None or a callable of the points, "
+                            f"got {type(self.f).__name__}")
         self.beta = tuple(map(as_boundary_scalar, self.beta))
         self.a_star = tuple(map(as_boundary_scalar, self.a_star))
         self.b_tau = tuple(map(as_boundary_scalar, self.b_tau))
@@ -119,16 +123,16 @@ def component_fluxes(domain, a_star):
     return np.sum(w_ds * vals, axis=1), np.max(np.abs(vals), axis=1), np.sum(w_ds, axis=1)
 
 
-def check_total_flux(domain, a_star, flux_rtol=1e-8):
+def check_total_flux(domain, a_star):
     """Total exact-curve flux of a per-component normal datum.
 
     Raises CompatibilityError unless the total vanishes to within
-    flux_rtol * max|a_star| * perimeter, and DataError when the datum is
+    FLUX_RTOL * max|a_star| * perimeter, and DataError when the datum is
     not finite at a rule point.
     """
     flux, peak, length = component_fluxes(domain, a_star)
     total, perimeter = sum(flux.tolist()), sum(length.tolist())
-    tol = max(flux_rtol * peak.max() * perimeter, 1e-14 * perimeter)
+    tol = max(FLUX_RTOL * peak.max() * perimeter, 1e-14 * perimeter)
     if not abs(total) <= tol:
         raise CompatibilityError(
             f"total boundary flux {total:.6e} violates the zero-flux compatibility "
@@ -688,15 +692,12 @@ def assemble_convection_newton(mesh, w_coeffs, lam=1.0):
 
 
 def load_volume(mesh, f):
-    """Load vector of <f, phi> for f callable, per-node array, or None."""
+    """Load vector of <f, phi> for f a callable of the points or None."""
     if f is None:
         return np.zeros(2 * mesh.n_p2_nodes)
     ctx = volume_context(mesh)
-    if callable(f):
-        x = ctx.points()
-        fval = np.asarray(f(x.reshape(-1, 2)), float).reshape(x.shape)
-    else:
-        fval = ctx.values(np.asarray(f, float).reshape(-1, 2))
+    x = ctx.points()
+    fval = np.asarray(f(x.reshape(-1, 2)), float).reshape(x.shape)
     if not np.all(np.isfinite(fval)):
         raise DataError("volume force is not finite at a quadrature point")
     return ctx.load(fval).ravel()
@@ -1019,7 +1020,7 @@ class SlipConstraint:
         return (self.Q @ u_full)[self.free]
 
 
-def normal_trace_constraint(mesh, a_star, flux_rtol=1e-8):
+def normal_trace_constraint(mesh, a_star):
     """Build the slip constraint for prescribed normal trace a_star.
 
     a_star is a per-component sequence.  The nodal values are
@@ -1028,7 +1029,7 @@ def normal_trace_constraint(mesh, a_star, flux_rtol=1e-8):
     CompatibilityError when the total flux is out of tolerance and
     DataError when a nodal value is not finite.
     """
-    check_total_flux(mesh.domain, a_star, flux_rtol)
+    check_total_flux(mesh.domain, a_star)
     _, values = boundary_node_values(mesh, a_star)
     return SlipConstraint(plan=slip_plan(mesh), fixed_values=values)
 

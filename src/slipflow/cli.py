@@ -316,7 +316,7 @@ def cmd_validate(args, cfg):
         solver = lambda mesh, d: nvs.solve_navier_stokes(
             mesh, d, nvs.SolverConfig())[0]
     if exact.velocity_jacobian is None:
-        h = 1e-5 * exact.domain.diameter
+        h = validation.FD_STEP * exact.domain.diameter
         exact.velocity_jacobian = lambda x: validation._fd_first(
             exact.velocity, np.asarray(x, np.longdouble), np.longdouble(h)).astype(float)
     table = validation.convergence_study(exact, solver, meshes)
@@ -331,7 +331,8 @@ def main(argv=None):
         prog="slipflow",
         description="Steady slip-flow solver and solvability auditor")
     parser.add_argument("--deterministic", action="store_true",
-                        help="fixed seeds and formats for byte-identical artifacts")
+                        help="accepted for compatibility and changes nothing: every "
+                             "run writes byte-identical artifacts for the same input")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, **kwargs):
@@ -354,9 +355,6 @@ def main(argv=None):
     p.add_argument("--levels", type=int, default=3)
 
     args = parser.parse_args(argv)
-    if args.deterministic:
-        np.random.seed(0)
-
     if not args.config and args.command not in ("validate",):
         parser.error(f"{args.command} requires --config")
 

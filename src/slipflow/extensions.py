@@ -24,7 +24,6 @@ class ExtensionField:
 
     coefficients: np.ndarray
     fluxes: np.ndarray        # hole fluxes (components 1..N)
-    method: str
 
 
 @dataclass
@@ -55,13 +54,12 @@ def solenoidal_extension(mesh, a_star):
     q = solve_laplace_neumann(mesh, a_star)
     coeffs = l2_projection(mesh, assembly.volume_context(mesh).gradient(q)).ravel()
     fluxes = assembly.component_fluxes(mesh.domain, a_star)[0][1:]
-    return ExtensionField(coefficients=coeffs, fluxes=fluxes, method="neumann-gradient")
+    return ExtensionField(coefficients=coeffs, fluxes=fluxes)
 
 
-def harmonic_basis(mesh, domain=None):
+def harmonic_basis(mesh):
     """Dirichlet solves plus L2 Gram-Schmidt; empty basis when there are no holes."""
-    domain = mesh.domain if domain is None else domain
-    N = domain.n_holes
+    N = mesh.domain.n_holes
     scalar_mass = assembly.scalar_mass(mesh)
     mass = assembly.componentwise(mesh, scalar_mass)
     if N == 0:
@@ -72,7 +70,7 @@ def harmonic_basis(mesh, domain=None):
     solve = dirichlet_solver(mesh)
     grads = []
     for k in range(1, N + 1):
-        qk = solve([1.0 if j == k else 0.0 for j in range(domain.n_components)])
+        qk = solve([1.0 if j == k else 0.0 for j in range(mesh.domain.n_components)])
         grads.append(l2_projection(mesh, ctx.gradient(qk), scalar_mass).ravel())
     G = np.array([[gi @ (mass @ gj) for gj in grads] for gi in grads])
     try:

@@ -21,8 +21,6 @@ _ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])  # v -> (-v2, v1)
 class Curve:
     """Closed parametric curve over t in [0, 1)."""
 
-    kind = "generic"
-
     def point(self, t):
         raise NotImplementedError
 
@@ -53,14 +51,6 @@ class Curve:
             dg = self.derivative(t)
             total += np.sum(w * (g[:, 0] * dg[:, 1] - g[:, 1] * dg[:, 0])) / 32.0
         return 0.5 * total
-
-    def arclength(self):
-        s, w = interval_rule(12)
-        total = 0.0
-        for k in range(32):
-            t = (k + s) / 32.0
-            total += np.sum(w * np.hypot(*self.derivative(t).T)) / 32.0
-        return total
 
     def project(self, points):
         """Nearest-parameter projection; returns (t, distance) arrays."""
@@ -110,8 +100,6 @@ class Curve:
 class Circle(Curve):
     """Exact circle, parametrized counterclockwise from angle 0."""
 
-    kind = "circle"
-
     def __init__(self, center, radius):
         if not 0 < radius < np.inf:
             raise GeometryError(f"circle radius must be positive and finite, got {radius}")
@@ -142,9 +130,6 @@ class Circle(Curve):
     def enclosed_area(self):
         return np.pi * self.radius ** 2
 
-    def arclength(self):
-        return 2.0 * np.pi * self.radius
-
     def project(self, points):
         points = np.atleast_2d(np.asarray(points, float))
         rel = points - self.center
@@ -160,8 +145,6 @@ class Circle(Curve):
 
 class SplineCurve(Curve):
     """Closed periodic cubic spline through the given control points."""
-
-    kind = "spline"
 
     def __init__(self, control_points):
         from scipy.interpolate import CubicSpline  # loaded only by spline boundaries

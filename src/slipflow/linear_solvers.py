@@ -17,6 +17,11 @@ from .errors import DataError, SolverError
 
 RESIDUAL_TOL = 1e-10
 MASS_RTOL = 1e-14
+BORDER_RTOL = 1e-13     # BorderedSolver.solve refines down to this relative residual
+LANCZOS_TOL = 1e-11     # ARPACK's relative Ritz-value tolerance in _pencil_smallest,
+LANCZOS_MAXITER = 300   # and its restart limit
+SOBOLEV_TOL = 1e-10     # relative change of the quotient that ends the Sobolev ascent,
+SOBOLEV_MAXITER = 600   # and its step limit
 
 
 # -- states ----------------------------------------------------------------
@@ -32,20 +37,11 @@ class FlowState:
     metadata: dict = field(default_factory=dict)
 
 
-@dataclass
-class RigidMode:
-    """Interpolated rigid displacement a + b(-x2, x1) on the mesh."""
-
-    coefficients: np.ndarray
-    center: tuple
-    b: float = 1.0
-
-
-def rigid_rotation_mode(mesh, center=(0.0, 0.0), b=1.0):
-    coords = mesh.p2_coords()
-    rel = coords - np.asarray(center, float)
-    vals = b * np.column_stack([-rel[:, 1], rel[:, 0]])
-    return RigidMode(coefficients=vals.ravel(), center=tuple(center), b=b)
+def rigid_rotation_mode(mesh, center=(0.0, 0.0)):
+    """Interleaved velocity coefficients of the unit rigid rotation
+    (-(x2 - c2), x1 - c1) about center, interpolated on the mesh."""
+    rel = mesh.p2_coords() - np.asarray(center, float)
+    return np.column_stack([-rel[:, 1], rel[:, 0]]).ravel()
 
 
 @dataclass(frozen=True)
@@ -192,7 +188,7 @@ class BorderedSolver:
             self.W = np.zeros((n, 0))
             self.H = np.zeros((0, 0))
 
-    def solve(self, b, d=None, refine=3, rtol=1e-13):
+    def solve(self, b, d=None, refine=3):
         b = np.asarray(b, float)
         d = np.zeros(self.k) if d is None else np.concatenate(
             [np.asarray(d, float), np.zeros(self.k - self.k_true)])
@@ -204,7 +200,7 @@ class BorderedSolver:
         rb, rd = b, d  # the residual of z = 0, mu = 0 needs no product
         for step in range(refine + 2):
             relres = np.max([np.linalg.norm(rb), np.linalg.norm(rd)]) / scale
-            if relres < rtol or step == refine + 1:
+            if relres < BORDER_RTOL or step == refine + 1:
                 break
             dz, dmu = self._inverse(rb, rd)
             z += dz
@@ -459,7 +455,7 @@ def _pencil_scale(K, M):
     return max(K.diagonal().sum() / max(M.diagonal().sum(), 1e-300), 1e-30)
 
 
-def _pencil_smallest(K, M, constraints=(), v0=None, maxiter=300, tol=1e-11):
+def _pencil_smallest(K, M, constraints=(), v0=None):
     """Smallest eigenvalue of K x = lambda M x subject to c . x = 0 rows.
 
     Shift-invert Lanczos (ARPACK through eigsh) with a fixed shift just
@@ -468,9 +464,8 @@ def _pencil_smallest(K, M, constraints=(), v0=None, maxiter=300, tol=1e-11):
     stays in the constrained space; the pencil is positive semidefinite
     there, and the eigenvalue nearest the shift is the smallest.  Returns
     (lambda, x) with x M-normalized; deterministic for a fixed start
-    vector (projected onto the constraints).  tol is ARPACK's relative
-    Ritz-value tolerance and maxiter its restart limit; SolverError when
-    ARPACK fails or does not converge within them.
+    vector (projected onto the constraints).  SolverError when ARPACK
+    fails or does not converge within LANCZOS_TOL and LANCZOS_MAXITER.
     """
     n = K.shape[0]
     sigma = -1e-9 * _pencil_scale(K, M)
@@ -488,7 +483,8 @@ def _pencil_smallest(K, M, constraints=(), v0=None, maxiter=300, tol=1e-11):
         (n, n), matvec=lambda b: solver.solve(b, refine=1)[0], dtype=float)
     try:
         lam, vec = spla.eigsh(K, k=1, M=M, sigma=sigma, which="LM",
-                              OPinv=shifted_inverse, v0=x, maxiter=maxiter, tol=tol)
+                              OPinv=shifted_inverse, v0=x, maxiter=LANCZOS_MAXITER,
+                              tol=LANCZOS_TOL)
     except spla.ArpackError as exc:
         raise SolverError(f"shift-invert Lanczos failed: {exc}") from exc
     return float(lam[0]), vec[:, 0]
@@ -529,7 +525,7 @@ def korn_constant(mesh, weight, project_rotation=False):
         if sym.circularly_symmetric is None:
             raise DataError("rotation projection requested on a non-symmetric domain")
         mode = rigid_rotation_mode(mesh, sym.circularly_symmetric)
-        c = assembly.assemble_vector_mass(mesh) @ mode.coefficients
+        c = assembly.assemble_vector_mass(mesh) @ mode
         constraints.append((con.Q @ c)[con.free])
     v0 = _deterministic_start(len(con.free))
     lam, x = _pencil_smallest(K_ff, W_ff, constraints, v0=v0)
@@ -556,7 +552,7 @@ class SobolevEstimate:
     rigor: str = "lower bound by discrete-space ascent (non-rigorous)"
 
 
-def sobolev_constant(mesh, r, maxiter=600, tol=1e-10, v0=None):
+def sobolev_constant(mesh, r, v0=None):
     """Ascent estimate of the L^r/W^{1,2} embedding constant.
 
     The quotient is maximized over the scalar quadratic space by the
@@ -588,11 +584,11 @@ def sobolev_constant(mesh, r, maxiter=600, tol=1e-10, v0=None):
     last = -np.inf
     it = 0
     stalled = False
-    for it in range(maxiter):
+    for it in range(SOBOLEV_MAXITER):
         ratio, load = ratio_and_load(v)
         if ratio > best_ratio:
             best_ratio, best_v = ratio, v.copy()
-        if abs(ratio - last) <= tol * max(abs(ratio), 1.0):
+        if abs(ratio - last) <= SOBOLEV_TOL * max(abs(ratio), 1.0):
             break
         last = ratio
         y = lu.solve(load)

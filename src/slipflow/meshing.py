@@ -17,6 +17,7 @@ from .elements import P2_REFERENCE, p2_shape
 from .errors import ConfigurationError, MeshError, MeshImportError
 
 FORMAT_VERSION = "slipflow-mesh-1"
+SMOOTH_ROUNDS = 6  # Laplacian smoothing rounds of mesh_disk_with_holes
 
 
 class Mesh:
@@ -243,8 +244,8 @@ def mesh_annulus(r_in, r_out, n_radial, n_angular):
     return mesh.validate()
 
 
-def _tag_boundary_by_projection(mesh, max_rel_dist=0.1, snap_vertices=False):
-    """Match topological boundary edges to the nearest domain curve.
+def _tag_boundary_by_projection(mesh, snap_vertices=False):
+    """Match topological boundary edges to the nearest domain curve (within 0.1 edge lengths).
 
     With snap_vertices each edge, in edge-id order, moves its two ends onto
     its curve; a vertex met again is projected from where it was left.
@@ -261,7 +262,7 @@ def _tag_boundary_by_projection(mesh, max_rel_dist=0.1, snap_vertices=False):
     comp = np.argmin(worst, axis=0)  # ties go to the first curve
     rows = np.arange(len(top))
     worst = np.asarray(worst)[comp, rows]
-    far = np.nonzero(worst > max_rel_dist * elen)[0]
+    far = np.nonzero(worst > 0.1 * elen)[0]
     if len(far):
         va, vb = mesh.edges[top["edge"][far[0]]]
         raise MeshImportError(
@@ -290,14 +291,14 @@ def _near_branch(t):
                                          np.where(tb - ta < -0.5, tb + 1.0, tb))])
 
 
-def mesh_disk_with_holes(domain, target_h, smooth_rounds=6):
+def mesh_disk_with_holes(domain, target_h):
     """Delaunay mesh of a circle-bounded domain with circular holes.
 
     Boundary points about target_h apart on every circle and a hexagonal
     lattice of spacing target_h clear of the circles are triangulated once;
-    the lattice points then take smooth_rounds rounds of Laplacian smoothing
+    the lattice points then take SMOOTH_ROUNDS rounds of Laplacian smoothing
     on that fixed connectivity, and the smoothed points are triangulated
-    again for the final mesh (two Delaunay calls whatever smooth_rounds is).
+    again for the final mesh (two Delaunay calls whatever SMOOTH_ROUNDS is).
     Triangles whose centroid lies outside the domain are dropped each time.
     """
     from scipy.spatial import Delaunay  # loaded only by the Delaunay mesher
@@ -345,7 +346,7 @@ def mesh_disk_with_holes(domain, target_h, smooth_rounds=6):
 
     points = np.vstack(boundary_pts + [interior])
     simplices = _inside_triangles(Delaunay(points).simplices, points, domain)
-    for _ in range(smooth_rounds):
+    for _ in range(SMOOTH_ROUNDS):
         points = _smooth(points, simplices, n_boundary)
     simplices = _inside_triangles(Delaunay(points).simplices, points, domain)
     used = np.unique(simplices)

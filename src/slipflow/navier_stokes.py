@@ -201,14 +201,14 @@ class _Workspace:
             self.Z_v, self.Z_p = _mirror_bases(mesh, con, self.mirror)
         elif (center := data.free_rotation_center(domain)) is not None:
             mode = rigid_rotation_mode(mesh, center)
-            compat = float(self.F @ mode.coefficients)
-            scale = np.linalg.norm(self.F) * np.linalg.norm(mode.coefficients)
+            compat = float(self.F @ mode)
+            scale = np.linalg.norm(self.F) * np.linalg.norm(mode)
             if abs(compat) > max(1e-8 * scale, 1e-12):
                 raise DataError(
                     "zero-friction circularly symmetric domain needs compatible "
                     f"data; residual <f + b, rigid rotation> = {compat:.6e}")
             mass = assembly.assemble_vector_mass(mesh)
-            dense.append(mass @ mode.coefficients)
+            dense.append(mass @ mode)
             self.meta["rigid_constraint"] = True
             self.meta["symmetric_compatibility_residual"] = compat
         for comp, target in sorted(pins.items()):
@@ -267,12 +267,12 @@ class _Workspace:
         return np.concatenate([b, d]) - self.rows.product(self.A_ff, x)
 
 
-def _mirror_lookup(mesh, tol_rel=1e-9):
-    """Index of the mirror partner of every quadratic node (or error)."""
+def _mirror_lookup(mesh):
+    """Index of the mirror partner (within 1e-9 diameters) of every quadratic node, or error."""
     from scipy.spatial import cKDTree  # loaded only by the mirror-symmetric solve
 
     coords = mesh.p2_coords()
-    tol = tol_rel * mesh.domain.diameter
+    tol = 1e-9 * mesh.domain.diameter
     tree = cKDTree(coords)
     dist, idx = tree.query(coords * np.array([1.0, -1.0]), k=1)
     if dist.max() > tol:
@@ -332,7 +332,7 @@ def symmetric_data_defect(domain, data):
                 v1, v2 = np.asarray(fn(t, pts), float), np.asarray(fn(t2, mirrored), float)
                 scales.append(np.max(np.abs(v1)))
                 defects.append(np.max(np.abs(v1 + parity * v2)))
-        if data.f is not None and callable(data.f):
+        if data.f is not None:
             rng = np.random.default_rng(3)
             pts = sample_interior_points(domain, 32, rng)
             pts = np.vstack([pts, pts * np.array([1.0, -1.0])])

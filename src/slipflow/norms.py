@@ -20,8 +20,8 @@ def _error(ctx, uh, exact, relative, zero_mean=False):
     return err / _l2(ctx, ue) if relative else err
 
 
-def velocity_l2(mesh, coeffs, degree=ERROR_DEGREE):
-    ctx = volume_context(mesh, degree)
+def velocity_l2(mesh, coeffs):
+    ctx = volume_context(mesh, ERROR_DEGREE)
     return _l2(ctx, ctx.values(np.asarray(coeffs).reshape(-1, 2)))
 
 
@@ -47,9 +47,8 @@ def scalar_error_l2(mesh, coeffs, exact, relative=True):
     return _error(ctx, ctx.values(coeffs), exact, relative)
 
 
-def lq_norm(mesh, coeffs, q, vector=True):
-    """L^q norm of a velocity (vector=True) or scalar P2 field."""
+def lq_norm(mesh, coeffs, q):
+    """L^q norm of a velocity field."""
     ctx = volume_context(mesh, ERROR_DEGREE)
-    u = ctx.values(np.asarray(coeffs).reshape(-1, 2) if vector else coeffs)
-    mag = np.sqrt(np.sum(u * u, axis=-1)) if vector else np.abs(u)
-    return float(ctx.integral(mag ** q) ** (1.0 / q))
+    u = ctx.values(np.asarray(coeffs).reshape(-1, 2))
+    return float(ctx.integral(np.sqrt(np.sum(u * u, axis=-1)) ** q) ** (1.0 / q))

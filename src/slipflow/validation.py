@@ -17,6 +17,13 @@ from .assembly import ProblemData, as_boundary_scalar
 from .errors import DataError
 
 LOG2 = float(np.log(2.0))
+# finite-difference steps in domain diameters: of the interior oracles and
+# mms_generate, and of slip_residual at its SLIP_SAMPLES boundary points
+FD_STEP = 1e-5
+SLIP_FD_STEP = 1e-6
+SLIP_SAMPLES = 64
+SAMPLE_MARGIN = 0.02    # first clearance of interior samples from the boundary, in diameters
+SAMPLE_EMPTY_ROUNDS = 64
 
 
 @dataclass
@@ -246,32 +253,43 @@ def _fd_laplacian(fn, x, h):
     return total
 
 
-def sample_interior_points(domain, count, rng, margin=0.02):
-    """Uniform rejection sample of interior points away from the boundary."""
+def sample_interior_points(domain, count, rng):
+    """Uniform rejection sample of interior points away from the boundary.
+
+    A round of 4 * count candidates that keeps none halves the clearance
+    (a thin domain may lack it); DataError after SAMPLE_EMPTY_ROUNDS such rounds.
+    """
     lo = domain.curves[0].point(np.linspace(0, 1, 128)).min(axis=0)
     hi = domain.curves[0].point(np.linspace(0, 1, 128)).max(axis=0)
-    pad = margin * domain.diameter
+    pad = SAMPLE_MARGIN * domain.diameter
     pts = []
+    empty = 0
     while len(pts) < count:
         cand = rng.uniform(lo, hi, size=(4 * count, 2))
         keep = domain.contains(cand)
         for curve in domain.curves:
             _, dist = curve.project(cand)
             keep &= dist > pad
+        if not keep.any():
+            empty += 1
+            if empty == SAMPLE_EMPTY_ROUNDS:
+                raise DataError(f"no interior sample point found in {empty} rounds of "
+                                f"{4 * count} candidates; the domain is too thin")
+            pad /= 2.0
         pts.extend(cand[keep][: count - len(pts)])
     return np.asarray(pts)
 
 
-def momentum_residual(sol, points, step=None):
+def momentum_residual(sol, points):
     """Max norm of the momentum residual via extended-precision stencils."""
-    h = np.longdouble(step if step is not None else 1e-5 * sol.domain.diameter)
+    h = np.longdouble(FD_STEP * sol.domain.diameter)
     x = np.asarray(points, np.longdouble)
     u = np.asarray(sol.velocity(x), np.longdouble)
     J = _fd_first(sol.velocity, x, h)                 # [m, 2, 2]
     lap = _fd_laplacian(sol.velocity, x, h)
     gp = _fd_first(sol.pressure, x, h)                # [m, 2]
     f = np.zeros_like(u)
-    if sol.data.f is not None and callable(sol.data.f):
+    if sol.data.f is not None:
         f = np.asarray(sol.data.f(x), np.longdouble)
     resid = -sol.data.nu * lap + gp - f
     if sol.model == "navier-stokes":
@@ -279,17 +297,17 @@ def momentum_residual(sol, points, step=None):
     return float(np.max(np.abs(resid.astype(float))))
 
 
-def continuity_residual(sol, points, step=None):
-    h = np.longdouble(step if step is not None else 1e-5 * sol.domain.diameter)
+def continuity_residual(sol, points):
+    h = np.longdouble(FD_STEP * sol.domain.diameter)
     x = np.asarray(points, np.longdouble)
     J = _fd_first(sol.velocity, x, h)
     return float(np.max(np.abs((J[:, 0, 0] + J[:, 1, 1]).astype(float))))
 
 
-def slip_residual(sol, component, n_samples=64, step=None):
+def slip_residual(sol, component):
     """Max violation of the tangential stress balance on one component."""
-    h = np.longdouble(step if step is not None else 1e-6 * sol.domain.diameter)
-    t = (np.arange(n_samples) + 0.31) / n_samples
+    h = np.longdouble(SLIP_FD_STEP * sol.domain.diameter)
+    t = (np.arange(SLIP_SAMPLES) + 0.31) / SLIP_SAMPLES
     pts, n, tau, _ = geometry.frames_at(sol.domain, component, t)
     x = np.asarray(pts, np.longdouble)
     J = _fd_first(sol.velocity, x, h)
@@ -320,16 +338,15 @@ def certify(sol, n_interior=100, seed=0):
 
 # -- manufactured data --------------------------------------------------------
 
-def mms_generate(u_exact, p_exact, domain, nu, beta, derivatives=None,
-                 model="navier-stokes"):
-    """Manufacture slip-problem data for a given solenoidal velocity field.
+def mms_generate(u_exact, p_exact, domain, nu, beta, derivatives=None):
+    """Manufacture Navier-Stokes slip-problem data for a given solenoidal velocity field.
 
     derivatives: optional dict with keys 'jacobian', 'laplacian',
     'pressure_gradient'; extended-precision stencils fill any missing entry.
     Raises DataError when u_exact is not divergence-free.
     """
     derivatives = dict(derivatives or {})
-    h = 1e-5 * domain.diameter
+    h = FD_STEP * domain.diameter
 
     def jac(x):
         if "jacobian" in derivatives:
@@ -357,10 +374,7 @@ def mms_generate(u_exact, p_exact, domain, nu, beta, derivatives=None,
     def f(points):
         x = np.asarray(points, float)
         u = np.asarray(u_exact(x), float)
-        out = -nu * lap(x) + pgrad(x)
-        if model == "navier-stokes":
-            out = out + np.einsum("mab,mb->ma", jac(x), u)
-        return out
+        return -nu * lap(x) + pgrad(x) + np.einsum("mab,mb->ma", jac(x), u)
 
     beta_fns = [as_boundary_scalar(b) for b in beta]
 

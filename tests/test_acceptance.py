@@ -148,7 +148,7 @@ def test_criterion_6_korn_spectrum(annulus_coarse):
         mesh = sf.mesh_annulus(1, 2, n, 2 * n)
         est = ls.korn_constant(mesh, weight=(0.0, 0.0))
         mode = est.mode / np.linalg.norm(est.mode)
-        u0 = ls.rigid_rotation_mode(mesh).coefficients
+        u0 = ls.rigid_rotation_mode(mesh)
         u0 /= np.linalg.norm(u0)
         lam_seq.append(est.lambda_min)
         cos_seq.append(abs(mode @ u0))
@@ -226,7 +226,7 @@ def test_criterion_8_identity_suite(hamel_family):
     mesh = hamel_family["meshes"][0]
     A = asm.assemble_viscous(mesh, 1.0)
     import scipy.sparse.linalg as spla
-    u0 = ls.rigid_rotation_mode(mesh).coefficients
+    u0 = ls.rigid_rotation_mode(mesh)
     rigid_rel = np.linalg.norm(A @ u0) / (spla.norm(A) * np.linalg.norm(u0))
     checks = [
         (f"tangential-stress identity residuals {['%.2e' % r for r in wres]} "
@@ -285,9 +285,10 @@ def test_criterion_10_compatibility_and_determinism(tmp_path):
     good_path = tmp_path / "good.json"
     good_path.write_text(json.dumps(cfg))
     blobs = []
-    for name in ("r1", "r2"):
+    # --deterministic changes nothing: a run without it writes the same bytes
+    for name, flags in (("r1", ["--deterministic"]), ("r2", ["--deterministic"]), ("r3", [])):
         out = tmp_path / name
-        assert cli.main(["--deterministic", "solve", "ns", "--config",
+        assert cli.main([*flags, "solve", "ns", "--config",
                          str(good_path), "--out", str(out)]) == 0
         blobs.append(b"".join(
             open(out / art, "rb").read()
@@ -299,5 +300,6 @@ def test_criterion_10_compatibility_and_determinism(tmp_path):
         ("asymmetric data rejected by the symmetric solve", asym_rejected),
         ("deterministic mode yields byte-identical artifacts",
          blobs[0] == blobs[1]),
+        ("a run without --deterministic yields the same bytes", blobs[0] == blobs[2]),
     ]
     _report(10, "compatibility rejection and deterministic artifacts", checks)

@@ -16,6 +16,10 @@ def rigid_rotation_coeffs(mesh, b=1.0):
     return b * np.column_stack([-coords[:, 1], coords[:, 0]]).ravel()
 
 
+def volume_force(x):
+    return np.column_stack([np.sin(3.0 * x[:, 1]), x[:, 0] ** 2])
+
+
 def domain_area(mesh):
     return float(asm.volume_context(mesh).dv.sum())
 
@@ -94,6 +98,22 @@ class TestProblemData:
     def test_viscosity_positive_and_finite(self, nu):
         with pytest.raises(DataError, match="viscosity"):
             asm.ProblemData(nu=nu, beta=(1.0, 1.0), a_star=(0.0, 0.0), b_tau=(0.0, 0.0))
+
+    def test_force_is_none_or_a_callable(self, annulus_coarse):
+        # a per-node array is refused at construction: the mirror check of the
+        # symmetric solve evaluates the force at points of its own, and read an
+        # array force, like this one asymmetric in x2, as symmetric
+        coords = annulus_coarse.p2_coords()
+        asym = np.column_stack([coords[:, 1], np.zeros(len(coords))])
+        for force in (asym, asym.ravel(), np.zeros(2 * len(coords)), [1.0, 0.0], 3.0):
+            with pytest.raises(DataError, match="volume force"):
+                asm.ProblemData(nu=1.0, beta=(1.0, 1.0), a_star=(0.0, 0.0),
+                                b_tau=(0.0, 0.0), f=force)
+        data = asm.ProblemData(nu=1.0, beta=(1.0, 1.0), a_star=(0.0, 0.0), b_tau=(0.0, 0.0),
+                               f=lambda x: np.column_stack([x[:, 1], np.zeros(len(x))]))
+        assert nvs.symmetric_data_defect(annulus_coarse.domain, data) > nvs.SYMMETRY_TOL
+        with pytest.raises(DataError, match="not symmetric"):
+            nvs.solve_symmetric(annulus_coarse, data)
 
     @pytest.mark.parametrize("solve", [nvs.solve_stokes, nvs.solve_navier_stokes],
                              ids=["stokes", "ns"])
@@ -335,8 +355,11 @@ class TestScatterBitwise:
         self._close(fq, np.einsum("qi,tix->tqx", ctx.N, f_nodal.reshape(-1, 2)[ctx.nodes]))
         contrib = ctx.element_load(fq)
         self._close(contrib, np.einsum("tq,qi,tqx->tix", ctx.dv, ctx.N, fq, optimize=True))
-        assert np.array_equal(asm.load_volume(mesh, f_nodal),
-                              self._velocity_add_at(nv, ctx.nodes, contrib))
+        # the scatter of load_volume, fed the force at the quadrature points
+        x = ctx.points()
+        fx = volume_force(x.reshape(-1, 2)).reshape(x.shape)
+        assert np.array_equal(asm.load_volume(mesh, volume_force),
+                              self._velocity_add_at(nv, ctx.nodes, ctx.element_load(fx)))
         mean = np.zeros(mesh.n_vertices)
         np.add.at(mean, mesh.triangles, np.einsum("tq,qk->tk", ctx.dv, ctx.P))
         assert np.array_equal(asm.assemble_pressure_mean(mesh), mean)

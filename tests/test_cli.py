@@ -1,5 +1,8 @@
+import importlib.util
 import json
 import os
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
@@ -11,7 +14,8 @@ from slipflow.errors import ConfigurationError
 from slipflow.meshing import import_mesh
 
 
-CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+CONFIG_DIR = os.path.join(ROOT, "configs")
 
 
 def hamel_config(tmp_path, **overrides):
@@ -161,6 +165,47 @@ class TestSubcommands:
         assert report["theorem_outflow_convex_hole"]["verdict"] is False
         assert abs(report["fluxes"]["total"]) < 1e-10
         assert "provenance" in report
+
+    def test_audit_reports_match_the_documented_schema(self, tmp_path):
+        # docs/audit_schema.json describes audit.json; it is itself a valid
+        # schema, and the audits of the theorem-1 annulus and of a two-hole
+        # disk (the benchmark's audit workload) follow it
+        schema = json.load(open(os.path.join(ROOT, "docs", "audit_schema.json")))
+        validator = jsonschema.validators.validator_for(schema)
+        validator.check_schema(schema)
+        spec = importlib.util.spec_from_file_location(
+            "workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        twohole = workloads.generate("audit-twohole", 0, str(tmp_path / "twohole"))
+        for name, path in (("theorem1", os.path.join(CONFIG_DIR, "theorem1_pass.json")),
+                           ("twohole", twohole.config_path)):
+            out = tmp_path / name
+            assert cli.main(["audit", "--config", path, "--out", str(out)]) == 0
+            validator(schema).validate(json.load(open(out / "audit.json")))
+
+    def test_thin_annulus_with_force_audits_in_bounded_time(self, tmp_path):
+        # the mirror check samples the force at interior points; on an annulus
+        # 0.01 wide no point is 2% of the diameter from both circles, and the
+        # sampler once looped for ever there.  f1 = x2 is odd in x2.
+        cfg = {
+            "domain": {"curves": [{"kind": "circle", "center": [0.0, 0.0], "radius": 1.01},
+                                  {"kind": "circle", "center": [0.0, 0.0], "radius": 1.0}]},
+            "mesh": {"generator": "annulus", "n_radial": 2, "n_angular": 64},
+            "physics": {"nu": 1.0, "beta": [1.0, 1.0], "f": ["x2", "0"]},
+            "boundary": {"a_star": [0.0, 0.0], "b_tau": [0.0, 0.0]},
+        }
+        path = tmp_path / "thin.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+        done = subprocess.run([sys.executable, "-m", "slipflow.cli", "audit", "--config",
+                               str(path), "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        report = json.load(open(out / "audit.json"))
+        assert report["theorem_symmetric"]["admissible"] is True
+        assert report["theorem_symmetric"]["data_symmetric"] is False
 
     def test_mesh_roundtrip(self, tmp_path):
         path = hamel_config(tmp_path)

@@ -91,8 +91,9 @@ class TestBorderedSolver:
             return (dz * np.nan, dmu * np.nan) if len(calls) == 4 else (dz, dmu)
 
         monkeypatch.setattr(solver, "_inverse", nan_on_last)
+        monkeypatch.setattr(ls, "BORDER_RTOL", 0.0)
         load = np.random.default_rng(0).standard_normal(annulus_coarse.n_p2_nodes)
-        z, _, relres = solver.solve(load - m * (load.sum() / m.sum()), refine=3, rtol=0.0)
+        z, _, relres = solver.solve(load - m * (load.sum() / m.sum()), refine=3)
         assert len(calls) == 4 and not np.all(np.isfinite(z))
         assert not np.isfinite(relres)
         assert not relres <= ls.RESIDUAL_TOL
@@ -118,13 +119,16 @@ class TestBorderedSolver:
         monkeypatch.setattr(solver, "_inverse", counted_inverse)
         load = np.random.default_rng(1).standard_normal(annulus_coarse.n_p2_nodes)
         load -= m * (load.sum() / m.sum())
-        for kwargs in ({}, {"refine": 3, "rtol": 0.0}):
+        default = ls.BORDER_RTOL
+        for rtol in (default, 0.0):
+            monkeypatch.setattr(ls, "BORDER_RTOL", rtol)
             products.clear()
             corrections.clear()
-            z, _, relres = solver.solve(load, **kwargs)
+            z, _, relres = solver.solve(load)
             assert relres <= ls.RESIDUAL_TOL and np.all(np.isfinite(z))
             assert len(products) == len(corrections) >= 1
         assert len(corrections) == 4  # rtol 0: all refine + 1 corrections
+        monkeypatch.setattr(ls, "BORDER_RTOL", default)
         products.clear()
         z, mu, relres = solver.solve(np.zeros(annulus_coarse.n_p2_nodes))
         assert relres == 0.0 and not products and not np.any(z) and not np.any(mu)
@@ -156,6 +160,13 @@ def factored_by(call):
         call()
     assert len(factored) == 1
     return factored[0]
+
+
+def one_ascent_step(mesh):
+    """sobolev_constant(mesh, 4) stopped after its first ascent step."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ls, "SOBOLEV_MAXITER", 1)
+        return ls.sobolev_constant(mesh, 4.0)
 
 
 def korn_pencil(mesh):
@@ -212,7 +223,7 @@ class TestFactorization:
             "mirror-saddle": lambda: hamel_core(mesh, nvs.SolverConfig(symmetric_subspace=True)),
             "newton-block": lambda: newton_core(mesh),
             "korn-pencil": lambda: korn_pencil(mesh),
-            "h1-gram": lambda: factored_by(lambda: ls.sobolev_constant(mesh, 4.0, maxiter=1)),
+            "h1-gram": lambda: factored_by(lambda: one_ascent_step(mesh)),
             "dirichlet-stiffness": lambda: factored_by(lambda: ls.dirichlet_solver(mesh)),
         }[kind]()
 
@@ -386,7 +397,7 @@ class TestStokes:
         data = asm.ProblemData(nu=1.0, beta=(0.0, 0.0), a_star=(0.0, 0.0),
                                b_tau=(1.0, 4.0), f=None)
         flow = nvs.solve_stokes(annulus_coarse, data)
-        mode = ls.rigid_rotation_mode(annulus_coarse).coefficients
+        mode = ls.rigid_rotation_mode(annulus_coarse)
         M = asm.assemble_vector_mass(annulus_coarse)
         ortho = abs(flow.velocity @ (M @ mode))
         assert ortho < 1e-9 * np.linalg.norm(flow.velocity) * np.linalg.norm(mode)
@@ -410,7 +421,7 @@ class TestKorn:
             h = mesh.max_diameter()
             assert est.lambda_min <= h ** 2
             mode = est.mode / np.linalg.norm(est.mode)
-            u0 = ls.rigid_rotation_mode(mesh).coefficients
+            u0 = ls.rigid_rotation_mode(mesh)
             u0 /= np.linalg.norm(u0)
             assert abs(mode @ u0) > 0.999
 
@@ -452,7 +463,7 @@ class TestKorn:
         K = con.reduce_matrix(kform)[0].toarray()
         W = con.reduce_matrix(wform)[0].toarray()
         if project_rotation:
-            c = (con.Q @ (mass @ ls.rigid_rotation_mode(mesh).coefficients))[con.free]
+            c = (con.Q @ (mass @ ls.rigid_rotation_mode(mesh)))[con.free]
             Z = sla.null_space(c[None, :])
             K, W = Z.T @ K @ Z, Z.T @ W @ Z
         return sla.eigh(K, W, eigvals_only=True, subset_by_index=[0, 0])[0]

@@ -125,9 +125,10 @@ class TestDiskWithHoles:
 
         delaunay = scipy.spatial.Delaunay
         monkeypatch.setattr(scipy.spatial, "Delaunay", counted)
-        for smooth_rounds in (6, 1):
+        for rounds in (meshing.SMOOTH_ROUNDS, 1):
+            monkeypatch.setattr(meshing, "SMOOTH_ROUNDS", rounds)
             calls.clear()
-            sf.mesh_disk_with_holes(_two_hole_domain(), 0.15, smooth_rounds=smooth_rounds)
+            sf.mesh_disk_with_holes(_two_hole_domain(), 0.15)
             assert len(calls) == 2
 
     @pytest.mark.parametrize("domain, target_h", _sweep())

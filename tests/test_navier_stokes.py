@@ -468,7 +468,7 @@ class TestSaddleLayout:
                                    b_tau=(0.0, 0.0), f=None)
             config = nvs.SolverConfig()
             mode = ls.rigid_rotation_mode(mesh)
-            cart_rows = ([], [], [asm.assemble_vector_mass(mesh) @ mode.coefficients])
+            cart_rows = ([], [], [asm.assemble_vector_mass(mesh) @ mode])
         ws = nvs._Workspace(mesh, data, config)
         x, _, _ = nvs._stokes_lift(ws)
         # away from the solution, with every multiplier nonzero

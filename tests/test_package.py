@@ -150,3 +150,29 @@ def test_import_footprint(tmp_path):
     assert steps["import slipflow"] == steps["import slipflow.cli"] == steps["solve ns"] == []
     assert "scipy.interpolate" in steps["SplineCurve"]
     assert "scipy.spatial" in steps["mesh_disk_with_holes"]
+
+
+def test_every_config_key_has_a_reader():
+    # a key of config_schema.json that no code reads is an option that does
+    # nothing: each property name is a string cli.py reads, or a field of the
+    # SolverConfig that build_solver_config passes the solver block to
+    import dataclasses
+
+    from slipflow.navier_stokes import SolverConfig
+
+    def property_names(node):
+        if isinstance(node, dict):
+            for name, value in node.items():
+                if name == "properties":
+                    yield from value
+                yield from property_names(value)
+        elif isinstance(node, list):
+            for value in node:
+                yield from property_names(value)
+
+    schema = json.loads((SRC / "config_schema.json").read_text())
+    strings = {node.value for node in ast.walk(ast.parse((SRC / "cli.py").read_text()))
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    fields = {f.name for f in dataclasses.fields(SolverConfig)}
+    unread = sorted(set(property_names(schema)) - strings - fields)
+    assert not unread, unread

@@ -41,7 +41,7 @@ class TestOracles:
     @pytest.mark.parametrize("sol", ALL_SOLUTIONS, ids=lambda s: s.name)
     def test_slip_residual(self, sol):
         for comp in range(sol.domain.n_components):
-            assert val.slip_residual(sol, comp, n_samples=64) <= 1e-9
+            assert val.slip_residual(sol, comp) <= 1e-9
 
     def test_nan_slip_residual_propagates(self):
         # a normal datum that is NaN on the last component only: the NaN normal
@@ -67,6 +67,45 @@ class TestOracles:
         assert np.allclose(L_fd, sol.velocity_laplacian(pts), atol=1e-7)
         G_fd = val._fd_first(sol.pressure, xl, h).astype(float)
         assert np.allclose(G_fd, sol.pressure_gradient(pts), atol=1e-8)
+
+
+def unbounded_sample(domain, count, rng, margin=0.02):
+    """sample_interior_points as it was before rounds that keep no point
+    shrank the margin: the same rounds, with no bound on their number."""
+    lo = domain.curves[0].point(np.linspace(0, 1, 128)).min(axis=0)
+    hi = domain.curves[0].point(np.linspace(0, 1, 128)).max(axis=0)
+    pts = []
+    while len(pts) < count:
+        cand = rng.uniform(lo, hi, size=(4 * count, 2))
+        keep = domain.contains(cand)
+        for curve in domain.curves:
+            keep &= curve.project(cand)[1] > margin * domain.diameter
+        pts.extend(cand[keep][: count - len(pts)])
+    return np.asarray(pts)
+
+
+def thin_annulus(width):
+    return sf.DomainSpec([sf.Circle((0.0, 0.0), 1.0 + width), sf.Circle((0.0, 0.0), 1.0)])
+
+
+class TestInteriorSample:
+    # (count, seed) of the symmetry check, mms_generate, certify and the oracle tests
+    @pytest.mark.parametrize("count, seed", [(32, 3), (50, 7), (100, 0), (20, 2)])
+    def test_hamel_annulus_samples_unchanged(self, count, seed):
+        domain = val.hamel(0.0).domain
+        got = val.sample_interior_points(domain, count, np.random.default_rng(seed))
+        assert np.array_equal(got, unbounded_sample(domain, count, np.random.default_rng(seed)))
+
+    def test_thin_annulus_gets_its_samples_closer_to_the_boundary(self):
+        domain = thin_annulus(0.01)
+        pts = val.sample_interior_points(domain, 32, np.random.default_rng(3))
+        assert pts.shape == (32, 2) and np.all(domain.contains(pts))
+        r = np.hypot(*pts.T)
+        assert np.all((r > 1.0) & (r < 1.01))
+
+    def test_domain_too_thin_to_sample_raises(self):
+        with pytest.raises(DataError, match="too thin"):
+            val.sample_interior_points(thin_annulus(1e-4), 32, np.random.default_rng(3))
 
 
 class TestHamelFamily:
