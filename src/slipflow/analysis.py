@@ -8,7 +8,6 @@ verdicts are pure functions of the recorded numbers.
 """
 
 import json
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -239,23 +238,32 @@ def korn_weight(data):
     return [lambda t, x, b=b: 2.0 * np.asarray(b(t, x), float) / data.nu for b in data.beta]
 
 
-def derive_geometry(mesh):
-    """Derive the element geometry, patterns and boundary rule kept on the mesh.
+def korn_and_sobolev(mesh, data, q, hole_fluxes=None):
+    """(KornEstimate, SobolevEstimate at r = 2q/(q-2), L^q norm of the
+    harmonic part of hole_fluxes, or None without them) of a mesh.
 
-    Called before a worker is forked, so that neither the caller nor the
-    worker derives them again.
+    The Korn pencil projects out the rigid rotation when it costs no energy.
+    The mesh's element geometry, patterns and boundary rule are derived
+    first, so that a worker forked by concurrency.beside does not derive
+    them again; it runs the harmonic part and the Sobolev ascent while the
+    caller solves the Korn pencil, the larger share of the work.  Warnings
+    of the worker reach the caller.
     """
     assembly.volume_context(mesh)       # with the sparsity and the slip plan
     assembly.boundary_quadrature(mesh)
 
+    def worker():
+        hnorm = None
+        if hole_fluxes is not None:
+            h = extensions.harmonic_part(extensions.harmonic_basis(mesh), hole_fluxes)
+            hnorm = norms.lq_norm(mesh, h, q=q)
+        return hnorm, sobolev_constant(mesh, r=2 * q / (q - 2))
 
-def _harmonic_and_sobolev(mesh, hole_fluxes, q):
-    """(L^q norm of the harmonic part of the fluxes, Sobolev constant C_r), r = 2q/(q-2)."""
-    h = extensions.harmonic_part(extensions.harmonic_basis(mesh), hole_fluxes)
-    hnorm = norms.lq_norm(mesh, h, q=q)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return hnorm, sobolev_constant(mesh, r=2 * q / (q - 2)).C_r
+    with beside(worker) as sobolev:
+        korn = korn_constant(mesh, korn_weight(data),
+                             project_rotation=data.free_rotation_center(mesh.domain) is not None)
+        hnorm, sob = sobolev.result()
+    return korn, sob, hnorm
 
 
 def audit(domain, data, mesh=None, q=4.0):
@@ -313,20 +321,15 @@ def audit(domain, data, mesh=None, q=4.0):
         notes.append("small-flux audit not evaluable: zero friction on a circularly "
                      "symmetric domain (no Korn bound; hypothesis excludes this case)")
     else:
-        derive_geometry(mesh)
-        # a worker evaluates the harmonic part and the Sobolev ascent while
-        # the caller solves the Korn pencil, the larger share of the work
-        with beside(lambda: _harmonic_and_sobolev(mesh, fluxes[1:], q)) as worker:
-            korn = korn_constant(mesh, korn_weight(data))
-            hnorm, C_r = worker.result()
-        lhs = float(np.sqrt(2.0) * C_r * hnorm)
+        korn, sobolev, hnorm = korn_and_sobolev(mesh, data, q, hole_fluxes=fluxes[1:])
+        lhs = float(np.sqrt(2.0) * sobolev.C_r * hnorm)
         rhs = float(0.5 * data.nu / korn.K)
         t4.update({
             "evaluable": True,
             "harmonic_part_lq_norm": hnorm,
             "korn_constant": korn.K,
             "korn_lambda_min": korn.lambda_min,
-            "sobolev_constant": C_r,
+            "sobolev_constant": sobolev.C_r,
             "lhs": lhs,
             "rhs": rhs,
             "rigor": "non-rigorous: both constants are one-sided discrete estimates "

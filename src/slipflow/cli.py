@@ -11,9 +11,7 @@ import numpy as np
 import jsonschema
 
 from . import analysis, assembly, expressions, geometry
-from . import linear_solvers as ls
 from . import meshing, navier_stokes as nvs, output, validation
-from .concurrency import beside
 from .errors import ConfigurationError, NonConvergenceError, SlipflowError, SolverError
 
 @functools.cache
@@ -248,13 +246,8 @@ def cmd_diagnose(args, cfg):
 
 
 def cmd_korn(args, cfg):
-    domain, data, mesh = _problem(cfg)
-    q = _audit_exponent(cfg)
-    analysis.derive_geometry(mesh)
-    with beside(lambda: ls.sobolev_constant(mesh, r=2 * q / (q - 2))) as sobolev:
-        est = ls.korn_constant(mesh, analysis.korn_weight(data),
-                               project_rotation=data.free_rotation_center(domain) is not None)
-        sob = sobolev.result()
+    _, data, mesh = _problem(cfg)
+    est, sob, _ = analysis.korn_and_sobolev(mesh, data, _audit_exponent(cfg))
     payload = {
         "korn": {"K": est.K, "lambda_min": est.lambda_min,
                  "rotation_projected": est.rotation_projected, "rigor": est.rigor},
@@ -279,46 +272,26 @@ def _parse_pins(pin_args):
     return pins
 
 
+VALIDATE_MAX_LEVELS = 4    # 33M LU fill at level 4, about 9.5x more per level
+
+
 def cmd_validate(args, cfg):
     levels = args.levels
-    if levels < 1:
-        raise ConfigurationError(f"--levels must be at least 1, got {levels}")
+    if not 1 <= levels <= VALIDATE_MAX_LEVELS:
+        raise ConfigurationError(
+            f"--levels must be at least 1 and at most {VALIDATE_MAX_LEVELS}, got {levels}")
     out = _outdir(args, cfg if cfg else {})
     prov = output.provenance(cfg or {"case": args.case})
     line = f"config={prov['config_sha256_16']} version={prov['version']}"
     meshes = [meshing.mesh_annulus(1.0, 2.0, 8 * 2 ** k, 16 * 2 ** k)
               for k in range(levels)]
-    if args.case == "hamel":
-        exact = validation.hamel(0.0)
-        solver = lambda mesh, data: nvs.solve_navier_stokes(
-            mesh, data, nvs.SolverConfig(pins={1: 0.0}))[0]
-    elif args.case == "couette":
-        exact = validation.slip_couette()
-        solver = nvs.solve_stokes
-    else:  # mms: divergence-free rotated gradient of sin(x1) sin(x2)
-        domain = meshes[0].domain
-        amp = 0.15
-
-        def u_exact(x):
-            x = np.asarray(x)
-            return amp * np.stack([-np.sin(x[:, 0]) * np.cos(x[:, 1]),
-                                   np.cos(x[:, 0]) * np.sin(x[:, 1])], axis=1)
-
-        def p_exact(x):
-            x = np.asarray(x)
-            return np.cos(x[:, 0]) * np.sin(x[:, 1])
-
-        data = validation.mms_generate(u_exact, p_exact, domain, nu=1.0,
-                                       beta=(1.0, 1.0))
-        exact = validation.ExactSolution(
-            name="mms", domain=domain, data=data, velocity=u_exact,
-            pressure=p_exact)
-        solver = lambda mesh, d: nvs.solve_navier_stokes(
-            mesh, d, nvs.SolverConfig())[0]
-    if exact.velocity_jacobian is None:
-        h = validation.FD_STEP * exact.domain.diameter
-        exact.velocity_jacobian = lambda x: validation._fd_first(
-            exact.velocity, np.asarray(x, np.longdouble), np.longdouble(h)).astype(float)
+    if args.case == "couette":
+        exact, solver = validation.slip_couette(), nvs.solve_stokes
+    else:   # the Hamel continuum is pinned to its k = 0 member
+        hamel = args.case == "hamel"
+        exact = validation.hamel(0.0) if hamel else validation.manufactured()
+        config = nvs.SolverConfig(pins={1: 0.0} if hamel else None)
+        solver = lambda mesh, data: nvs.solve_navier_stokes(mesh, data, config)[0]
     table = validation.convergence_study(exact, solver, meshes)
     path = os.path.join(out, f"convergence_{args.case}.csv")
     table.to_csv(path, header_lines=[line])

@@ -48,7 +48,10 @@ def scalar_error_l2(mesh, coeffs, exact, relative=True):
 
 
 def lq_norm(mesh, coeffs, q):
-    """L^q norm of a velocity field."""
+    """L^q norm of a velocity field; |u| is scaled exactly, by the power of two
+    just above its maximum, before the power q, so a large q cannot overflow."""
     ctx = volume_context(mesh, ERROR_DEGREE)
     u = ctx.values(np.asarray(coeffs).reshape(-1, 2))
-    return float(ctx.integral(np.sqrt(np.sum(u * u, axis=-1)) ** q) ** (1.0 / q))
+    size = np.sqrt(np.sum(u * u, axis=-1))
+    e = int(np.frexp(np.max(size))[1])
+    return float(np.ldexp(ctx.integral(np.ldexp(size, -e) ** q) ** (1.0 / q), e))

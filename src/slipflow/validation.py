@@ -1,14 +1,15 @@
 """Exact solutions, independent residual oracles, manufactured data, and
 convergence studies.
 
-Every exact solution ships with analytic derivatives, but the certification
-oracle deliberately ignores them: it differentiates the velocity/pressure
-callables with high-order centered stencils in extended precision, so a
-transcription error in any formula cannot hide.
+Every exact solution, the manufactured one included, ships closed-form
+derivatives, and mms_generate and the convergence studies read them.  The
+certification oracle deliberately ignores them: it differentiates the
+velocity/pressure callables with high-order centered stencils in extended
+precision, so a transcription error in any formula cannot hide.
 """
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,13 +18,16 @@ from .assembly import ProblemData, as_boundary_scalar
 from .errors import DataError
 
 LOG2 = float(np.log(2.0))
-# finite-difference steps in domain diameters: of the interior oracles and
-# mms_generate, and of slip_residual at its SLIP_SAMPLES boundary points
+# finite-difference steps in domain diameters: of the interior oracles,
+# and of slip_residual at its SLIP_SAMPLES boundary points
 FD_STEP = 1e-5
 SLIP_FD_STEP = 1e-6
 SLIP_SAMPLES = 64
 SAMPLE_MARGIN = 0.02    # first clearance of interior samples from the boundary, in diameters
 SAMPLE_EMPTY_ROUNDS = 64
+CERTIFY_POINTS = 100    # interior points of certify, drawn with CERTIFY_SEED
+CERTIFY_SEED = 0
+MANUFACTURED_AMPLITUDE = 0.15
 
 
 @dataclass
@@ -35,11 +39,10 @@ class ExactSolution:
     data: ProblemData
     velocity: callable                  # (m, 2) points -> (m, 2)
     pressure: callable                  # (m, 2) points -> (m,)
-    velocity_jacobian: callable = None  # -> (m, 2, 2), J[a, b] = du_a/dx_b
-    velocity_laplacian: callable = None
-    pressure_gradient: callable = None
+    velocity_jacobian: callable         # -> (m, 2, 2), J[a, b] = du_a/dx_b
+    velocity_laplacian: callable        # -> (m, 2)
+    pressure_gradient: callable         # -> (m, 2)
     model: str = "navier-stokes"        # or "stokes"
-    params: dict = field(default_factory=dict)
 
 
 # -- the explicit annulus family --------------------------------------------
@@ -113,8 +116,7 @@ def hamel(k):
         velocity=velocity, pressure=pressure,
         velocity_jacobian=velocity_jacobian,
         velocity_laplacian=velocity_laplacian,
-        pressure_gradient=pressure_gradient,
-        params={"k": k, "hole_circulation": 2.0 * np.pi * k})
+        pressure_gradient=pressure_gradient)
 
 
 def hamel_velocity_gap(k0, k1):
@@ -168,8 +170,7 @@ def rigid_rotation(b, center=(0.0, 0.0), domain=None):
         velocity=velocity, pressure=pressure,
         velocity_jacobian=velocity_jacobian,
         velocity_laplacian=velocity_laplacian,
-        pressure_gradient=pressure_gradient,
-        params={"b": b, "center": tuple(center)})
+        pressure_gradient=pressure_gradient)
 
 
 def slip_couette(r_in=1.0, r_out=2.0, nu=1.0, beta=(1.0, 1.0), g=(1.0, 2.0)):
@@ -226,7 +227,48 @@ def slip_couette(r_in=1.0, r_out=2.0, nu=1.0, beta=(1.0, 1.0), g=(1.0, 2.0)):
         velocity_jacobian=velocity_jacobian,
         velocity_laplacian=velocity_laplacian,
         pressure_gradient=pressure_gradient,
-        model="stokes", params={"A": float(A), "B": float(B)})
+        model="stokes")
+
+
+def manufactured():
+    """Rotated gradient of a sin(x1) sin(x2) on the annulus 1 < |x| < 2, with
+    the pressure cos(x1) sin(x2), a = MANUFACTURED_AMPLITUDE.
+
+    Nothing here solves the equations: mms_generate manufactures the force
+    and the slip data (nu = 1, beta = 1 on both circles) from the fields.
+    """
+    a = MANUFACTURED_AMPLITUDE
+
+    def velocity(x):
+        x = np.asarray(x)
+        return a * np.stack([-np.sin(x[:, 0]) * np.cos(x[:, 1]),
+                             np.cos(x[:, 0]) * np.sin(x[:, 1])], axis=1)
+
+    def pressure(x):
+        x = np.asarray(x)
+        return np.cos(x[:, 0]) * np.sin(x[:, 1])
+
+    def velocity_jacobian(x):
+        x = np.asarray(x)
+        cc = a * np.cos(x[:, 0]) * np.cos(x[:, 1])
+        ss = a * np.sin(x[:, 0]) * np.sin(x[:, 1])
+        return np.stack([np.stack([-cc, ss], axis=1), np.stack([-ss, cc], axis=1)], axis=1)
+
+    def velocity_laplacian(x):
+        return -2.0 * velocity(x)
+
+    def pressure_gradient(x):
+        x = np.asarray(x)
+        return np.stack([-np.sin(x[:, 0]) * np.sin(x[:, 1]),
+                         np.cos(x[:, 0]) * np.cos(x[:, 1])], axis=1)
+
+    sol = ExactSolution(
+        name="manufactured", domain=_annulus_domain(), data=None,
+        velocity=velocity, pressure=pressure,
+        velocity_jacobian=velocity_jacobian,
+        velocity_laplacian=velocity_laplacian,
+        pressure_gradient=pressure_gradient)
+    return replace(sol, data=mms_generate(sol, nu=1.0, beta=(1.0, 1.0)))
 
 
 # -- independent finite-difference oracles -----------------------------------
@@ -324,10 +366,11 @@ def slip_residual(sol, component):
     return float(np.max([np.max(np.abs(resid)), np.max(np.abs(normal_gap))]))
 
 
-def certify(sol, n_interior=100, seed=0):
-    """Run the full oracle battery; returns the observed maxima."""
-    rng = np.random.default_rng(seed)
-    pts = sample_interior_points(sol.domain, n_interior, rng)
+def certify(sol):
+    """Run the full oracle battery at CERTIFY_POINTS interior points; returns
+    the observed maxima."""
+    rng = np.random.default_rng(CERTIFY_SEED)
+    pts = sample_interior_points(sol.domain, CERTIFY_POINTS, rng)
     report = {
         "momentum": momentum_residual(sol, pts),
         "continuity": continuity_residual(sol, pts),
@@ -338,31 +381,14 @@ def certify(sol, n_interior=100, seed=0):
 
 # -- manufactured data --------------------------------------------------------
 
-def mms_generate(u_exact, p_exact, domain, nu, beta, derivatives=None):
-    """Manufacture Navier-Stokes slip-problem data for a given solenoidal velocity field.
+def mms_generate(sol, nu, beta):
+    """Navier-Stokes slip-problem data (nu, beta) solved by sol's velocity and pressure.
 
-    derivatives: optional dict with keys 'jacobian', 'laplacian',
-    'pressure_gradient'; extended-precision stencils fill any missing entry.
-    Raises DataError when u_exact is not divergence-free.
+    Reads sol's domain, velocity and closed-form derivatives, not its data.
+    Raises DataError when the velocity is not divergence-free.
     """
-    derivatives = dict(derivatives or {})
-    h = FD_STEP * domain.diameter
-
-    def jac(x):
-        if "jacobian" in derivatives:
-            return np.asarray(derivatives["jacobian"](x))
-        return _fd_first(u_exact, np.asarray(x, np.longdouble), np.longdouble(h)).astype(float)
-
-    def lap(x):
-        if "laplacian" in derivatives:
-            return np.asarray(derivatives["laplacian"](x))
-        return _fd_laplacian(u_exact, np.asarray(x, np.longdouble), np.longdouble(h)).astype(float)
-
-    def pgrad(x):
-        if "pressure_gradient" in derivatives:
-            return np.asarray(derivatives["pressure_gradient"](x))
-        return _fd_first(p_exact, np.asarray(x, np.longdouble), np.longdouble(h)).astype(float)
-
+    domain, u_exact = sol.domain, sol.velocity
+    jac, lap, pgrad = sol.velocity_jacobian, sol.velocity_laplacian, sol.pressure_gradient
     rng = np.random.default_rng(7)
     check = sample_interior_points(domain, 50, rng)
     Jc = jac(check)

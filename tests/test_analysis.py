@@ -100,6 +100,23 @@ class TestAudit:
             assert m1 == m2  # exact: power-of-two scaling cancels bitwise
 
 
+class TestLqNorm:
+    @pytest.mark.parametrize("q", [4.0, 1000.0])
+    def test_scales_exactly_by_a_power_of_two(self, annulus_coarse, q):
+        # 2^1000 |u|^1000 overflows unless the norm scales before the power
+        u = val.hamel(1.0).velocity(annulus_coarse.p2_coords()).ravel()
+        base = norms.lq_norm(annulus_coarse, u, q)
+        assert np.isfinite(base) and base > 0
+        for k in (-400, -3, 5, 400):
+            assert norms.lq_norm(annulus_coarse, np.ldexp(u, k), q) == np.ldexp(base, k)
+
+    def test_zero_and_non_finite_fields(self, annulus_coarse):
+        u = np.zeros(2 * annulus_coarse.n_p2_nodes)
+        assert norms.lq_norm(annulus_coarse, u, 4.0) == 0.0
+        u[7] = np.nan
+        assert np.isnan(norms.lq_norm(annulus_coarse, u, 4.0))
+
+
 class TestBernoulli:
     def test_rigid_rotation_analytic(self):
         b = 1.3

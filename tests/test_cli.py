@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import jsonschema
 import numpy as np
@@ -183,6 +184,21 @@ class TestSubcommands:
             out = tmp_path / name
             assert cli.main(["audit", "--config", path, "--out", str(out)]) == 0
             validator(schema).validate(json.load(open(out / "audit.json")))
+
+    def test_audit_with_a_large_exponent_writes_strict_json(self, tmp_path):
+        # |u|^1000 overflowed in the L^q norm, and audit.json held Infinity
+        cfg = json.load(open(os.path.join(CONFIG_DIR, "theorem1_pass.json")))
+        cfg["audit"] = {"q": 1000}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert cli.main(["audit", "--config", str(path), "--out", str(out)]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-finite number {token} in audit.json")
+        report = json.loads((out / "audit.json").read_text(), parse_constant=reject)
+        small_flux = report["theorem_small_flux"]
+        assert np.isfinite(small_flux["harmonic_part_lq_norm"]) and np.isfinite(small_flux["lhs"])
 
     def test_thin_annulus_with_force_audits_in_bounded_time(self, tmp_path):
         # the mirror check samples the force at interior points; on an annulus
@@ -452,6 +468,24 @@ class TestSubcommands:
         lines = open(out / "convergence_couette.csv").read().splitlines()
         header = [l for l in lines if not l.startswith("#")][0]
         assert header == "level,h,eL2_u,order,eH1_u,order,eL2_p,order"
+
+    @pytest.mark.parametrize("case", ["hamel", "mms"])
+    def test_validate_exact_families(self, tmp_path, case):
+        out = tmp_path / "out"
+        assert cli.main(["validate", case, "--levels", "2", "--out", str(out)]) == 0
+        lines = open(out / f"convergence_{case}.csv").read().splitlines()
+        header, *rows = [l for l in lines if not l.startswith("#")]
+        assert header == "level,h,eL2_u,order,eH1_u,order,eL2_p,order"
+        assert [row.split(",")[0] for row in rows] == ["0", "1"]
+        assert np.all(np.isfinite([float(v) for v in rows[1].split(",")]))
+
+    def test_validate_levels_above_the_cap_fail_before_meshing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        t0 = time.perf_counter()
+        assert cli.main(["validate", "couette", "--levels", "5", "--out", str(out)]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert f"at most {cli.VALIDATE_MAX_LEVELS}" in capsys.readouterr().err
+        assert not (out / "convergence_couette.csv").exists()
 
     @pytest.mark.parametrize("levels", ["0", "-1"])
     def test_validate_needs_a_level(self, tmp_path, capsys, levels):

@@ -7,8 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from slipflow import cli, concurrency
-from slipflow import linear_solvers as ls
+from slipflow import analysis, cli, concurrency
 from slipflow.concurrency import beside
 from slipflow.errors import DataError, SolverError
 
@@ -110,7 +109,7 @@ class TestCommands:
     def test_worker_error_exit_code(self, tmp_path, capsys, monkeypatch, path, error, code):
         def failing(mesh, r):
             raise error(f"sobolev failed at r={r:g}")
-        monkeypatch.setattr(ls, "sobolev_constant", failing)
+        monkeypatch.setattr(analysis, "sobolev_constant", failing)
         out = tmp_path / "out"
         assert cli.main(["korn", "--config", small_config(tmp_path), "--out", str(out)]) == code
         assert "sobolev failed at r=4" in capsys.readouterr().err

@@ -22,7 +22,7 @@ def interpolation_solver(exact):
 
 
 ALL_SOLUTIONS = [val.hamel(0.0), val.hamel(1.0), val.hamel(-2.0),
-                 val.rigid_rotation(1.3), val.slip_couette()]
+                 val.rigid_rotation(1.3), val.slip_couette(), val.manufactured()]
 
 
 class TestOracles:
@@ -43,20 +43,21 @@ class TestOracles:
         for comp in range(sol.domain.n_components):
             assert val.slip_residual(sol, comp) <= 1e-9
 
-    def test_nan_slip_residual_propagates(self):
+    def test_nan_slip_residual_propagates(self, monkeypatch):
         # a normal datum that is NaN on the last component only: the NaN normal
         # gap must reach both the component's residual and certify's maximum
+        monkeypatch.setattr(val, "CERTIFY_POINTS", 10)
         sol = val.hamel(1.0)
         a_star = (sol.data.a_star[0], lambda t, x: np.full(len(t), np.nan))
         sol = replace(sol, data=replace(sol.data, a_star=a_star))
         assert np.isfinite(val.slip_residual(sol, 0))
         assert np.isnan(val.slip_residual(sol, 1))
-        report = val.certify(sol, n_interior=10)
+        report = val.certify(sol)
         assert np.isnan(report["slip"])
         assert not report["slip"] <= 1e-9
 
-    def test_analytic_derivatives_match_stencils(self):
-        sol = val.hamel(1.0)
+    @pytest.mark.parametrize("sol", ALL_SOLUTIONS, ids=lambda s: s.name)
+    def test_analytic_derivatives_match_stencils(self, sol):
         rng = np.random.default_rng(2)
         pts = val.sample_interior_points(sol.domain, 20, rng)
         h = np.longdouble(1e-5 * sol.domain.diameter)
@@ -181,14 +182,20 @@ class TestRigidRotation:
             val.rigid_rotation(1.0, domain=dom)
 
 
+def closed_form(velocity, jacobian):
+    """An ExactSolution on the Hamel annulus with zero pressure and Laplacian
+    (the fields below are linear), for mms_generate."""
+    zero = lambda x: np.zeros_like(np.asarray(x, float))
+    return val.ExactSolution(
+        name="closed_form", domain=val.hamel(0.0).domain, data=None,
+        velocity=velocity, pressure=lambda x: np.zeros(len(np.asarray(x))),
+        velocity_jacobian=jacobian, velocity_laplacian=zero, pressure_gradient=zero)
+
+
 class TestMMS:
     def test_recovers_hamel_data(self):
         sol = val.hamel(1.0)
-        derivs = {"jacobian": sol.velocity_jacobian,
-                  "laplacian": sol.velocity_laplacian,
-                  "pressure_gradient": sol.pressure_gradient}
-        data = val.mms_generate(sol.velocity, sol.pressure, sol.domain, nu=1.0,
-                                beta=sol.data.beta, derivatives=derivs)
+        data = val.mms_generate(sol, nu=1.0, beta=sol.data.beta)
         rng = np.random.default_rng(3)
         pts = val.sample_interior_points(sol.domain, 30, rng)
         assert np.max(np.abs(data.f(pts))) < 1e-9
@@ -201,11 +208,7 @@ class TestMMS:
 
     def test_rigid_rotation_with_friction(self):
         sol = val.rigid_rotation(1.0)
-        data = val.mms_generate(sol.velocity, sol.pressure, sol.domain, nu=1.0,
-                                beta=(1.0, 1.0),
-                                derivatives={"jacobian": sol.velocity_jacobian,
-                                             "laplacian": sol.velocity_laplacian,
-                                             "pressure_gradient": sol.pressure_gradient})
+        data = val.mms_generate(sol, nu=1.0, beta=(1.0, 1.0))
         rng = np.random.default_rng(4)
         pts = val.sample_interior_points(sol.domain, 20, rng)
         assert np.max(np.abs(data.f(pts))) < 1e-9   # S(u) = 0, pressure balances
@@ -216,19 +219,29 @@ class TestMMS:
         assert np.allclose(data.b_tau[0](t, x), u_tau, atol=1e-10)
 
     def test_zero_fields(self):
-        dom = val.hamel(0.0).domain
-        zero_v = lambda x: np.zeros_like(np.asarray(x, float))
-        zero_p = lambda x: np.zeros(len(np.asarray(x)))
-        data = val.mms_generate(zero_v, zero_p, dom, nu=1.0, beta=(1.0, 1.0))
+        sol = closed_form(lambda x: np.zeros_like(np.asarray(x, float)),
+                          lambda x: np.zeros((len(np.asarray(x)), 2, 2)))
+        data = val.mms_generate(sol, nu=1.0, beta=(1.0, 1.0))
         pts = np.array([[1.5, 0.0]])
         assert np.all(data.f(pts) == 0.0)
 
     def test_non_solenoidal_rejected(self):
-        dom = val.hamel(0.0).domain
-        bad = lambda x: np.asarray(x, float)
-        p0 = lambda x: np.zeros(len(np.asarray(x)))
+        # u = x, whose divergence is 2
+        sol = closed_form(lambda x: np.asarray(x, float),
+                          lambda x: np.broadcast_to(np.eye(2), (len(np.asarray(x)), 2, 2)))
         with pytest.raises(DataError):
-            val.mms_generate(bad, p0, dom, nu=1.0, beta=(1.0, 1.0))
+            val.mms_generate(sol, nu=1.0, beta=(1.0, 1.0))
+
+    def test_manufactured_field_is_the_validate_mms_field(self):
+        # the rotated gradient of sin(x1) sin(x2) and the pressure cos(x1) sin(x2)
+        sol = val.manufactured()
+        x = np.array([[1.2, -0.7], [-0.4, 1.5]])
+        a = val.MANUFACTURED_AMPLITUDE
+        u = a * np.column_stack([-np.sin(x[:, 0]) * np.cos(x[:, 1]),
+                                 np.cos(x[:, 0]) * np.sin(x[:, 1])])
+        assert np.array_equal(sol.velocity(x), u)
+        assert np.array_equal(sol.pressure(x), np.cos(x[:, 0]) * np.sin(x[:, 1]))
+        assert (sol.data.nu, sol.model) == (1.0, "navier-stokes")
 
 
 class TestConvergenceStudy:

@@ -16,7 +16,8 @@ The matrix:
 - the benchmark workloads, by `perfbench/workloads.generate`: `ns-hamel`
   seeds 0-2 and `audit-twohole` seeds 0-3;
 - `solve ns` below the roundoff floor: the 8 x 16 Hamel annulus pinned
-  at 2 pi with `tolerance` 1e-15, which exits 3 when the residual stalls.
+  at 2 pi with `tolerance` 1e-15, which exits 3 when the residual stalls;
+- `validate couette|hamel|mms --levels 2`, which read no config.
 
 Exit status 0 when every case ran, 2 on a wrong command line.
 """
@@ -52,6 +53,12 @@ def shipped(config, command, **blocks):
     return write
 
 
+def validate(case):
+    """A two-level convergence study of `validate CASE`."""
+    return lambda run_dir: ("--deterministic", "validate", case, "--levels", "2",
+                            "--out", os.path.join(run_dir, "out"))
+
+
 def workload(name, seed):
     """A case of a benchmark workload, as perfbench/workloads.py generates it."""
     return lambda run_dir: workloads.generate(name, seed, run_dir).argv
@@ -67,6 +74,7 @@ MATRIX = (
     + [("hamel-ns-roundoff-floor", shipped(
         "hamel", COMMANDS["ns"], mesh={"n_radial": 8, "n_angular": 16},
         solver={"tolerance": 1e-15, "pins": {"1": 2 * math.pi}}))]
+    + [(f"validate-{case}", validate(case)) for case in ("couette", "hamel", "mms")]
 )
 
 
