@@ -4,11 +4,11 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from importlib import resources
 
 import numpy as np
-import jsonschema
 
 from . import analysis, assembly, expressions, geometry
 from . import meshing, navier_stokes as nvs, output, validation
@@ -20,14 +20,110 @@ def config_schema():
     return json.loads(resources.files(__package__).joinpath("config_schema.json").read_text())
 
 
-@functools.cache
-def config_validator():
-    """The validator of config_schema().
+# the JSON types of the schema keyword "type"; bool is no JSON number, and an
+# integer is an integer token of the file, never an integral float such as 8.0
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+               "null": type(None), "integer": int, "number": (int, float)}
 
-    The schema itself is checked against its meta-schema by the test suite,
-    not here, so that no run pays for it."""
-    schema = config_schema()
-    return jsonschema.validators.validator_for(schema)(schema)
+
+def _is_type(value, name):
+    return isinstance(value, _JSON_TYPES[name]) and (
+        name == "boolean" or not isinstance(value, bool))
+
+
+def _type(schema, value, path):
+    names = schema["type"] if isinstance(schema["type"], list) else [schema["type"]]
+    if not any(_is_type(value, name) for name in names):
+        yield path, f"{value!r} is not of type {', '.join(map(repr, names))}"
+
+
+def _enum(schema, value, path):
+    # plain equality: the schema's options are strings, which no bool or
+    # number equals (JSON Schema, unlike Python, holds true and 1 apart)
+    if value not in schema["enum"]:
+        yield path, f"{value!r} is not one of {schema['enum']!r}"
+
+
+def _minimum(schema, value, path):
+    if _is_type(value, "number") and value < schema["minimum"]:
+        yield path, f"{value!r} is less than the minimum of {schema['minimum']!r}"
+
+
+def _exclusive_minimum(schema, value, path):
+    if _is_type(value, "number") and value <= schema["exclusiveMinimum"]:
+        yield path, (f"{value!r} is less than or equal to the minimum of "
+                     f"{schema['exclusiveMinimum']!r}")
+
+
+def _min_items(schema, value, path):
+    if isinstance(value, list) and len(value) < schema["minItems"]:
+        yield path, f"{value!r} has fewer than {schema['minItems']} items"
+
+
+def _max_items(schema, value, path):
+    if isinstance(value, list) and len(value) > schema["maxItems"]:
+        yield path, f"{value!r} has more than {schema['maxItems']} items"
+
+
+def _items(schema, value, path):
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from schema_errors(schema["items"], item, (*path, i))
+
+
+def _properties(schema, value, path):
+    if isinstance(value, dict):
+        for key, sub in schema["properties"].items():
+            if key in value:
+                yield from schema_errors(sub, value[key], (*path, key))
+
+
+def _pattern_properties(schema, value, path):
+    if isinstance(value, dict):
+        for pattern, sub in schema["patternProperties"].items():
+            for key in value:
+                if re.search(pattern, key):
+                    yield from schema_errors(sub, value[key], (*path, key))
+
+
+def _additional_properties(schema, value, path):
+    if schema["additionalProperties"] is not False:   # the schema closes every object
+        raise NotImplementedError("config schema: only additionalProperties false is implemented")
+    if isinstance(value, dict):
+        for key in value:
+            if key not in schema.get("properties", {}) and not any(
+                    re.search(pattern, key) for pattern in schema.get("patternProperties", {})):
+                yield (*path, key), "is not an allowed key"
+
+
+def _required(schema, value, path):
+    if isinstance(value, dict):
+        for key in schema["required"]:
+            if key not in value:
+                yield (*path, key), "is required but missing"
+
+
+# every keyword of config_schema.json, and no other: JSON Schema 2020-12
+# meaning, apart from the integer rule of _JSON_TYPES
+SCHEMA_KEYWORDS = {
+    "type": _type, "enum": _enum, "minimum": _minimum,
+    "exclusiveMinimum": _exclusive_minimum, "minItems": _min_items,
+    "maxItems": _max_items, "items": _items, "properties": _properties,
+    "patternProperties": _pattern_properties,
+    "additionalProperties": _additional_properties, "required": _required,
+}
+
+
+def schema_errors(schema, value, path=()):
+    """Every (key path, reason) at which value breaks schema, in schema order.
+
+    NotImplementedError for a keyword outside SCHEMA_KEYWORDS: a schema
+    keyword the interpreter would skip is a check that silently does not run.
+    """
+    for keyword in schema:
+        if keyword not in SCHEMA_KEYWORDS:
+            raise NotImplementedError(f"config schema keyword {keyword!r} is not implemented")
+        yield from SCHEMA_KEYWORDS[keyword](schema, value, path)
 
 
 def _non_finite_key(value, key=()):
@@ -60,11 +156,12 @@ def load_config(path):
     if key is not None:
         raise ConfigurationError(
             f"config value at {'.'.join(key) or 'the top level'} is not a finite number")
-    error = jsonschema.exceptions.best_match(config_validator().iter_errors(cfg))
+    error = next(schema_errors(config_schema(), cfg), None)
     if error is not None:
-        where = ".".join(map(str, error.absolute_path)) or "the top level"
+        key, reason = error
         raise ConfigurationError(
-            f"config validation failed at {where}: {error.message}") from error
+            f"config validation failed at {'.'.join(map(str, key)) or 'the top level'}: "
+            f"{reason}")
     return cfg
 
 
@@ -96,7 +193,7 @@ def build_mesh(cfg, domain):
             raise ConfigurationError("annulus generator needs concentric circles")
         return meshing.mesh_annulus(inner.radius, outer.radius,
                                     mcfg.get("n_radial", 16),
-                                    mcfg.get("n_angular", 48))
+                                    mcfg.get("n_angular", 48), center=outer.center)
     if gen == "disk":
         return meshing.mesh_disk_with_holes(domain, mcfg.get("target_h", 0.1))
     if gen == "import":

@@ -197,8 +197,8 @@ class Mesh:
         return self
 
 
-def mesh_annulus(r_in, r_out, n_radial, n_angular):
-    """Structured triangulation of the annulus r_in < |x| < r_out.
+def mesh_annulus(r_in, r_out, n_radial, n_angular, center=(0.0, 0.0)):
+    """Structured triangulation of the annulus r_in < |x - center| < r_out.
 
     Component 0 is the outer circle, component 1 the inner circle.
     """
@@ -211,13 +211,14 @@ def mesh_annulus(r_in, r_out, n_radial, n_angular):
 
     # two concentric circles with 0 < r_in < r_out form a valid domain
     domain = geometry.DomainSpec(
-        [geometry.Circle((0.0, 0.0), r_out), geometry.Circle((0.0, 0.0), r_in)],
+        [geometry.Circle(center, r_out), geometry.Circle(center, r_in)],
         labels=["outer", "inner"], check=False)
 
     radii = np.linspace(r_in, r_out, n_radial + 1)
     theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
     rr, tt = np.meshgrid(radii, theta, indexing="ij")
-    vertices = np.column_stack([(rr * np.cos(tt)).ravel(), (rr * np.sin(tt)).ravel()])
+    vertices = domain.curves[0].center + np.column_stack(
+        [(rr * np.cos(tt)).ravel(), (rr * np.sin(tt)).ravel()])
 
     # vertex (ring i, angle j) is i * n_angular + j; quad (i, j) is a b c d
     i, j = np.meshgrid(np.arange(n_radial), np.arange(n_angular), indexing="ij")

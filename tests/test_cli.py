@@ -1,6 +1,8 @@
 import importlib.util
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 import time
@@ -33,34 +35,90 @@ def hamel_config(tmp_path, **overrides):
     return str(path)
 
 
+def perfbench_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def config_corpus():
+    """The shipped configs and the distinct ones the benchmark generates for seeds 0-3."""
+    configs = [json.load(open(os.path.join(CONFIG_DIR, name)))
+               for name in sorted(os.listdir(CONFIG_DIR))]
+    configs += [make(random.Random(seed))[0]
+                for make in perfbench_workloads().GENERATORS.values() for seed in range(4)]
+    return list(map(json.loads, dict.fromkeys(json.dumps(c, sort_keys=True) for c in configs)))
+
+
+def subschemas(schema):
+    """schema and, depth first, every schema inside it."""
+    yield schema
+    inner = [*schema.get("properties", {}).values(),
+             *schema.get("patternProperties", {}).values()]
+    for sub in inner + ([schema["items"]] if "items" in schema else []):
+        yield from subschemas(sub)
+
+
+def reference_validator(schema):
+    """jsonschema's validator of schema, with the interpreter's integer rule:
+    an integral float such as 8.0 is no integer."""
+    base = jsonschema.validators.validator_for(schema)
+    checker = base.TYPE_CHECKER.redefine(
+        "integer", lambda checker, v: isinstance(v, int) and not isinstance(v, bool))
+    return jsonschema.validators.extend(base, type_checker=checker)(schema)
+
+
+def json_locations(value, path=()):
+    """Key path of every node of a JSON value, the root first."""
+    yield path
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield from json_locations(item, (*path, key))
+
+
+def json_node(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
 class TestConfig:
     def test_packaged_schema_is_the_enforced_one(self, tmp_path, monkeypatch):
         from importlib import resources
         packaged = json.loads(
             resources.files("slipflow").joinpath("config_schema.json").read_text())
         assert packaged["required"] == ["domain", "physics", "boundary"]
-        assert cli.config_validator().schema == packaged
+        assert cli.config_schema() == packaged
         # an output key that nothing but the packaged schema forbids
         path = hamel_config(tmp_path, output={"directory": str(tmp_path), "note": "x"})
         argv = ["mesh", "--config", path, "--out", str(tmp_path / "out")]
         assert cli.main(argv) == 2
-        permissive = type(cli.config_validator())({})
-        monkeypatch.setattr(cli, "config_validator", lambda: permissive)
+        monkeypatch.setattr(cli, "config_schema", lambda: {})
         assert cli.main(argv) == 0
 
-    @pytest.mark.parametrize("setting, literal, key", [
-        ({"mesh.target_h": float("nan")}, None, "mesh.target_h"),
-        ({"physics.nu": float("inf")}, None, "physics.nu"),
-        ({"mesh.n_radial": -float("inf")}, None, "mesh.n_radial"),
-        ({"boundary.b_tau": [0.0, float("inf")]}, "1e400", "boundary.b_tau.1"),
-    ], ids=["nan", "inf", "minus-inf", "overflow"])
-    def test_non_finite_number_rejected_at_load(self, tmp_path, capsys, setting, literal, key):
+    @pytest.mark.parametrize("setting, literal, key, reason", [
+        ({"mesh.target_h": float("nan")}, None, "mesh.target_h", " is not a finite number"),
+        ({"physics.nu": float("inf")}, None, "physics.nu", " is not a finite number"),
+        ({"mesh.n_radial": -float("inf")}, None, "mesh.n_radial", " is not a finite number"),
+        ({"boundary.b_tau": [0.0, float("inf")]}, "1e400", "boundary.b_tau.1",
+         " is not a finite number"),
+        # an integer key takes JSON integers only; 8.0 once passed the schema
+        # check and then raised TypeError in the mesher or the solver
+        ({"mesh.n_radial": 8.0}, None, "mesh.n_radial", ": 8.0 is not of type 'integer'"),
+        ({"solver.max_iterations": 60.0}, None, "solver.max_iterations",
+         ": 60.0 is not of type 'integer'"),
+    ], ids=["nan", "inf", "minus-inf", "overflow", "float-n-radial", "float-max-iterations"])
+    def test_non_finite_number_rejected_at_load(self, tmp_path, capsys, setting, literal, key,
+                                                reason):
         # json reads NaN and Infinity tokens, and 1e400 overflows to inf
         path = hamel_config(tmp_path, **setting)
         if literal:
             written = tmp_path / "config.json"
             written.write_text(written.read_text().replace("Infinity", literal))
-        with pytest.raises(ConfigurationError, match=rf"at {key} is not a finite number"):
+        with pytest.raises(ConfigurationError, match=re.escape(f"at {key}{reason}")):
             cli.load_config(path)
         out = tmp_path / "out"
         assert cli.main(["mesh", "--config", path, "--out", str(out)]) == 2
@@ -71,6 +129,95 @@ class TestConfig:
         # the run-time validator trusts the packaged schema; it is checked here
         schema = cli.config_schema()
         jsonschema.validators.validator_for(schema).check_schema(schema)
+
+    def test_schema_uses_only_implemented_keywords(self):
+        # the interpreter raises on a keyword it lacks, but only where a
+        # config reaches it; every keyword of the packaged schema is checked here
+        used = {keyword for sub in subschemas(cli.config_schema()) for keyword in sub}
+        assert used <= set(cli.SCHEMA_KEYWORDS), used - set(cli.SCHEMA_KEYWORDS)
+        with pytest.raises(NotImplementedError, match="'format'"):
+            next(cli.schema_errors({"format": "uri"}, "x"))
+        with pytest.raises(NotImplementedError, match="additionalProperties"):
+            next(cli.schema_errors({"additionalProperties": {"type": "number"}}, {"a": 1}))
+
+    def test_interpreter_agrees_with_jsonschema_at_every_bound(self):
+        # every number of the shipped and the benchmark's configs set to each
+        # bound of the schema, to one below and to one above it, as an
+        # integer and as a float
+        schema = cli.config_schema()
+        reference = reference_validator(schema)
+        # the one departure from jsonschema, which takes 8.0 for an integer
+        integer = {"type": "integer"}
+        assert jsonschema.validators.validator_for(integer)(integer).is_valid(8.0)
+        assert not reference_validator(integer).is_valid(8.0)
+        bounds = {sub[k] for sub in subschemas(schema)
+                  for k in ("minimum", "exclusiveMinimum") if k in sub}
+        edges = sorted({edge for bound in bounds for edge in (bound - 1, bound, bound + 1)})
+        edges += [float(edge) for edge in edges] + [0.5]
+        checked = 0
+        for cfg in config_corpus():
+            for path in json_locations(cfg):
+                parent = json_node(cfg, path[:-1])
+                value = parent[path[-1]] if path else cfg
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    continue
+                for edge in edges:
+                    parent[path[-1]] = edge
+                    found = next(cli.schema_errors(schema, cfg), None)
+                    assert (found is None) == reference.is_valid(cfg), (path, edge, found)
+                    checked += 1
+                parent[path[-1]] = value
+        assert checked > 500
+
+    def test_interpreter_agrees_with_jsonschema(self):
+        # mutated shipped and benchmark configs: values replaced by random
+        # JSON, keys and items dropped, keys and items added
+        from hypothesis import given, settings, strategies as st
+        schema = cli.config_schema()
+        reference = reference_validator(schema)
+        configs = config_corpus()
+        names = st.sampled_from(sorted({key for cfg in configs for path in json_locations(cfg)
+                                        for key in path if isinstance(key, str)} | {"note"}))
+        leaves = (st.none() | st.booleans() | st.integers(-3, 100)
+                  | st.floats(-100, 100, allow_nan=False) | st.text(max_size=4)
+                  | st.sampled_from([0, 2, 8, 2.0, 8.0, 0.5, "1", "circle", "disk", "newton"]))
+        json_values = st.recursive(
+            leaves, lambda children: st.lists(children, max_size=3)
+            | st.dictionaries(names | st.text(max_size=3), children, max_size=3),
+            max_leaves=6)
+        accepted = []
+
+        @settings(max_examples=400, derandomize=True, deadline=None, database=None)
+        @given(st.data())
+        def check(data):
+            cfg = json.loads(json.dumps(data.draw(st.sampled_from(configs))))
+            for _ in range(data.draw(st.integers(1, 3))):
+                path = data.draw(st.sampled_from(list(json_locations(cfg))))
+                action = data.draw(st.sampled_from(["replace", "drop", "add"]))
+                if path and action != "add":
+                    parent = json_node(cfg, path[:-1])
+                    if action == "replace":
+                        parent[path[-1]] = data.draw(json_values)
+                    else:
+                        del parent[path[-1]]
+                    continue
+                target = json_node(cfg, path)
+                if isinstance(target, dict):
+                    target[data.draw(names | st.text(max_size=3))] = data.draw(json_values)
+                elif isinstance(target, list):
+                    target.append(data.draw(json_values))
+            found = list(cli.schema_errors(schema, cfg))
+            expected = [tuple(e.absolute_path) for e in reference.iter_errors(cfg)]
+            assert bool(found) == bool(expected), (cfg, found, expected)
+            # each error lies at or under a place jsonschema faults, and each
+            # of those places holds an error (jsonschema reports an unknown or
+            # a missing key at its object, the interpreter at the key)
+            assert all(any(key[:len(e)] == e for e in expected) for key, _ in found)
+            assert all(any(key[:len(e)] == e for key, _ in found) for e in expected)
+            accepted.append(not found)
+
+        check()
+        assert 0.05 < np.mean(accepted) < 0.95, np.mean(accepted)
 
     def test_shipped_golden_configs_validate(self):
         for name in ("hamel", "couette", "theorem1_pass", "symmetric_domain"):
@@ -174,11 +321,7 @@ class TestSubcommands:
         schema = json.load(open(os.path.join(ROOT, "docs", "audit_schema.json")))
         validator = jsonschema.validators.validator_for(schema)
         validator.check_schema(schema)
-        spec = importlib.util.spec_from_file_location(
-            "workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
-        workloads = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
-        twohole = workloads.generate("audit-twohole", 0, str(tmp_path / "twohole"))
+        twohole = perfbench_workloads().generate("audit-twohole", 0, str(tmp_path / "twohole"))
         for name, path in (("theorem1", os.path.join(CONFIG_DIR, "theorem1_pass.json")),
                            ("twohole", twohole.config_path)):
             out = tmp_path / name
@@ -230,6 +373,31 @@ class TestSubcommands:
         domain = cli.build_domain(cli.load_config(path))
         mesh = import_mesh(str(out / "mesh.node"), str(out / "mesh.ele"), domain)
         assert mesh.n_vertices == 9 * 16
+
+    def test_off_origin_annulus_meshes_the_config_circles(self, tmp_path):
+        # the couette annulus moved to centre (5, 0) is meshed on its own
+        # circles, and its Stokes solution is the origin-centred one moved
+        cfg = json.load(open(os.path.join(CONFIG_DIR, "couette.json")))
+        moved = json.loads(json.dumps(cfg))
+        for curve in moved["domain"]["curves"]:
+            curve["center"] = [5.0, 0.0]
+        velocity = {}
+        for name, config in (("origin", cfg), ("moved", moved)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(config))
+            out = tmp_path / name
+            assert cli.main(["solve", "stokes", "--config", str(path), "--out", str(out)]) == 0
+            vtk = open(out / "solution.vtk").read().splitlines()
+            start = vtk.index("VECTORS velocity double") + 1
+            velocity[name] = np.loadtxt(vtk[start:start + int(vtk[4].split()[1])])
+        domain = cli.build_domain(moved)
+        mesh = cli.build_mesh(moved, domain)
+        radius = np.hypot(*(mesh.vertices - [5.0, 0.0]).T)
+        on = mesh.node_component[:mesh.n_vertices]
+        assert np.allclose(radius[on == 0], 2.0, rtol=0, atol=1e-12)
+        assert np.allclose(radius[on == 1], 1.0, rtol=0, atol=1e-12)
+        assert np.all((radius > 1.0 - 1e-12) & (radius < 2.0 + 1e-12))
+        assert np.allclose(velocity["moved"], velocity["origin"], rtol=0, atol=1e-9)
 
     def test_solve_ns_hamel(self, tmp_path):
         path = hamel_config(tmp_path)
@@ -338,8 +506,9 @@ class TestSubcommands:
         ({"physics.nu": float("inf")}, []),
         ({}, ["--pin", "1=nan"]),
         ({}, ["--pin", "1=inf"]),
+        ({"solver.max_iterations": 60.0}, []),
     ], ids=["empty-schedule", "nan-schedule", "nan-tolerance", "nan-config-pin", "nan-nu",
-            "inf-nu", "nan-pin", "inf-pin"])
+            "inf-nu", "nan-pin", "inf-pin", "float-max-iterations"])
     def test_non_finite_or_empty_solver_value_exit_code(self, tmp_path, capsys, setting, pin):
         path = hamel_config(tmp_path, mesh={"generator": "annulus", "n_radial": 4,
                                             "n_angular": 16}, **setting)

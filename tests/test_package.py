@@ -11,7 +11,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "slipflow"
 
 FOOTPRINT_SCRIPT = """
 import json, sys
-HEAVY = ("scipy.interpolate", "scipy.spatial", "scipy.optimize", "scipy.special")
+HEAVY = ("scipy.interpolate", "scipy.spatial", "scipy.optimize", "scipy.special", "jsonschema")
 loaded = lambda: [name for name in HEAVY if name in sys.modules]
 config, out, report = sys.argv[1:]
 steps = {}
@@ -135,7 +135,8 @@ def test_boundary_data_normalized_only_in_assembly():
 
 def test_import_footprint(tmp_path):
     # a circle-bounded annulus run loads no scipy package beyond sparse and
-    # linalg; spline boundaries and the Delaunay mesher load their own
+    # linalg, and no run loads jsonschema, the test-side reference of the
+    # config check; spline boundaries and the Delaunay mesher load their own
     cfg = json.loads((SRC.parent.parent / "configs" / "hamel.json").read_text())
     cfg["mesh"] = {"generator": "annulus", "n_radial": 4, "n_angular": 16}
     config = tmp_path / "config.json"
