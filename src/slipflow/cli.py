@@ -152,16 +152,15 @@ def load_config(path):
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     # json reads NaN and Infinity tokens and overflows 1e400 to inf; no
     # config value may be non-finite, and the schema cannot say so
+    def where(key):
+        return ".".join(map(str, key)) or "the top level"
+
     key = _non_finite_key(cfg)
     if key is not None:
-        raise ConfigurationError(
-            f"config value at {'.'.join(key) or 'the top level'} is not a finite number")
+        raise ConfigurationError(f"config value at {where(key)} is not a finite number")
     error = next(schema_errors(config_schema(), cfg), None)
     if error is not None:
-        key, reason = error
-        raise ConfigurationError(
-            f"config validation failed at {'.'.join(map(str, key)) or 'the top level'}: "
-            f"{reason}")
+        raise ConfigurationError(f"config validation failed at {where(error[0])}: {error[1]}")
     return cfg
 
 
