@@ -345,7 +345,7 @@ def cmd_korn(args, cfg):
     _, data, mesh = _problem(cfg)
     est, sob, _ = analysis.korn_and_sobolev(mesh, data, _audit_exponent(cfg))
     payload = {
-        "korn": {"K": est.K, "lambda_min": est.lambda_min,
+        "korn": {"K": est.K, "lambda_min": est.lambda_min, "lanczos_steps": est.lanczos_steps,
                  "rotation_projected": est.rotation_projected, "rigor": est.rigor},
         "sobolev": {"C_r": sob.C_r, "r": sob.r, "iterations": sob.iterations,
                     "rigor": sob.rigor},

@@ -18,8 +18,12 @@ from .errors import DataError, SolverError
 RESIDUAL_TOL = 1e-10
 MASS_RTOL = 1e-14
 BORDER_RTOL = 1e-13     # BorderedSolver.solve refines down to this relative residual
-LANCZOS_TOL = 1e-11     # ARPACK's relative Ritz-value tolerance in _pencil_smallest,
-LANCZOS_MAXITER = 300   # and its restart limit
+LANCZOS_TOL = 1e-12     # _pencil_smallest stops once the largest Ritz value's last change
+                        # and its error estimate r^2/gap are both below this, relative,
+LANCZOS_MINSTEPS = 20   # and not before this many steps;
+LANCZOS_BASIS = 40      # it holds at most this many basis vectors, restarting with the
+LANCZOS_KEEP = 20       # Ritz vectors of this many largest values,
+LANCZOS_MAXITER = 3000  # and raises SolverError after this many shift-invert steps
 SOBOLEV_TOL = 1e-10     # relative change of the quotient that ends the Sobolev ascent,
 SOBOLEV_MAXITER = 600   # and its step limit
 
@@ -450,44 +454,97 @@ def solve_saddle_krylov(layout, solver, A_ff, F_f, cycle, guess=None):
 
 # -- eigenvalue estimates ----------------------------------------------------
 
-def _pencil_scale(K, M):
-    """trace(K) / trace(M): the eigenvalue scale of the pencil K x = lambda M x."""
-    return max(K.diagonal().sum() / max(M.diagonal().sum(), 1e-300), 1e-30)
+def _shifted_korn_pencil(mesh, con, weight):
+    """(A, W, sigma, scale) of the slip-reduced Korn pencil K x = lambda W x:
+    K the symmetric-gradient/friction form and W the H1 Gram form, both on
+    the free/free pattern of the slip constraint con; scale = trace(K)/trace(W),
+    the eigenvalue scale, sigma = -1e-9 scale the shift and A = K - sigma W.
+    The full forms are dropped once reduced, and K once shifted, before the
+    pencil is factored, which is the peak of an audit's memory."""
+    K, _ = con.reduce_matrix(assembly.velocity_sum(
+        mesh, assembly.assemble_viscous(mesh, 2.0),                  # integral S(u):S(v)
+        assembly.assemble_friction(mesh, weight)))
+    W, _ = con.reduce_matrix(assembly.componentwise(mesh, assembly.scalar_h1_gram(mesh)))
+    scale = max(K.diagonal().sum() / max(W.diagonal().sum(), 1e-300), 1e-30)
+    sigma = -1e-9 * scale
+    return K - sigma * W, W, sigma, scale
 
 
-def _pencil_smallest(K, M, constraints=(), v0=None):
-    """Smallest eigenvalue of K x = lambda M x subject to c . x = 0 rows.
+def _pencil_smallest(A, M, sigma, constraints, v0):
+    """Smallest eigenvalue of K x = lambda M x subject to c . x = 0 rows,
+    given A = K - sigma M with the shift sigma just below it.
 
-    Shift-invert Lanczos (ARPACK through eigsh) with a fixed shift just
-    below zero.  The shifted inverse is applied by the bordered solver,
-    whose every output satisfies the constraint rows, so the Krylov space
-    stays in the constrained space; the pencil is positive semidefinite
-    there, and the eigenvalue nearest the shift is the smallest.  Returns
-    (lambda, x) with x M-normalized; deterministic for a fixed start
-    vector (projected onto the constraints).  SolverError when ARPACK
-    fails or does not converge within LANCZOS_TOL and LANCZOS_MAXITER.
+    Lanczos on the shift-invert operator OP = A^-1 M, which is self-adjoint
+    in the M inner product: A is factored once by the bordered solver, each
+    step is one back-solve on M q and one product with M, and the basis is
+    kept M-orthonormal by classical Gram-Schmidt twice against every vector,
+    with M q held beside each q.  Every solver output satisfies the
+    constraint rows, so the Krylov space stays in the constrained space,
+    where the pencil is positive semidefinite: the largest Ritz value theta
+    gives the smallest eigenvalue sigma + 1/theta.
+
+    The loop stops on the eigenvalue, not on the Ritz vector: once theta
+    changed by at most LANCZOS_TOL relative over the last step and its
+    error estimate r^2/gap (r the Ritz residual, gap to the next Ritz
+    value; Parlett, The Symmetric Eigenvalue Problem, 1998) is below it
+    too, or once the Krylov space is invariant.  Not before
+    LANCZOS_MINSTEPS steps, where ARPACK first checks: on the annulus,
+    theta at first settles on the upper member of a near-degenerate pair,
+    and the change alone is not enough on a clustered spectrum (the 0.01
+    wide annulus), where theta creeps.  Memory is bounded by a thick
+    restart (Wu and Simon, SIAM J. Matrix Anal. Appl. 22, 2000): at
+    LANCZOS_BASIS vectors (and as many M products) the basis is replaced
+    by the Ritz vectors of the LANCZOS_KEEP largest values and the
+    residual direction; Ritz values are never compared across a restart.
+    Returns (lambda, x, steps) with x M-normalized and steps the number of
+    shift-invert solves; deterministic for the start vector v0 (projected
+    onto the constraints).  SolverError after LANCZOS_MAXITER steps.
     """
-    n = K.shape[0]
-    sigma = -1e-9 * _pencil_scale(K, M)
-    C = np.column_stack(constraints) if constraints else None
-    solver = BorderedSolver(K - sigma * M, C=C)
-
-    x = np.ones(n) if v0 is None else v0.copy()
+    solver = BorderedSolver(A, C=np.column_stack(constraints) if constraints else None)
+    x = v0.copy()
     for c in constraints:
         cc = float(c @ c)
         if cc > 0:
             x -= (c @ x) / cc * c
     if not np.any(x):
         raise SolverError("Lanczos start vector vanishes after the constraint projection")
-    shifted_inverse = spla.LinearOperator(
-        (n, n), matvec=lambda b: solver.solve(b, refine=1)[0], dtype=float)
-    try:
-        lam, vec = spla.eigsh(K, k=1, M=M, sigma=sigma, which="LM",
-                              OPinv=shifted_inverse, v0=x, maxiter=LANCZOS_MAXITER,
-                              tol=LANCZOS_TOL)
-    except spla.ArpackError as exc:
-        raise SolverError(f"shift-invert Lanczos failed: {exc}") from exc
-    return float(lam[0]), vec[:, 0]
+    Mx = M @ x
+    norm = np.sqrt(x @ Mx)
+    basis, products = [x / norm], [Mx / norm]       # q_i, M-orthonormal, and M q_i
+    T = np.zeros((LANCZOS_BASIS, LANCZOS_BASIS))   # Q^T M OP Q: tridiagonal, arrowed by a restart
+    previous = None                                 # theta of the step before, in this cycle
+    for step in range(1, LANCZOS_MAXITER + 1):
+        j = len(basis) - 1
+        w = solver.solve(products[j], refine=1)[0]
+        for _ in range(2):      # classical Gram-Schmidt, twice, in the M inner product
+            coefficients = np.array([p @ w for p in products])
+            for c, q in zip(coefficients, basis):
+                w -= c * q
+            T[j, j] += coefficients[j]
+        Mw = M @ w
+        beta = np.sqrt(max(float(w @ Mw), 0.0))
+        theta, S = np.linalg.eigh(T[:j + 1, :j + 1])
+        top, residual = theta[-1], beta * abs(S[j, -1])
+        gap = top - theta[-2] if j else np.inf
+        settled = (step >= LANCZOS_MINSTEPS and previous is not None
+                   and abs(top - previous) <= LANCZOS_TOL * top
+                   and residual ** 2 <= LANCZOS_TOL * top * gap)
+        if settled or beta <= LANCZOS_TOL * top:
+            x = sum(s * q for s, q in zip(S[:, -1], basis))
+            return float(sigma + 1.0 / top), x, step
+        previous = top
+        if j + 1 == LANCZOS_BASIS:
+            kept = S[:, -LANCZOS_KEEP:]
+            basis, products = (list(kept.T @ np.array(vectors)) for vectors in (basis, products))
+            T[:] = 0.0
+            T[:LANCZOS_KEEP, :LANCZOS_KEEP] = np.diag(theta[-LANCZOS_KEEP:])
+            T[LANCZOS_KEEP, :LANCZOS_KEEP] = T[:LANCZOS_KEEP, LANCZOS_KEEP] = beta * kept[j]
+            previous = None
+        else:
+            T[j + 1, j] = T[j, j + 1] = beta
+        basis.append(w / beta)
+        products.append(Mw / beta)
+    raise SolverError(f"shift-invert Lanczos did not converge in {LANCZOS_MAXITER} steps")
 
 
 @dataclass
@@ -496,6 +553,7 @@ class KornEstimate:
     K: float
     mode: np.ndarray
     rotation_projected: bool
+    lanczos_steps: int      # shift-invert solves of the eigenvalue loop
     rigor: str = "lower bound on the continuum constant (discrete subspace)"
 
 
@@ -514,12 +572,7 @@ def korn_constant(mesh, weight, project_rotation=False):
     """
     sym = geometry.classify_symmetry(mesh.domain)
     con = assembly.normal_trace_constraint(mesh, [0.0] * mesh.domain.n_components)
-    # the full forms are dropped as soon as they are reduced, before the
-    # pencil is factored, which is the peak of an audit's memory
-    K_ff, _ = con.reduce_matrix(assembly.velocity_sum(
-        mesh, assembly.assemble_viscous(mesh, 2.0),                  # integral S(u):S(v)
-        assembly.assemble_friction(mesh, weight)))
-    W_ff, _ = con.reduce_matrix(assembly.componentwise(mesh, assembly.scalar_h1_gram(mesh)))
+    A, W_ff, sigma, scale = _shifted_korn_pencil(mesh, con, weight)
     constraints = []
     if project_rotation:
         if sym.circularly_symmetric is None:
@@ -527,15 +580,14 @@ def korn_constant(mesh, weight, project_rotation=False):
         mode = rigid_rotation_mode(mesh, sym.circularly_symmetric)
         c = assembly.assemble_vector_mass(mesh) @ mode
         constraints.append((con.Q @ c)[con.free])
-    v0 = _deterministic_start(len(con.free))
-    lam, x = _pencil_smallest(K_ff, W_ff, constraints, v0=v0)
+    lam, x, steps = _pencil_smallest(A, W_ff, sigma, constraints,
+                                     v0=_deterministic_start(len(con.free)))
     if not np.isfinite(lam):
         raise SolverError(f"Korn eigenvalue is not finite ({lam})")
-    mode_full = con.expand(x)
     # below assembly roundoff the eigenvalue is zero, whatever its sign
-    K = float(1.0 / lam) if lam > 1e-13 * _pencil_scale(K_ff, W_ff) else np.inf
-    return KornEstimate(lambda_min=float(lam), K=K, mode=mode_full,
-                        rotation_projected=bool(project_rotation))
+    K = float(1.0 / lam) if lam > 1e-13 * scale else np.inf
+    return KornEstimate(lambda_min=float(lam), K=K, mode=con.expand(x),
+                        rotation_projected=bool(project_rotation), lanczos_steps=steps)
 
 
 def _deterministic_start(n):

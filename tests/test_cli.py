@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from slipflow import cli
+from slipflow import linear_solvers as ls
 from slipflow import validation as val
 from slipflow.errors import ConfigurationError
 from slipflow.meshing import import_mesh
@@ -514,7 +515,10 @@ class TestSubcommands:
                                             "n_angular": 16}, **setting)
         out = tmp_path / "out"
         assert cli.main(["solve", "ns", "--config", path, "--out", str(out), *pin]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if setting == {"solver.lambda_schedule": []}:
+            assert "solver.lambda_schedule" in err
         assert not out.exists() or not any(out.iterdir())
 
     def test_audit_non_finite_normal_datum_exit_code(self, tmp_path, capsys):
@@ -609,6 +613,7 @@ class TestSubcommands:
         assert cli.main(["korn", "--config", path, "--out", str(out)]) == 0
         payload = json.load(open(out / "constants.json"))
         assert payload["korn"]["K"] > 0
+        assert ls.LANCZOS_MINSTEPS <= payload["korn"]["lanczos_steps"] <= ls.LANCZOS_MAXITER
         assert payload["sobolev"]["C_r"] > 0
 
     def test_diagnose(self, tmp_path):

@@ -483,17 +483,25 @@ class TestKorn:
             assert np.isfinite(est.lambda_min) and abs(est.lambda_min) < 1e-12
             assert est.K == np.inf
 
+    def test_thin_annulus_clustered_spectrum_matches_dense_pencil(self):
+        # on the annulus 0.01 wide the low end of the spectrum is a cluster
+        # (1.99974, 1.99985, 1.99986, ...): the largest Ritz value creeps for
+        # hundreds of steps, across thick restarts, before it settles (n = 1024)
+        mesh = sf.mesh_annulus(1.0, 1.01, 2, 64)
+        est = ls.korn_constant(mesh, weight=(2.0, 2.0))
+        assert est.lanczos_steps > ls.LANCZOS_BASIS
+        ref = self._dense_lambda_min(mesh, (2.0, 2.0), False)
+        assert est.lambda_min == pytest.approx(ref, rel=1e-10)
+
     def test_non_finite_eigenvalue_rejected(self, annulus_coarse, monkeypatch):
         monkeypatch.setattr(ls, "_pencil_smallest",
-                            lambda K, M, constraints, v0: (np.nan, np.zeros(K.shape[0])))
+                            lambda A, M, sigma, constraints, v0: (np.nan, np.zeros(A.shape[0]), 1))
         with pytest.raises(SolverError):
             ls.korn_constant(annulus_coarse, weight=(1.0, 1.0))
 
-    def test_arpack_failure_is_solver_error(self, annulus_coarse, monkeypatch):
-        def no_convergence(*args, **kwargs):
-            raise spla.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
-        monkeypatch.setattr(ls.spla, "eigsh", no_convergence)
-        with pytest.raises(SolverError):
+    def test_exhausted_steps_are_solver_error(self, annulus_coarse, monkeypatch):
+        monkeypatch.setattr(ls, "LANCZOS_MAXITER", 2)
+        with pytest.raises(SolverError, match="did not converge in 2 steps"):
             ls.korn_constant(annulus_coarse, weight=(1.0, 1.0))
 
 

@@ -17,6 +17,9 @@ The matrix:
   seeds 0-2 and `audit-twohole` seeds 0-3;
 - `solve ns` below the roundoff floor: the 8 x 16 Hamel annulus pinned
   at 2 pi with `tolerance` 1e-15, which exits 3 when the residual stalls;
+- `korn` on the thin annulus: `couette` with the outer radius 1.01 on a
+  2 x 64 mesh, whose clustered Korn spectrum takes the eigenvalue loop
+  hundreds of steps and thick restarts;
 - `validate couette|hamel|mms --levels 2`, which read no config.
 
 Exit status 0 when every case ran, 2 on a wrong command line.
@@ -74,6 +77,11 @@ MATRIX = (
     + [("hamel-ns-roundoff-floor", shipped(
         "hamel", COMMANDS["ns"], mesh={"n_radial": 8, "n_angular": 16},
         solver={"tolerance": 1e-15, "pins": {"1": 2 * math.pi}}))]
+    + [("thin-annulus-korn", shipped(
+        "couette", COMMANDS["korn"], mesh={"n_radial": 2, "n_angular": 64},
+        domain={"curves": [
+            {"kind": "circle", "center": [0.0, 0.0], "radius": 1.01, "label": "outer"},
+            {"kind": "circle", "center": [0.0, 0.0], "radius": 1.0, "label": "inner"}]}))]
     + [(f"validate-{case}", validate(case)) for case in ("couette", "hamel", "mms")]
 )
 
