@@ -307,9 +307,15 @@ def audit(domain, data, mesh=None, q=4.0):
     else:
         notes.append("outflow condition applies to doubly-connected domains only")
 
-    # mirror symmetry of domain and data
+    # mirror symmetry of domain and data; the force is compared where the
+    # discrete problem reads it, at the quadrature points of the mesh
     admissible = geometry.classify_symmetry(domain).admissible_x1
-    data_sym = symmetric_data_defect(domain, data) <= SYMMETRY_TOL
+    if mesh is None and data.f is not None:
+        data_sym = False
+        notes.append("data symmetry not evaluated: no mesh supplied for the force's "
+                     "quadrature points")
+    else:
+        data_sym = symmetric_data_defect(domain, data, mesh) <= SYMMETRY_TOL
     t3 = {"admissible": bool(admissible), "data_symmetric": bool(data_sym)}
 
     # small-flux condition via Korn and Sobolev estimates

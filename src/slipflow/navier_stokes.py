@@ -55,7 +55,6 @@ from .errors import (BranchDegeneracyError, DataError, MeshError,
                      NonConvergenceError, SolverError)
 from .linear_solvers import (RESIDUAL_TOL, FlowState, SaddleLayout, build_saddle_solver,
                              rigid_rotation_mode, solve_saddle_krylov, solve_saddle_rhs)
-from .validation import sample_interior_points
 
 LINEAR_TOL = 1e-8
 SYMMETRY_TOL = 1e-10
@@ -187,7 +186,7 @@ class _Workspace:
         if config.symmetric_subspace:
             if not geometry.classify_symmetry(domain).admissible_x1:
                 raise DataError("domain is not admissible (mirror symmetry about x1 required)")
-            defect = symmetric_data_defect(domain, data)
+            defect = symmetric_data_defect(domain, data, mesh)
             if not defect <= SYMMETRY_TOL:
                 raise DataError(
                     f"data is not symmetric about the x1-axis (relative defect {defect:.3e})")
@@ -268,14 +267,24 @@ class _Workspace:
 
 
 def _mirror_lookup(mesh):
-    """Index of the mirror partner (within 1e-9 diameters) of every quadratic node, or error."""
-    from scipy.spatial import cKDTree  # loaded only by the mirror-symmetric solve
+    """Index of the mirror partner (within 1e-9 diameters) of every quadratic node, or error.
 
+    The nodes are sorted by x1 into clusters, chains of values each within
+    the tolerance of the next; in a cluster sorted by |x2| the nodes off the
+    axis come in mirror pairs, and those on it are their own partners.
+    """
     coords = mesh.p2_coords()
     tol = 1e-9 * mesh.domain.diameter
-    tree = cKDTree(coords)
-    dist, idx = tree.query(coords * np.array([1.0, -1.0]), k=1)
-    if dist.max() > tol:
+    x1, x2 = coords.T
+    by_x1 = np.argsort(x1, kind="stable")
+    cluster = np.empty(len(x1), np.int64)
+    cluster[by_x1] = np.cumsum(np.diff(x1[by_x1], prepend=x1[by_x1[0]]) > tol)
+    order = np.lexsort((np.abs(x2), cluster))
+    off_axis = order[np.abs(x2[order]) > tol]
+    pairs = off_axis[:len(off_axis) // 2 * 2].reshape(-1, 2)
+    idx = np.arange(len(coords))
+    idx[pairs[:, 0]], idx[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
+    if np.hypot(*(coords[idx] - coords * [1.0, -1.0]).T).max() > tol:
         raise MeshError("mesh is not mirror-symmetric about the x1-axis")
     return idx
 
@@ -312,11 +321,14 @@ def _pairing_basis(partner, sign):
                          shape=(len(partner), len(lead)))
 
 
-def symmetric_data_defect(domain, data):
+def symmetric_data_defect(domain, data, mesh=None):
     """Mirror defect of the data about the x1-axis relative to its size.
 
-    Symmetric data has a defect below SYMMETRY_TOL; non-finite data gives
-    NaN.  Errors evaluating the data propagate.
+    The boundary data are compared at 48 points of each curve and at their
+    mirror images; the force at the volume quadrature points of the mesh,
+    the points load_volume reads, and at theirs (the mesh is needed only
+    when data.f is set).  Symmetric data has a defect below SYMMETRY_TOL;
+    non-finite data gives NaN.  Errors evaluating the data propagate.
     """
     scales = [1.0]
     defects = [0.0]
@@ -333,8 +345,7 @@ def symmetric_data_defect(domain, data):
                 scales.append(np.max(np.abs(v1)))
                 defects.append(np.max(np.abs(v1 + parity * v2)))
         if data.f is not None:
-            rng = np.random.default_rng(3)
-            pts = sample_interior_points(domain, 32, rng)
+            pts = assembly.volume_context(mesh).points().reshape(-1, 2)
             pts = np.vstack([pts, pts * np.array([1.0, -1.0])])
             fv = np.asarray(data.f(pts), float)
             n = len(pts) // 2

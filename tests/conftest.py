@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import slipflow as sf
+from slipflow import assembly
 from slipflow import navier_stokes as nvs
 from slipflow import validation as val
 
@@ -16,7 +17,6 @@ def annulus_domain():
 @pytest.fixture
 def pattern_derivations(monkeypatch):
     """Names of the per-mesh pattern derivations (sparsity, slip plan) run in a test."""
-    from slipflow import assembly
     calls = []
     for name in ("_sparsity", "_slip_plan"):
         def counted(mesh, original=getattr(assembly, name), name=name):
@@ -29,6 +29,14 @@ def pattern_derivations(monkeypatch):
 @pytest.fixture(scope="session")
 def annulus_coarse():
     return sf.mesh_annulus(1.0, 2.0, 8, 16)
+
+
+@pytest.fixture(scope="session")
+def annulus_points(annulus_coarse):
+    """The volume quadrature points [n, 2] of annulus_coarse, where the load
+    quadrature reads a force: interior points of the annulus 1 < |x| < 2 on
+    which the exact solutions live."""
+    return assembly.volume_context(annulus_coarse).points().reshape(-1, 2)
 
 
 @pytest.fixture(scope="session")

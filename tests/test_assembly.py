@@ -101,8 +101,9 @@ class TestProblemData:
 
     def test_force_is_none_or_a_callable(self, annulus_coarse):
         # a per-node array is refused at construction: the mirror check of the
-        # symmetric solve evaluates the force at points of its own, and read an
-        # array force, like this one asymmetric in x2, as symmetric
+        # symmetric solve calls the force at quadrature points and their mirror
+        # images, and read an array force, like this one asymmetric in x2, as
+        # symmetric
         coords = annulus_coarse.p2_coords()
         asym = np.column_stack([coords[:, 1], np.zeros(len(coords))])
         for force in (asym, asym.ravel(), np.zeros(2 * len(coords)), [1.0, 0.0], 3.0):
@@ -111,7 +112,8 @@ class TestProblemData:
                                 b_tau=(0.0, 0.0), f=force)
         data = asm.ProblemData(nu=1.0, beta=(1.0, 1.0), a_star=(0.0, 0.0), b_tau=(0.0, 0.0),
                                f=lambda x: np.column_stack([x[:, 1], np.zeros(len(x))]))
-        assert nvs.symmetric_data_defect(annulus_coarse.domain, data) > nvs.SYMMETRY_TOL
+        defect = nvs.symmetric_data_defect(annulus_coarse.domain, data, annulus_coarse)
+        assert defect > nvs.SYMMETRY_TOL
         with pytest.raises(DataError, match="not symmetric"):
             nvs.solve_symmetric(annulus_coarse, data)
 

@@ -344,15 +344,20 @@ class TestSubcommands:
         small_flux = report["theorem_small_flux"]
         assert np.isfinite(small_flux["harmonic_part_lq_norm"]) and np.isfinite(small_flux["lhs"])
 
-    def test_thin_annulus_with_force_audits_in_bounded_time(self, tmp_path):
-        # the mirror check samples the force at interior points; on an annulus
-        # 0.01 wide no point is 2% of the diameter from both circles, and the
-        # sampler once looped for ever there.  f1 = x2 is odd in x2.
+    @pytest.mark.parametrize("radius, n_angular, beta", [(1.01, 64, 1.0), (1.001, 600, 0.0)],
+                             ids=["0.01-wide", "0.001-wide"])
+    def test_thin_annulus_with_force_audits_in_bounded_time(self, tmp_path, radius, n_angular,
+                                                            beta):
+        # the mirror check reads the force at the mesh's quadrature points.  A
+        # random interior sampler once looped for ever on the 0.01-wide annulus,
+        # and on the 0.001-wide one found no point and exited 2.  f1 = x2 is odd
+        # in x2.  The 0.001-wide annulus has zero friction, so the audit skips
+        # the Korn constant, whose eigenvalue loop does not converge there.
         cfg = {
-            "domain": {"curves": [{"kind": "circle", "center": [0.0, 0.0], "radius": 1.01},
+            "domain": {"curves": [{"kind": "circle", "center": [0.0, 0.0], "radius": radius},
                                   {"kind": "circle", "center": [0.0, 0.0], "radius": 1.0}]},
-            "mesh": {"generator": "annulus", "n_radial": 2, "n_angular": 64},
-            "physics": {"nu": 1.0, "beta": [1.0, 1.0], "f": ["x2", "0"]},
+            "mesh": {"generator": "annulus", "n_radial": 2, "n_angular": n_angular},
+            "physics": {"nu": 1.0, "beta": [beta, beta], "f": ["x2", "0"]},
             "boundary": {"a_star": [0.0, 0.0], "b_tau": [0.0, 0.0]},
         }
         path = tmp_path / "thin.json"

@@ -657,6 +657,42 @@ class TestSymmetricSolve:
         assert not defect <= nvs.SYMMETRY_TOL
         assert nvs.symmetric_data_defect(sol.domain, sol.data) <= nvs.SYMMETRY_TOL
 
+    @pytest.mark.parametrize("force, symmetric", [
+        (lambda x: np.column_stack([x[:, 0] + x[:, 1] ** 2, x[:, 0] * x[:, 1]]), True),
+        (lambda x: np.column_stack([x[:, 1], np.zeros(len(x))]), False),
+        (lambda x: np.column_stack([
+            1.0 + 1e-6 * np.exp(-((x[:, 0] - 0.3) ** 2 + (x[:, 1] - 1.4) ** 2) / 0.01),
+            np.zeros(len(x))]), False),
+    ], ids=["symmetric", "f1=x2", "off-axis-bump"])
+    def test_force_defect_is_that_of_the_load_vector(self, annulus_coarse, force, symmetric):
+        # the check reads the force at the points the load quadrature reads, so
+        # it passes exactly when the load vector is mirror-symmetric: even in
+        # the u1 dofs of mirror partners, odd in the u2 dofs
+        data = asm.ProblemData(nu=1.0, beta=(1.0, 1.0), a_star=(0.0, 0.0),
+                               b_tau=(0.0, 0.0), f=force)
+        F = asm.load_volume(annulus_coarse, force).reshape(-1, 2)
+        mirrored = F[nvs._mirror_lookup(annulus_coarse)] * [1.0, -1.0]
+        load_symmetric = np.max(np.abs(F - mirrored)) <= nvs.SYMMETRY_TOL * np.max(np.abs(F))
+        defect = nvs.symmetric_data_defect(annulus_coarse.domain, data, annulus_coarse)
+        assert (defect <= nvs.SYMMETRY_TOL) == load_symmetric == symmetric
+
+    def test_mirror_lookup_pairs_nodes_across_a_rounding_grid(self, annulus_coarse):
+        # each mirror pair moved to the two sides of a boundary of the grid
+        # x1 / tol rounded, 1e-12 diameters apart: the pairing chains x1 values
+        # within the tolerance instead of rounding them; a node moved off its
+        # partner's mirror image by twice the tolerance is an asymmetric mesh
+        from types import SimpleNamespace
+        mirror = nvs._mirror_lookup(annulus_coarse)
+        tol = 1e-9 * annulus_coarse.domain.diameter
+        coords = annulus_coarse.p2_coords().copy()
+        boundary = (np.round(coords[:, 0] / tol) + 0.5) * tol
+        coords[:, 0] = boundary + np.where(coords[:, 1] > 0, -1e-3, 1e-3) * tol
+        moved = SimpleNamespace(p2_coords=lambda: coords, domain=annulus_coarse.domain)
+        assert np.array_equal(nvs._mirror_lookup(moved), mirror)
+        coords[np.argmax(coords[:, 1]), 1] += 2 * tol
+        with pytest.raises(MeshError, match="not mirror-symmetric"):
+            nvs._mirror_lookup(moved)
+
     def test_asymmetric_data_rejected(self, annulus_coarse):
         data = asm.ProblemData(
             nu=1.0, beta=(1.0, 1.0),

@@ -13,20 +13,22 @@ FOOTPRINT_SCRIPT = """
 import json, sys
 HEAVY = ("scipy.interpolate", "scipy.spatial", "scipy.optimize", "scipy.special", "jsonschema")
 loaded = lambda: [name for name in HEAVY if name in sys.modules]
-config, out, report = sys.argv[1:]
+config, symmetric, out, report = sys.argv[1:]
 steps = {}
 import slipflow
 steps["import slipflow"] = loaded()
 from slipflow import cli, geometry, meshing
 steps["import slipflow.cli"] = loaded()
-code = cli.main(["--deterministic", "solve", "ns", "--config", config, "--out", out])
+codes = [cli.main(["--deterministic", "solve", "ns", "--config", config, "--out", out])]
 steps["solve ns"] = loaded()
+codes.append(cli.main(["--deterministic", "solve", "ns", "--config", symmetric, "--out", out]))
+steps["solve ns symmetric"] = loaded()
 geometry.SplineCurve([[2.0, 0.0], [0.0, 2.0], [-2.0, 0.0], [0.0, -2.0]])
 steps["SplineCurve"] = loaded()
 meshing.mesh_disk_with_holes(geometry.DomainSpec(
     [geometry.Circle((0.0, 0.0), 3.0), geometry.Circle((0.0, 0.0), 1.0)]), 0.5)
 steps["mesh_disk_with_holes"] = loaded()
-json.dump({"code": code, "steps": steps}, open(report, "w"))
+json.dump({"codes": codes, "steps": steps}, open(report, "w"))
 """
 
 
@@ -133,22 +135,47 @@ def test_boundary_data_normalized_only_in_assembly():
     assert not calls, calls
 
 
+def test_no_random_numbers():
+    # every check of the data reads points of the discrete problem: no module
+    # imports a random generator or reaches numpy's
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = []
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            if any(name.split(".")[-1] in ("random", "default_rng") for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
 def test_import_footprint(tmp_path):
-    # a circle-bounded annulus run loads no scipy package beyond sparse and
-    # linalg, and no run loads jsonschema, the test-side reference of the
-    # config check; spline boundaries and the Delaunay mesher load their own
-    cfg = json.loads((SRC.parent.parent / "configs" / "hamel.json").read_text())
-    cfg["mesh"] = {"generator": "annulus", "n_radial": 4, "n_angular": 16}
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(cfg))
+    # a circle-bounded annulus run, the mirror-symmetric solve included, loads
+    # no scipy package beyond sparse and linalg, and no run loads jsonschema,
+    # the test-side reference of the config check; spline boundaries and the
+    # Delaunay mesher load their own
+    configs = []
+    for name in ("hamel", "symmetric_domain"):
+        cfg = json.loads((SRC.parent.parent / "configs" / f"{name}.json").read_text())
+        cfg["mesh"] = {"generator": "annulus", "n_radial": 4, "n_angular": 16}
+        configs.append(tmp_path / f"{name}.json")
+        configs[-1].write_text(json.dumps(cfg))
     report = tmp_path / "report.json"
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT, str(config), str(tmp_path / "out"),
-                    str(report)], env=env, check=True, capture_output=True, timeout=120)
+    subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT, *map(str, configs),
+                    str(tmp_path / "out"), str(report)],
+                   env=env, check=True, capture_output=True, timeout=120)
     result = json.loads(report.read_text())
     steps = result["steps"]
-    assert result["code"] == 0
+    assert result["codes"] == [0, 0]
     assert steps["import slipflow"] == steps["import slipflow.cli"] == steps["solve ns"] == []
+    assert steps["solve ns symmetric"] == []
     assert "scipy.interpolate" in steps["SplineCurve"]
     assert "scipy.spatial" in steps["mesh_disk_with_holes"]
 

@@ -27,39 +27,33 @@ ALL_SOLUTIONS = [val.hamel(0.0), val.hamel(1.0), val.hamel(-2.0),
 
 class TestOracles:
     @pytest.mark.parametrize("sol", ALL_SOLUTIONS, ids=lambda s: s.name)
-    def test_momentum_residual(self, sol):
-        rng = np.random.default_rng(0)
-        pts = val.sample_interior_points(sol.domain, 100, rng)
-        assert val.momentum_residual(sol, pts) <= 1e-6
+    def test_momentum_residual(self, sol, annulus_points):
+        assert val.momentum_residual(sol, annulus_points) <= 1e-6
 
     @pytest.mark.parametrize("sol", ALL_SOLUTIONS, ids=lambda s: s.name)
-    def test_continuity_residual(self, sol):
-        rng = np.random.default_rng(1)
-        pts = val.sample_interior_points(sol.domain, 100, rng)
-        assert val.continuity_residual(sol, pts) <= 1e-8
+    def test_continuity_residual(self, sol, annulus_points):
+        assert val.continuity_residual(sol, annulus_points) <= 1e-8
 
     @pytest.mark.parametrize("sol", ALL_SOLUTIONS, ids=lambda s: s.name)
     def test_slip_residual(self, sol):
         for comp in range(sol.domain.n_components):
             assert val.slip_residual(sol, comp) <= 1e-9
 
-    def test_nan_slip_residual_propagates(self, monkeypatch):
+    def test_nan_slip_residual_propagates(self, annulus_points):
         # a normal datum that is NaN on the last component only: the NaN normal
         # gap must reach both the component's residual and certify's maximum
-        monkeypatch.setattr(val, "CERTIFY_POINTS", 10)
         sol = val.hamel(1.0)
         a_star = (sol.data.a_star[0], lambda t, x: np.full(len(t), np.nan))
         sol = replace(sol, data=replace(sol.data, a_star=a_star))
         assert np.isfinite(val.slip_residual(sol, 0))
         assert np.isnan(val.slip_residual(sol, 1))
-        report = val.certify(sol)
+        report = val.certify(sol, annulus_points)
         assert np.isnan(report["slip"])
         assert not report["slip"] <= 1e-9
 
     @pytest.mark.parametrize("sol", ALL_SOLUTIONS, ids=lambda s: s.name)
-    def test_analytic_derivatives_match_stencils(self, sol):
-        rng = np.random.default_rng(2)
-        pts = val.sample_interior_points(sol.domain, 20, rng)
+    def test_analytic_derivatives_match_stencils(self, sol, annulus_points):
+        pts = annulus_points
         h = np.longdouble(1e-5 * sol.domain.diameter)
         xl = np.asarray(pts, np.longdouble)
         J_fd = val._fd_first(sol.velocity, xl, h).astype(float)
@@ -68,45 +62,6 @@ class TestOracles:
         assert np.allclose(L_fd, sol.velocity_laplacian(pts), atol=1e-7)
         G_fd = val._fd_first(sol.pressure, xl, h).astype(float)
         assert np.allclose(G_fd, sol.pressure_gradient(pts), atol=1e-8)
-
-
-def unbounded_sample(domain, count, rng, margin=0.02):
-    """sample_interior_points as it was before rounds that keep no point
-    shrank the margin: the same rounds, with no bound on their number."""
-    lo = domain.curves[0].point(np.linspace(0, 1, 128)).min(axis=0)
-    hi = domain.curves[0].point(np.linspace(0, 1, 128)).max(axis=0)
-    pts = []
-    while len(pts) < count:
-        cand = rng.uniform(lo, hi, size=(4 * count, 2))
-        keep = domain.contains(cand)
-        for curve in domain.curves:
-            keep &= curve.project(cand)[1] > margin * domain.diameter
-        pts.extend(cand[keep][: count - len(pts)])
-    return np.asarray(pts)
-
-
-def thin_annulus(width):
-    return sf.DomainSpec([sf.Circle((0.0, 0.0), 1.0 + width), sf.Circle((0.0, 0.0), 1.0)])
-
-
-class TestInteriorSample:
-    # (count, seed) of the symmetry check, mms_generate, certify and the oracle tests
-    @pytest.mark.parametrize("count, seed", [(32, 3), (50, 7), (100, 0), (20, 2)])
-    def test_hamel_annulus_samples_unchanged(self, count, seed):
-        domain = val.hamel(0.0).domain
-        got = val.sample_interior_points(domain, count, np.random.default_rng(seed))
-        assert np.array_equal(got, unbounded_sample(domain, count, np.random.default_rng(seed)))
-
-    def test_thin_annulus_gets_its_samples_closer_to_the_boundary(self):
-        domain = thin_annulus(0.01)
-        pts = val.sample_interior_points(domain, 32, np.random.default_rng(3))
-        assert pts.shape == (32, 2) and np.all(domain.contains(pts))
-        r = np.hypot(*pts.T)
-        assert np.all((r > 1.0) & (r < 1.01))
-
-    def test_domain_too_thin_to_sample_raises(self):
-        with pytest.raises(DataError, match="too thin"):
-            val.sample_interior_points(thin_annulus(1e-4), 32, np.random.default_rng(3))
 
 
 class TestHamelFamily:
@@ -193,12 +148,10 @@ def closed_form(velocity, jacobian):
 
 
 class TestMMS:
-    def test_recovers_hamel_data(self):
+    def test_recovers_hamel_data(self, annulus_points):
         sol = val.hamel(1.0)
         data = val.mms_generate(sol, nu=1.0, beta=sol.data.beta)
-        rng = np.random.default_rng(3)
-        pts = val.sample_interior_points(sol.domain, 30, rng)
-        assert np.max(np.abs(data.f(pts))) < 1e-9
+        assert np.max(np.abs(data.f(annulus_points))) < 1e-9
         t = np.linspace(0, 1, 33)
         for comp in (0, 1):
             x = sol.domain.curves[comp].point(t)
@@ -206,12 +159,10 @@ class TestMMS:
             expected = -1.5 if comp == 0 else 3.0
             assert np.allclose(data.a_star[comp](t, x), expected, atol=1e-12)
 
-    def test_rigid_rotation_with_friction(self):
+    def test_rigid_rotation_with_friction(self, annulus_points):
         sol = val.rigid_rotation(1.0)
         data = val.mms_generate(sol, nu=1.0, beta=(1.0, 1.0))
-        rng = np.random.default_rng(4)
-        pts = val.sample_interior_points(sol.domain, 20, rng)
-        assert np.max(np.abs(data.f(pts))) < 1e-9   # S(u) = 0, pressure balances
+        assert np.max(np.abs(data.f(annulus_points))) < 1e-9   # S(u) = 0, pressure balances
         from slipflow import geometry
         t = np.linspace(0, 1, 17)
         x, _, tau, _ = geometry.frames_at(sol.domain, 0, t)

@@ -20,6 +20,9 @@ The matrix:
 - `korn` on the thin annulus: `couette` with the outer radius 1.01 on a
   2 x 64 mesh, whose clustered Korn spectrum takes the eigenvalue loop
   hundreds of steps and thick restarts;
+- `audit` with a force on a thinner annulus: the outer radius 1.001 on a
+  2 x 600 mesh, zero friction and tangential data, and `f` = (x2, 0),
+  whose mirror check reads the force at the mesh's quadrature points;
 - `validate couette|hamel|mms --levels 2`, which read no config.
 
 Exit status 0 when every case ran, 2 on a wrong command line.
@@ -82,6 +85,12 @@ MATRIX = (
         domain={"curves": [
             {"kind": "circle", "center": [0.0, 0.0], "radius": 1.01, "label": "outer"},
             {"kind": "circle", "center": [0.0, 0.0], "radius": 1.0, "label": "inner"}]}))]
+    + [("thin-annulus-audit-force", shipped(
+        "couette", COMMANDS["audit"], mesh={"n_radial": 2, "n_angular": 600},
+        domain={"curves": [
+            {"kind": "circle", "center": [0.0, 0.0], "radius": 1.001, "label": "outer"},
+            {"kind": "circle", "center": [0.0, 0.0], "radius": 1.0, "label": "inner"}]},
+        physics={"beta": [0.0, 0.0], "f": ["x2", "0"]}, boundary={"b_tau": [0.0, 0.0]}))]
     + [(f"validate-{case}", validate(case)) for case in ("couette", "hamel", "mms")]
 )
 
