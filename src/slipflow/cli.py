@@ -11,7 +11,7 @@ from importlib import resources
 import numpy as np
 
 from . import analysis, assembly, expressions, geometry
-from . import meshing, navier_stokes as nvs, output, validation
+from . import files, meshing, navier_stokes as nvs, output, validation
 from .errors import ConfigurationError, NonConvergenceError, SlipflowError, SolverError
 
 @functools.cache
@@ -260,16 +260,23 @@ def _write_solution(flow, trace, data, out, prov):
     return fields
 
 
-def _solve_ns(mesh, data, config, out, prov):
+# the artifacts a converged solve ns writes
+SOLUTION_ARTIFACTS = ("solution.vtk", "boundary.csv", "solution.json", "trace.json")
+
+
+def _solve_ns(mesh, data, config, out, prov, artifacts=SOLUTION_ARTIFACTS):
     """Navier-Stokes solve that writes its artifacts; returns the FlowState
     and its (vorticity, total head) projections.
 
-    On non-convergence trace.json is written all the same, with the error
+    On non-convergence the artifacts of an earlier run (the names in
+    artifacts) are removed and trace.json is written, with the error
     message, before the error propagates.
     """
     try:
         flow, trace = nvs.solve_navier_stokes(mesh, data, config)
     except NonConvergenceError as exc:
+        for name in artifacts:
+            files.remove(os.path.join(out, name))
         if exc.trace is not None:
             output.write_json(dict(exc.trace.as_dict(), error=str(exc)),
                               os.path.join(out, "trace.json"), prov)
@@ -328,7 +335,7 @@ def cmd_diagnose(args, cfg):
     out = _outdir(args, cfg)
     prov = output.provenance(cfg)
     flow, fields = _solve_ns(mesh, data, build_solver_config(cfg, _parse_pins(args.pin)),
-                             out, prov)
+                             out, prov, SOLUTION_ARTIFACTS + ("bernoulli.json", "residuals.json"))
     bern = analysis.bernoulli_audit(flow)
     output.write_json(bern.as_dict(), os.path.join(out, "bernoulli.json"), prov)
     resids = {
@@ -389,8 +396,8 @@ def cmd_validate(args, cfg):
         config = nvs.SolverConfig(pins={1: 0.0} if hamel else None)
         solver = lambda mesh, data: nvs.solve_navier_stokes(mesh, data, config)[0]
     table = validation.convergence_study(exact, solver, meshes)
-    path = os.path.join(out, f"convergence_{args.case}.csv")
-    table.to_csv(path, header_lines=[line])
+    with files.new_file(os.path.join(out, f"convergence_{args.case}.csv")) as fh:
+        fh.write(table.to_csv(header_lines=[line]))
     print(table.to_csv())
     return 0
 

@@ -6,8 +6,6 @@ boundary-ring triangles carry a curved quadratic geometry map.  Node ids
 run 0..nv-1 for vertices and nv..nv+ne-1 for edge nodes.
 """
 
-import io
-
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
@@ -15,6 +13,7 @@ from scipy.sparse.csgraph import connected_components
 from . import geometry
 from .elements import P2_REFERENCE, p2_shape
 from .errors import ConfigurationError, MeshError, MeshImportError
+from .files import new_file, write_rows
 
 FORMAT_VERSION = "slipflow-mesh-1"
 SMOOTH_ROUNDS = 6  # Laplacian smoothing rounds of mesh_disk_with_holes
@@ -444,31 +443,25 @@ def refine_nested(mesh):
 
 def write_mesh(mesh, basename, header=None):
     """Write basename.node/.ele/.bnd in the documented ASCII layout."""
-    nodef = io.StringIO()
+    comment = f"# {header}\n" if header else ""
     nv = mesh.n_vertices
-    if header:
-        print(f"# {header}", file=nodef)
-    print(f"{nv} 2 0 1", file=nodef)
     markers = np.zeros(nv, np.int64)
     bsel = mesh.node_is_boundary[:nv]
     markers[bsel] = mesh.node_component[:nv][bsel] + 1
-    for i, (x, y) in enumerate(mesh.vertices):
-        print(f"{i} {float(x)!r} {float(y)!r} {markers[i]}", file=nodef)
-    with open(f"{basename}.node", "w") as fh:
-        fh.write(nodef.getvalue())
+    with new_file(f"{basename}.node") as fh:
+        fh.write(f"{comment}{nv} 2 0 1\n")
+        for i, (x, y) in enumerate(mesh.vertices):
+            fh.write(f"{i} {float(x)!r} {float(y)!r} {markers[i]}\n")
 
-    with open(f"{basename}.ele", "w") as fh:
-        if header:
-            print(f"# {header}", file=fh)
-        print(f"{len(mesh.triangles)} 3 0", file=fh)
-        np.savetxt(fh, np.column_stack([np.arange(len(mesh.triangles)), mesh.triangles]), "%d")
+    with new_file(f"{basename}.ele") as fh:
+        fh.write(f"{comment}{len(mesh.triangles)} 3 0\n")
+        write_rows(fh, np.column_stack([np.arange(len(mesh.triangles)), mesh.triangles]),
+                   "%d %d %d %d")
 
-    with open(f"{basename}.bnd", "w") as fh:
-        if header:
-            print(f"# {header}", file=fh)
-        print(f"{len(mesh.boundary_edges)}", file=fh)
-        np.savetxt(fh, np.column_stack([mesh.edges[mesh.boundary_edges["edge"]],
-                                        mesh.boundary_edges["component"]]), "%d")
+    with new_file(f"{basename}.bnd") as fh:
+        fh.write(f"{comment}{len(mesh.boundary_edges)}\n")
+        write_rows(fh, np.column_stack([mesh.edges[mesh.boundary_edges["edge"]],
+                                        mesh.boundary_edges["component"]]), "%d %d %d")
 
 
 def import_mesh(node_file, ele_file, domain):

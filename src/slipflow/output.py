@@ -11,6 +11,7 @@ import json
 import numpy as np
 
 from . import __version__, assembly
+from .files import new_file, write_rows
 from .analysis import boundary_head, total_head, vorticity
 
 FLOAT_FMT = "%.16e"
@@ -23,11 +24,6 @@ def config_hash(config_dict):
 
 def provenance(config_dict):
     return {"config_sha256_16": config_hash(config_dict), "version": __version__}
-
-
-def _write_rows(fh, table, fmt):
-    """Write each row of a 2D table through one printf-style row format."""
-    fh.write((fmt + "\n") * len(table) % tuple(table.ravel().tolist()))
 
 
 def write_vtk(flow, path, provenance_line=""):
@@ -49,22 +45,22 @@ def write_vtk(flow, path, provenance_line=""):
     omega, phi = vorticity(flow, mass), total_head(flow, mass)
     xyz = f"{FLOAT_FMT} {FLOAT_FMT} " + FLOAT_FMT % 0.0     # planar: z is written as text
 
-    with open(path, "w") as fh:
+    with new_file(path) as fh:
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write(f"slipflow {provenance_line}\n")
         fh.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {len(pts)} double\n")
-        _write_rows(fh, pts, xyz)
+        write_rows(fh, pts, xyz)
         fh.write(f"CELLS {len(cells)} {4 * len(cells)}\n")
-        _write_rows(fh, cells, "3 %d %d %d")
+        write_rows(fh, cells, "3 %d %d %d")
         fh.write(f"CELL_TYPES {len(cells)}\n")
         fh.write("5\n" * len(cells))
         fh.write(f"POINT_DATA {len(pts)}\n")
         fh.write("VECTORS velocity double\n")
-        _write_rows(fh, u, xyz)
+        write_rows(fh, u, xyz)
         for name, vals in (("pressure", p_all), ("vorticity", omega), ("total_head", phi)):
             fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            _write_rows(fh, vals[:, None], FLOAT_FMT)
+            write_rows(fh, vals[:, None], FLOAT_FMT)
     return omega, phi
 
 
@@ -94,17 +90,17 @@ def write_boundary_csv(flow, data, path, provenance_line=""):
         order = np.argsort(arc, kind="stable")
         cols = [arr[sel].ravel()[order] for arr in (u_n, u_t, phi, bq.kappa, margin)]
         blocks.append(np.column_stack([np.full(len(ts), comp), arc[order], *cols]))
-    with open(path, "w") as fh:
+    with new_file(path) as fh:
         if provenance_line:
             fh.write(f"# {provenance_line}\n")
         fh.write("component,arclength,u_n,u_tau,total_head,kappa,friction_margin\n")
-        _write_rows(fh, np.vstack(blocks), ",".join(["%d"] + [FLOAT_FMT] * 6))
+        write_rows(fh, np.vstack(blocks), ",".join(["%d"] + [FLOAT_FMT] * 6))
 
 
 def write_json(payload, path, provenance_dict=None):
     out = dict(payload)
     if provenance_dict:
         out["provenance"] = provenance_dict
-    with open(path, "w") as fh:
+    with new_file(path) as fh:
         json.dump(out, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -423,7 +423,7 @@ class ConvergenceRow:
 class ConvergenceTable:
     rows: list
 
-    def to_csv(self, path=None, header_lines=()):
+    def to_csv(self, header_lines=()):
         buf = io.StringIO()
         for line in header_lines:
             print(f"# {line}", file=buf)
@@ -432,11 +432,7 @@ class ConvergenceTable:
             print(f"{r.level},{r.h:.12g},{r.eL2_u:.12g},{r.order_u:.6g},"
                   f"{r.eH1_u:.12g},{r.order_h1:.6g},{r.eL2_p:.12g},{r.order_p:.6g}",
                   file=buf)
-        text = buf.getvalue()
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
+        return buf.getvalue()
 
 
 def convergence_study(exact, solver, meshes):

@@ -13,6 +13,7 @@ import pytest
 
 from slipflow import cli
 from slipflow import linear_solvers as ls
+from slipflow import output
 from slipflow import validation as val
 from slipflow.errors import ConfigurationError
 from slipflow.meshing import import_mesh
@@ -640,6 +641,16 @@ class TestSubcommands:
         assert "no convergence" in trace["error"]
         assert not (out / "residuals.json").exists()
 
+    @pytest.mark.parametrize("command", [["solve", "ns"], ["diagnose"]])
+    def test_non_convergence_removes_the_artifacts_of_an_earlier_run(self, tmp_path, command):
+        out = tmp_path / "out"
+        assert cli.main([*command, "--config", hamel_config(tmp_path), "--out", str(out)]) == 0
+        path = hamel_config(tmp_path, solver={"max_iterations": 1, "tolerance": 1e-14,
+                                              "pins": {"1": 0.0}})
+        assert cli.main([*command, "--config", path, "--out", str(out)]) == 3
+        assert os.listdir(out) == ["trace.json"]
+        assert "no convergence" in json.load(open(out / "trace.json"))["error"]
+
     def test_validate_couette(self, tmp_path):
         out = tmp_path / "out"
         assert cli.main(["validate", "couette", "--levels", "2",
@@ -690,3 +701,42 @@ class TestDeterminism:
             b1 = open(outs[0] / artifact, "rb").read()
             b2 = open(outs[1] / artifact, "rb").read()
             assert b1 == b2, f"{artifact} differs between identical runs"
+
+
+class TestArtifactReplacement:
+    # every artifact is written as a new file that replaces the old path
+
+    def test_hard_link_keeps_the_earlier_content(self, tmp_path):
+        out = tmp_path / "out"
+        assert cli.main(["audit", "--config", hamel_config(tmp_path), "--out", str(out)]) == 0
+        earlier = (out / "audit.json").read_bytes()
+        os.link(out / "audit.json", tmp_path / "kept.json")
+        path = hamel_config(tmp_path, mesh={"generator": "annulus", "n_radial": 8,
+                                            "n_angular": 20})
+        assert cli.main(["audit", "--config", path, "--out", str(out)]) == 0
+        assert (tmp_path / "kept.json").read_bytes() == earlier
+        report = json.load(open(out / "audit.json"))
+        assert report["provenance"]["config_sha256_16"] == output.config_hash(
+            json.load(open(path)))
+
+    @pytest.mark.parametrize("command", [["mesh"], ["audit"], ["diagnose"],
+                                         ["validate", "couette", "--levels", "1"]])
+    def test_rerun_writes_the_same_files(self, tmp_path, command):
+        out = tmp_path / "out"
+        snapshots = []
+        for _ in range(2):
+            assert cli.main([*command, "--config", hamel_config(tmp_path),
+                             "--out", str(out)]) == 0
+            snapshots.append({name: (out / name).read_bytes() for name in os.listdir(out)})
+        assert snapshots[0] == snapshots[1]
+
+    def test_symlink_is_replaced_not_followed(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        target = tmp_path / "target.node"
+        target.write_text("keep\n")
+        (out / "mesh.node").symlink_to(target)
+        assert cli.main(["mesh", "--config", hamel_config(tmp_path), "--out", str(out)]) == 0
+        assert not (out / "mesh.node").is_symlink()
+        assert (out / "mesh.node").read_text().startswith("# config=")
+        assert target.read_text() == "keep\n"

@@ -155,6 +155,41 @@ def test_no_random_numbers():
     assert not found, found
 
 
+def test_artifacts_written_only_as_new_files():
+    # a file truncated in place makes a re-run wait for the old content's
+    # writeback: the one write-mode open of the package is files.new_file's,
+    # which unlinks the path first, apart from the worker's pipe, opened by
+    # its integer descriptor; no np.savetxt, write_text or write_bytes either
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(inner), node.name) for inner in ast.walk(node))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            where = f"{path.name}:{owner.get(id(node))}"
+            if name in ("savetxt", "write_text", "write_bytes"):
+                found.append(f"{where} {name}()")
+            if name not in ("open", "fdopen"):
+                continue
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (kw.value for kw in node.keywords if kw.arg == "mode"), None)
+            if mode is None or (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                                and not set(mode.value) & set("wax+")):
+                continue
+            target = node.args[0] if node.args else None
+            if where == "concurrency.py:_serve" and isinstance(target, ast.Name) \
+                    and target.id == "write_fd":
+                continue
+            found.append(f"{where} {name}()")
+    assert found == ["files.py:new_file open()"], found
+
+
 def test_import_footprint(tmp_path):
     # a circle-bounded annulus run, the mirror-symmetric solve included, loads
     # no scipy package beyond sparse and linalg, and no run loads jsonschema,
