@@ -861,13 +861,6 @@ def circulation_functional(mesh, component):
     return bq.load(np.where(on, bq.tangent, 0.0)).ravel()
 
 
-def boundary_flux(mesh, coeffs, component):
-    """Contour integral of u . n over one component for a velocity field."""
-    bq = boundary_quadrature(mesh)
-    u_n = np.sum(bq.values(coeffs.reshape(-1, 2)) * bq.normal, axis=-1)
-    return float(bq.component_integrals(u_n)[component])
-
-
 # -- slip constraint -------------------------------------------------------
 
 def boundary_node_values(mesh, per_component):

@@ -8,7 +8,7 @@ radius R has kappa = -1/R and a circular hole of radius R has
 kappa = +1/R.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -174,21 +174,6 @@ class SplineCurve(Curve):
         return self._d2(np.asarray(t, float) % 1.0)
 
 
-@dataclass
-class BoundaryFrame:
-    """Outward frame of the domain boundary at one point."""
-
-    point: np.ndarray
-    n: np.ndarray
-    tau: np.ndarray
-    kappa: float
-    W: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.W is None:
-            self.W = self.kappa * np.outer(self.tau, self.tau)
-
-
 class DomainSpec:
     """Outer curve (index 0) plus N hole curves, with validity checks."""
 
@@ -277,12 +262,6 @@ def frames_at(domain, component, t):
     return g, n, tau, kappa
 
 
-def frame_at(domain, component, t):
-    """Boundary frame of the domain at curve parameter t."""
-    g, n, tau, kappa = frames_at(domain, component, [t])
-    return BoundaryFrame(point=g[0], n=n[0], tau=tau[0], kappa=float(kappa[0]))
-
-
 CURVE_PANELS = 16
 CURVE_POINTS = 8
 
@@ -299,17 +278,6 @@ def curve_rule(curve):
     t = ((np.arange(CURVE_PANELS)[:, None] + s[None, :]) / CURVE_PANELS).ravel()
     speed = np.hypot(*curve.derivative(t).T)
     return t, curve.point(t), np.tile(w, CURVE_PANELS) * speed / CURVE_PANELS
-
-
-def boundary_integral(domain, component, integrand):
-    """Arclength integral of a scalar function of BoundaryFrame over one component."""
-    t, _, w_ds = curve_rule(domain.curves[component])
-    g, n, tau, kappa = frames_at(domain, component, t)
-    vals = np.array([
-        integrand(BoundaryFrame(point=g[i], n=n[i], tau=tau[i], kappa=float(kappa[i])))
-        for i in range(len(t))
-    ])
-    return float(np.sum(w_ds * vals))
 
 
 @dataclass

@@ -232,17 +232,13 @@ class BorderedSolver:
         return np.concatenate([dz, dmu[:kt]])
 
 
-def solve_laplace_dirichlet(mesh, values):
-    """Harmonic P2 field with per-component Dirichlet data.
+def dirichlet_solver(mesh):
+    """solve(values): the harmonic P2 field with per-component Dirichlet data,
+    the interior stiffness factored once.
 
     values: sequence of constants or callables(t, points), one per component;
     DataError when a value at a boundary node is not finite.
     """
-    return dirichlet_solver(mesh)(values)
-
-
-def dirichlet_solver(mesh):
-    """solve(values) as solve_laplace_dirichlet, factoring the interior stiffness once."""
     K = scalar_stiffness(mesh)
     bnodes = np.nonzero(mesh.node_is_boundary)[0]
     fidx = np.nonzero(~mesh.node_is_boundary)[0]

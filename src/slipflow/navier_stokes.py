@@ -532,16 +532,6 @@ def _symmetry_defect(mirror, u):
     return float(worst / max(np.max(np.abs(vals)), 1e-30))
 
 
-def solve_symmetric(mesh, data, config=None):
-    """Solve restricted to the mirror-symmetric subspace (admissible domains)."""
-    cfg = replace(config or SolverConfig(), symmetric_subspace=True)
-    flow, trace = solve_navier_stokes(mesh, data, cfg)
-    defect = flow.metadata.get("symmetry_defect", np.inf)
-    if not defect <= 1e-10:
-        raise SolverError(f"symmetric solve left a symmetry defect {defect:.3e}")
-    return flow
-
-
 def continuation_sweep(mesh, data, lambda_grid, config=None):
     """Warm-started solves over a nondecreasing grid of convection scales in [0, 1].
 

@@ -20,11 +20,6 @@ def _error(ctx, uh, exact, relative, zero_mean=False):
     return err / _l2(ctx, ue) if relative else err
 
 
-def velocity_l2(mesh, coeffs):
-    ctx = volume_context(mesh, ERROR_DEGREE)
-    return _l2(ctx, ctx.values(np.asarray(coeffs).reshape(-1, 2)))
-
-
 def velocity_error_l2(mesh, coeffs, exact_velocity, relative=True):
     ctx = volume_context(mesh, ERROR_DEGREE)
     return _error(ctx, ctx.values(np.asarray(coeffs).reshape(-1, 2)), exact_velocity, relative)
@@ -42,16 +37,15 @@ def pressure_error_l2(mesh, p_coeffs, exact_pressure, relative=True):
     return _error(ctx, ctx.values(p_coeffs), exact_pressure, relative, zero_mean=True)
 
 
-def scalar_error_l2(mesh, coeffs, exact, relative=True):
-    ctx = volume_context(mesh, ERROR_DEGREE)
-    return _error(ctx, ctx.values(coeffs), exact, relative)
-
-
 def lq_norm(mesh, coeffs, q):
-    """L^q norm of a velocity field; |u| is scaled exactly, by the power of two
-    just above its maximum, before the power q, so a large q cannot overflow."""
+    """L^q norm of a velocity field.  Scaled exactly by powers of two: u by the
+    one just above its largest component, so |u|^2 neither overflows nor
+    underflows, then |u| by the one just above its maximum, so a large q
+    cannot overflow."""
     ctx = volume_context(mesh, ERROR_DEGREE)
     u = ctx.values(np.asarray(coeffs).reshape(-1, 2))
+    e = int(np.frexp(np.max(np.abs(u)))[1])
+    u = np.ldexp(u, -e)
     size = np.sqrt(np.sum(u * u, axis=-1))
-    e = int(np.frexp(np.max(size))[1])
-    return float(np.ldexp(ctx.integral(np.ldexp(size, -e) ** q) ** (1.0 / q), e))
+    k = int(np.frexp(np.max(size))[1])
+    return float(np.ldexp(ctx.integral(np.ldexp(size, -k) ** q) ** (1.0 / q), e + k))

@@ -1,14 +1,11 @@
-"""Exact solutions, independent residual oracles, manufactured data, and
-convergence studies.
+"""Exact solutions, manufactured data, and convergence studies.
 
 Every exact solution, the manufactured one included, ships closed-form
-derivatives, and mms_generate and the convergence studies read them.  The
-certification oracle deliberately ignores them: it differentiates the
-velocity/pressure callables with high-order centered stencils in extended
-precision, so a transcription error in any formula cannot hide.  It
-reads the interior points its caller passes, and on the boundary the
-SLIP_SAMPLES parameters of each component, where mms_generate also checks
-that the velocity is divergence-free; nothing here draws random points.
+derivatives, and mms_generate and the convergence studies read them.
+mms_generate checks that the velocity is divergence-free at the
+SLIP_SAMPLES parameters of each boundary component; nothing here draws
+random points.  The finite-difference oracles that check these closed
+forms independently are test helpers (tests/oracles.py).
 """
 
 import io
@@ -21,10 +18,7 @@ from .assembly import ProblemData, as_boundary_scalar
 from .errors import DataError
 
 LOG2 = float(np.log(2.0))
-# finite-difference steps in domain diameters: of the interior oracles,
-# and of slip_residual at its SLIP_SAMPLES boundary points
-FD_STEP = 1e-5
-SLIP_FD_STEP = 1e-6
+# boundary parameters per component at which mms_generate checks the divergence
 SLIP_SAMPLES = 64
 MANUFACTURED_AMPLITUDE = 0.15
 
@@ -46,9 +40,9 @@ class ExactSolution:
 
 # -- the explicit annulus family --------------------------------------------
 
-def _annulus_domain(r_in=1.0, r_out=2.0, center=(0.0, 0.0)):
+def _annulus_domain(r_in=1.0, r_out=2.0):
     return geometry.DomainSpec(
-        [geometry.Circle(center, r_out), geometry.Circle(center, r_in)],
+        [geometry.Circle((0.0, 0.0), r_out), geometry.Circle((0.0, 0.0), r_in)],
         labels=["outer", "inner"])
 
 
@@ -112,60 +106,6 @@ def hamel(k):
                        b_tau=(0.0, 0.0), f=None)
     return ExactSolution(
         name=f"hamel(k={k:g})", domain=_annulus_domain(), data=data,
-        velocity=velocity, pressure=pressure,
-        velocity_jacobian=velocity_jacobian,
-        velocity_laplacian=velocity_laplacian,
-        pressure_gradient=pressure_gradient)
-
-
-def hamel_velocity_gap(k0, k1):
-    """Closed-form L2 distance between two family members' velocities."""
-    dk = abs(k1 - k0)
-    integral = 2.0 * np.pi * (9.0 * np.log(2.0) - 4.5)
-    return dk * np.sqrt(integral)
-
-
-def rigid_rotation(b, center=(0.0, 0.0), domain=None):
-    """Rotation around `center`: a zero-data solution on symmetric domains.
-
-    The pressure |u|^2/2 is kept unshifted so the total head on a circle
-    of radius rho around the center is exactly (b * rho)^2.
-    """
-    center = np.asarray(center, float)
-    if domain is None:
-        domain = _annulus_domain(center=tuple(center))
-    sym = geometry.classify_symmetry(domain)
-    if sym.circularly_symmetric is None or \
-            np.hypot(*(np.asarray(sym.circularly_symmetric) - center)) > 1e-9 * domain.diameter:
-        raise DataError("rigid rotation needs a circularly symmetric domain about its center")
-    b = float(b)
-
-    def velocity(x):
-        rel = np.asarray(x) - center
-        return b * np.stack([-rel[:, 1], rel[:, 0]], axis=1)
-
-    def pressure(x):
-        rel = np.asarray(x) - center
-        return 0.5 * b * b * (rel[:, 0] ** 2 + rel[:, 1] ** 2)
-
-    def velocity_jacobian(x):
-        n = len(np.asarray(x))
-        J = np.zeros((n, 2, 2))
-        J[:, 0, 1] = -b
-        J[:, 1, 0] = b
-        return J
-
-    def velocity_laplacian(x):
-        return np.zeros_like(np.asarray(x, float))
-
-    def pressure_gradient(x):
-        return b * b * (np.asarray(x) - center)
-
-    ncomp = domain.n_components
-    data = ProblemData(nu=1.0, beta=(0.0,) * ncomp, a_star=(0.0,) * ncomp,
-                       b_tau=(0.0,) * ncomp, f=None)
-    return ExactSolution(
-        name=f"rigid_rotation(b={b:g})", domain=domain, data=data,
         velocity=velocity, pressure=pressure,
         velocity_jacobian=velocity_jacobian,
         velocity_laplacian=velocity_laplacian,
@@ -270,88 +210,10 @@ def manufactured():
     return replace(sol, data=mms_generate(sol, nu=1.0, beta=(1.0, 1.0)))
 
 
-# -- independent finite-difference oracles -----------------------------------
-
-def _fd_first(fn, x, h):
-    """Fourth-order centered first derivatives of fn: (m, ..., 2) output."""
-    out = []
-    for axis in range(2):
-        e = np.zeros(2, dtype=x.dtype)
-        e[axis] = h
-        d = (fn(x - 2 * e) - 8 * fn(x - e) + 8 * fn(x + e) - fn(x + 2 * e)) / (12 * h)
-        out.append(d)
-    return np.stack(out, axis=-1)
-
-
-def _fd_laplacian(fn, x, h):
-    total = None
-    for axis in range(2):
-        e = np.zeros(2, dtype=x.dtype)
-        e[axis] = h
-        d2 = (-fn(x + 2 * e) + 16 * fn(x + e) - 30 * fn(x)
-              + 16 * fn(x - e) - fn(x - 2 * e)) / (12 * h * h)
-        total = d2 if total is None else total + d2
-    return total
-
-
 def _slip_frames(domain, component):
     """(t, points, normals, tangents) of a component at its SLIP_SAMPLES parameters."""
     t = (np.arange(SLIP_SAMPLES) + 0.31) / SLIP_SAMPLES
     return (t, *geometry.frames_at(domain, component, t)[:3])
-
-
-def momentum_residual(sol, points):
-    """Max norm of the momentum residual via extended-precision stencils."""
-    h = np.longdouble(FD_STEP * sol.domain.diameter)
-    x = np.asarray(points, np.longdouble)
-    u = np.asarray(sol.velocity(x), np.longdouble)
-    J = _fd_first(sol.velocity, x, h)                 # [m, 2, 2]
-    lap = _fd_laplacian(sol.velocity, x, h)
-    gp = _fd_first(sol.pressure, x, h)                # [m, 2]
-    f = np.zeros_like(u)
-    if sol.data.f is not None:
-        f = np.asarray(sol.data.f(x), np.longdouble)
-    resid = -sol.data.nu * lap + gp - f
-    if sol.model == "navier-stokes":
-        resid = resid + np.einsum("mab,mb->ma", J, u)
-    return float(np.max(np.abs(resid.astype(float))))
-
-
-def continuity_residual(sol, points):
-    h = np.longdouble(FD_STEP * sol.domain.diameter)
-    x = np.asarray(points, np.longdouble)
-    J = _fd_first(sol.velocity, x, h)
-    return float(np.max(np.abs((J[:, 0, 0] + J[:, 1, 1]).astype(float))))
-
-
-def slip_residual(sol, component):
-    """Max violation of the tangential stress balance on one component."""
-    h = np.longdouble(SLIP_FD_STEP * sol.domain.diameter)
-    t, pts, n, tau = _slip_frames(sol.domain, component)
-    x = np.asarray(pts, np.longdouble)
-    J = _fd_first(sol.velocity, x, h)
-    S = J + np.swapaxes(J, 1, 2)
-    u = np.asarray(sol.velocity(x), np.longdouble)
-    beta = np.asarray(sol.data.beta[component](t, pts), float)
-    b = np.asarray(sol.data.b_tau[component](t, pts), float)
-    Sn = np.einsum("mab,mb->ma", S.astype(float), n)
-    traction_tau = sol.data.nu * np.einsum("ma,ma->m", Sn, tau)
-    u_tau = np.einsum("ma,ma->m", u.astype(float), tau)
-    resid = traction_tau + beta * u_tau - b
-    normal_gap = np.einsum("ma,ma->m", u.astype(float), n) - np.asarray(
-        sol.data.a_star[component](t, pts), float)
-    return float(np.max([np.max(np.abs(resid)), np.max(np.abs(normal_gap))]))
-
-
-def certify(sol, points):
-    """Run the full oracle battery at the given interior points and each
-    component's slip samples; returns the observed maxima."""
-    report = {
-        "momentum": momentum_residual(sol, points),
-        "continuity": continuity_residual(sol, points),
-        "slip": float(np.max([slip_residual(sol, c) for c in range(sol.domain.n_components)])),
-    }
-    return report
 
 
 # -- manufactured data --------------------------------------------------------
@@ -361,7 +223,7 @@ def mms_generate(sol, nu, beta):
 
     Reads sol's domain, velocity and closed-form derivatives, not its data.
     Raises DataError when the velocity is not divergence-free at the
-    boundary points slip_residual reads.
+    SLIP_SAMPLES boundary points of each component.
     """
     domain, u_exact = sol.domain, sol.velocity
     jac, lap, pgrad = sol.velocity_jacobian, sol.velocity_laplacian, sol.pressure_gradient

@@ -115,7 +115,7 @@ class TestProblemData:
         defect = nvs.symmetric_data_defect(annulus_coarse.domain, data, annulus_coarse)
         assert defect > nvs.SYMMETRY_TOL
         with pytest.raises(DataError, match="not symmetric"):
-            nvs.solve_symmetric(annulus_coarse, data)
+            nvs.solve_navier_stokes(annulus_coarse, data, nvs.SolverConfig(symmetric_subspace=True))
 
     @pytest.mark.parametrize("solve", [nvs.solve_stokes, nvs.solve_navier_stokes],
                              ids=["stokes", "ns"])

@@ -331,19 +331,23 @@ class TestSubcommands:
             validator(schema).validate(json.load(open(out / "audit.json")))
 
     def test_audit_with_a_large_exponent_writes_strict_json(self, tmp_path):
-        # |u|^1000 overflowed in the L^q norm, and audit.json held Infinity
-        cfg = json.load(open(os.path.join(CONFIG_DIR, "theorem1_pass.json")))
-        cfg["audit"] = {"q": 1000}
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(cfg))
-        out = tmp_path / "out"
-        assert cli.main(["audit", "--config", str(path), "--out", str(out)]) == 0
-
+        # |u|^1000 overflowed in the L^q norm, and audit.json held Infinity; so
+        # did |u|^2 for boundary fluxes near 1e200, at any q
         def reject(token):
             raise ValueError(f"non-finite number {token} in audit.json")
-        report = json.loads((out / "audit.json").read_text(), parse_constant=reject)
-        small_flux = report["theorem_small_flux"]
-        assert np.isfinite(small_flux["harmonic_part_lq_norm"]) and np.isfinite(small_flux["lhs"])
+        for name, edits in (("theorem1_pass", {"audit": {"q": 1000}}),
+                            ("hamel", {"boundary": {"a_star": [-1.5e200, 3e200],
+                                                    "b_tau": [0.0, 0.0]}})):
+            cfg = json.load(open(os.path.join(CONFIG_DIR, f"{name}.json")))
+            cfg.update(edits)
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(cfg))
+            out = tmp_path / name
+            assert cli.main(["audit", "--config", str(path), "--out", str(out)]) == 0, name
+            report = json.loads((out / "audit.json").read_text(), parse_constant=reject)
+            small_flux = report["theorem_small_flux"]
+            assert np.isfinite(small_flux["harmonic_part_lq_norm"]), name
+            assert np.isfinite(small_flux["lhs"]), name
 
     @pytest.mark.parametrize("radius, n_angular, beta", [(1.01, 64, 1.0), (1.001, 600, 0.0)],
                              ids=["0.01-wide", "0.001-wide"])

@@ -7,6 +7,8 @@ from slipflow import extensions as ext
 from slipflow import norms
 from slipflow.errors import DataError
 
+import oracles
+
 
 HAMEL_A = [-1.5, 3.0]
 
@@ -125,9 +127,9 @@ class TestExtensionIndependence:
             h_proj = hb.project(neumann.coefficients)
             stokes_flow = hamel_family["flows"][0.0][k]["flow"]
             h_stokes = hb.project(stokes_flow.velocity)
-            scale = norms.velocity_l2(mesh, h_formula)
-            gaps_ab.append(norms.velocity_l2(mesh, h_formula - h_proj) / scale)
-            gaps_ac.append(norms.velocity_l2(mesh, h_formula - h_stokes) / scale)
+            scale = oracles.velocity_l2(mesh, h_formula)
+            gaps_ab.append(oracles.velocity_l2(mesh, h_formula - h_proj) / scale)
+            gaps_ac.append(oracles.velocity_l2(mesh, h_formula - h_stokes) / scale)
         assert gaps_ab[1] < gaps_ab[0] / 2.5
         assert gaps_ac[1] < gaps_ac[0] / 2.5
 
@@ -136,7 +138,7 @@ class TestExtensionIndependence:
         hb = ext.harmonic_basis(annulus_medium)
         e = ext.solenoidal_extension(annulus_medium, HAMEL_A)
         resid = e.coefficients - hb.project(e.coefficients)
-        scale = norms.velocity_l2(annulus_medium, e.coefficients)
+        scale = oracles.velocity_l2(annulus_medium, e.coefficients)
         for psi in hb.psi:
             assert abs(resid @ (hb.mass @ psi)) < 1e-8 * max(scale, 1.0)
         # and the flux-formula part converges to the projection part
@@ -146,5 +148,5 @@ class TestExtensionIndependence:
             hb = ext.harmonic_basis(mesh)
             e = ext.solenoidal_extension(mesh, HAMEL_A)
             h = ext.harmonic_part(hb, e.fluxes)
-            gaps.append(norms.velocity_l2(mesh, h - hb.project(e.coefficients)))
+            gaps.append(oracles.velocity_l2(mesh, h - hb.project(e.coefficients)))
         assert gaps[1] < gaps[0] / 2.5

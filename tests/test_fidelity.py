@@ -100,7 +100,9 @@ def test_matrix_subset_runs_and_compares(tmp_path):
     # tree: one converging solve and the solve below the roundoff floor
     names = ("couette-ns", "hamel-ns-roundoff-floor")
     cases = [case for case in fidelity_matrix.MATRIX if case[0] in names]
-    assert len(fidelity_matrix.MATRIX) == 37 and len(cases) == 2
+    assert len(fidelity_matrix.MATRIX) == 42 and len(cases) == 2
+    assert {f"{config}-mesh" for config in fidelity_matrix.CONFIGS} | {"audit-twohole-0-mesh"} \
+        <= {name for name, _ in fidelity_matrix.MATRIX}
     codes = fidelity_matrix.run_matrix(ROOT, tmp_path, cases)
     assert codes == {"couette-ns": 0, "hamel-ns-roundoff-floor": 3}
     assert (tmp_path / "couette-ns" / "exit_code").read_text() == "0\n"

@@ -5,6 +5,18 @@ from slipflow import geometry
 from slipflow.errors import GeometryError
 
 
+def frame(domain, component, t):
+    """(point, n, tau, kappa) of the boundary frame at one curve parameter."""
+    g, n, tau, kappa = geometry.frames_at(domain, component, [t])
+    return g[0], n[0], tau[0], float(kappa[0])
+
+
+def arclength_integral(domain, component, integrand):
+    """Integral of integrand(points) over one component by the exact-curve rule."""
+    _, points, w_ds = geometry.curve_rule(domain.curves[component])
+    return float(np.sum(w_ds * integrand(points)))
+
+
 def circle_domain(r_out=2.0, r_in=1.0, center=(0.0, 0.0)):
     return geometry.DomainSpec(
         [geometry.Circle(center, r_out), geometry.Circle(center, r_in)])
@@ -13,13 +25,13 @@ def circle_domain(r_out=2.0, r_in=1.0, center=(0.0, 0.0)):
 class TestFrames:
     def test_outer_circle_curvature(self, annulus_domain):
         for t in (0.0, 0.13, 0.5, 0.77):
-            fr = geometry.frame_at(annulus_domain, 0, t)
-            assert fr.kappa == pytest.approx(-0.5, abs=1e-12)
+            _, _, _, kappa = frame(annulus_domain, 0, t)
+            assert kappa == pytest.approx(-0.5, abs=1e-12)
 
     def test_hole_curvature(self, annulus_domain):
         for t in (0.0, 0.3, 0.9):
-            fr = geometry.frame_at(annulus_domain, 1, t)
-            assert fr.kappa == pytest.approx(1.0, abs=1e-12)
+            _, _, _, kappa = frame(annulus_domain, 1, t)
+            assert kappa == pytest.approx(1.0, abs=1e-12)
 
     def test_straight_segment_zero_curvature(self):
         # stadium: long straight sides sampled densely, semicircular caps
@@ -33,32 +45,33 @@ class TestFrames:
         dom = geometry.DomainSpec([stadium, geometry.Circle((0, 0), 0.4)])
         # parameter of the middle of the bottom straight (control point 6 of 42)
         t_mid = 6.0 / len(stadium.control_points)
-        fr = geometry.frame_at(dom, 0, t_mid)
+        _, n, _, kappa = frame(dom, 0, t_mid)
         # cubic-spline smoothing leaks a little cap curvature into the side
-        assert abs(fr.kappa) < 1e-3
-        assert fr.n == pytest.approx((0.0, -1.0), abs=1e-9)
+        assert abs(kappa) < 1e-3
+        assert n == pytest.approx((0.0, -1.0), abs=1e-9)
 
     def test_frame_orthonormal_and_weingarten(self, annulus_domain):
         rng = np.random.default_rng(0)
         for comp in (0, 1):
             for t in rng.uniform(0, 1, 8):
-                fr = geometry.frame_at(annulus_domain, comp, t)
-                assert np.hypot(*fr.n) == pytest.approx(1.0, abs=1e-12)
-                assert np.hypot(*fr.tau) == pytest.approx(1.0, abs=1e-12)
-                assert abs(fr.n @ fr.tau) < 1e-12
-                assert fr.tau == pytest.approx((fr.n[1], -fr.n[0]))
-                assert np.allclose(fr.W @ fr.n, 0.0, atol=1e-14)
-                assert np.allclose(fr.W, fr.W.T)
-                eigs = np.sort(np.linalg.eigvalsh(fr.W))
-                assert np.allclose(sorted([fr.kappa, 0.0]), eigs, atol=1e-12)
+                _, n, tau, kappa = frame(annulus_domain, comp, t)
+                W = kappa * np.outer(tau, tau)      # the Weingarten map
+                assert np.hypot(*n) == pytest.approx(1.0, abs=1e-12)
+                assert np.hypot(*tau) == pytest.approx(1.0, abs=1e-12)
+                assert abs(n @ tau) < 1e-12
+                assert tau == pytest.approx((n[1], -n[0]))
+                assert np.allclose(W @ n, 0.0, atol=1e-14)
+                assert np.allclose(W, W.T)
+                eigs = np.sort(np.linalg.eigvalsh(W))
+                assert np.allclose(sorted([kappa, 0.0]), eigs, atol=1e-12)
                 u = rng.standard_normal(2)
-                assert abs((fr.W @ u) @ fr.n) < 1e-12
+                assert abs((W @ u) @ n) < 1e-12
 
     def test_normals_point_outward(self, annulus_domain):
-        fr0 = geometry.frame_at(annulus_domain, 0, 0.2)
-        assert fr0.n @ fr0.point > 0  # away from the fluid
-        fr1 = geometry.frame_at(annulus_domain, 1, 0.2)
-        assert fr1.n @ fr1.point < 0  # into the hole
+        point, n, _, _ = frame(annulus_domain, 0, 0.2)
+        assert n @ point > 0  # away from the fluid
+        point, n, _, _ = frame(annulus_domain, 1, 0.2)
+        assert n @ point < 0  # into the hole
 
     def test_curvature_orientation_invariance(self):
         t = np.linspace(0, 2 * np.pi, 33)[:-1]
@@ -81,13 +94,13 @@ class TestFrames:
 
     def test_degenerate_component_index(self, annulus_domain):
         with pytest.raises(GeometryError):
-            geometry.frame_at(annulus_domain, 5, 0.0)
+            geometry.frames_at(annulus_domain, 5, [0.0])
 
 
 class TestBoundaryIntegral:
     def test_hamel_fluxes(self, annulus_domain):
-        outer = geometry.boundary_integral(annulus_domain, 0, lambda fr: -1.5)
-        inner = geometry.boundary_integral(annulus_domain, 1, lambda fr: 3.0)
+        outer = arclength_integral(annulus_domain, 0, lambda x: -1.5)
+        inner = arclength_integral(annulus_domain, 1, lambda x: 3.0)
         assert outer == pytest.approx(-6 * np.pi, rel=1e-12)
         assert inner == pytest.approx(6 * np.pi, rel=1e-12)
         assert outer + inner == pytest.approx(0.0, abs=1e-10)
@@ -98,16 +111,15 @@ class TestBoundaryIntegral:
             assert np.sum(w_ds * a) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_integrand(self, annulus_domain):
-        assert geometry.boundary_integral(annulus_domain, 0, lambda fr: 0.0) == 0.0
+        assert arclength_integral(annulus_domain, 0, lambda x: 0.0) == 0.0
 
     def test_circumference(self, annulus_domain):
-        val = geometry.boundary_integral(annulus_domain, 0, lambda fr: 1.0)
+        val = arclength_integral(annulus_domain, 0, lambda x: 1.0)
         assert val == pytest.approx(4 * np.pi, rel=1e-12)
 
     def test_polynomial_in_angle_exact(self, annulus_domain):
         # cos^2(theta) has degree 2 in angle; exact value pi * R
-        val = geometry.boundary_integral(
-            annulus_domain, 0, lambda fr: (fr.point[0] / 2.0) ** 2)
+        val = arclength_integral(annulus_domain, 0, lambda x: (x[:, 0] / 2.0) ** 2)
         assert val == pytest.approx(2 * np.pi, rel=1e-13)
 
 

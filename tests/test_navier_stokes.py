@@ -10,6 +10,8 @@ from slipflow import navier_stokes as nvs
 from slipflow import norms, validation as val
 from slipflow.errors import DataError, MeshError
 
+import oracles
+
 
 class TestHamelBranches:
     def test_pinned_k0(self, hamel_family):
@@ -52,9 +54,9 @@ class TestHamelBranches:
                      @ free_flow.velocity)
         pinned_flow, _ = nvs.solve_navier_stokes(
             annulus_coarse, data, nvs.SolverConfig(pins={1: circ}))
-        gap = norms.velocity_l2(annulus_coarse,
-                                pinned_flow.velocity - free_flow.velocity)
-        scale = norms.velocity_l2(annulus_coarse, free_flow.velocity)
+        gap = oracles.velocity_l2(annulus_coarse,
+                                  pinned_flow.velocity - free_flow.velocity)
+        scale = oracles.velocity_l2(annulus_coarse, free_flow.velocity)
         assert gap < 1e-8 * scale
 
     def test_non_convergence_carries_trace(self, annulus_coarse):
@@ -117,7 +119,7 @@ class TestIterationMechanics:
         flow, _ = nvs.solve_navier_stokes(annulus_medium, exact.data,
                                           nvs.SolverConfig())
         _, conv = asm.assemble_convection(annulus_medium, flow.velocity)
-        unorm = norms.velocity_l2(annulus_medium, flow.velocity)
+        unorm = oracles.velocity_l2(annulus_medium, flow.velocity)
         assert abs(flow.velocity @ conv) < 1e-3 * unorm ** 3
 
     def test_newton_only_mode(self, annulus_coarse):
@@ -214,8 +216,9 @@ class TestOneFactorization:
         assert factors["peak"] == 1
 
     def test_one_factorization_per_symmetric_solve(self, annulus_coarse, factors):
-        flow = nvs.solve_symmetric(annulus_coarse, val.hamel(0.0).data,
-                                   nvs.SolverConfig(pins={1: 0.0}))
+        flow, _ = nvs.solve_navier_stokes(annulus_coarse, val.hamel(0.0).data,
+                                          nvs.SolverConfig(pins={1: 0.0}, symmetric_subspace=True))
+        assert flow.metadata["symmetry_defect"] <= 1e-10
         assert factors["calls"] == flow.metadata["factorizations"] == 1
 
     def test_one_mirror_pairing_per_symmetric_solve(self, monkeypatch):
@@ -539,7 +542,7 @@ class TestContinuation:
         # lambda = 1 agrees with the direct solve
         direct, _ = nvs.solve_navier_stokes(annulus_coarse, data,
                                             nvs.SolverConfig(pins={1: 0.0}))
-        gap = norms.velocity_l2(annulus_coarse, sweep[-1][1].velocity - direct.velocity)
+        gap = oracles.velocity_l2(annulus_coarse, sweep[-1][1].velocity - direct.velocity)
         assert gap < 1e-8
 
     def test_pinned_branch_norm_curve_finite(self, annulus_coarse):
@@ -637,10 +640,11 @@ class TestSymmetricSolve:
         data = val.hamel(0.0).data  # radial data, symmetric
         for mode in ("picard-then-newton", "newton"):
             config = nvs.SolverConfig(mode=mode, pins={1: 0.0})
-            sym_flow = nvs.solve_symmetric(annulus_coarse, data, config)
+            sym_flow, _ = nvs.solve_navier_stokes(annulus_coarse, data,
+                                                  replace(config, symmetric_subspace=True))
             free_flow, _ = nvs.solve_navier_stokes(annulus_coarse, data, config)
-            gap = norms.velocity_l2(annulus_coarse,
-                                    sym_flow.velocity - free_flow.velocity)
+            gap = oracles.velocity_l2(annulus_coarse,
+                                      sym_flow.velocity - free_flow.velocity)
             assert gap < 1e-7, mode
             assert sym_flow.metadata["symmetry_defect"] < 1e-10, mode
             assert sym_flow.metadata["iterations"] >= 1, mode
@@ -700,7 +704,7 @@ class TestSymmetricSolve:
                     3.0),
             b_tau=(0.0, 0.0), f=None)
         with pytest.raises(DataError):
-            nvs.solve_symmetric(annulus_coarse, data)
+            nvs.solve_navier_stokes(annulus_coarse, data, nvs.SolverConfig(symmetric_subspace=True))
 
     def test_non_admissible_domain_rejected(self):
         from slipflow.geometry import Circle, DomainSpec
@@ -709,14 +713,14 @@ class TestSymmetricSolve:
         data = asm.ProblemData(nu=1.0, beta=(1.0, 1.0), a_star=(0.0, 0.0),
                                b_tau=(0.0, 0.0), f=None)
         with pytest.raises(DataError):
-            nvs.solve_symmetric(mesh, data)
+            nvs.solve_navier_stokes(mesh, data, nvs.SolverConfig(symmetric_subspace=True))
 
     def test_non_mirror_mesh_rejected(self, annulus_domain):
         mesh = sf.mesh_disk_with_holes(annulus_domain, 0.3)
         data = asm.ProblemData(nu=1.0, beta=(1.0, 1.0), a_star=(0.0, 0.0),
                                b_tau=(0.0, 0.0), f=None)
         with pytest.raises(MeshError):
-            nvs.solve_symmetric(mesh, data)
+            nvs.solve_navier_stokes(mesh, data, nvs.SolverConfig(symmetric_subspace=True))
 
     def test_mirrored_data_reproduces_bitwise(self, annulus_coarse):
         """Symmetric data equals its mirror image; deterministic re-solve
@@ -724,10 +728,11 @@ class TestSymmetricSolve:
         data = val.hamel(0.0).data
         mirrored = asm.ProblemData(nu=data.nu, beta=data.beta,
                                    a_star=data.a_star, b_tau=data.b_tau, f=None)
-        f1 = nvs.solve_symmetric(annulus_coarse, data,
-                                 nvs.SolverConfig(pins={1: 0.0}))
-        f2 = nvs.solve_symmetric(annulus_coarse, mirrored,
-                                 nvs.SolverConfig(pins={1: 0.0}))
+        config = nvs.SolverConfig(pins={1: 0.0}, symmetric_subspace=True)
+        f1, _ = nvs.solve_navier_stokes(annulus_coarse, data, config)
+        f2, _ = nvs.solve_navier_stokes(annulus_coarse, mirrored, config)
+        assert f1.metadata["symmetry_defect"] <= 1e-10
+        assert f2.metadata["symmetry_defect"] <= 1e-10
         assert np.array_equal(f1.velocity, f2.velocity)
         assert np.array_equal(f1.pressure, f2.pressure)
 
@@ -735,8 +740,9 @@ class TestSymmetricSolve:
         # mirror restriction removes the rotation mode, so zero friction is fine
         data = asm.ProblemData(nu=1.0, beta=(0.0, 0.0), a_star=(-1.5, 3.0),
                                b_tau=(0.0, 0.0), f=None)
-        flow = nvs.solve_symmetric(annulus_coarse, data,
-                                   nvs.SolverConfig(pins={1: 0.0}))
+        flow, _ = nvs.solve_navier_stokes(annulus_coarse, data,
+                                          nvs.SolverConfig(pins={1: 0.0}, symmetric_subspace=True))
+        assert flow.metadata["symmetry_defect"] <= 1e-10
         sol = val.hamel(0.0)
         assert norms.velocity_error_l2(annulus_coarse, flow.velocity,
                                        sol.velocity) < 5e-3

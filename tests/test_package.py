@@ -4,6 +4,7 @@ import ast
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -121,8 +122,8 @@ def test_lambda_walk_has_one_driver():
 
 def test_boundary_data_normalized_only_in_assembly():
     # one owner of per-component boundary data: ProblemData keeps callables and
-    # assembly.boundary_values evaluates them, so outside assembly.py only the
-    # independent oracles of validation.py normalize a constant datum themselves
+    # assembly.boundary_values evaluates them, so outside assembly.py only
+    # validation.mms_generate normalizes a constant friction datum itself
     calls = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -133,6 +134,50 @@ def test_boundary_data_normalized_only_in_assembly():
                                                                        "validation.py"):
                     calls.append(f"{path.name}:{node.lineno}")
     assert not calls, calls
+
+
+def _names_used(tree, own=None):
+    """Names a tree loads, reads as an attribute or imports, except `own`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.Name) and node.id != own:
+            yield node.id
+        elif isinstance(node, ast.Attribute) and node.attr != own:
+            yield node.attr
+
+
+def test_every_public_name_has_a_caller():
+    # the package ships what a command, the benchmark or the README calls:
+    # each public top-level function and class of src/slipflow is used by
+    # another module of the package or by its own outside its definition, by
+    # perfbench/ or tools/, or is named in a code span of README.md.  A
+    # re-export in __init__.py is not a use, nor are the tests.  Names are
+    # matched, not resolved, so a method of the same name counts as a use.
+    traced_only = {
+        # patched by name in perfbench/tracer.py, called by nothing; they go
+        # once the library reports its own run statistics (ROADMAP item 2)
+        "assemble_vector_gradient",
+    }
+    root = SRC.parent.parent
+    defined, used = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            own = getattr(stmt, "name", None)
+            if own is not None and not own.startswith("_"):
+                defined[own] = path.name
+            used.update(_names_used(stmt, own))
+    for path in sorted((root / "perfbench").glob("*.py")) + sorted((root / "tools").glob("*.py")):
+        used.update(_names_used(ast.parse(path.read_text(), str(path))))
+    readme = re.sub(r"```.*?```", "", (root / "README.md").read_text(), flags=re.S)
+    named = {word for span in re.findall(r"`([^`\n]+)`", readme)
+             for word in re.findall(r"\w+", span)}
+    uncalled = sorted(f"{module}:{name}" for name, module in defined.items()
+                      if name not in used | named | traced_only)
+    assert not uncalled, uncalled
+    assert traced_only <= set(defined) - used - named
 
 
 def test_no_random_numbers():

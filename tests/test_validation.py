@@ -9,6 +9,8 @@ from slipflow import navier_stokes as nvs
 from slipflow import validation as val
 from slipflow.errors import DataError
 
+import oracles
+
 
 def interpolation_solver(exact):
     """A 'solver' that just interpolates the exact fields on the mesh."""
@@ -22,22 +24,22 @@ def interpolation_solver(exact):
 
 
 ALL_SOLUTIONS = [val.hamel(0.0), val.hamel(1.0), val.hamel(-2.0),
-                 val.rigid_rotation(1.3), val.slip_couette(), val.manufactured()]
+                 oracles.rigid_rotation(1.3), val.slip_couette(), val.manufactured()]
 
 
 class TestOracles:
     @pytest.mark.parametrize("sol", ALL_SOLUTIONS, ids=lambda s: s.name)
     def test_momentum_residual(self, sol, annulus_points):
-        assert val.momentum_residual(sol, annulus_points) <= 1e-6
+        assert oracles.momentum_residual(sol, annulus_points) <= 1e-6
 
     @pytest.mark.parametrize("sol", ALL_SOLUTIONS, ids=lambda s: s.name)
     def test_continuity_residual(self, sol, annulus_points):
-        assert val.continuity_residual(sol, annulus_points) <= 1e-8
+        assert oracles.continuity_residual(sol, annulus_points) <= 1e-8
 
     @pytest.mark.parametrize("sol", ALL_SOLUTIONS, ids=lambda s: s.name)
     def test_slip_residual(self, sol):
         for comp in range(sol.domain.n_components):
-            assert val.slip_residual(sol, comp) <= 1e-9
+            assert oracles.slip_residual(sol, comp) <= 1e-9
 
     def test_nan_slip_residual_propagates(self, annulus_points):
         # a normal datum that is NaN on the last component only: the NaN normal
@@ -45,9 +47,9 @@ class TestOracles:
         sol = val.hamel(1.0)
         a_star = (sol.data.a_star[0], lambda t, x: np.full(len(t), np.nan))
         sol = replace(sol, data=replace(sol.data, a_star=a_star))
-        assert np.isfinite(val.slip_residual(sol, 0))
-        assert np.isnan(val.slip_residual(sol, 1))
-        report = val.certify(sol, annulus_points)
+        assert np.isfinite(oracles.slip_residual(sol, 0))
+        assert np.isnan(oracles.slip_residual(sol, 1))
+        report = oracles.certify(sol, annulus_points)
         assert np.isnan(report["slip"])
         assert not report["slip"] <= 1e-9
 
@@ -56,11 +58,11 @@ class TestOracles:
         pts = annulus_points
         h = np.longdouble(1e-5 * sol.domain.diameter)
         xl = np.asarray(pts, np.longdouble)
-        J_fd = val._fd_first(sol.velocity, xl, h).astype(float)
+        J_fd = oracles.fd_first(sol.velocity, xl, h).astype(float)
         assert np.allclose(J_fd, sol.velocity_jacobian(pts), atol=1e-9)
-        L_fd = val._fd_laplacian(sol.velocity, xl, h).astype(float)
+        L_fd = oracles.fd_laplacian(sol.velocity, xl, h).astype(float)
         assert np.allclose(L_fd, sol.velocity_laplacian(pts), atol=1e-7)
-        G_fd = val._fd_first(sol.pressure, xl, h).astype(float)
+        G_fd = oracles.fd_first(sol.pressure, xl, h).astype(float)
         assert np.allclose(G_fd, sol.pressure_gradient(pts), atol=1e-8)
 
 
@@ -100,11 +102,10 @@ class TestHamelFamily:
 
     def test_velocity_gap_formula(self):
         m = sf.mesh_annulus(1, 2, 16, 32)
-        from slipflow import norms
         coords = m.p2_coords()
         du = (val.hamel(1.0).velocity(coords) - val.hamel(0.0).velocity(coords)).ravel()
-        gap = norms.velocity_l2(m, du)
-        assert gap == pytest.approx(val.hamel_velocity_gap(0, 1), rel=1e-3)
+        gap = oracles.velocity_l2(m, du)
+        assert gap == pytest.approx(oracles.hamel_velocity_gap(0, 1), rel=1e-3)
 
     def test_pressure_zero_mean(self, annulus_medium):
         from slipflow import norms
@@ -118,7 +119,7 @@ class TestHamelFamily:
 
 class TestRigidRotation:
     def test_tangential_on_circles(self):
-        sol = val.rigid_rotation(1.0)
+        sol = oracles.rigid_rotation(1.0)
         from slipflow import geometry
         for comp in (0, 1):
             t = np.linspace(0, 1, 33)
@@ -126,7 +127,7 @@ class TestRigidRotation:
             assert np.max(np.abs(np.einsum("ma,ma->m", sol.velocity(pts), n))) < 1e-14
 
     def test_zero_rotation_zero_solution(self):
-        sol = val.rigid_rotation(0.0)
+        sol = oracles.rigid_rotation(0.0)
         pts = np.array([[1.5, 0.2]])
         assert np.all(sol.velocity(pts) == 0.0)
 
@@ -134,7 +135,7 @@ class TestRigidRotation:
         from slipflow.geometry import Circle, DomainSpec
         dom = DomainSpec([Circle((0, 0), 2.0), Circle((0.5, 0.1), 0.4)])
         with pytest.raises(DataError):
-            val.rigid_rotation(1.0, domain=dom)
+            oracles.rigid_rotation(1.0, domain=dom)
 
 
 def closed_form(velocity, jacobian):
@@ -160,7 +161,7 @@ class TestMMS:
             assert np.allclose(data.a_star[comp](t, x), expected, atol=1e-12)
 
     def test_rigid_rotation_with_friction(self, annulus_points):
-        sol = val.rigid_rotation(1.0)
+        sol = oracles.rigid_rotation(1.0)
         data = val.mms_generate(sol, nu=1.0, beta=(1.0, 1.0))
         assert np.max(np.abs(data.f(annulus_points))) < 1e-9   # S(u) = 0, pressure balances
         from slipflow import geometry

@@ -10,11 +10,12 @@ repository, not from TREE, so two trees run the same inputs; compare
 their OUT directories with tools/fidelity.py.
 
 The matrix:
-- `solve ns`, `solve stokes`, `audit`, `korn` and `diagnose` on each of
-  the four `configs/`;
+- `solve ns`, `solve stokes`, `audit`, `korn`, `diagnose` and `mesh` on
+  each of the four `configs/`;
 - `solve ns` on each config with `mode: newton`;
 - the benchmark workloads, by `perfbench/workloads.generate`: `ns-hamel`
-  seeds 0-2 and `audit-twohole` seeds 0-3;
+  seeds 0-2 and `audit-twohole` seeds 0-3, and `mesh` on the
+  `audit-twohole` seed-0 config;
 - `solve ns` below the roundoff floor: the 8 x 16 Hamel annulus pinned
   at 2 pi with `tolerance` 1e-15, which exits 3 when the residual stalls;
 - `korn` on the thin annulus: `couette` with the outer radius 1.01 on a
@@ -40,7 +41,7 @@ from perfbench import workloads  # noqa: E402
 
 CONFIGS = ("couette", "hamel", "symmetric_domain", "theorem1_pass")
 COMMANDS = {"ns": ("solve", "ns"), "stokes": ("solve", "stokes"), "audit": ("audit",),
-            "korn": ("korn",), "diagnose": ("diagnose",)}
+            "korn": ("korn",), "diagnose": ("diagnose",), "mesh": ("mesh",)}
 
 
 def shipped(config, command, **blocks):
@@ -65,9 +66,16 @@ def validate(case):
                             "--out", os.path.join(run_dir, "out"))
 
 
-def workload(name, seed):
-    """A case of a benchmark workload, as perfbench/workloads.py generates it."""
-    return lambda run_dir: workloads.generate(name, seed, run_dir).argv
+def workload(name, seed, command=None):
+    """A case of a benchmark workload, as perfbench/workloads.py generates it,
+    run with the workload's own command or, if given, with `command`."""
+    def write(run_dir):
+        case = workloads.generate(name, seed, run_dir)
+        if command is None:
+            return case.argv
+        return ("--deterministic", *command, "--config", case.config_path,
+                "--out", case.out_dir)
+    return write
 
 
 MATRIX = (
@@ -77,6 +85,7 @@ MATRIX = (
        for config in CONFIGS]
     + [(f"ns-hamel-{seed}", workload("ns-hamel", seed)) for seed in range(3)]
     + [(f"audit-twohole-{seed}", workload("audit-twohole", seed)) for seed in range(4)]
+    + [("audit-twohole-0-mesh", workload("audit-twohole", 0, COMMANDS["mesh"]))]
     + [("hamel-ns-roundoff-floor", shipped(
         "hamel", COMMANDS["ns"], mesh={"n_radial": 8, "n_angular": 16},
         solver={"tolerance": 1e-15, "pins": {"1": 2 * math.pi}}))]
